@@ -39,7 +39,7 @@ def main() -> None:
         print(f"  {count:4d}x  {{{members}}}")
 
     # Contrast with brute force (always all three models).
-    env_bf = make_environment(setup, scoring=scoring, cache=env.cache)
+    env_bf = make_environment(setup, scoring=scoring, cache=env.store)
     bf = BruteForce().run(env_bf, setup.frames)
     print(f"\nBF    s_sum={bf.s_sum:8.2f}  "
           f"mean AP={bf.mean_true_ap:.3f}  "

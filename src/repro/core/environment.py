@@ -15,7 +15,12 @@ paper's Eq. (12)/(14) prescribe:
 
 Evaluations report both the *estimated* score (AP against REF — what the
 algorithms may see, Eq. 3) and the *true* score (AP against ground truth —
-what the experiments report, Eq. 2).
+what the experiments report, Eq. 2).  :meth:`DetectionEnvironment.peek`
+is the oracle's uncharged view and reports the true score only.
+
+Each evaluation reads its frame's inputs once: every member's output and
+REF's output come from one batched store read plus the frame's own
+inference jobs, and the ground truth is built at most once.
 
 Execution is layered on the :mod:`repro.engine` package:
 
@@ -58,12 +63,19 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Any
 
 from repro.core.ensembles import EnsembleKey, enumerate_ensembles, make_key
 from repro.core.scoring import ScoringFunction, WeightedLogScore
 from repro.detection.metrics import mean_average_precision
-from repro.detection.types import FrameDetections
-from repro.engine.backends import ExecutionBackend, InferenceJob, SerialBackend
+from repro.detection.types import Detection, FrameDetections
+from repro.engine.backends import (
+    ExecutionBackend,
+    InferenceJob,
+    JobResult,
+    SerialBackend,
+)
 from repro.engine.pipeline import FrameEvaluationError
 from repro.engine.resilience import FaultStats
 from repro.engine.store import CacheStats, EvaluationStore
@@ -78,7 +90,6 @@ __all__ = [
     "EnsembleEvaluation",
     "EvaluationBatch",
     "EvaluationStore",
-    "EvaluationCache",
     "CacheStats",
     "FaultStats",
     "FrameEvaluationError",
@@ -90,10 +101,6 @@ __all__ = [
 #: times (Eq. 12/14 — one device runs them back to back); ``"max"`` charges
 #: the slowest member only (members run on parallel devices).
 BILLING_POLICIES: tuple[str, ...] = ("sum", "max")
-
-#: Backwards-compatible alias: the old raw-dict ``EvaluationCache`` is gone;
-#: the name now resolves to the bounded, instrumented store.
-EvaluationCache = EvaluationStore
 
 
 def method_tag(method: object) -> str:
@@ -128,8 +135,11 @@ class EnsembleEvaluation:
         cost_ms: ``c_{S|v}`` per Eq. (1).
         normalized_cost: ``c_hat_{S|v} = c_{S|v} / c_max``, clipped to
             ``[0, 1]``.
-        est_ap: AP against the reference model (Eq. 3).
-        est_score: Score from estimated AP — what the bandit observes.
+        est_ap: AP against the reference model (Eq. 3); 0.0 when not
+            estimated (from :meth:`DetectionEnvironment.peek`, or with
+            ``score_estimates=False``).
+        est_score: Score from estimated AP — what the bandit observes;
+            0.0 whenever ``est_ap`` is not estimated.
         true_ap: AP against ground truth (Eq. 2).
         true_score: Score from true AP — what experiments report.
         realized: The healthy subset that actually ran.  Empty (the
@@ -214,6 +224,28 @@ class EvaluationBatch:
                 continue
             seen.add(realized)
             yield realized, evaluation.est_score
+
+
+@dataclass
+class _FrameInputs:
+    """One frame's inputs to fusion and scoring, each read at most once.
+
+    Attributes:
+        frame: The frame.
+        outputs: Member name -> its output on this frame.  Members whose
+            inference failed this frame are absent.
+        reference: REF's output on this frame; ``None`` when REF failed
+            or the environment has no reference model.
+    """
+
+    frame: Frame
+    outputs: dict[str, Any]
+    reference: Any
+
+    @cached_property
+    def ground_truth(self) -> list[Detection]:
+        """The frame's ground truth as detections, built on first use."""
+        return self.frame.ground_truth_detections()
 
 
 class DetectionEnvironment:
@@ -331,11 +363,6 @@ class DetectionEnvironment:
         self.c_max_ms = self.cost_model.c_max_ms(expected_full)
 
     @property
-    def cache(self) -> EvaluationStore:
-        """Alias of :attr:`store` (the historical parameter name)."""
-        return self.store
-
-    @property
     def num_models(self) -> int:
         return len(self.model_names)
 
@@ -410,84 +437,11 @@ class DetectionEnvironment:
             ensembles_dropped=self._ensembles_dropped,
         )
 
-    # ---- engine-backed memoized stages ---------------------------------
-
-    def _single_output(self, frame: Frame, model: str):
-        return self.store.get_or_compute(
-            "detector",
-            (frame.key, model),
-            lambda: self.detector(model).detect(frame),
-        )
-
-    def _reference_output(self, frame: Frame):
-        assert self.reference is not None  # guarded by score_estimates
-        return self.store.get_or_compute(
-            "reference",
-            (frame.key, self._ref_name),
-            lambda: self.reference.detect(frame),
-        )
-
-    def reference_detections(self, frame: Frame) -> FrameDetections:
-        """``BBox_{REF|v}`` — the reference model's boxes for a frame."""
-        if self.reference is None:
-            raise RuntimeError(
-                "this environment has no reference model "
-                "(score_estimates=False)"
-            )
-        return self._reference_output(frame).detections
-
-    def _fused(self, frame: Frame, key: EnsembleKey) -> FrameDetections:
-        def compute() -> FrameDetections:
-            parts = [self._single_output(frame, m).detections for m in key]
-            return self.fusion.fuse(parts)
-
-        return self.store.get_or_compute(
-            "fused", (frame.key, key, self._fusion_tag), compute
-        )
-
-    def _estimated_ap(self, frame: Frame, key: EnsembleKey) -> float:
-        return self.store.get_or_compute(
-            "est_ap",
-            (frame.key, key, self._est_tag),
-            lambda: mean_average_precision(
-                self._fused(frame, key),
-                self.reference_detections(frame),
-                self.iou_threshold,
-            ),
-        )
-
-    def _true_ap(self, frame: Frame, key: EnsembleKey) -> float:
-        return self.store.get_or_compute(
-            "true_ap",
-            (frame.key, key, self._true_tag),
-            lambda: mean_average_precision(
-                self._fused(frame, key),
-                frame.ground_truth_detections(),
-                self.iou_threshold,
-            ),
-        )
-
-    def _materialize_outputs(self, frame: Frame, models: Sequence[str]) -> None:
-        """Ensure single-model and REF outputs exist, via the backend.
-
-        The missing inferences of one frame are independent jobs; the
-        backend may run them concurrently.  Outputs land in the store, so
-        everything downstream (billing, fusion, AP) reads identical values
-        regardless of the backend — wall clock is the only difference.
-
-        Unsuccessful jobs (failed, timed out, or skipped by an open
-        circuit) simply leave no store entry: downstream realization
-        treats the model as unhealthy for this frame, and the next frame
-        naturally re-attempts it — failures are never negatively cached.
-        """
-        jobs, stages = self._missing_jobs(frame, models)
-        if not jobs:
-            return
-        self._execute_and_store(jobs, stages)
+    # ---- inference ------------------------------------------------------
 
     def _missing_jobs(
         self, frame: Frame, models: Sequence[str]
-    ) -> tuple[list[InferenceJob], list[tuple[str, object]]]:
+    ) -> tuple[list[InferenceJob], list[tuple[str, tuple[str, str]]]]:
         """The inference jobs a frame still needs, with their store keys.
 
         Membership tests go through the store's batched
@@ -495,24 +449,31 @@ class DetectionEnvironment:
         lock acquisition per frame instead of one per model.
         """
         jobs: list[InferenceJob] = []
-        stages: list[tuple[str, object]] = []
+        stages: list[tuple[str, tuple[str, str]]] = []
         detector_keys = [(frame.key, model) for model in models]
         present = self.store.contains_many("detector", detector_keys)
         for model, key, has in zip(models, detector_keys, present, strict=True):
             if not has:
                 jobs.append(InferenceJob(self._detectors[model], frame))
                 stages.append(("detector", key))
-        if self.reference is not None and not self.store.contains(
-            "reference", (frame.key, self._ref_name)
-        ):
-            jobs.append(InferenceJob(self.reference, frame))
-            stages.append(("reference", (frame.key, self._ref_name)))
+        if self._ref_name is not None:
+            ref_key = (frame.key, self._ref_name)
+            if not self.store.contains("reference", ref_key):
+                jobs.append(InferenceJob(self.reference, frame))
+                stages.append(("reference", ref_key))
         return jobs, stages
 
-    def _execute_and_store(
-        self, jobs: list[InferenceJob], stages: list[tuple[str, object]]
-    ) -> None:
-        """Run jobs through the backend and store successful outputs."""
+    def _run_jobs(
+        self,
+        jobs: list[InferenceJob],
+        stages: list[tuple[str, tuple[str, str]]],
+    ) -> list[JobResult]:
+        """Run jobs through the backend, storing the successful outputs.
+
+        Unsuccessful jobs (failed, timed out, or skipped by an open
+        circuit) leave no store entry, so the next frame that needs the
+        model re-attempts it: failures are never negatively cached.
+        """
         if self.obs.metrics_on:
             detector_jobs = sum(1 for stage, _ in stages if stage == "detector")
             if detector_jobs:
@@ -549,8 +510,49 @@ class DetectionEnvironment:
                     )
                 detect_span.set_sim_ms(sim_ms)
         for (stage, key), result in zip(stages, results, strict=True):
-            if result.ok and not self.store.contains(stage, key):
+            if result.ok:
                 self.store.put(stage, key, result.output, result.wall_ms)
+        return results
+
+    def _frame_inputs(self, frame: Frame, models: Sequence[str]) -> _FrameInputs:
+        """Read the outputs of ``models`` and REF on ``frame``, once each.
+
+        Stored outputs come from one batched
+        :meth:`~repro.engine.store.EvaluationStore.get_many`.  The missing
+        ones run as one backend batch (which may run them concurrently),
+        and their results are used directly as well as stored.  Outputs
+        are deterministic per ``(model, frame)``, so everything downstream
+        (billing, fusion, AP) is identical across backends and store
+        states; wall clock is the only difference.
+        """
+        keys = [(frame.key, model) for model in models]
+        outputs: dict[str, Any] = {}
+        jobs: list[InferenceJob] = []
+        stages: list[tuple[str, tuple[str, str]]] = []
+        stored = self.store.get_many("detector", keys)
+        for model, key, output in zip(models, keys, stored, strict=True):
+            if output is None:
+                jobs.append(InferenceJob(self._detectors[model], frame))
+                stages.append(("detector", key))
+            else:
+                outputs[model] = output
+        reference = None
+        if self._ref_name is not None:
+            ref_key = (frame.key, self._ref_name)
+            reference = self.store.get("reference", ref_key)
+            if reference is None:
+                jobs.append(InferenceJob(self.reference, frame))
+                stages.append(("reference", ref_key))
+        if jobs:
+            results = self._run_jobs(jobs, stages)
+            for (stage, key), result in zip(stages, results, strict=True):
+                if not result.ok:
+                    continue
+                if stage == "reference":
+                    reference = result.output
+                else:
+                    outputs[key[1]] = result.output
+        return _FrameInputs(frame, outputs, reference)
 
     def prefetch(
         self,
@@ -594,7 +596,7 @@ class DetectionEnvironment:
                     f"unknown detector {name!r}; pool: {list(self.model_names)}"
                 )
         jobs: list[InferenceJob] = []
-        stages: list[tuple[str, object]] = []
+        stages: list[tuple[str, tuple[str, str]]] = []
         for frame in frames:
             frame_jobs, frame_stages = self._missing_jobs(frame, names)
             if not include_reference and frame_stages:
@@ -609,16 +611,58 @@ class DetectionEnvironment:
             stages.extend(frame_stages)
         if not jobs:
             return 0
-        self._execute_and_store(jobs, stages)
+        self._run_jobs(jobs, stages)
         return len(jobs)
+
+    # ---- memoized fusion and scoring -----------------------------------
+
+    def _fused(self, inputs: _FrameInputs, key: EnsembleKey) -> FrameDetections:
+        return self.store.get_or_compute(
+            "fused",
+            (inputs.frame.key, key, self._fusion_tag),
+            lambda: self.fusion.fuse([inputs.outputs[m].detections for m in key]),
+        )
+
+    def _estimated_ap(
+        self, inputs: _FrameInputs, key: EnsembleKey, fused: FrameDetections
+    ) -> float:
+        return self.store.get_or_compute(
+            "est_ap",
+            (inputs.frame.key, key, self._est_tag),
+            lambda: mean_average_precision(
+                fused, inputs.reference.detections, self.iou_threshold
+            ),
+        )
+
+    def _true_ap(
+        self, inputs: _FrameInputs, key: EnsembleKey, fused: FrameDetections
+    ) -> float:
+        return self.store.get_or_compute(
+            "true_ap",
+            (inputs.frame.key, key, self._true_tag),
+            lambda: mean_average_precision(
+                fused, inputs.ground_truth, self.iou_threshold
+            ),
+        )
 
     # ---- evaluation -----------------------------------------------------
 
     def peek(
         self, frame: Frame, keys: Iterable[EnsembleKey]
     ) -> EvaluationBatch:
-        """Evaluate ensembles *without* consuming budget (oracle peeks)."""
-        return self.evaluate(frame, keys, charge=False)
+        """The oracle's view: true scores, without consuming budget.
+
+        Equal to ``evaluate(frame, keys, charge=False)`` except that the
+        REF-estimated AP is never computed: every evaluation reports
+        ``est_ap = est_score = 0.0``.  It serves the callers that read
+        only true scores (OPT, SGL's calibration and
+        :func:`~repro.core.regret.oracle_scores`); a caller that needs
+        estimates uses ``evaluate(..., charge=False)``.  REF is still
+        inferred (if missing) and checked exactly as in :meth:`evaluate`,
+        so a frame whose REF inference fails raises
+        :class:`~repro.engine.pipeline.FrameEvaluationError` either way.
+        """
+        return self._evaluate(frame, keys, charge=False, estimate=False)
 
     def evaluate(
         self,
@@ -628,14 +672,21 @@ class DetectionEnvironment:
     ) -> EvaluationBatch:
         """Apply a set of ensembles to a frame.
 
+        Each union member's output and REF's output are read once per
+        call: from the store, or from this frame's inference jobs.  A
+        member is healthy when this frame has an output for it, so store
+        eviction never changes a result.  Fused detections and both APs
+        are memoized in the store.
+
         Args:
             frame: The frame to process.
             keys: Ensembles to evaluate; member names must be in the pool.
                 Duplicates are collapsed.
             charge: If True, bill the clock for union-of-member detector
                 inference (combined per the billing policy), per-ensemble
-                fusion, and (once per frame) REF inference.  Pass False for
-                oracle peeks that must not consume budget.
+                fusion, and (once per frame) REF inference.  Pass False
+                for uncharged evaluations that still need estimated
+                scores; :meth:`peek` is the cheaper true-score-only view.
 
         Returns:
             The per-ensemble evaluations plus this batch's cost components.
@@ -646,6 +697,17 @@ class DetectionEnvironment:
                 a single healthy member.  The pipeline catches this and
                 abandons the frame.
         """
+        return self._evaluate(
+            frame, keys, charge=charge, estimate=self.score_estimates
+        )
+
+    def _evaluate(
+        self,
+        frame: Frame,
+        keys: Iterable[EnsembleKey],
+        charge: bool,
+        estimate: bool,
+    ) -> EvaluationBatch:
         key_list: list[EnsembleKey] = []
         seen: set[EnsembleKey] = set()
         for raw in keys:
@@ -662,22 +724,15 @@ class DetectionEnvironment:
             raise ValueError("evaluate() requires at least one ensemble")
 
         union_models = sorted({m for key in key_list for m in key})
-        self._materialize_outputs(frame, union_models)
+        inputs = self._frame_inputs(frame, union_models)
+        outputs = inputs.outputs
 
-        # Members whose inference produced no stored output are unhealthy
-        # for this frame; each requested ensemble realizes as its healthy
-        # subset.  Fault-free, everything below reduces to the identity.
-        healthy = [
-            m
-            for m in union_models
-            if self.store.contains("detector", (frame.key, m))
-        ]
-        healthy_set = frozenset(healthy)
-        failed_models = tuple(m for m in union_models if m not in healthy_set)
+        # Members without an output this frame are unhealthy; each
+        # requested ensemble realizes as its healthy subset.  Fault-free,
+        # everything below reduces to the identity.
+        failed_models = tuple(m for m in union_models if m not in outputs)
 
-        if self.score_estimates and not self.store.contains(
-            "reference", (frame.key, self._ref_name)
-        ):
+        if self.score_estimates and inputs.reference is None:
             raise FrameEvaluationError(
                 f"reference inference failed for frame {frame.key!r}"
             )
@@ -686,9 +741,7 @@ class DetectionEnvironment:
         dropped = 0
         for key in key_list:
             realized = (
-                tuple(m for m in key if m in healthy_set)
-                if failed_models
-                else key
+                tuple(m for m in key if m in outputs) if failed_models else key
             )
             if realized:
                 realized_of[key] = realized
@@ -703,8 +756,9 @@ class DetectionEnvironment:
             )
 
         member_times = [
-            self._single_output(frame, model).inference_time_ms
-            for model in healthy
+            outputs[model].inference_time_ms
+            for model in union_models
+            if model in outputs
         ]
         if self.billing == "max":
             detector_ms = max(member_times)
@@ -712,17 +766,15 @@ class DetectionEnvironment:
             detector_ms = sum(member_times)
 
         reference_ms = 0.0
-        if self.score_estimates:
-            ref_output = self._reference_output(frame)
-            if charge and self.clock.charge_once(
-                "reference", frame.key, ref_output.inference_time_ms
-            ):
-                reference_ms = ref_output.inference_time_ms
+        if self.score_estimates and charge:
+            ref_ms = inputs.reference.inference_time_ms
+            if self.clock.charge_once("reference", frame.key, ref_ms):
+                reference_ms = ref_ms
 
         # Pass 1 ("fuse"): materialize every realized ensemble's fused
         # detections and its cost components.  Pass 2 ("score"): APs and
         # scores.  The split exists so the two phases are separately
-        # spanned; lookup totals are identical to the single-loop form.
+        # spanned.
         evaluations: dict[EnsembleKey, EnsembleEvaluation] = {}
         ensembling_ms = 0.0
         fusions_billed: set[EnsembleKey] = set()
@@ -734,12 +786,10 @@ class DetectionEnvironment:
                 realized = realized_of.get(key)
                 if realized is None:
                     continue
-                fused = self._fused(frame, realized)
-                member_outputs = [
-                    self._single_output(frame, m) for m in realized
-                ]
-                inference_ms = sum(o.inference_time_ms for o in member_outputs)
-                pooled_boxes = sum(len(o.detections) for o in member_outputs)
+                fused = self._fused(inputs, realized)
+                members = [outputs[m] for m in realized]
+                inference_ms = sum(o.inference_time_ms for o in members)
+                pooled_boxes = sum(len(o.detections) for o in members)
                 fusion_ms = self.cost_model.ensembling_cost_ms(pooled_boxes)
                 if realized not in fusions_billed:
                     # Distinct requested ensembles can collapse onto one
@@ -752,13 +802,13 @@ class DetectionEnvironment:
             for key, realized, fused, inference_ms, fusion_ms in prepared:
                 cost_ms = inference_ms + fusion_ms
                 c_hat = self.normalized_cost(cost_ms)
-                if self.score_estimates:
-                    est_ap = self._estimated_ap(frame, realized)
+                if estimate:
+                    est_ap = self._estimated_ap(inputs, realized, fused)
                     est_score = self.scoring(est_ap, c_hat)
                 else:
                     est_ap = 0.0
                     est_score = 0.0
-                true_ap = self._true_ap(frame, realized)
+                true_ap = self._true_ap(inputs, realized, fused)
                 evaluations[key] = EnsembleEvaluation(
                     key=key,
                     detections=fused,

@@ -182,8 +182,10 @@ class FrameSkipper(SelectionAlgorithm):
                 if source_record is None:
                     break
                 source_frame = processed_frames[reuse]
-                reused = env.peek(
-                    source_frame, [source_record.selected]
+                # An uncharged evaluate, not a peek: the record needs the
+                # reused output's estimated AP too.
+                reused = env.evaluate(
+                    source_frame, [source_record.selected], charge=False
                 ).evaluations[source_record.selected]
                 true_ap = mean_average_precision(
                     reused.detections,

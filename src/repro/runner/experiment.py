@@ -25,7 +25,7 @@ from repro.ensembling.base import EnsembleMethod
 from repro.ensembling.wbf import WeightedBoxesFusion
 from repro.obs import NULL_OBS, Observability
 from repro.simulation.clock import CostModel
-from repro.simulation.datasets import Dataset, build_bdd_like, build_nuscenes_like
+from repro.simulation.datasets import BDD_SPEC, NUSCENES_SPEC, DatasetSpec
 from repro.simulation.detectors import SimulatedDetector
 from repro.simulation.faults import apply_fault_profile
 from repro.simulation.lidar import SimulatedLidar
@@ -107,15 +107,18 @@ class TrialSetup:
 
 
 #: Dataset keys accepted by :func:`standard_setup`, mapped to
-#: (builder, group, suite) triples.  ``None`` group means the whole dataset.
-_DATASET_REGISTRY: dict[str, tuple[Callable[..., Dataset], str | None, str]] = {
-    "nusc": (build_nuscenes_like, None, "nusc"),
-    "nusc-clear": (build_nuscenes_like, "nusc-clear", "nusc"),
-    "nusc-night": (build_nuscenes_like, "nusc-night", "nusc"),
-    "nusc-rainy": (build_nuscenes_like, "nusc-rainy", "nusc"),
-    "bdd": (build_bdd_like, None, "bdd"),
-    "bdd-rainy": (build_bdd_like, "bdd-rainy", "bdd"),
-    "bdd-snow": (build_bdd_like, "bdd-snow", "bdd"),
+#: (dataset spec, group, detector suite) triples.  ``None`` group means
+#: the whole dataset.
+_DATASET_REGISTRY: dict[
+    str, tuple[DatasetSpec, str | None, Callable[..., list[SimulatedDetector]]]
+] = {
+    "nusc": (NUSCENES_SPEC, None, nuscenes_detector_suite),
+    "nusc-clear": (NUSCENES_SPEC, "nusc-clear", nuscenes_detector_suite),
+    "nusc-night": (NUSCENES_SPEC, "nusc-night", nuscenes_detector_suite),
+    "nusc-rainy": (NUSCENES_SPEC, "nusc-rainy", nuscenes_detector_suite),
+    "bdd": (BDD_SPEC, None, bdd_detector_suite),
+    "bdd-rainy": (BDD_SPEC, "bdd-rainy", bdd_detector_suite),
+    "bdd-snow": (BDD_SPEC, "bdd-snow", bdd_detector_suite),
 }
 
 
@@ -135,6 +138,11 @@ def standard_setup(
     fault_seed: int | None = None,
 ) -> TrialSetup:
     """Build a trial: resampled dataset + detector suite + LiDAR REF.
+
+    Only the frames the trial reads are generated: the requested group's
+    leading scenes, up to ``max_frames``.  They are identical to the
+    same frames of the fully built dataset
+    (:meth:`~repro.simulation.datasets.DatasetSpec.leading_frames`).
 
     Args:
         dataset: One of :func:`dataset_keys`.
@@ -156,18 +164,13 @@ def standard_setup(
         raise KeyError(
             f"unknown dataset {dataset!r}; known: {dataset_keys()}"
         )
-    builder, group, suite = _DATASET_REGISTRY[dataset]
-    data = builder(seed=derive_seed(seed, "data", dataset, trial), scale=scale)
-    video = data.as_video(group)
-    frames: tuple[Frame, ...] = video.frames
-    if max_frames is not None:
-        frames = frames[:max_frames]
+    spec, group, suite = _DATASET_REGISTRY[dataset]
+    frames = spec.scaled(scale).leading_frames(
+        derive_seed(seed, "data", dataset, trial), group, max_frames
+    )
 
     suite_seed = derive_seed(seed, "suite", dataset, trial)
-    if suite == "nusc":
-        detectors: list[object] = list(nuscenes_detector_suite(m, seed=suite_seed))
-    else:
-        detectors = list(bdd_detector_suite(m, seed=suite_seed))
+    detectors: list[object] = list(suite(m, seed=suite_seed))
     if fault_profile != "none":
         if fault_seed is None:
             fault_seed = derive_seed(seed, "faults", dataset, trial)
@@ -176,7 +179,7 @@ def standard_setup(
         )
     reference = SimulatedLidar(seed=derive_seed(seed, "lidar", dataset, trial))
     return TrialSetup(
-        frames=tuple(frames),
+        frames=frames,
         detectors=tuple(detectors),
         reference=reference,
         label=dataset,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.simulation.video import Video
+from repro.simulation.video import Frame, Video
 from repro.simulation.world import WorldConfig, generate_video
 from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.validation import check_positive
@@ -115,32 +115,73 @@ class DatasetSpec:
             world=self.world,
         )
 
+    def _generate_group(
+        self, group: GroupSpec, seed: int, max_scenes: int | None = None
+    ) -> tuple[Video, ...]:
+        """The group's scenes, or only its first ``max_scenes`` of them.
+
+        A group draws each scene's category from its own RNG, once per
+        scene in order, and seeds each scene by its name alone, so the
+        leading scenes are identical whether or not the rest are built.
+        """
+        cat_names = [c for c, _ in group.categories]
+        weights = np.asarray([w for _, w in group.categories], dtype=np.float64)
+        probs = weights / weights.sum()
+        rng = derive_rng(seed, "group", self.name, group.name)
+        count = group.num_scenes
+        if max_scenes is not None:
+            count = min(count, max_scenes)
+        videos: list[Video] = []
+        for scene_idx in range(count):
+            category = cat_names[int(rng.choice(len(cat_names), p=probs))]
+            video_name = f"{self.name}/{group.name}/scene{scene_idx:04d}"
+            videos.append(
+                generate_video(
+                    name=video_name,
+                    num_frames=group.samples_per_scene,
+                    category=category,
+                    seed=derive_seed(seed, "scene", video_name),
+                    config=self.world,
+                )
+            )
+        return tuple(videos)
+
     def build(self, seed: int = 0) -> Dataset:
         """Materialize the dataset deterministically from ``seed``."""
-        videos: dict[str, tuple[Video, ...]] = {}
-        for group in self.groups:
-            cat_names = [c for c, _ in group.categories]
-            weights = np.asarray(
-                [w for _, w in group.categories], dtype=np.float64
-            )
-            probs = weights / weights.sum()
-            rng = derive_rng(seed, "group", self.name, group.name)
-            group_videos: list[Video] = []
-            for scene_idx in range(group.num_scenes):
-                category = cat_names[int(rng.choice(len(cat_names), p=probs))]
-                video_name = f"{self.name}/{group.name}/scene{scene_idx:04d}"
-                video_seed = derive_seed(seed, "scene", video_name)
-                group_videos.append(
-                    generate_video(
-                        name=video_name,
-                        num_frames=group.samples_per_scene,
-                        category=category,
-                        seed=video_seed,
-                        config=self.world,
-                    )
-                )
-            videos[group.name] = tuple(group_videos)
+        videos = {g.name: self._generate_group(g, seed) for g in self.groups}
         return Dataset(spec=self, seed=seed, videos=videos)
+
+    def leading_frames(
+        self,
+        seed: int = 0,
+        group: str | None = None,
+        max_frames: int | None = None,
+    ) -> tuple[Frame, ...]:
+        """``build(seed).as_video(group).frames[:max_frames]``, built lazily.
+
+        Generates only ``group``'s scenes (every group's when ``None``),
+        and of those only the leading scenes the first ``max_frames``
+        frames come from.  The frames are identical to the full build's.
+        """
+        if max_frames is not None and max_frames < 0:
+            raise ValueError("max_frames must be non-negative")
+        groups = [g for g in self.groups if group is None or g.name == group]
+        if not groups:
+            raise KeyError(
+                f"unknown group {group!r}; known: {[g.name for g in self.groups]}"
+            )
+        scenes: list[Video] = []
+        remaining = max_frames
+        for group_spec in groups:
+            if remaining is None:
+                scenes.extend(self._generate_group(group_spec, seed))
+            elif remaining > 0:
+                needed = -(-remaining // group_spec.samples_per_scene)
+                videos = self._generate_group(group_spec, seed, needed)
+                scenes.extend(videos)
+                remaining -= sum(len(v) for v in videos)
+        frames = Video.concatenate(self.name, scenes, mark_breakpoints=False).frames
+        return frames if max_frames is None else frames[:max_frames]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.simulation import datasets
 from repro.simulation.datasets import (
     BDD_SPEC,
     DatasetSpec,
@@ -117,9 +118,92 @@ class TestBuild:
         samples = data.num_samples()
         assert data.duration_minutes() == pytest.approx(samples / 2.0 / 60.0)
 
+    @pytest.mark.parametrize(
+        ("spec", "rows"),
+        [
+            (
+                NUSCENES_SPEC,
+                [
+                    ("nusc-clear", 5, 250, 2.1),
+                    ("nusc-night", 2, 100, 0.8),
+                    ("nusc-rainy", 4, 200, 1.7),
+                    ("nusc-other", 6, 300, 2.5),
+                ],
+            ),
+            (
+                BDD_SPEC,
+                [
+                    ("bdd-main", 6, 600, 4.0),
+                    ("bdd-rainy", 2, 84, 0.6),
+                    ("bdd-snow", 3, 126, 0.8),
+                ],
+            ),
+        ],
+    )
+    def test_summary_rows_pinned(self, spec, rows):
+        summary = spec.scaled(0.02).build(seed=0).summary()
+        assert [
+            (r["group"], r["num_scenes"], r["num_samples"], r["duration_min"])
+            for r in summary
+        ] == rows
+
     def test_bdd_mixed_main_group(self):
         data = build_bdd_like(seed=2, scale=0.03)
         categories = {
             f.category.name for v in data.scenes("bdd-main") for f in v
         }
         assert len(categories) >= 2  # genuinely mixed conditions
+
+
+class TestLeadingFrames:
+    """``DatasetSpec.leading_frames`` builds only the scenes it returns."""
+
+    SPEC = NUSCENES_SPEC.scaled(0.02)  # 5/2/4/6 scenes of 50 frames
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """Names of the scene videos generated during the test."""
+        names = []
+        original = datasets.generate_video
+
+        def counting(**kwargs):
+            names.append(kwargs["name"])
+            return original(**kwargs)
+
+        monkeypatch.setattr(datasets, "generate_video", counting)
+        return names
+
+    @pytest.mark.parametrize(
+        ("group", "max_frames"),
+        [(None, None), (None, 275), ("nusc-rainy", 120), ("nusc-night", 500)],
+    )
+    def test_equals_full_build(self, group, max_frames):
+        full = self.SPEC.build(seed=3).as_video(group).frames
+        expected = full if max_frames is None else full[:max_frames]
+        assert self.SPEC.leading_frames(3, group, max_frames) == expected
+
+    def test_generates_only_the_leading_scenes(self, generated):
+        frames = self.SPEC.leading_frames(3, "nusc-rainy", 75)
+        assert len(frames) == 75
+        assert generated == [
+            "nusc/nusc-rainy/scene0000",
+            "nusc/nusc-rainy/scene0001",
+        ]
+
+    def test_crosses_groups_in_order(self, generated):
+        frames = self.SPEC.leading_frames(3, None, 275)
+        assert len(frames) == 275
+        assert generated == [
+            *(f"nusc/nusc-clear/scene{i:04d}" for i in range(5)),
+            "nusc/nusc-night/scene0000",
+        ]
+
+    def test_zero_frames_generates_nothing(self, generated):
+        assert self.SPEC.leading_frames(3, "nusc-clear", 0) == ()
+        assert generated == []
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError, match="max_frames"):
+            self.SPEC.leading_frames(3, "nusc-clear", -1)
+        with pytest.raises(KeyError, match="nusc-fog"):
+            self.SPEC.leading_frames(3, "nusc-fog")

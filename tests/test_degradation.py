@@ -74,7 +74,7 @@ class TestRealizedSubsets:
         env = _env_with_outage(detector_pool, lidar)
         batch = env.evaluate(simple_frame, [env.full_ensemble])
         healthy_ms = sum(
-            env._single_output(simple_frame, m).inference_time_ms
+            env.store.get("detector", (simple_frame.key, m)).inference_time_ms
             for m in batch.evaluations[env.full_ensemble].realized
         )
         assert batch.detector_ms == pytest.approx(healthy_ms)

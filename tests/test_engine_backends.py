@@ -219,7 +219,7 @@ class TestBillingPolicy:
         batch_sum = env_sum.evaluate(simple_frame, keys, charge=True)
         batch_max = env_max.evaluate(simple_frame, keys, charge=True)
         members = [
-            env_sum._single_output(simple_frame, m).inference_time_ms
+            env_sum.store.get("detector", (simple_frame.key, m)).inference_time_ms
             for m in env_sum.model_names
         ]
         assert batch_sum.detector_ms == pytest.approx(sum(members))

@@ -94,26 +94,39 @@ class TestEviction:
     def test_evicted_environment_results_unchanged(
         self, detector_pool, lidar, small_video
     ):
-        """A pathologically tiny store changes no evaluation result."""
+        """A store of any size, down to one entry, changes no result.
+
+        Capacities up to m evict member outputs before the frame is
+        scored; health must come from the frame's own outputs, not from
+        what the store still holds.
+        """
         frames = small_video.frames[:6]
 
         def run(store):
             env = DetectionEnvironment(detector_pool, lidar, cache=store)
-            scores = []
+            batches = []
             for frame in frames:
                 batch = env.evaluate(frame, env.all_ensembles, charge=True)
-                scores.append(
-                    {k: v.est_score for k, v in batch.evaluations.items()}
+                batches.append(
+                    (
+                        batch.failed_models,
+                        {
+                            k: (v.realized_key, v.est_score, v.true_score)
+                            for k, v in batch.evaluations.items()
+                        },
+                    )
                 )
-            return scores, env.clock.snapshot()
+            return batches, env.clock.snapshot()
 
-        roomy_scores, roomy_clock = run(EvaluationStore())
-        tiny_store = EvaluationStore(capacity=4)
-        tiny_scores, tiny_clock = run(tiny_store)
-        assert tiny_scores == roomy_scores
-        assert tiny_clock == roomy_clock
-        assert tiny_store.stats().evictions > 0
-        assert len(tiny_store) <= 4
+        roomy_batches, roomy_clock = run(EvaluationStore())
+        assert all(failed == () for failed, _ in roomy_batches)
+        for capacity in range(1, len(detector_pool) + 2):
+            tiny_store = EvaluationStore(capacity=capacity)
+            tiny_batches, tiny_clock = run(tiny_store)
+            assert tiny_batches == roomy_batches, f"capacity={capacity}"
+            assert tiny_clock == roomy_clock, f"capacity={capacity}"
+            assert tiny_store.stats().evictions > 0
+            assert len(tiny_store) <= capacity
 
 
 class TestStats:
@@ -131,13 +144,15 @@ class TestStats:
     ):
         store = EvaluationStore()
         env = DetectionEnvironment(detector_pool, lidar, cache=store)
-        for frame in small_video.frames[:5]:
-            env.evaluate(frame, env.all_ensembles, charge=True)
+        # Twice over the same frames: the second pass reads stored values.
+        for _ in range(2):
+            for frame in small_video.frames[:5]:
+                env.evaluate(frame, env.all_ensembles, charge=True)
         stats = store.stats()
         assert isinstance(stats, CacheStats)
         assert stats.hits + stats.misses == stats.lookups
         assert stats.lookups > 0
-        assert stats.hits > 0  # repeat evaluations reuse single outputs
+        assert stats.hits > 0
         assert set(stats.stages) >= {"detector", "reference", "fused"}
 
     def test_per_stage_compute_timing(self):

@@ -27,7 +27,7 @@ class TestMESB:
             list(environment._detectors.values()),
             environment.reference,
             scoring=environment.scoring,
-            cache=environment.cache,
+            cache=environment.store,
         )
         big = MESB(gamma=2).run(env2, small_video.frames, budget_ms=600.0)
         assert big.frames_processed >= small.frames_processed

@@ -19,6 +19,8 @@ from repro.runner.reporting import (
     normalize_by,
     safe_rate,
 )
+from repro.simulation.datasets import build_bdd_like, build_nuscenes_like
+from repro.utils.rng import derive_seed
 
 
 class TestDetectorSuites:
@@ -76,6 +78,64 @@ class TestStandardSetup:
         keys = dataset_keys()
         for expected in ("nusc", "nusc-clear", "nusc-night", "nusc-rainy", "bdd"):
             assert expected in keys
+
+
+#: How a trial's frames were built before generation was scoped to them:
+#: the whole dataset, then one group's video, then the first frames.
+_FULL_BUILDS = {
+    "nusc": (build_nuscenes_like, None),
+    "nusc-clear": (build_nuscenes_like, "nusc-clear"),
+    "nusc-night": (build_nuscenes_like, "nusc-night"),
+    "nusc-rainy": (build_nuscenes_like, "nusc-rainy"),
+    "bdd": (build_bdd_like, None),
+    "bdd-rainy": (build_bdd_like, "bdd-rainy"),
+    "bdd-snow": (build_bdd_like, "bdd-snow"),
+}
+
+
+class TestScopedGeneration:
+    """``standard_setup`` generates only the frames a trial reads.
+
+    At scale 0.02 every group has at least two scenes (nusc: 50 frames
+    each; bdd-main: 100; bdd-rainy/snow: 42), so 75 frames end mid-scene
+    in every group.  The first groups end at frame 250 (nusc-clear) and 600
+    (bdd-main), so 275 and 630 frames cross into the second group.
+    """
+
+    SCALE = 0.02
+    SEED = 5
+    TRIAL = 1
+
+    def _full_build_frames(self, dataset, max_frames):
+        builder, group = _FULL_BUILDS[dataset]
+        seed = derive_seed(self.SEED, "data", dataset, self.TRIAL)
+        frames = builder(seed=seed, scale=self.SCALE).as_video(group).frames
+        return frames if max_frames is None else frames[:max_frames]
+
+    def _assert_same_frames(self, dataset, max_frames):
+        setup = standard_setup(
+            dataset,
+            trial=self.TRIAL,
+            scale=self.SCALE,
+            m=2,
+            max_frames=max_frames,
+            seed=self.SEED,
+        )
+        # Frame equality covers key (video name and index), category and
+        # objects.
+        assert setup.frames == self._full_build_frames(dataset, max_frames)
+
+    def test_registry_is_covered(self):
+        assert sorted(_FULL_BUILDS) == dataset_keys()
+
+    @pytest.mark.parametrize("max_frames", [None, 75])
+    @pytest.mark.parametrize("dataset", sorted(_FULL_BUILDS))
+    def test_frames_equal_full_build(self, dataset, max_frames):
+        self._assert_same_frames(dataset, max_frames)
+
+    @pytest.mark.parametrize(("dataset", "max_frames"), [("nusc", 275), ("bdd", 630)])
+    def test_frames_equal_full_build_across_groups(self, dataset, max_frames):
+        self._assert_same_frames(dataset, max_frames)
 
 
 class TestRunAlgorithms:
