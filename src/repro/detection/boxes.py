@@ -4,10 +4,10 @@ Boxes use the ``(x1, y1, x2, y2)`` corner convention with ``x1 <= x2`` and
 ``y1 <= y2``, in arbitrary (but consistent) image units.  All operations are
 pure: they return new boxes and never mutate their inputs.
 
-The module offers both a scalar :class:`BBox` value type, convenient for
-tests and single-object code, and a vectorized :func:`iou_matrix` used by the
-matching and fusion layers where quadratic pairwise IoU would otherwise
-dominate runtime.
+The module offers both a scalar :class:`BBox` value type, used by fusion
+and single-object code, and a vectorized :func:`iou_matrix` used by
+matching, AP scoring and tracking, where quadratic pairwise IoU between
+predictions and references would otherwise dominate runtime.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def iou_matrix(
     # Intersection rectangle per pair, broadcast over the (n, m) grid.
     # Buffers are reused via ``out=`` — same elementwise operations (and
     # therefore bit-identical results), about half the allocations; this
-    # matrix is rebuilt for every fused class pool.
+    # matrix is rebuilt for every matched frame and AP computation.
     iw = np.maximum(a[:, None, 0], b[None, :, 0])
     ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
     np.subtract(ix2, iw, out=iw)

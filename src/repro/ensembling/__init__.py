@@ -7,8 +7,7 @@ accurate outputs.  This subpackage implements all of them behind a common
 itself is reproducible (see ``benchmarks/test_fusion_methods.py``).
 """
 
-from repro.ensembling.arrays import ClassPool, partition_by_label
-from repro.ensembling.base import FUSE_MODES, VECTORIZE_MIN_POOL, EnsembleMethod
+from repro.ensembling.base import EnsembleMethod
 from repro.ensembling.fusion import ConsensusFusion
 from repro.ensembling.nms import NonMaximumSuppression
 from repro.ensembling.nmw import NonMaximumWeighted
@@ -18,12 +17,8 @@ from repro.ensembling.softer_nms import SofterNMS
 from repro.ensembling.wbf import WeightedBoxesFusion
 
 __all__ = [
-    "FUSE_MODES",
-    "VECTORIZE_MIN_POOL",
-    "ClassPool",
     "ConsensusFusion",
     "EnsembleMethod",
-    "partition_by_label",
     "NonMaximumSuppression",
     "NonMaximumWeighted",
     "SoftNMS",

@@ -7,14 +7,11 @@ effects, so a single instance can be shared across frames and threads.
 
 Fusion operates per class label throughout — boxes of different classes never
 suppress or merge with each other, matching every method's published
-formulation.
-
-Every method ships two implementations of its per-class kernel: the scalar
-reference path (``_fuse_class``, one ``Detection`` at a time) and a
-vectorized path (``_fuse_class_arrays``, numpy kernels over a
-:class:`~repro.ensembling.arrays.ClassPool`).  The two are bit-for-bit
-equivalent — property-tested in ``tests/test_fusion_vectorized.py`` — so
-dispatch is purely a performance decision, controlled by :attr:`fuse_mode`.
+formulation.  Each method has exactly one per-class kernel,
+:meth:`EnsembleMethod._fuse_class`, written over plain ``Detection``
+objects: the paper workload's class pools hold a few boxes each, too few
+for array set-up to pay (``docs/PERFORMANCE.md``, "Fusion: one kernel per
+method").
 """
 
 from __future__ import annotations
@@ -23,37 +20,20 @@ import abc
 from collections.abc import Sequence
 
 from repro.detection.types import Detection, FrameDetections
-from repro.ensembling.arrays import ClassPool, partition_by_label
 
-__all__ = ["EnsembleMethod", "FUSE_MODES", "VECTORIZE_MIN_POOL", "cluster_by_iou"]
-
-#: Valid values of :attr:`EnsembleMethod.fuse_mode`.
-FUSE_MODES: tuple[str, ...] = ("auto", "scalar", "vectorized")
-
-#: In ``"auto"`` mode, class pools with at least this many detections take
-#: the vectorized kernels; smaller pools stay scalar, where per-call numpy
-#: overhead would dominate.  Because the two paths are bit-identical, the
-#: cutoff is invisible to results — it only moves wall time.
-VECTORIZE_MIN_POOL = 8
+__all__ = ["EnsembleMethod", "cluster_by_iou"]
 
 
 class EnsembleMethod(abc.ABC):
     """Abstract base class for box-fusion methods.
 
     Subclasses implement :meth:`_fuse_class` over a single-class pool of
-    detections (and optionally :meth:`_fuse_class_arrays` over its array
-    view); the base class handles pooling across detectors, splitting by
-    class, kernel dispatch, and re-assembling the frame output.
+    detections; the base class handles pooling across detectors, splitting
+    by class and re-assembling the frame output.
     """
 
     #: Short registry name; subclasses override.
     name: str = "abstract"
-
-    #: Kernel dispatch policy: ``"auto"`` (default; vectorized for pools of
-    #: :data:`VECTORIZE_MIN_POOL` or more boxes), ``"scalar"``, or
-    #: ``"vectorized"``.  Settable per instance; results are identical in
-    #: every mode.
-    fuse_mode: str = "auto"
 
     def __call__(
         self, per_detector: Sequence[FrameDetections]
@@ -74,25 +54,14 @@ class EnsembleMethod(abc.ABC):
         """
         if not per_detector:
             raise ValueError("fuse() requires at least one detector output")
-        mode = self.fuse_mode
-        if mode not in FUSE_MODES:
-            raise ValueError(
-                f"unknown fuse_mode {mode!r}; valid: {list(FUSE_MODES)}"
-            )
         frame_index = per_detector[0].frame_index
         pooled = FrameDetections.pool(frame_index, per_detector)
         num_models = len(per_detector)
 
         fused: list[Detection] = []
-        pools = partition_by_label(pooled)
+        pools = pooled.by_label()
         for label in sorted(pools):
-            pool = pools[label]
-            if mode == "vectorized" or (
-                mode == "auto" and len(pool) >= VECTORIZE_MIN_POOL
-            ):
-                fused.extend(self._fuse_class_arrays(pool, num_models))
-            else:
-                fused.extend(self._fuse_class(pool.detections, num_models))
+            fused.extend(self._fuse_class(pools[label], num_models))
         ordered = tuple(
             sorted(fused, key=lambda d: d.confidence, reverse=True)
         )
@@ -104,20 +73,9 @@ class EnsembleMethod(abc.ABC):
     ) -> list[Detection]:
         """Fuse a pool of same-class detections from ``num_models`` models.
 
-        The scalar reference implementation; kept as the semantic ground
-        truth the vectorized kernels are verified against.
+        ``detections`` is in pool order: detector by detector, each
+        detector's boxes in its output order.
         """
-
-    def _fuse_class_arrays(
-        self, pool: ClassPool, num_models: int
-    ) -> list[Detection]:
-        """Vectorized kernel over a class pool's array views.
-
-        The default delegates to the scalar path, so methods without a
-        vectorized kernel keep working in every mode; all built-in
-        methods override this with a bit-identical numpy implementation.
-        """
-        return self._fuse_class(pool.detections, num_models)
 
     def __repr__(self) -> str:
         params = ", ".join(
@@ -140,11 +98,8 @@ def cluster_by_iou(
 
     Tie-breaking is pinned: the visit order is a *stable* sort by
     ``(-confidence, index)``, so equal-confidence detections are visited
-    in their pool order.  The vectorized twin
-    (:func:`repro.ensembling.arrays.greedy_iou_clusters` over
-    :func:`repro.ensembling.arrays.stable_confidence_order`) produces the
-    same visit order, which ``tests/test_fusion_vectorized.py`` pins with
-    an explicit equal-confidence test.
+    in their pool order (``tests/test_ensemble_base.py`` pins it with an
+    all-equal-confidence pool).
 
     Returns:
         Clusters as lists of indices into ``detections``, each ordered by

@@ -18,12 +18,6 @@ from collections.abc import Sequence
 
 from repro.detection.boxes import average_boxes
 from repro.detection.types import Detection
-from repro.ensembling.arrays import (
-    ClassPool,
-    greedy_iou_clusters,
-    stable_confidence_order,
-    weighted_mean_box,
-)
 from repro.ensembling.base import EnsembleMethod, cluster_by_iou
 
 __all__ = ["ConsensusFusion"]
@@ -75,42 +69,6 @@ class ConsensusFusion(EnsembleMethod):
                 miss_prob *= 1.0 - v.confidence
             conf = min(max(1.0 - miss_prob, 0.0), 1.0)
             box = average_boxes([m.box for m in members])
-            representative = members[0]
-            fused.append(
-                Detection(
-                    box=box,
-                    confidence=conf,
-                    label=representative.label,
-                    source=representative.source,
-                    object_id=representative.object_id,
-                )
-            )
-        return fused
-
-    def _fuse_class_arrays(
-        self, pool: ClassPool, num_models: int
-    ) -> list[Detection]:
-        if len(pool) == 0:
-            return []
-        order = stable_confidence_order(pool.confidences)
-        clusters = greedy_iou_clusters(pool.iou(), order, self.iou_threshold)
-
-        fused: list[Detection] = []
-        for cluster in clusters:
-            members = [pool.detections[i] for i in cluster]
-            best_by_source: dict[str | None, Detection] = {}
-            for m in members:
-                current = best_by_source.get(m.source)
-                if current is None or m.confidence > current.confidence:
-                    best_by_source[m.source] = m
-            votes = list(best_by_source.values())
-            if len(votes) < min(self.min_votes, num_models):
-                continue
-            miss_prob = 1.0
-            for v in votes:
-                miss_prob *= 1.0 - v.confidence
-            conf = min(max(1.0 - miss_prob, 0.0), 1.0)
-            box = weighted_mean_box(pool, cluster, None)
             representative = members[0]
             fused.append(
                 Detection(

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.detection.types import Detection
-from repro.ensembling.arrays import ClassPool, stable_confidence_order
 from repro.ensembling.base import EnsembleMethod
 
 __all__ = ["NonMaximumSuppression"]
@@ -56,25 +53,3 @@ class NonMaximumSuppression(EnsembleMethod):
             if not suppressed:
                 kept.append(det)
         return kept
-
-    def _fuse_class_arrays(
-        self, pool: ClassPool, num_models: int
-    ) -> list[Detection]:
-        keep = np.flatnonzero(pool.confidences >= self.confidence_threshold)
-        if keep.size == 0:
-            return []
-        sub = pool if keep.size == len(pool) else pool.subset(keep)
-        order = stable_confidence_order(sub.confidences)
-        # One vectorized pass decides every pairwise suppression; the
-        # greedy keep-scan then runs on plain lists with early exit (the
-        # same hybrid as :func:`~repro.ensembling.arrays.greedy_iou_clusters`).
-        suppresses = (sub.iou() > self.iou_threshold).tolist()
-        kept: list[int] = []
-        for idx in order.tolist():
-            row = suppresses[idx]
-            for k in kept:
-                if row[k]:
-                    break
-            else:
-                kept.append(idx)
-        return [sub.detections[i] for i in kept]

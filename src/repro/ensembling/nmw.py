@@ -11,16 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.detection.boxes import average_boxes
 from repro.detection.types import Detection
-from repro.ensembling.arrays import (
-    ClassPool,
-    greedy_iou_clusters,
-    stable_confidence_order,
-    weighted_mean_box,
-)
 from repro.ensembling.base import EnsembleMethod, cluster_by_iou
 
 __all__ = ["NonMaximumWeighted"]
@@ -64,42 +56,6 @@ class NonMaximumWeighted(EnsembleMethod):
                 m.confidence * max(best.box.iou(m.box), 1e-6) for m in members
             ]
             box = average_boxes([m.box for m in members], weights)
-            fused.append(
-                Detection(
-                    box=box,
-                    confidence=best.confidence,
-                    label=best.label,
-                    source=best.source,
-                    object_id=best.object_id,
-                )
-            )
-        return fused
-
-    def _fuse_class_arrays(
-        self, pool: ClassPool, num_models: int
-    ) -> list[Detection]:
-        keep = np.flatnonzero(pool.confidences >= self.confidence_threshold)
-        if keep.size == 0:
-            return []
-        sub = pool if keep.size == len(pool) else pool.subset(keep)
-        order = stable_confidence_order(sub.confidences)
-        iou = sub.iou()
-        clusters = greedy_iou_clusters(iou, order, self.iou_threshold)
-        iou_rows = iou.tolist()
-
-        fused: list[Detection] = []
-        for cluster in clusters:
-            best_idx = cluster[0]
-            best = sub.detections[best_idx]
-            # Same per-member ops as the scalar path — confidence times the
-            # floored IoU with the cluster's best box — reading the
-            # already-computed IoU row instead of calling ``BBox.iou``.
-            row = iou_rows[best_idx]
-            weights = [
-                sub.detections[i].confidence * max(row[i], 1e-6)
-                for i in cluster
-            ]
-            box = weighted_mean_box(sub, cluster, weights)
             fused.append(
                 Detection(
                     box=box,

@@ -18,7 +18,7 @@ from repro.ensembling.soft_nms import SoftNMS
 from repro.ensembling.softer_nms import SofterNMS
 from repro.ensembling.wbf import WeightedBoxesFusion
 
-__all__ = ["available_methods", "create_method", "register_method"]
+__all__ = ["available_methods", "create_method"]
 
 _FACTORIES: dict[str, Callable[..., EnsembleMethod]] = {
     "nms": NonMaximumSuppression,
@@ -52,14 +52,3 @@ def create_method(name: str, **kwargs: Any) -> EnsembleMethod:
             f"available: {', '.join(available_methods())}"
         )
     return _FACTORIES[key](**kwargs)
-
-
-def register_method(name: str, factory: Callable[..., EnsembleMethod]) -> None:
-    """Register a custom fusion method under ``name``.
-
-    Re-registering an existing name replaces it, which keeps tests and
-    notebooks simple; production configurations should use fresh names.
-    """
-    # Growth is bounded by explicit register_method calls at setup time
-    # (never per-frame), so this is a registry, not a cache.
-    _FACTORIES[name.lower()] = factory  # repro-lint: disable=RPR003 -- bounded registry: grows only via explicit setup-time registration, never per-frame

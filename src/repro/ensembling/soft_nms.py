@@ -14,10 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.detection.types import Detection
-from repro.ensembling.arrays import ClassPool, stable_confidence_order
 from repro.ensembling.base import EnsembleMethod
 
 __all__ = ["SoftNMS"]
@@ -85,47 +82,4 @@ class SoftNMS(EnsembleMethod):
                 if new_conf >= self.score_threshold:
                     decayed.append(det.with_confidence(new_conf))
             remaining = decayed
-        return kept
-
-    def _fuse_class_arrays(
-        self, pool: ClassPool, num_models: int
-    ) -> list[Detection]:
-        n = len(pool)
-        if n == 0:
-            return []
-        order = stable_confidence_order(pool.confidences)
-        iou = pool.iou()
-        # Work in visit order: ``conf`` decays in place, ``alive`` stands in
-        # for the scalar path's shrinking ``remaining`` list (relative order
-        # of survivors is preserved either way, so first-max tie-breaking
-        # via argmax matches ``max(..., key=confidence)`` exactly).
-        conf = pool.confidences[order].copy()
-        alive = np.ones(n, dtype=np.bool_)
-        kept: list[Detection] = []
-        while bool(alive.any()):
-            best_pos = int(np.argmax(np.where(alive, conf, -np.inf)))
-            best_conf = float(conf[best_pos])
-            if best_conf < self.score_threshold:
-                break
-            alive[best_pos] = False
-            best_det = pool.detections[int(order[best_pos])]
-            kept.append(best_det.with_confidence(best_conf))
-            rest = np.flatnonzero(alive)
-            if rest.size == 0:
-                break
-            overlaps = iou[order[best_pos], order[rest]]
-            if self.method == "linear":
-                factors = np.where(
-                    overlaps > self.iou_threshold, 1.0 - overlaps, 1.0
-                )
-            else:
-                # math.exp per element: np.exp may use SIMD kernels that
-                # differ from libm by ulps, breaking scalar bit-parity.
-                args = -(overlaps * overlaps) / self.sigma
-                factors = np.asarray(
-                    [math.exp(float(a)) for a in args], dtype=np.float64
-                )
-            decayed = conf[rest] * factors
-            conf[rest] = decayed
-            alive[rest] = decayed >= self.score_threshold
         return kept

@@ -15,11 +15,6 @@ from collections.abc import Sequence
 
 from repro.detection.boxes import average_boxes
 from repro.detection.types import Detection
-from repro.ensembling.arrays import (
-    ClassPool,
-    stable_confidence_order,
-    weighted_mean_box,
-)
 from repro.ensembling.base import EnsembleMethod
 
 __all__ = ["SofterNMS"]
@@ -78,58 +73,6 @@ class SofterNMS(EnsembleMethod):
                     weights.append(vote)
             if voters:
                 box = average_boxes([v.box for v in voters], weights)
-            else:
-                box = survivor.box
-            refined.append(
-                Detection(
-                    box=box,
-                    confidence=survivor.confidence,
-                    label=survivor.label,
-                    source=survivor.source,
-                    object_id=survivor.object_id,
-                )
-            )
-        return refined
-
-    def _fuse_class_arrays(
-        self, pool: ClassPool, num_models: int
-    ) -> list[Detection]:
-        if len(pool) == 0:
-            return []
-        order = stable_confidence_order(pool.confidences)
-        iou = pool.iou()
-        # Vectorized N² suppression decisions, then plain-list greedy scan
-        # with early exit, as in the NMS kernel.
-        suppresses = (iou > self.iou_threshold).tolist()
-        survivors: list[int] = []
-        for idx in order.tolist():
-            row = suppresses[idx]
-            for k in survivors:
-                if row[k]:
-                    break
-            else:
-                survivors.append(idx)
-
-        iou_rows = iou.tolist()
-        detections = pool.detections
-        refined: list[Detection] = []
-        for idx in survivors:
-            survivor = detections[idx]
-            row = iou_rows[idx]
-            voters: list[int] = []
-            weights: list[float] = []
-            for v, overlap in enumerate(row):
-                if overlap >= self.vote_iou_threshold:
-                    # The gaussian vote weight goes through math.exp per
-                    # element (np.exp can differ from libm by ulps) with
-                    # the scalar path's exact expression, ``** 2`` included.
-                    voters.append(v)
-                    weights.append(
-                        detections[v].confidence
-                        * math.exp(-((1.0 - overlap) ** 2) / self.sigma)
-                    )
-            if voters:
-                box = weighted_mean_box(pool, voters, weights)
             else:
                 box = survivor.box
             refined.append(

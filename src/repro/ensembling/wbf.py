@@ -13,16 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.detection.boxes import average_boxes
 from repro.detection.types import Detection
-from repro.ensembling.arrays import (
-    ClassPool,
-    greedy_iou_clusters,
-    stable_confidence_order,
-    weighted_mean_box,
-)
 from repro.ensembling.base import EnsembleMethod, cluster_by_iou
 
 __all__ = ["WeightedBoxesFusion"]
@@ -84,40 +76,6 @@ class WeightedBoxesFusion(EnsembleMethod):
             conf = conf * model_count / max(num_models, 1)
             conf = min(max(conf, 0.0), 1.0)
             representative = members[0]
-            fused.append(
-                Detection(
-                    box=box,
-                    confidence=conf,
-                    label=representative.label,
-                    source=representative.source,
-                    object_id=representative.object_id,
-                )
-            )
-        return fused
-
-    def _fuse_class_arrays(
-        self, pool: ClassPool, num_models: int
-    ) -> list[Detection]:
-        keep = np.flatnonzero(pool.confidences >= self.confidence_threshold)
-        if keep.size == 0:
-            return []
-        sub = pool if keep.size == len(pool) else pool.subset(keep)
-        order = stable_confidence_order(sub.confidences)
-        clusters = greedy_iou_clusters(sub.iou(), order, self.iou_threshold)
-
-        fused: list[Detection] = []
-        for cluster in clusters:
-            confidences = [sub.detections[i].confidence for i in cluster]
-            box = weighted_mean_box(sub, cluster, confidences)
-            if self.conf_type == "avg":
-                conf = sum(confidences) / len(confidences)
-            else:
-                conf = max(confidences)
-            sources = {sub.detections[i].source for i in cluster}
-            model_count = min(len(sources), num_models)
-            conf = conf * model_count / max(num_models, 1)
-            conf = min(max(conf, 0.0), 1.0)
-            representative = sub.detections[cluster[0]]
             fused.append(
                 Detection(
                     box=box,

@@ -48,9 +48,6 @@ from repro.simulation.video import Frame, Video
 
 __all__ = ["Row", "QueryResult", "QueryEngine"]
 
-#: Backwards-compatible alias (the canonical name lives in physical.py).
-_PRODUCIBLE = PRODUCIBLE_COLUMNS
-
 
 class QueryEngine:
     """Catalog + planner + operator executor for the video query language.

@@ -52,6 +52,20 @@ class TestClusterByIoU:
         flat = sorted(i for cluster in clusters for i in cluster)
         assert flat == list(range(8))
 
+    def test_equal_confidences_visited_in_pool_order(self):
+        # Every confidence tied: an unstable visit order would scramble the
+        # clusters.  Neighbours overlap at IoU 2/3, next-but-one at 3/7.
+        dets = [
+            det(10 * i, 0, 10 * i + 50, 40, 0.5, source=f"m{i % 3 + 1}")
+            for i in range(10)
+        ]
+        clusters = cluster_by_iou(dets, 0.5)
+        reps = [cluster[0] for cluster in clusters]
+        assert reps == sorted(reps)
+        for cluster in clusters:
+            assert cluster == sorted(cluster)
+        assert clusters == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+
 
 class TestEnsembleMethodRepr:
     def test_repr_shows_parameters(self):

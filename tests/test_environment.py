@@ -1,9 +1,12 @@
 """Unit tests for the detection environment (costs, caching, scoring)."""
 
+import inspect
+
 import pytest
 
-from repro.core.environment import DetectionEnvironment, EvaluationStore
+from repro.core.environment import DetectionEnvironment, EvaluationStore, method_tag
 from repro.core.scoring import WeightedLogScore
+from repro.ensembling.registry import available_methods, create_method
 from repro.simulation.detectors import SimulatedDetector
 from repro.simulation.profiles import make_profile
 
@@ -216,3 +219,41 @@ class TestPrefetch:
         env = DetectionEnvironment(detectors=detector_pool, reference=lidar)
         with pytest.raises(KeyError, match="unknown detector"):
             env.prefetch(small_video.frames[:1], models=["resnet-900"])
+
+
+#: A valid non-default value for every fusion-method constructor parameter.
+_ALTERNATE_PARAMS = {
+    "iou_threshold": 0.3,
+    "confidence_threshold": 0.2,
+    "conf_type": "max",
+    "method": "linear",
+    "sigma": 0.1,
+    "score_threshold": 0.1,
+    "vote_iou_threshold": 0.7,
+    "min_votes": 2,
+}
+
+
+class TestMethodTag:
+    """``method_tag`` is the fusion part of fused, AP and matstore keys."""
+
+    @pytest.mark.parametrize("name", available_methods())
+    def test_same_configuration_same_tag(self, name):
+        assert method_tag(create_method(name)) == method_tag(create_method(name))
+
+    @pytest.mark.parametrize("name", available_methods())
+    def test_each_parameter_changes_tag(self, name):
+        method = create_method(name)
+        default = method_tag(method)
+        params = inspect.signature(type(method)).parameters
+        assert params
+        for param in params:
+            changed = create_method(name, **{param: _ALTERNATE_PARAMS[param]})
+            assert method_tag(changed) != default, param
+
+    def test_default_wbf_tag_is_pinned(self):
+        # Persisted matstore segments are keyed by this string; changing it
+        # orphans every store written before.
+        assert method_tag(create_method("wbf")) == (
+            "wbf(conf_type='avg',confidence_threshold=0.0,iou_threshold=0.55)"
+        )

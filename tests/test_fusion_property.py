@@ -18,16 +18,16 @@ def detections(draw):
     w = draw(st.floats(min_value=5, max_value=300))
     h = draw(st.floats(min_value=5, max_value=200))
     conf = draw(st.floats(min_value=0.05, max_value=0.99))
-    source = draw(st.sampled_from(["m1", "m2", "m3"]))
+    source = draw(st.sampled_from(["m1", "m2", "m3", "m4"]))
     return Detection(BBox(x1, y1, x1 + w, y1 + h), conf, draw(labels), source=source)
 
 
 @st.composite
 def detector_outputs(draw):
-    num_models = draw(st.integers(min_value=1, max_value=3))
+    num_models = draw(st.integers(min_value=1, max_value=4))
     frames = []
     for i in range(num_models):
-        dets = draw(st.lists(detections(), min_size=0, max_size=5))
+        dets = draw(st.lists(detections(), min_size=0, max_size=12))
         frames.append(FrameDetections(0, tuple(dets), source=f"m{i+1}"))
     return frames
 
