@@ -9,7 +9,7 @@ geometric algebra (:mod:`repro.detection.boxes`), the
 used throughout the evaluation (:mod:`repro.detection.metrics`).
 """
 
-from repro.detection.boxes import BBox, iou, iou_matrix
+from repro.detection.boxes import BBox, iou_matrix
 from repro.detection.matching import MatchResult, match_detections
 from repro.detection.metrics import (
     PRCurve,
@@ -26,7 +26,6 @@ __all__ = [
     "MatchResult",
     "PRCurve",
     "average_precision",
-    "iou",
     "iou_matrix",
     "match_detections",
     "mean_average_precision",

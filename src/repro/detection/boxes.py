@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BBox", "iou", "iou_matrix", "boxes_to_array", "array_to_boxes"]
+__all__ = ["BBox", "iou_matrix", "boxes_to_array", "array_to_boxes"]
 
 
 @dataclass(frozen=True)
@@ -149,11 +149,6 @@ class BBox:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Module-level alias for :meth:`BBox.iou`."""
-    return a.iou(b)
 
 
 def boxes_to_array(boxes: Sequence[BBox]) -> np.ndarray:

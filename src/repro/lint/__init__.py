@@ -13,19 +13,20 @@ invariants do:
 PR 1's parallel backends and shared :class:`~repro.engine.store.EvaluationStore`
 made those invariants easy to violate silently from a worker thread, so
 this package machine-checks them on every change instead of relying on
-re-audits.  Five per-file AST rules (RPR001–RPR005, see
-:mod:`repro.lint.rules`) check each file in isolation; seven
-whole-program rules (RPR006–RPR012, see :mod:`repro.lint.project_rules`)
+re-audits.  Four per-file AST rules (RPR001–RPR003 and RPR005, see
+:mod:`repro.lint.rules`) check each file in isolation; ten
+whole-program rules (RPR006–RPR015, see :mod:`repro.lint.project_rules`)
 run over a cross-module project model — symbol table, import resolution
 and interprocedural call graph (:mod:`repro.lint.project` /
-:mod:`repro.lint.callgraph`) plus two dataflow cores
-(:mod:`repro.lint.dataflow`): RNG taint for seed laundering and
-ordering provenance for set/filesystem/completion-order values reaching
-persisted records, store keys and float reductions.  Everything runs
-via ``repro lint <paths>`` (``--jobs N`` fans the per-file phase out
-across processes, ``--cache-dir`` makes warm runs near-instant — see
-:mod:`repro.lint.cache` — neither changes findings) and as a CI gate;
-see ``docs/STATIC_ANALYSIS.md``.
+:mod:`repro.lint.callgraph`) plus one taint walker with three lattices
+(:mod:`repro.lint.dataflow`): seed flow for RNG laundering, iteration
+order for set/filesystem/completion-order values reaching persisted
+records, store keys and float reductions, and purity (with the effect
+summaries) for cached values, process transport and unbounded growth.
+Everything runs via ``repro lint <paths>`` (``--jobs N`` fans the
+per-file phase out across processes, ``--cache-dir`` makes warm runs
+near-instant — see :mod:`repro.lint.cache` — neither changes findings)
+and as a CI gate; see ``docs/STATIC_ANALYSIS.md``.
 
 Violations are suppressed line-by-line with a justified comment::
 
@@ -47,10 +48,9 @@ from repro.lint.baseline import (
 from repro.lint.cache import ANALYZER_VERSION, LintCache
 from repro.lint.callgraph import CallGraph, CallSite
 from repro.lint.dataflow import (
-    OrderingFinding,
-    OrderOrigin,
-    TaintFinding,
-    TaintOrigin,
+    Finding,
+    Origin,
+    Taint,
     analyze_ordering,
     analyze_rng_taint,
 )
@@ -82,17 +82,16 @@ __all__ = [
     "CallSite",
     "DEFAULT_LAYERS",
     "FileContext",
+    "Finding",
     "LintCache",
     "LintConfig",
     "LintError",
     "LintResult",
-    "OrderOrigin",
-    "OrderingFinding",
+    "Origin",
     "Project",
     "ProjectRule",
     "Rule",
-    "TaintFinding",
-    "TaintOrigin",
+    "Taint",
     "Violation",
     "analyze_ordering",
     "analyze_rng_taint",

@@ -25,6 +25,7 @@ __all__ = [
     "Rule",
     "Violation",
     "dotted_name",
+    "self_attr",
 ]
 
 #: The suppression comment: ``# repro-lint: disable=RPR001,RPR003 -- why``.
@@ -125,6 +126,17 @@ def dotted_name(node: ast.expr) -> str | None:
         return None
     parts.append(current.id)
     return ".".join(reversed(parts))
+
+
+def self_attr(node: ast.expr) -> str | None:
+    """``self.<attr>`` → ``attr``; anything else → ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
 
 
 @dataclass

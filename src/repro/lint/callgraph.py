@@ -27,6 +27,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.lint.base import dotted_name
 from repro.lint.project import (
     FunctionInfo,
     Project,
@@ -116,7 +117,7 @@ def _infer_local_types(project: Project, fn: FunctionInfo) -> dict[str, str]:
             and isinstance(node.value, ast.Call)
         ):
             continue
-        dotted = _dotted(node.value.func)
+        dotted = dotted_name(node.value.func)
         if dotted is None:
             continue
         resolved = project.resolve(fn.module, dotted)
@@ -151,7 +152,7 @@ def resolve_call_target(
                 return project.method(fn.class_qname, func.attr)
             if local_types and root in local_types:
                 return project.method(local_types[root], func.attr)
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is not None:
             return _as_callable(project, fn, dotted)
     return None
@@ -166,15 +167,3 @@ def _as_callable(project: Project, fn: FunctionInfo, dotted: str) -> str | None:
     if resolved.kind == "class":
         return project.method(resolved.target, "__init__")
     return None
-
-
-def _dotted(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    current: ast.expr = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))

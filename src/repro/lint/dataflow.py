@@ -1,76 +1,66 @@
-"""Seed-flow taint analysis: the dataflow core behind RPR006.
+"""Forward taint analysis: one walker, three lattices.
 
-The reproducibility contract says every random stream reaching the
-selection/simulation/engine/ensembling layers derives from the single
-seam ``repro.utils.rng.derive_rng(seed, *key)`` (or is constructed from
-a seed threaded in explicitly as a parameter).  RPR001 catches direct
-construction *inside* those layers; what it cannot see is **seed
-laundering** — an ambient generator built elsewhere
-(``default_rng()`` with no seed in a helper module) and handed across
-module boundaries into the scoped layers through arguments, return
-values or ``self`` fields.
+Three families of whole-program rules ask the same question of
+different values — "can a value with property P reach a sink that P
+breaks?" — so they share one context-insensitive interprocedural walker
+over the :class:`~repro.lint.project.Project` call graph.  The walker
+(:class:`_Walker`) owns everything the three have in common:
 
-This module implements a context-insensitive interprocedural taint
-analysis over the :class:`~repro.lint.project.Project` call graph:
+* the statement walk of each function, with a local environment of
+  tainted names fed by assignments (plain, annotated and augmented);
+* argument binding at resolved call sites (methods included) into
+  per-callee parameter summaries, return-value summaries and ``self``
+  field summaries, all first-wins, iterated to a fixpoint (first-wins
+  growth is what guarantees termination on recursive call cycles);
+* the chain hops each :class:`Taint` records (``passed to``,
+  ``returned by``, ...), so every finding names its origin and the full
+  path it travelled;
+* the expression forms every lattice propagates through (names,
+  ``self`` fields, calls, conditionals, boolean and binary operators,
+  walrus and starred expressions) and call resolution.
 
-* **sources** — calls resolving to ``numpy.random.default_rng`` /
-  ``RandomState`` / ``Generator`` / stdlib ``random.Random`` whose seed
-  argument is missing, entropy-seeded (``Generator(PCG64())``), or a
-  hardcoded literal inside ``repro.*`` (literal seeds in tests and
-  benchmarks are explicitly fine);
-* **sanitizers** — ``repro.utils.rng.derive_rng`` / ``spawn_seeds``
-  results are clean, seeds from ``derive_seed`` or any project function
-  are clean, and everything inside ``repro.utils.rng`` itself is exempt;
-* **propagation** — through local assignments, argument binding at
-  resolved call sites (methods included), return values and
-  ``self.<attr>`` fields, iterated to a fixpoint with first-wins
-  summaries (which guarantees termination on recursive call cycles);
-* **sinks** — a tainted value entering a function whose module lives in
-  a scoped layer from *another* module.  Same-module origins are left to
-  RPR001, which already flags the construction itself.
+Each lattice supplies only its sources, sanitizers, sinks and extra
+expression forms:
 
-Each finding carries the full evidencing chain — origin construction
-site, every call hop, and the entry point — so the report can name the
-untainted origin verbatim.
-
-The same fixpoint engine powers a second, independent analysis:
-**ordering provenance** (RPR010/RPR012).  There the tracked property is
-not "came from an ambient RNG" but "iterates in an order the
-reproducibility contract does not pin down" — values born from
-``set``/``frozenset`` construction, ``os.listdir``/``Path.iterdir``/
-unsorted ``glob`` (directory order) or ``as_completed`` (completion
-order).  Provenance flows through the same channels (assignments,
-argument binding, returns, ``self`` fields), is laundered by the single
-sanctioned normalization ``sorted(...)`` (or an in-place ``.sort()``),
-and is reported when it reaches an *ordered sink* — a JSON serialization,
-a store/put call on a store-like receiver, a joined key string, or a
-file write — or drives a float accumulation / snapshot merge whose
-result depends on reduction order.  See :func:`analyze_ordering`.
-
-A third analysis rides the same engine: **effect summaries**
-(RPR013/RPR014/RPR015).  Per function it computes a lattice summary of
-{mutates-self-field, mutates-global/module state, performs-io,
-captures-from-enclosing-scope, grows-container} propagated through
-calls, returns, ``self`` dispatch and closures — plus a purity taint
-tracking values derived from process/host/clock state.  RPR013 reads the
-capture/field-kind side (process-transport safety), RPR014 the purity
-sinks (cache purity), RPR015 the growth sites and bounding evidence
-(leak detection).  See :func:`analyze_effects`.
+* **seed flow** (RPR006) — sources are calls to ``numpy.random``
+  / stdlib ``random`` generator constructors whose seed is missing,
+  entropy-derived (``Generator(PCG64())``) or a literal inside
+  ``repro.*``; ``repro.utils.rng`` is exempt and its seams are clean.
+  The sink is a scoped-layer (core/simulation/engine/ensembling)
+  function receiving the value from *another* module: same-module
+  origins are RPR001's (it flags the construction itself).
+  See :func:`analyze_rng_taint`.
+* **iteration order** (RPR010/RPR012) — sources are values whose order
+  the platform does not pin (``set``/``frozenset``, ``os.listdir``,
+  ``Path.iterdir``, unsorted ``glob``, ``as_completed``); ``sorted()``
+  or an in-place ``.sort()`` sanitizes.  Sinks are ordered outputs (JSON
+  serialization, store-like ``put``/``store``/``record`` calls, joined
+  keys, element-wise writes) and order-sensitive folds inside loops over
+  an unordered iterable.  See :func:`analyze_ordering`.
+* **purity** (RPR014) — sources are process/host/clock/entropy reads
+  and reads of ``self`` fields mutated outside ``__init__``; the
+  configured sanctioned seams are clean.  Sinks are ``put``/``store``
+  calls on cache/store receivers.  The per-function **effect
+  summaries** behind RPR013 and RPR015 (mutations, io, captures,
+  container growth and bounding evidence) ride the same fixpoint.
+  See :func:`analyze_effects`.
 """
 
 from __future__ import annotations
 
 import ast
 from collections import deque
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
+from repro.lint.base import dotted_name, self_attr
 from repro.lint.callgraph import CallGraph, resolve_call_target
 from repro.lint.project import (
     FunctionInfo,
     Project,
     iter_owned_nodes,
     iter_owned_statements,
+    iter_statements,
 )
 
 __all__ = [
@@ -86,18 +76,390 @@ __all__ = [
     "Effect",
     "EffectSummary",
     "EffectsReport",
+    "Finding",
     "GrowthSite",
-    "OrderOrigin",
-    "OrderTaint",
-    "OrderingFinding",
-    "PurityFinding",
+    "Origin",
     "Taint",
-    "TaintFinding",
-    "TaintOrigin",
     "analyze_effects",
     "analyze_ordering",
     "analyze_rng_taint",
 ]
+
+_MAX_CHAIN_HOPS = 10
+
+
+@dataclass(frozen=True)
+class Origin:
+    """Where a tracked value was born: the construct and its site."""
+
+    module: str
+    path: str
+    line: int
+    construct: str
+
+    def describe(self) -> str:
+        return f"{self.construct} at {self.path}:{self.line}"
+
+
+@dataclass(frozen=True)
+class Taint:
+    """A tracked value: its origin plus the hops it travelled."""
+
+    origin: Origin
+    chain: tuple[str, ...]
+
+    def extend(self, hop: str) -> Taint:
+        if len(self.chain) >= _MAX_CHAIN_HOPS:
+            return self
+        return Taint(origin=self.origin, chain=(*self.chain, hop))
+
+
+@dataclass(frozen=True)
+class Finding:
+    """A tracked value reaching a lattice's sink.
+
+    ``kind`` is ``"seed"`` (RPR006), ``"sink"`` (RPR010: the value's
+    content order is persisted or keyed), ``"reduction"`` (RPR012:
+    results are consumed in unordered sequence by an order-sensitive
+    fold) or ``"impure"`` (RPR014).  ``entry`` is the function the value
+    reached; ``detail`` names the sink (empty for seed flow).
+    """
+
+    kind: str
+    entry: str
+    path: str
+    line: int
+    col: int
+    taint: Taint
+    detail: str = ""
+
+
+class _Walker:
+    """The statement walk and summaries shared by the three lattices.
+
+    Subclasses override the hooks below; the defaults propagate nothing
+    extra and report nothing.
+    """
+
+    #: Modules whose functions are never analyzed.
+    exempt: frozenset[str] = frozenset()
+
+    def __init__(self, project: Project, graph: CallGraph) -> None:
+        self.project = project
+        self.graph = graph
+        self._params: dict[str, dict[str, Taint]] = {}
+        self._returns: dict[str, Taint] = {}
+        self._fields: dict[str, dict[str, Taint]] = {}
+        self._findings: dict[tuple[object, ...], Finding] = {}
+
+    def run(self) -> list[Finding]:
+        """Iterate the transfer to a fixpoint; findings in path/line order.
+
+        Seeds every function (sorted, for deterministic summary growth)
+        and re-queues the dependents each transfer reports.
+        """
+        functions = self.project.functions
+        pending: deque[str] = deque(sorted(functions))
+        queued = set(pending)
+        while pending:
+            qname = pending.popleft()
+            queued.discard(qname)
+            fn = functions.get(qname)
+            if fn is None or fn.module in self.exempt:
+                continue
+            for dependent in self._analyze(fn):
+                if dependent not in queued and dependent in functions:
+                    queued.add(dependent)
+                    pending.append(dependent)
+        return sorted(
+            self._findings.values(),
+            key=lambda f: (f.path, f.line, f.col, f.kind, f.detail, f.entry),
+        )
+
+    # ---- per-function transfer ------------------------------------------
+
+    def _analyze(self, fn: FunctionInfo) -> list[str]:
+        """Analyze one function; returns qnames needing (re)analysis."""
+        touched: list[str] = []
+        env: dict[str, Taint] = dict(self._params.get(fn.qname, {}))
+        path = self._path(fn)
+        scoped = self._scoped(fn)
+        for stmt in iter_owned_statements(fn.node):
+            for node in _stmt_nodes(stmt):
+                if isinstance(node, ast.Call):
+                    touched.extend(self._bind_args(fn, node, env, path))
+                    self._visit_call(fn, node, env, path, scoped)
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                taint = self._expr(fn, stmt.value, env, path)
+                target = stmt.targets[0]
+                if isinstance(target, ast.Name):
+                    _assign(env, target.id, taint)
+                elif taint is not None:
+                    attr = self_attr(target)
+                    if attr is not None and fn.class_qname is not None:
+                        touched.extend(
+                            self._store_field(fn.class_qname, attr, taint)
+                        )
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                if isinstance(stmt.target, ast.Name):
+                    _assign(env, stmt.target.id, self._expr(fn, stmt.value, env, path))
+            elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
+                taint = self._expr(fn, stmt.value, env, path)
+                if taint is not None:
+                    env[stmt.target.id] = taint
+            elif isinstance(stmt, ast.Return) and stmt.value is not None:
+                taint = self._expr(fn, stmt.value, env, path)
+                if taint is not None and fn.qname not in self._returns:
+                    self._returns[fn.qname] = taint.extend(
+                        f"returned by {fn.qname} ({path}:{stmt.lineno})"
+                    )
+                    touched.extend(
+                        site.caller for site in self.graph.callers(fn.qname)
+                    )
+            else:
+                self._visit_statement(fn, stmt, env, path, scoped)
+        return touched
+
+    def _bind_args(
+        self,
+        fn: FunctionInfo,
+        call: ast.Call,
+        env: dict[str, Taint],
+        path: str,
+    ) -> list[str]:
+        """Bind tainted arguments to a project callee's parameters."""
+        callee_q = resolve_call_target(self.project, fn, call)
+        if callee_q is None:
+            return []
+        callee = self.project.functions.get(callee_q)
+        if callee is None:
+            return []
+        offset = 1 if callee.is_method else 0
+        bound: list[tuple[str, Taint]] = []
+        for index, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                continue
+            slot = index + offset
+            if slot >= len(callee.params):
+                break
+            taint = self._expr(fn, arg, env, path)
+            if taint is not None:
+                bound.append((callee.params[slot], taint))
+        for keyword in call.keywords:
+            if keyword.arg is None or keyword.arg not in callee.params:
+                continue
+            taint = self._expr(fn, keyword.value, env, path)
+            if taint is not None:
+                bound.append((keyword.arg, taint))
+        if not bound:
+            return []
+        touched: list[str] = []
+        hop = f"passed to {callee_q} ({path}:{call.lineno})"
+        params = self._params.setdefault(callee_q, {})
+        for name, taint in bound:
+            carried = taint.extend(hop)
+            if name not in params:
+                params[name] = carried
+                touched.append(callee_q)
+            self._entered(fn, callee, call, path, carried)
+        return touched
+
+    def _store_field(self, class_qname: str, attr: str, taint: Taint) -> list[str]:
+        """Record ``self.<attr> = tainted``; the class's methods re-run."""
+        fields = self._fields.setdefault(class_qname, {})
+        if attr in fields:
+            return []
+        fields[attr] = taint
+        info = self.project.classes.get(class_qname)
+        return sorted(info.methods.values()) if info is not None else []
+
+    # ---- expressions ----------------------------------------------------
+
+    def _expr(
+        self,
+        fn: FunctionInfo,
+        expr: ast.expr,
+        env: dict[str, Taint],
+        path: str,
+    ) -> Taint | None:
+        if isinstance(expr, ast.Name):
+            return env.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            attr = self_attr(expr)
+            if attr is not None and fn.class_qname is not None:
+                return self._field(fn, fn.class_qname, attr, expr, path)
+            return None
+        if isinstance(expr, ast.Call):
+            return self._call(fn, expr, env, path)
+        if isinstance(expr, ast.IfExp):
+            return self._first(fn, (expr.body, expr.orelse), env, path)
+        if isinstance(expr, ast.BoolOp):
+            return self._first(fn, expr.values, env, path)
+        if isinstance(expr, ast.BinOp):
+            return self._first(fn, (expr.left, expr.right), env, path)
+        if isinstance(expr, (ast.NamedExpr, ast.Starred)):
+            return self._expr(fn, expr.value, env, path)
+        return self._expr_form(fn, expr, env, path)
+
+    def _first(
+        self,
+        fn: FunctionInfo,
+        exprs: Sequence[ast.expr],
+        env: dict[str, Taint],
+        path: str,
+    ) -> Taint | None:
+        """The taint of the first tainted expression, if any."""
+        for expr in exprs:
+            taint = self._expr(fn, expr, env, path)
+            if taint is not None:
+                return taint
+        return None
+
+    def _call(
+        self,
+        fn: FunctionInfo,
+        call: ast.Call,
+        env: dict[str, Taint],
+        path: str,
+    ) -> Taint | None:
+        """A project callee yields its return summary, else the source."""
+        callee = resolve_call_target(self.project, fn, call)
+        if callee is not None:
+            return self._returns.get(callee)
+        return self._source(fn, call, env, path)
+
+    def _origin(
+        self,
+        fn: FunctionInfo,
+        node: ast.expr,
+        path: str,
+        construct: str,
+        verb: str = "constructed",
+    ) -> Taint:
+        origin = Origin(module=fn.module, path=path, line=node.lineno, construct=construct)
+        return Taint(
+            origin=origin, chain=(f"{verb} in {fn.qname} ({path}:{node.lineno})",)
+        )
+
+    # ---- helpers --------------------------------------------------------
+
+    def _path(self, fn: FunctionInfo) -> str:
+        module = self.project.modules.get(fn.module)
+        return module.path if module is not None else fn.module
+
+    def _is_builtin(self, fn: FunctionInfo, name: str) -> bool:
+        """True unless the module rebinds ``name`` (import or def)."""
+        module = self.project.modules.get(fn.module)
+        return module is None or name not in module.env
+
+    def _external_target(self, fn: FunctionInfo, call: ast.Call) -> str | None:
+        """The dotted target of a call resolving outside the project, or
+        to a project function (a sanctioned seam may be one)."""
+        dotted = dotted_name(call.func)
+        if dotted is None:
+            return None
+        resolved = self.project.resolve(fn.module, dotted)
+        if resolved is None or resolved.kind not in ("external", "function"):
+            return None
+        return resolved.target
+
+    def _report(
+        self,
+        kind: str,
+        entry: str,
+        path: str,
+        node: ast.stmt | ast.expr,
+        taint: Taint,
+        detail: str = "",
+    ) -> None:
+        finding = Finding(
+            kind=kind,
+            entry=entry,
+            path=path,
+            line=node.lineno,
+            col=node.col_offset,
+            taint=taint,
+            detail=detail,
+        )
+        self._findings.setdefault(self._key(finding), finding)
+
+    # ---- lattice hooks --------------------------------------------------
+
+    def _scoped(self, fn: FunctionInfo) -> bool:
+        """Whether sinks are checked inside ``fn``."""
+        return fn.module == "repro" or fn.module.startswith("repro.")
+
+    def _key(self, finding: Finding) -> tuple[object, ...]:
+        """De-duplication key: the first finding per key is kept."""
+        raise NotImplementedError
+
+    def _source(
+        self,
+        fn: FunctionInfo,
+        call: ast.Call,
+        env: dict[str, Taint],
+        path: str,
+    ) -> Taint | None:
+        """Taint of a call that resolves to no project function."""
+        return None
+
+    def _expr_form(
+        self,
+        fn: FunctionInfo,
+        expr: ast.expr,
+        env: dict[str, Taint],
+        path: str,
+    ) -> Taint | None:
+        """Taint of an expression form the walker does not propagate."""
+        return None
+
+    def _field(
+        self, fn: FunctionInfo, class_qname: str, attr: str, expr: ast.expr, path: str
+    ) -> Taint | None:
+        """Taint of a ``self.<attr>`` read."""
+        return self._fields.get(class_qname, {}).get(attr)
+
+    def _entered(
+        self,
+        fn: FunctionInfo,
+        callee: FunctionInfo,
+        call: ast.Call,
+        path: str,
+        taint: Taint,
+    ) -> None:
+        """A tainted argument was bound to one of ``callee``'s parameters."""
+
+    def _visit_call(
+        self,
+        fn: FunctionInfo,
+        call: ast.Call,
+        env: dict[str, Taint],
+        path: str,
+        scoped: bool,
+    ) -> None:
+        """Every call node of the function, in statement order."""
+
+    def _visit_statement(
+        self,
+        fn: FunctionInfo,
+        stmt: ast.stmt,
+        env: dict[str, Taint],
+        path: str,
+        scoped: bool,
+    ) -> None:
+        """Statements other than assignments and returns."""
+
+
+def _assign(env: dict[str, Taint], name: str, taint: Taint | None) -> None:
+    if taint is not None:
+        env[name] = taint
+    else:
+        env.pop(name, None)
+
+
+# ---------------------------------------------------------------------------
+# Seed flow (RPR006)
+# ---------------------------------------------------------------------------
 
 #: Package segments forming the scoped layers RPR006 protects.
 SCOPED_SEGMENTS = frozenset({"core", "simulation", "engine", "ensembling"})
@@ -120,51 +482,6 @@ SANCTIONED_RNG = frozenset(
 #: Sanctioned seed derivation — using these as a seed argument is clean.
 SANCTIONED_SEED = frozenset({"repro.utils.rng.derive_seed"})
 
-#: Modules exempt from source detection (the seam's own internals).
-EXEMPT_MODULES = frozenset({"repro.utils.rng"})
-
-_MAX_CHAIN_HOPS = 10
-
-
-@dataclass(frozen=True)
-class TaintOrigin:
-    """Where an untainted (ambient) RNG was constructed."""
-
-    module: str
-    path: str
-    line: int
-    construct: str
-    reason: str
-
-    def describe(self) -> str:
-        return f"{self.construct} ({self.reason}) at {self.path}:{self.line}"
-
-
-@dataclass(frozen=True)
-class Taint:
-    """A tainted value: its origin plus the call hops it travelled."""
-
-    origin: TaintOrigin
-    chain: tuple[str, ...]
-
-    def extend(self, hop: str) -> Taint:
-        if len(self.chain) >= _MAX_CHAIN_HOPS:
-            return self
-        return Taint(origin=self.origin, chain=(*self.chain, hop))
-
-
-@dataclass(frozen=True)
-class TaintFinding:
-    """An ambient RNG reaching a scoped-layer function."""
-
-    entry: str
-    module: str
-    path: str
-    line: int
-    col: int
-    origin: TaintOrigin
-    chain: tuple[str, ...]
-
 
 def module_is_scoped(module_name: str) -> bool:
     """True for modules in the protected layers (repro.core.*, ...)."""
@@ -172,193 +489,42 @@ def module_is_scoped(module_name: str) -> bool:
     return len(parts) >= 2 and parts[0] == "repro" and parts[1] in SCOPED_SEGMENTS
 
 
-def analyze_rng_taint(project: Project, graph: CallGraph) -> list[TaintFinding]:
-    """Run the taint fixpoint; returns findings in path/line order."""
-    return _Analysis(project, graph).run()
+def analyze_rng_taint(project: Project, graph: CallGraph) -> list[Finding]:
+    """Run the seed-flow fixpoint; returns findings in path/line order."""
+    return _SeedFlow(project, graph).run()
 
 
-def _run_fixpoint(
-    project: Project,
-    analyze: Callable[[FunctionInfo], list[str]],
-    exempt: frozenset[str] = frozenset(),
-) -> None:
-    """The shared interprocedural worklist driver.
+class _SeedFlow(_Walker):
+    """Ambient RNGs reaching the scoped layers from another module."""
 
-    Seeds every function (sorted, for deterministic summary growth),
-    re-queues the dependents each transfer function reports, and
-    terminates because summaries grow monotonically first-wins.
-    """
-    pending: deque[str] = deque(sorted(project.functions))
-    queued = set(pending)
-    while pending:
-        qname = pending.popleft()
-        queued.discard(qname)
-        fn = project.functions.get(qname)
-        if fn is None or fn.module in exempt:
-            continue
-        for dependent in analyze(fn):
-            if dependent not in queued and dependent in project.functions:
-                queued.add(dependent)
-                pending.append(dependent)
+    #: The seam's own internals construct generators by design.
+    exempt = frozenset({"repro.utils.rng"})
 
+    def _scoped(self, fn: FunctionInfo) -> bool:
+        return module_is_scoped(fn.module)
 
-class _Analysis:
-    def __init__(self, project: Project, graph: CallGraph) -> None:
-        self.project = project
-        self.graph = graph
-        self._param_taint: dict[str, dict[str, Taint]] = {}
-        self._returns: dict[str, Taint] = {}
-        self._fields: dict[str, dict[str, Taint]] = {}
-        self._findings: dict[tuple[str, str, int], TaintFinding] = {}
+    def _key(self, finding: Finding) -> tuple[object, ...]:
+        origin = finding.taint.origin
+        return (finding.entry, origin.path, origin.line)
 
-    def run(self) -> list[TaintFinding]:
-        _run_fixpoint(self.project, self._analyze, EXEMPT_MODULES)
-        return sorted(
-            self._findings.values(),
-            key=lambda f: (f.path, f.line, f.col, f.entry),
-        )
-
-    # ---- per-function transfer ------------------------------------------
-
-    def _analyze(self, fn: FunctionInfo) -> list[str]:
-        """Analyze one function; returns qnames needing (re)analysis."""
-        touched: list[str] = []
-        env: dict[str, Taint] = dict(self._param_taint.get(fn.qname, {}))
-        module = self.project.modules.get(fn.module)
-        path = module.path if module is not None else fn.module
-        scoped = module_is_scoped(fn.module)
-
-        def visit_calls(stmt: ast.stmt) -> None:
-            for node in _stmt_nodes(stmt):
-                if isinstance(node, ast.Call):
-                    touched.extend(self._bind_call_args(fn, node, env, path))
-                    if scoped:
-                        self._note_return_entry(fn, node, env, path)
-
-        for stmt in _owned_statements(fn):
-            visit_calls(stmt)
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                taint = self._expr_taint(fn, stmt.value, env, path)
-                target = stmt.targets[0]
-                if isinstance(target, ast.Name):
-                    if taint is not None:
-                        env[target.id] = taint
-                    else:
-                        env.pop(target.id, None)
-                elif taint is not None:
-                    attr = _self_attr(target)
-                    if attr is not None and fn.class_qname is not None:
-                        fields = self._fields.setdefault(fn.class_qname, {})
-                        if attr not in fields:
-                            fields[attr] = taint
-                            touched.extend(self._class_methods(fn.class_qname))
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                taint = self._expr_taint(fn, stmt.value, env, path)
-                if isinstance(stmt.target, ast.Name):
-                    if taint is not None:
-                        env[stmt.target.id] = taint
-                    else:
-                        env.pop(stmt.target.id, None)
-            elif isinstance(stmt, ast.Return) and stmt.value is not None:
-                taint = self._expr_taint(fn, stmt.value, env, path)
-                if taint is not None and fn.qname not in self._returns:
-                    self._returns[fn.qname] = taint.extend(
-                        f"returned by {fn.qname} ({path}:{stmt.lineno})"
-                    )
-                    touched.extend(
-                        site.caller for site in self.graph.callers(fn.qname)
-                    )
-        return touched
-
-    def _class_methods(self, class_qname: str) -> list[str]:
-        info = self.project.classes.get(class_qname)
-        return sorted(info.methods.values()) if info is not None else []
-
-    # ---- taint of expressions -------------------------------------------
-
-    def _expr_taint(
-        self,
-        fn: FunctionInfo,
-        expr: ast.expr,
-        env: dict[str, Taint],
-        path: str,
-    ) -> Taint | None:
-        if isinstance(expr, ast.Name):
-            return env.get(expr.id)
-        if isinstance(expr, ast.Attribute):
-            attr = _self_attr(expr)
-            if attr is not None and fn.class_qname is not None:
-                return self._fields.get(fn.class_qname, {}).get(attr)
-            return None
-        if isinstance(expr, ast.Call):
-            return self._call_taint(fn, expr, env, path)
-        if isinstance(expr, ast.IfExp):
-            return self._expr_taint(fn, expr.body, env, path) or self._expr_taint(
-                fn, expr.orelse, env, path
-            )
-        if isinstance(expr, ast.BoolOp):
-            for value in expr.values:
-                taint = self._expr_taint(fn, value, env, path)
-                if taint is not None:
-                    return taint
-            return None
-        if isinstance(expr, ast.NamedExpr):
-            return self._expr_taint(fn, expr.value, env, path)
-        return None
-
-    def _call_taint(
+    def _source(
         self,
         fn: FunctionInfo,
         call: ast.Call,
         env: dict[str, Taint],
         path: str,
     ) -> Taint | None:
-        callee = resolve_call_target(self.project, fn, call)
-        if callee is not None:
-            return self._returns.get(callee)
         external = self._external_target(fn, call)
-        if external is None:
+        if external not in RNG_CONSTRUCTORS:
             return None
-        if external in SANCTIONED_RNG:
+        reason = self._seed_problem(fn, _seed_argument(call))
+        if reason is None:
             return None
-        if external in RNG_CONSTRUCTORS:
-            reason = self._ambient_reason(fn, call)
-            if reason is None:
-                return None
-            origin = TaintOrigin(
-                module=fn.module,
-                path=path,
-                line=call.lineno,
-                construct=f"{external}()",
-                reason=reason,
-            )
-            return Taint(
-                origin=origin,
-                chain=(f"constructed in {fn.qname} ({path}:{call.lineno})",),
-            )
-        return None
-
-    def _external_target(self, fn: FunctionInfo, call: ast.Call) -> str | None:
-        dotted = _dotted(call.func)
-        if dotted is None:
-            return None
-        resolved = self.project.resolve(fn.module, dotted)
-        if resolved is None:
-            return None
-        if resolved.kind == "external":
-            return resolved.target
-        if resolved.kind == "function":
-            # The sanctioned seam may itself be a project function when
-            # utils/rng.py is part of the analyzed tree.
-            return resolved.target
-        return None
-
-    def _ambient_reason(self, fn: FunctionInfo, call: ast.Call) -> str | None:
-        """Why this constructor call is ambient; ``None`` when clean."""
-        seed = _seed_argument(call)
-        return self._seed_problem(fn, seed)
+        return self._origin(fn, call, path, f"{external}() ({reason})")
 
     def _seed_problem(self, fn: FunctionInfo, seed: ast.expr | None) -> str | None:
+        """Why a constructor seeded with ``seed`` is ambient; ``None`` when
+        clean."""
         if seed is None:
             return "no seed argument"
         if isinstance(seed, ast.Constant):
@@ -387,106 +553,50 @@ class _Analysis:
         # Names, attributes, arithmetic: an explicitly threaded seed.
         return None
 
-    # ---- sinks ----------------------------------------------------------
-
-    def _bind_call_args(
+    def _entered(
         self,
         fn: FunctionInfo,
+        callee: FunctionInfo,
         call: ast.Call,
-        env: dict[str, Taint],
         path: str,
-    ) -> list[str]:
-        callee_q = resolve_call_target(self.project, fn, call)
-        if callee_q is None:
-            return []
-        callee = self.project.functions.get(callee_q)
-        if callee is None:
-            return []
-        touched: list[str] = []
-        offset = 1 if callee.is_method else 0
-        bound: list[tuple[str, Taint]] = []
-        for index, arg in enumerate(call.args):
-            if isinstance(arg, ast.Starred):
-                continue
-            slot = index + offset
-            if slot >= len(callee.params):
-                break
-            taint = self._expr_taint(fn, arg, env, path)
-            if taint is not None:
-                bound.append((callee.params[slot], taint))
-        for keyword in call.keywords:
-            if keyword.arg is None or keyword.arg not in callee.params:
-                continue
-            taint = self._expr_taint(fn, keyword.value, env, path)
-            if taint is not None:
-                bound.append((keyword.arg, taint))
-        if not bound:
-            return []
-        hop = f"passed to {callee_q} ({path}:{call.lineno})"
-        params = self._param_taint.setdefault(callee_q, {})
-        for name, taint in bound:
-            if name not in params:
-                params[name] = taint.extend(hop)
-                touched.append(callee_q)
-            if module_is_scoped(callee.module) and taint.origin.module != callee.module:
-                self._record(
-                    entry=callee_q,
-                    module=fn.module,
-                    path=path,
-                    line=call.lineno,
-                    col=call.col_offset,
-                    taint=taint.extend(hop),
-                )
-        return touched
-
-    def _note_return_entry(
-        self,
-        fn: FunctionInfo,
-        call: ast.Call,
-        env: dict[str, Taint],
-        path: str,
+        taint: Taint,
     ) -> None:
-        """Tainted return value materializing inside a scoped function."""
+        if module_is_scoped(callee.module) and taint.origin.module != callee.module:
+            self._report("seed", callee.qname, path, call, taint)
+
+    def _visit_call(
+        self,
+        fn: FunctionInfo,
+        call: ast.Call,
+        env: dict[str, Taint],
+        path: str,
+        scoped: bool,
+    ) -> None:
+        """A tainted return value materializing inside a scoped function."""
+        if not scoped:
+            return
         callee = resolve_call_target(self.project, fn, call)
         if callee is None:
             return
         taint = self._returns.get(callee)
         if taint is None or taint.origin.module == fn.module:
             return
-        self._record(
-            entry=fn.qname,
-            module=fn.module,
-            path=path,
-            line=call.lineno,
-            col=call.col_offset,
-            taint=taint.extend(f"received in {fn.qname} ({path}:{call.lineno})"),
-        )
+        hop = f"received in {fn.qname} ({path}:{call.lineno})"
+        self._report("seed", fn.qname, path, call, taint.extend(hop))
 
-    def _record(
-        self,
-        entry: str,
-        module: str,
-        path: str,
-        line: int,
-        col: int,
-        taint: Taint,
-    ) -> None:
-        key = (entry, taint.origin.path, taint.origin.line)
-        if key in self._findings:
-            return
-        self._findings[key] = TaintFinding(
-            entry=entry,
-            module=module,
-            path=path,
-            line=line,
-            col=col,
-            origin=taint.origin,
-            chain=taint.chain,
-        )
+
+def _seed_argument(call: ast.Call) -> ast.expr | None:
+    if call.args:
+        first = call.args[0]
+        return None if isinstance(first, ast.Starred) else first
+    for keyword in call.keywords:
+        if keyword.arg == "seed":
+            return keyword.value
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Ordering provenance (RPR010 / RPR012)
+# Iteration order (RPR010 / RPR012)
 # ---------------------------------------------------------------------------
 
 #: External callables whose iteration order the platform does not pin.
@@ -512,15 +622,12 @@ UNORDERED_METHODS: dict[str, str] = {
 #: Builtins minting hash-ordered collections.
 _SET_CONSTRUCTORS = frozenset({"set", "frozenset"})
 
-#: The sanctioned normalization: wrapping in ``sorted(...)`` pins the
-#: order (an in-place ``.sort()`` is handled at the statement level).
-_ORDER_SANITIZERS = frozenset({"sorted"})
-
 #: Builtins whose *result* is order-insensitive even over an unordered
-#: argument (reductions with commutative exact semantics or re-sorts).
-#: ``sum`` over floats is order-sensitive in principle; it is treated as
-#: clean here because element types are unknowable statically — the
-#: documented RPR012 trade-off.
+#: argument: ``sorted`` (the sanctioned normalization; an in-place
+#: ``.sort()`` is handled at the statement level) and reductions with
+#: commutative exact semantics.  ``sum`` over floats is order-sensitive
+#: in principle; it is treated as clean here because element types are
+#: unknowable statically — the documented RPR012 trade-off.
 _ORDER_INSENSITIVE = frozenset({"len", "min", "max", "any", "all", "sum", "sorted"})
 
 #: Builtins that preserve their argument's iteration order.
@@ -528,21 +635,27 @@ _ORDER_PRESERVING = frozenset(
     {"list", "tuple", "iter", "reversed", "enumerate", "filter", "map", "zip"}
 )
 
-#: Set methods returning another hash-ordered set (or a copy of one).
-_SET_METHODS = frozenset(
-    {"copy", "union", "intersection", "difference", "symmetric_difference"}
+#: Receiver methods whose result inherits the receiver's order: set
+#: methods returning another hash-ordered set, and dict views, which are
+#: unordered only when the *dict itself* has order-tainted insertion
+#: order (building one deterministically yields deterministic views).
+_RECEIVER_ORDER_METHODS = frozenset(
+    {
+        "copy",
+        "union",
+        "intersection",
+        "difference",
+        "symmetric_difference",
+        "keys",
+        "values",
+        "items",
+    }
 )
-
-#: Dict-view accessors: unordered only when the *dict itself* has
-#: order-tainted insertion order (dicts are insertion-ordered; building
-#: one deterministically yields deterministic views).
-_DICT_VIEWS = frozenset({"keys", "values", "items"})
 
 #: Ordered-sink method names on store-like receivers.
 _SINK_METHODS = frozenset({"store", "put", "record"})
 
-#: Receiver-name fragments marking persistence/store objects, in the
-#: spirit of RECEIVER_HINTS for backends.
+#: Receiver-name fragments marking persistence/store objects.
 _SINK_RECEIVER_HINTS = ("store", "writer", "log", "sink", "events")
 
 #: Calls inside a loop over an unordered iterable that persist each
@@ -553,148 +666,127 @@ _LOOP_WRITE_METHODS = frozenset({"write", "writelines"}) | _SINK_METHODS
 _MERGE_METHODS = frozenset({"merge", "merged"})
 
 
-@dataclass(frozen=True)
-class OrderOrigin:
-    """Where an iteration-order-unstable value was born."""
-
-    module: str
-    path: str
-    line: int
-    construct: str
-
-    def describe(self) -> str:
-        return f"{self.construct} at {self.path}:{self.line}"
-
-
-@dataclass(frozen=True)
-class OrderTaint:
-    """An order-unstable value: origin plus the call hops it travelled."""
-
-    origin: OrderOrigin
-    chain: tuple[str, ...]
-
-    def extend(self, hop: str) -> OrderTaint:
-        if len(self.chain) >= _MAX_CHAIN_HOPS:
-            return self
-        return OrderTaint(origin=self.origin, chain=(*self.chain, hop))
-
-
-@dataclass(frozen=True)
-class OrderingFinding:
-    """An unordered value reaching an ordered sink or reduction.
-
-    ``kind`` is ``"sink"`` (RPR010: the value's *content order* is
-    persisted or keyed) or ``"reduction"`` (RPR012: results are
-    *consumed* in unordered sequence by an order-sensitive fold).
-    """
-
-    kind: str
-    entry: str
-    module: str
-    path: str
-    line: int
-    col: int
-    origin: OrderOrigin
-    chain: tuple[str, ...]
-    detail: str
-
-
-def analyze_ordering(project: Project, graph: CallGraph) -> list[OrderingFinding]:
-    """Run the ordering-provenance fixpoint (memoized per project)."""
+def analyze_ordering(project: Project, graph: CallGraph) -> list[Finding]:
+    """Run the iteration-order fixpoint (memoized per project)."""
     if project.ordering_cache is None:
-        project.ordering_cache = _OrderingAnalysis(project, graph).run()
+        project.ordering_cache = _Ordering(project, graph).run()
     return project.ordering_cache
 
 
-class _OrderingAnalysis:
-    """Interprocedural ordering-provenance pass (shares the RPR006 engine).
+class _Ordering(_Walker):
+    """Order-unstable values reaching ordered sinks or folds."""
 
-    Per-function summaries — which params are order-tainted, whether the
-    return value is, which ``self`` fields are — grow first-wins under
-    :func:`_run_fixpoint`, so provenance survives calls, returns and
-    field round-trips exactly like RNG taint does.
-    """
+    def _key(self, finding: Finding) -> tuple[object, ...]:
+        return (finding.kind, finding.path, finding.line, finding.detail)
 
-    def __init__(self, project: Project, graph: CallGraph) -> None:
-        self.project = project
-        self.graph = graph
-        self._param_taint: dict[str, dict[str, OrderTaint]] = {}
-        self._returns: dict[str, OrderTaint] = {}
-        self._fields: dict[str, dict[str, OrderTaint]] = {}
-        self._findings: dict[tuple[str, str, int, str], OrderingFinding] = {}
+    def _expr_form(
+        self,
+        fn: FunctionInfo,
+        expr: ast.expr,
+        env: dict[str, Taint],
+        path: str,
+    ) -> Taint | None:
+        if isinstance(expr, ast.Set):
+            return self._origin(fn, expr, path, "set literal")
+        if isinstance(expr, ast.SetComp):
+            return self._origin(fn, expr, path, "set comprehension")
+        if isinstance(expr, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
+            taint = self._first(fn, [comp.iter for comp in expr.generators], env, path)
+            if taint is None:
+                return None
+            return taint.extend(
+                f"comprehended over in {fn.qname} ({path}:{expr.lineno})"
+            )
+        if isinstance(expr, ast.Subscript) and isinstance(expr.slice, ast.Slice):
+            # Slicing preserves (unstable) order; single-element access
+            # extracts a value whose own order is a separate question.
+            return self._expr(fn, expr.value, env, path)
+        return None
 
-    def run(self) -> list[OrderingFinding]:
-        _run_fixpoint(self.project, self._analyze)
-        return sorted(
-            self._findings.values(),
-            key=lambda f: (f.path, f.line, f.col, f.kind, f.detail),
-        )
+    def _source(
+        self,
+        fn: FunctionInfo,
+        call: ast.Call,
+        env: dict[str, Taint],
+        path: str,
+    ) -> Taint | None:
+        func = call.func
+        if isinstance(func, ast.Name):
+            name = func.id
+            if name in _ORDER_INSENSITIVE:
+                return None
+            if name in _SET_CONSTRUCTORS and self._is_builtin(fn, name):
+                return self._origin(fn, call, path, f"{name}()")
+            if name in _ORDER_PRESERVING and self._is_builtin(fn, name):
+                return self._first(fn, call.args, env, path)
+        external = self._external_target(fn, call)
+        if external is not None and external in UNORDERED_CALLS:
+            return self._origin(fn, call, path, UNORDERED_CALLS[external])
+        if isinstance(func, ast.Attribute):
+            if func.attr in _RECEIVER_ORDER_METHODS:
+                return self._expr(fn, func.value, env, path)
+            if func.attr in UNORDERED_METHODS and external is None:
+                return self._origin(fn, call, path, UNORDERED_METHODS[func.attr])
+        return None
 
-    # ---- per-function transfer ------------------------------------------
-
-    def _analyze(self, fn: FunctionInfo) -> list[str]:
-        touched: list[str] = []
-        env: dict[str, OrderTaint] = dict(self._param_taint.get(fn.qname, {}))
-        module = self.project.modules.get(fn.module)
-        path = module.path if module is not None else fn.module
-        scoped = fn.module == "repro" or fn.module.startswith("repro.")
-
-        for stmt in _owned_statements(fn):
-            for node in _stmt_nodes(stmt):
-                if isinstance(node, ast.Call):
-                    touched.extend(self._bind_call_args(fn, node, env, path))
-                    if scoped:
-                        self._check_sink(fn, node, env, path)
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                taint = self._expr_taint(fn, stmt.value, env, path)
-                target = stmt.targets[0]
-                if isinstance(target, ast.Name):
-                    if taint is not None:
-                        env[target.id] = taint
-                    else:
-                        env.pop(target.id, None)
-                elif taint is not None:
-                    attr = _self_attr(target)
-                    if attr is not None and fn.class_qname is not None:
-                        fields = self._fields.setdefault(fn.class_qname, {})
-                        if attr not in fields:
-                            fields[attr] = taint
-                            touched.extend(self._class_methods(fn.class_qname))
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                taint = self._expr_taint(fn, stmt.value, env, path)
-                if isinstance(stmt.target, ast.Name):
-                    if taint is not None:
-                        env[stmt.target.id] = taint
-                    else:
-                        env.pop(stmt.target.id, None)
-            elif isinstance(stmt, ast.AugAssign):
-                taint = self._expr_taint(fn, stmt.value, env, path)
-                if taint is not None and isinstance(stmt.target, ast.Name):
-                    env[stmt.target.id] = taint
-            elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-                self._apply_mutation(fn, stmt.value, env, path)
-            elif isinstance(stmt, ast.Return) and stmt.value is not None:
-                taint = self._expr_taint(fn, stmt.value, env, path)
-                if taint is not None and fn.qname not in self._returns:
-                    self._returns[fn.qname] = taint.extend(
-                        f"returned by {fn.qname} ({path}:{stmt.lineno})"
+    def _visit_call(
+        self,
+        fn: FunctionInfo,
+        call: ast.Call,
+        env: dict[str, Taint],
+        path: str,
+        scoped: bool,
+    ) -> None:
+        if not scoped:
+            return
+        external = self._external_target(fn, call)
+        if external in ("json.dump", "json.dumps"):
+            if call.args:
+                taint = self._expr(fn, call.args[0], env, path)
+                if taint is not None:
+                    self._report(
+                        "sink",
+                        fn.qname,
+                        path,
+                        call,
+                        taint,
+                        f"{external.rpartition('.')[2]}() serialization",
                     )
-                    touched.extend(
-                        site.caller for site in self.graph.callers(fn.qname)
-                    )
-            elif isinstance(stmt, ast.For):
-                self._visit_loop(fn, stmt, env, path, scoped)
-        return touched
+            return
+        func = call.func
+        if not isinstance(func, ast.Attribute):
+            return
+        if func.attr in _SINK_METHODS and _receiver_is_sink(func.value):
+            args = [*call.args, *(kw.value for kw in call.keywords)]
+            detail = f".{func.attr}() on a store-like receiver"
+        elif func.attr == "join":
+            args, detail = call.args, ".join() building an ordered string/key"
+        elif func.attr == "writelines":
+            args, detail = call.args, ".writelines() persisting an ordered sequence"
+        else:
+            return
+        taint = self._first(fn, args, env, path)
+        if taint is not None:
+            self._report("sink", fn.qname, path, call, taint, detail)
 
-    def _class_methods(self, class_qname: str) -> list[str]:
-        info = self.project.classes.get(class_qname)
-        return sorted(info.methods.values()) if info is not None else []
+    def _visit_statement(
+        self,
+        fn: FunctionInfo,
+        stmt: ast.stmt,
+        env: dict[str, Taint],
+        path: str,
+        scoped: bool,
+    ) -> None:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+            self._apply_mutation(fn, stmt.value, env, path)
+        elif isinstance(stmt, ast.For):
+            self._visit_loop(fn, stmt, env, path, scoped)
 
     def _apply_mutation(
         self,
         fn: FunctionInfo,
         call: ast.Call,
-        env: dict[str, OrderTaint],
+        env: dict[str, Taint],
         path: str,
     ) -> None:
         """Statement-level mutations: ``x.sort()`` launders ``x``;
@@ -705,33 +797,29 @@ class _OrderingAnalysis:
         name = func.value.id
         if func.attr == "sort":
             env.pop(name, None)
-            return
-        if func.attr in ("extend", "update"):
-            for arg in call.args:
-                taint = self._expr_taint(fn, arg, env, path)
-                if taint is not None:
-                    env[name] = taint.extend(
-                        f"{func.attr}ed into {name!r} ({path}:{call.lineno})"
-                    )
-                    return
+        elif func.attr in ("extend", "update"):
+            taint = self._first(fn, call.args, env, path)
+            if taint is not None:
+                env[name] = taint.extend(
+                    f"{func.attr}ed into {name!r} ({path}:{call.lineno})"
+                )
 
     def _visit_loop(
         self,
         fn: FunctionInfo,
         stmt: ast.For,
-        env: dict[str, OrderTaint],
+        env: dict[str, Taint],
         path: str,
         scoped: bool,
     ) -> None:
         """A ``for`` over an unordered iterable: everything *collected*
         during the loop inherits the iteration order (RPR010 side), and
         order-sensitive folds in the body are RPR012 reductions."""
-        taint = self._expr_taint(fn, stmt.iter, env, path)
+        taint = self._expr(fn, stmt.iter, env, path)
         if taint is None:
             return
-        hop = f"iterated in {fn.qname} ({path}:{stmt.lineno})"
-        loop_taint = taint.extend(hop)
-        for inner in _block_statements(stmt.body) + _block_statements(stmt.orelse):
+        loop_taint = taint.extend(f"iterated in {fn.qname} ({path}:{stmt.lineno})")
+        for inner in iter_statements([*stmt.body, *stmt.orelse]):
             for node in _stmt_nodes(inner):
                 if not isinstance(node, ast.Call):
                     continue
@@ -743,14 +831,13 @@ class _OrderingAnalysis:
                 ):
                     env[func.value.id] = loop_taint
                 elif scoped and func.attr in _MERGE_METHODS:
-                    self._record(
-                        kind="reduction",
-                        fn=fn,
-                        path=path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        taint=loop_taint,
-                        detail=f".{func.attr}() consumed in unordered iteration order",
+                    self._report(
+                        "reduction",
+                        fn.qname,
+                        path,
+                        node,
+                        loop_taint,
+                        f".{func.attr}() consumed in unordered iteration order",
                     )
                 elif (
                     scoped
@@ -760,34 +847,26 @@ class _OrderingAnalysis:
                         or _receiver_is_sink(func.value)
                     )
                 ):
-                    self._record(
-                        kind="sink",
-                        fn=fn,
-                        path=path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        taint=loop_taint,
-                        detail=(
-                            f".{func.attr}() persists elements in unordered "
-                            "iteration order"
-                        ),
+                    self._report(
+                        "sink",
+                        fn.qname,
+                        path,
+                        node,
+                        loop_taint,
+                        f".{func.attr}() persists elements in unordered "
+                        "iteration order",
                     )
             if scoped:
                 self._check_accumulation(fn, inner, loop_taint, path)
             # Dict/subscript stores keyed per element: the *container*
             # named on the left inherits the unordered insertion order.
             if isinstance(inner, ast.Assign) and len(inner.targets) == 1:
-                target = inner.targets[0]
-                root = _subscript_root(target)
+                root = _subscript_root(inner.targets[0])
                 if root is not None:
                     env[root] = loop_taint
 
     def _check_accumulation(
-        self,
-        fn: FunctionInfo,
-        stmt: ast.stmt,
-        taint: OrderTaint,
-        path: str,
+        self, fn: FunctionInfo, stmt: ast.stmt, taint: Taint, path: str
     ) -> None:
         """Float-style folds inside an unordered loop (RPR012).
 
@@ -800,15 +879,6 @@ class _OrderingAnalysis:
             if isinstance(stmt.value, ast.Constant):
                 return
             target = _augassign_target_name(stmt.target)
-            self._record(
-                kind="reduction",
-                fn=fn,
-                path=path,
-                line=stmt.lineno,
-                col=stmt.col_offset,
-                taint=taint,
-                detail=f"accumulation into {target!r} in unordered iteration order",
-            )
         elif (
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1
@@ -816,280 +886,54 @@ class _OrderingAnalysis:
             and isinstance(stmt.value, ast.BinOp)
             and isinstance(stmt.value.op, (ast.Add, ast.Sub, ast.Mult))
         ):
-            name = stmt.targets[0].id
-            reads_self = any(
-                isinstance(n, ast.Name) and n.id == name
+            target = stmt.targets[0].id
+            if not any(
+                isinstance(n, ast.Name) and n.id == target
                 for n in ast.walk(stmt.value)
-            )
-            if reads_self:
-                self._record(
-                    kind="reduction",
-                    fn=fn,
-                    path=path,
-                    line=stmt.lineno,
-                    col=stmt.col_offset,
-                    taint=taint,
-                    detail=(
-                        f"accumulation into {name!r} in unordered iteration order"
-                    ),
-                )
-
-    # ---- taint of expressions -------------------------------------------
-
-    def _expr_taint(
-        self,
-        fn: FunctionInfo,
-        expr: ast.expr,
-        env: dict[str, OrderTaint],
-        path: str,
-    ) -> OrderTaint | None:
-        if isinstance(expr, ast.Name):
-            return env.get(expr.id)
-        if isinstance(expr, ast.Attribute):
-            attr = _self_attr(expr)
-            if attr is not None and fn.class_qname is not None:
-                return self._fields.get(fn.class_qname, {}).get(attr)
-            return None
-        if isinstance(expr, ast.Call):
-            return self._call_taint(fn, expr, env, path)
-        if isinstance(expr, ast.Set):
-            return self._origin_taint(fn, expr, path, "set literal")
-        if isinstance(expr, ast.SetComp):
-            return self._origin_taint(fn, expr, path, "set comprehension")
-        if isinstance(expr, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-            for comp in expr.generators:
-                taint = self._expr_taint(fn, comp.iter, env, path)
-                if taint is not None:
-                    return taint.extend(
-                        f"comprehended over in {fn.qname} ({path}:{expr.lineno})"
-                    )
-            return None
-        if isinstance(expr, ast.BinOp):
-            return self._expr_taint(fn, expr.left, env, path) or self._expr_taint(
-                fn, expr.right, env, path
-            )
-        if isinstance(expr, ast.IfExp):
-            return self._expr_taint(fn, expr.body, env, path) or self._expr_taint(
-                fn, expr.orelse, env, path
-            )
-        if isinstance(expr, ast.BoolOp):
-            for value in expr.values:
-                taint = self._expr_taint(fn, value, env, path)
-                if taint is not None:
-                    return taint
-            return None
-        if isinstance(expr, ast.NamedExpr):
-            return self._expr_taint(fn, expr.value, env, path)
-        if isinstance(expr, ast.Starred):
-            return self._expr_taint(fn, expr.value, env, path)
-        if isinstance(expr, ast.Subscript):
-            # Slicing preserves (unstable) order; single-element access
-            # extracts a value whose own order is a separate question.
-            if isinstance(expr.slice, ast.Slice):
-                return self._expr_taint(fn, expr.value, env, path)
-            return None
-        return None
-
-    def _origin_taint(
-        self, fn: FunctionInfo, expr: ast.expr, path: str, construct: str
-    ) -> OrderTaint:
-        origin = OrderOrigin(
-            module=fn.module,
-            path=path,
-            line=expr.lineno,
-            construct=construct,
-        )
-        return OrderTaint(
-            origin=origin,
-            chain=(f"constructed in {fn.qname} ({path}:{expr.lineno})",),
+            ):
+                return
+        else:
+            return
+        self._report(
+            "reduction",
+            fn.qname,
+            path,
+            stmt,
+            taint,
+            f"accumulation into {target!r} in unordered iteration order",
         )
 
-    def _call_taint(
-        self,
-        fn: FunctionInfo,
-        call: ast.Call,
-        env: dict[str, OrderTaint],
-        path: str,
-    ) -> OrderTaint | None:
-        callee = resolve_call_target(self.project, fn, call)
-        if callee is not None:
-            return self._returns.get(callee)
-        func = call.func
-        if isinstance(func, ast.Name):
-            name = func.id
-            if name in _ORDER_SANITIZERS or name in _ORDER_INSENSITIVE:
-                return None
-            if name in _SET_CONSTRUCTORS and self._is_builtin(fn, name):
-                return self._origin_taint(fn, call, path, f"{name}()")
-            if name in _ORDER_PRESERVING and self._is_builtin(fn, name):
-                for arg in call.args:
-                    taint = self._expr_taint(fn, arg, env, path)
-                    if taint is not None:
-                        return taint
-                return None
-        external = self._external_target(fn, call)
-        if external is not None and external in UNORDERED_CALLS:
-            return self._origin_taint(fn, call, path, UNORDERED_CALLS[external])
-        if isinstance(func, ast.Attribute):
-            attr = func.attr
-            if attr in _DICT_VIEWS:
-                return self._expr_taint(fn, func.value, env, path)
-            if attr in UNORDERED_METHODS and external is None:
-                return self._origin_taint(fn, call, path, UNORDERED_METHODS[attr])
-            if attr in _SET_METHODS:
-                return self._expr_taint(fn, func.value, env, path)
-        return None
 
-    def _is_builtin(self, fn: FunctionInfo, name: str) -> bool:
-        """True unless the module rebinds ``name`` (import or def)."""
-        module = self.project.modules.get(fn.module)
-        return module is None or name not in module.env
+def _receiver_is_sink(expr: ast.expr) -> bool:
+    dotted = dotted_name(expr)
+    if dotted is None:
+        return False
+    tail = dotted.rpartition(".")[2].lower()
+    return any(hint in tail for hint in _SINK_RECEIVER_HINTS)
 
-    def _external_target(self, fn: FunctionInfo, call: ast.Call) -> str | None:
-        dotted = _dotted(call.func)
-        if dotted is None:
-            return None
-        resolved = self.project.resolve(fn.module, dotted)
-        if resolved is None or resolved.kind not in ("external", "function"):
-            return None
-        return resolved.target
 
-    # ---- interprocedural propagation ------------------------------------
+def _subscript_root(expr: ast.expr) -> str | None:
+    """The base name of a ``name[...]...`` store target, else ``None``."""
+    current = expr
+    seen_subscript = False
+    while isinstance(current, (ast.Subscript, ast.Attribute)):
+        if isinstance(current, ast.Subscript):
+            seen_subscript = True
+        current = current.value
+    if seen_subscript and isinstance(current, ast.Name):
+        return current.id
+    return None
 
-    def _bind_call_args(
-        self,
-        fn: FunctionInfo,
-        call: ast.Call,
-        env: dict[str, OrderTaint],
-        path: str,
-    ) -> list[str]:
-        callee_q = resolve_call_target(self.project, fn, call)
-        if callee_q is None:
-            return []
-        callee = self.project.functions.get(callee_q)
-        if callee is None:
-            return []
-        touched: list[str] = []
-        offset = 1 if callee.is_method else 0
-        hop = f"passed to {callee_q} ({path}:{call.lineno})"
-        params = self._param_taint.setdefault(callee_q, {})
-        for index, arg in enumerate(call.args):
-            if isinstance(arg, ast.Starred):
-                continue
-            slot = index + offset
-            if slot >= len(callee.params):
-                break
-            taint = self._expr_taint(fn, arg, env, path)
-            if taint is not None and callee.params[slot] not in params:
-                params[callee.params[slot]] = taint.extend(hop)
-                touched.append(callee_q)
-        for keyword in call.keywords:
-            if keyword.arg is None or keyword.arg not in callee.params:
-                continue
-            taint = self._expr_taint(fn, keyword.value, env, path)
-            if taint is not None and keyword.arg not in params:
-                params[keyword.arg] = taint.extend(hop)
-                touched.append(callee_q)
-        return touched
 
-    # ---- sinks ----------------------------------------------------------
-
-    def _check_sink(
-        self,
-        fn: FunctionInfo,
-        call: ast.Call,
-        env: dict[str, OrderTaint],
-        path: str,
-    ) -> None:
-        external = self._external_target(fn, call)
-        if external in ("json.dump", "json.dumps"):
-            if call.args:
-                taint = self._expr_taint(fn, call.args[0], env, path)
-                if taint is not None:
-                    self._record(
-                        kind="sink",
-                        fn=fn,
-                        path=path,
-                        line=call.lineno,
-                        col=call.col_offset,
-                        taint=taint,
-                        detail=f"{external.rpartition('.')[2]}() serialization",
-                    )
-            return
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return
-        if func.attr in _SINK_METHODS and _receiver_is_sink(func.value):
-            for arg in (*call.args, *(kw.value for kw in call.keywords)):
-                taint = self._expr_taint(fn, arg, env, path)
-                if taint is not None:
-                    self._record(
-                        kind="sink",
-                        fn=fn,
-                        path=path,
-                        line=call.lineno,
-                        col=call.col_offset,
-                        taint=taint,
-                        detail=f".{func.attr}() on a store-like receiver",
-                    )
-                    return
-        elif func.attr == "join":
-            for arg in call.args:
-                taint = self._expr_taint(fn, arg, env, path)
-                if taint is not None:
-                    self._record(
-                        kind="sink",
-                        fn=fn,
-                        path=path,
-                        line=call.lineno,
-                        col=call.col_offset,
-                        taint=taint,
-                        detail=".join() building an ordered string/key",
-                    )
-                    return
-        elif func.attr == "writelines":
-            for arg in call.args:
-                taint = self._expr_taint(fn, arg, env, path)
-                if taint is not None:
-                    self._record(
-                        kind="sink",
-                        fn=fn,
-                        path=path,
-                        line=call.lineno,
-                        col=call.col_offset,
-                        taint=taint,
-                        detail=".writelines() persisting an ordered sequence",
-                    )
-                    return
-
-    def _record(
-        self,
-        kind: str,
-        fn: FunctionInfo,
-        path: str,
-        line: int,
-        col: int,
-        taint: OrderTaint,
-        detail: str,
-    ) -> None:
-        key = (kind, path, line, detail)
-        if key in self._findings:
-            return
-        self._findings[key] = OrderingFinding(
-            kind=kind,
-            entry=fn.qname,
-            module=fn.module,
-            path=path,
-            line=line,
-            col=col,
-            origin=taint.origin,
-            chain=taint.chain,
-            detail=detail,
-        )
+def _augassign_target_name(target: ast.expr) -> str:
+    if isinstance(target, ast.Name):
+        return target.id
+    dotted = dotted_name(target)
+    return dotted if dotted is not None else "<target>"
 
 
 # ---------------------------------------------------------------------------
-# Effect summaries (RPR013 / RPR014 / RPR015)
+# Purity and effect summaries (RPR013 / RPR014 / RPR015)
 # ---------------------------------------------------------------------------
 
 #: External call targets whose results depend on process/host/clock
@@ -1181,11 +1025,10 @@ _STORE_CLASS_HINTS = ("store", "cache")
 
 @dataclass(frozen=True)
 class Effect:
-    """One observed side effect (or impurity source) with evidence.
+    """One observed side effect with evidence.
 
     ``kind`` is one of ``"mutates-self"``, ``"mutates-global"``,
-    ``"io"``, ``"captures"``, ``"grows"`` — or ``"impure"`` for the
-    purity taint that rides the same fixpoint.
+    ``"io"``, ``"captures"`` or ``"grows"``.
     """
 
     kind: str
@@ -1198,14 +1041,7 @@ class Effect:
     def extend(self, hop: str) -> Effect:
         if len(self.chain) >= _MAX_CHAIN_HOPS:
             return self
-        return Effect(
-            kind=self.kind,
-            subject=self.subject,
-            detail=self.detail,
-            path=self.path,
-            line=self.line,
-            chain=(*self.chain, hop),
-        )
+        return replace(self, chain=(*self.chain, hop))
 
     def describe(self) -> str:
         return f"{self.detail} at {self.path}:{self.line}"
@@ -1217,8 +1053,7 @@ class EffectSummary:
 
     Every map grows first-wins under the fixpoint (a function's summary
     only ever gains entries), which is what guarantees termination on
-    recursive call cycles — the same discipline as the RNG and ordering
-    passes.
+    recursive call cycles — the same discipline as the taint summaries.
     """
 
     mutates_self: dict[str, Effect] = field(default_factory=dict)
@@ -1240,18 +1075,6 @@ class GrowthSite:
     container: str
     op: str
     in_loop: bool
-
-
-@dataclass(frozen=True)
-class PurityFinding:
-    """An impure value flowing into a cache/store persistence call."""
-
-    entry: str
-    path: str
-    line: int
-    col: int
-    sink: str
-    source: Effect
 
 
 @dataclass
@@ -1279,13 +1102,13 @@ class EffectsReport:
     bounded: frozenset[str]
     field_kinds: dict[str, dict[str, str]]
     loop_lines: dict[str, frozenset[int]]
-    purity_findings: tuple[PurityFinding, ...]
+    purity_findings: tuple[Finding, ...]
 
 
 def analyze_effects(project: Project, graph: CallGraph) -> EffectsReport:
-    """Run the effect/purity fixpoint (memoized per project)."""
+    """Run the purity/effect fixpoint (memoized per project)."""
     if project.effects_cache is None:
-        project.effects_cache = _EffectAnalysis(project, graph).run()
+        project.effects_cache = _Purity(project, graph).report()
     return project.effects_cache
 
 
@@ -1294,7 +1117,7 @@ def _classify_value(value: ast.expr | None) -> str | None:
     if not isinstance(value, ast.Call):
         return None
     func = value.func
-    dotted = _dotted(func)
+    dotted = dotted_name(func)
     tail = dotted.rpartition(".")[2] if dotted is not None else None
     if tail is None and isinstance(func, ast.Attribute):
         tail = func.attr
@@ -1313,7 +1136,7 @@ def _is_mutable_container(value: ast.expr | None) -> bool:
     if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
         return True
     if isinstance(value, ast.Call):
-        dotted = _dotted(value.func)
+        dotted = dotted_name(value.func)
         tail = dotted.rpartition(".")[2] if dotted is not None else None
         return tail in _CONTAINER_CONSTRUCTORS
     return False
@@ -1324,7 +1147,7 @@ def _is_bounded_construction(value: ast.expr | None) -> bool:
     LRU/bounded cache classes)."""
     if not isinstance(value, ast.Call):
         return False
-    dotted = _dotted(value.func)
+    dotted = dotted_name(value.func)
     tail = dotted.rpartition(".")[2] if dotted is not None else ""
     if tail == "deque":
         for keyword in value.keywords:
@@ -1375,26 +1198,38 @@ def _loop_line_set(fn: FunctionInfo) -> frozenset[int]:
     return frozenset(lines)
 
 
-class _EffectAnalysis:
-    """Interprocedural effect-summary pass (third user of the fixpoint).
+def _is_impure_external(target: str) -> bool:
+    if target in IMPURE_CALLS:
+        return True
+    if any(target.startswith(prefix) for prefix in IMPURE_PREFIXES):
+        return True
+    return (
+        target.startswith("datetime.")
+        and target.rpartition(".")[2] in _IMPURE_DATETIME_TAILS
+    )
 
-    Two deterministic pre-sweeps seed the lattice before the worklist
-    runs: a *class sweep* classifying fields (mutable containers,
-    bounded-at-construction containers, transport hazards, fields
-    reassigned outside ``__init__``), then a *function sweep* recording
-    direct effects — growth sites, bounding evidence, closure captures,
-    io — plus per-function loop-line sets.  The fixpoint then propagates
-    module mutation, growth, io and the purity taint through resolved
-    calls, returns and ``self`` dispatch with first-wins summaries.
+
+class _Purity(_Walker):
+    """Impure values reaching cache persistence, plus effect summaries.
+
+    Two deterministic pre-sweeps seed the effect lattice before the
+    worklist runs: a *class sweep* classifying fields (mutable
+    containers, bounded-at-construction containers, transport hazards,
+    fields reassigned outside ``__init__``), then a *function sweep*
+    recording direct effects — growth sites, bounding evidence, closure
+    captures, io — plus per-function loop-line sets.  The fixpoint then
+    carries the purity taint and, in the same walk, absorbs callee
+    summaries (module mutation, growth, io, and ``self`` mutation through
+    ``self`` dispatch) at every resolved call site.
+
+    Field reads are judged by "mutated outside ``__init__``", so the
+    purity taint itself records no ``self`` fields.
     """
 
     def __init__(self, project: Project, graph: CallGraph) -> None:
-        self.project = project
-        self.graph = graph
+        super().__init__(project, graph)
         self.summaries: dict[str, EffectSummary] = {}
-        self._impure_params: dict[str, dict[str, Effect]] = {}
-        self._impure_returns: dict[str, Effect] = {}
-        self._findings: dict[tuple[str, int, int, str], PurityFinding] = {}
+        self._changed = False
         self._growth: dict[tuple[str, int, int, str], GrowthSite] = {}
         self._bounded: set[str] = set()
         self._field_kinds: dict[str, dict[str, str]] = {}
@@ -1406,12 +1241,12 @@ class _EffectAnalysis:
         self._seams = project.config.sanctioned_seam_targets()
         self._bounders = project.config.bounding_methods()
 
-    def run(self) -> EffectsReport:
+    def report(self) -> EffectsReport:
         for qname in sorted(self.project.functions):
             self._scan_class_fields(self.project.functions[qname])
         for qname in sorted(self.project.functions):
             self._collect_direct(self.project.functions[qname])
-        _run_fixpoint(self.project, self._analyze)
+        findings = self.run()
         return EffectsReport(
             summaries=self.summaries,
             growth_sites=tuple(
@@ -1423,12 +1258,7 @@ class _EffectAnalysis:
             bounded=frozenset(self._bounded),
             field_kinds=self._field_kinds,
             loop_lines=self._loop_lines,
-            purity_findings=tuple(
-                sorted(
-                    self._findings.values(),
-                    key=lambda f: (f.path, f.line, f.col, f.sink),
-                )
-            ),
+            purity_findings=tuple(findings),
         )
 
     # ---- pre-sweep 1: class fields --------------------------------------
@@ -1439,16 +1269,15 @@ class _EffectAnalysis:
         cls = fn.class_qname
         kinds = self._field_kinds.setdefault(cls, {})
         in_init = fn.name == "__init__"
-        module = self.project.modules.get(fn.module)
-        path = module.path if module is not None else fn.module
-        for stmt in _owned_statements(fn):
+        path = self._path(fn)
+        for stmt in iter_owned_statements(fn.node):
             pairs: list[tuple[str, ast.expr | None, int]] = []
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                attr = _self_attr(stmt.targets[0])
+                attr = self_attr(stmt.targets[0])
                 if attr is not None:
                     pairs.append((attr, stmt.value, stmt.lineno))
             elif isinstance(stmt, ast.AnnAssign):
-                attr = _self_attr(stmt.target)
+                attr = self_attr(stmt.target)
                 if attr is not None:
                     pairs.append((attr, stmt.value, stmt.lineno))
             for attr, value, lineno in pairs:
@@ -1487,8 +1316,7 @@ class _EffectAnalysis:
 
     def _collect_direct(self, fn: FunctionInfo) -> None:
         summary = self.summaries.setdefault(fn.qname, EffectSummary())
-        module = self.project.modules.get(fn.module)
-        path = module.path if module is not None else fn.module
+        path = self._path(fn)
         locals_ = _local_names(fn)
         self._locals[fn.qname] = locals_
         loops = self._loop_lines[fn.qname] = _loop_line_set(fn)
@@ -1501,7 +1329,7 @@ class _EffectAnalysis:
                         fn, node, summary, path, locals_, node.lineno in loops, upserts
                     )
                 self._io_effect(fn, node, summary, path)
-        for stmt in _owned_statements(fn):
+        for stmt in iter_owned_statements(fn.node):
             in_loop = stmt.lineno in loops
             if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 self._store_effects(
@@ -1588,7 +1416,7 @@ class _EffectAnalysis:
                 break
 
     def _captured_kind(self, ancestor: FunctionInfo, name: str) -> str:
-        for stmt in _owned_statements(ancestor):
+        for stmt in iter_owned_statements(ancestor.node):
             value: ast.expr | None = None
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
                 target = stmt.targets[0]
@@ -1617,7 +1445,7 @@ class _EffectAnalysis:
         """(container key, display name) for a mutation receiver, or
         ``None`` when the receiver is a local/parameter (mutating an
         argument is the caller's concern) or unresolvable."""
-        attr = _self_attr(expr)
+        attr = self_attr(expr)
         if attr is not None and fn.class_qname is not None:
             return f"{fn.class_qname}.{attr}", f"self.{attr}"
         if isinstance(expr, ast.Name) and expr.id not in locals_:
@@ -1641,9 +1469,8 @@ class _EffectAnalysis:
     def _module_container_kind(self, key: str) -> str | None:
         """``"bounded"`` / ``"mutable"`` / ``None`` for a module-level
         ``module.name`` key, from the owning module's top-level assigns."""
-        cached = self._module_containers.get(key)
         if key in self._module_containers:
-            return cached
+            return self._module_containers[key]
         owner, _, name = key.rpartition(".")
         kind: str | None = None
         module = self.project.modules.get(owner)
@@ -1668,7 +1495,7 @@ class _EffectAnalysis:
         return kind
 
     def _growable(self, fn: FunctionInfo, expr: ast.expr, key: str) -> bool:
-        attr = _self_attr(expr)
+        attr = self_attr(expr)
         if attr is not None and fn.class_qname is not None:
             return attr in self._mutable_fields.get(fn.class_qname, set())
         kind = self._module_container_kind(key)
@@ -1761,7 +1588,7 @@ class _EffectAnalysis:
                         fn, summary, key, "[...]= store", stmt, path, in_loop, effect
                     )
             elif isinstance(stmt, ast.AugAssign):
-                attr = _self_attr(target)
+                attr = self_attr(target)
                 if attr is None or fn.class_qname is None:
                     continue
                 key = f"{fn.class_qname}.{attr}"
@@ -1859,8 +1686,7 @@ class _EffectAnalysis:
         func = call.func
         detail: str | None = None
         if isinstance(func, ast.Name) and func.id in ("open", "print", "input"):
-            module = self.project.modules.get(fn.module)
-            if module is None or func.id not in module.env:
+            if self._is_builtin(fn, func.id):
                 detail = f"{func.id}()"
         elif isinstance(func, ast.Attribute) and func.attr in (
             "write",
@@ -1882,64 +1708,35 @@ class _EffectAnalysis:
                 chain=(f"io in {fn.qname} ({path}:{call.lineno})",),
             )
 
-    # ---- fixpoint transfer ----------------------------------------------
+    # ---- the fixpoint ---------------------------------------------------
 
     def _analyze(self, fn: FunctionInfo) -> list[str]:
-        touched: list[str] = []
-        summary = self.summaries.setdefault(fn.qname, EffectSummary())
-        env: dict[str, Effect] = dict(self._impure_params.get(fn.qname, {}))
-        module = self.project.modules.get(fn.module)
-        path = module.path if module is not None else fn.module
-        scoped = fn.module == "repro" or fn.module.startswith("repro.")
-        changed = False
-        for stmt in _owned_statements(fn):
-            for node in _stmt_nodes(stmt):
-                if isinstance(node, ast.Call):
-                    changed |= self._absorb_callee(fn, node, summary, path)
-                    touched.extend(self._bind_impure_args(fn, node, env, path))
-                    if scoped:
-                        self._check_purity_sink(fn, node, env, path)
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                taint = self._expr_impurity(fn, stmt.value, env, path)
-                target = stmt.targets[0]
-                if isinstance(target, ast.Name):
-                    if taint is not None:
-                        env[target.id] = taint
-                    else:
-                        env.pop(target.id, None)
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                if isinstance(stmt.target, ast.Name):
-                    taint = self._expr_impurity(fn, stmt.value, env, path)
-                    if taint is not None:
-                        env[stmt.target.id] = taint
-                    else:
-                        env.pop(stmt.target.id, None)
-            elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
-                taint = self._expr_impurity(fn, stmt.value, env, path)
-                if taint is not None:
-                    env[stmt.target.id] = taint
-            elif isinstance(stmt, ast.Return) and stmt.value is not None:
-                taint = self._expr_impurity(fn, stmt.value, env, path)
-                if taint is not None and fn.qname not in self._impure_returns:
-                    self._impure_returns[fn.qname] = taint.extend(
-                        f"returned by {fn.qname} ({path}:{stmt.lineno})"
-                    )
-                    touched.extend(
-                        site.caller for site in self.graph.callers(fn.qname)
-                    )
-        if changed:
+        self._changed = False
+        touched = super()._analyze(fn)
+        if self._changed:
             touched.extend(site.caller for site in self.graph.callers(fn.qname))
         return touched
 
-    def _absorb_callee(
-        self, fn: FunctionInfo, call: ast.Call, summary: EffectSummary, path: str
-    ) -> bool:
+    def _visit_call(
+        self,
+        fn: FunctionInfo,
+        call: ast.Call,
+        env: dict[str, Taint],
+        path: str,
+        scoped: bool,
+    ) -> None:
+        self._changed |= self._absorb_callee(fn, call, path)
+        if scoped:
+            self._check_sink(fn, call, env, path)
+
+    def _absorb_callee(self, fn: FunctionInfo, call: ast.Call, path: str) -> bool:
         callee_q = resolve_call_target(self.project, fn, call)
         if callee_q is None or callee_q == fn.qname:
             return False
         callee_summary = self.summaries.get(callee_q)
         if callee_summary is None:
             return False
+        summary = self.summaries[fn.qname]
         hop = f"called from {fn.qname} ({path}:{call.lineno})"
         changed = False
         for key, effect in sorted(callee_summary.mutates_global.items()):
@@ -1966,208 +1763,95 @@ class _EffectAnalysis:
                     changed = True
         return changed
 
-    # ---- purity taint ---------------------------------------------------
+    # ---- the purity lattice ---------------------------------------------
 
-    def _bind_impure_args(
+    def _key(self, finding: Finding) -> tuple[object, ...]:
+        return (finding.path, finding.line, finding.col, finding.detail)
+
+    def _store_field(self, class_qname: str, attr: str, taint: Taint) -> list[str]:
+        return []
+
+    def _field(
+        self, fn: FunctionInfo, class_qname: str, attr: str, expr: ast.expr, path: str
+    ) -> Taint | None:
+        template = self._mutated_outside_init.get(class_qname, {}).get(attr)
+        if template is None:
+            return None
+        return self._origin(
+            fn,
+            expr,
+            path,
+            f"read of self.{attr}, mutated outside __init__ ({template.describe()})",
+            verb="read",
+        )
+
+    def _call(
         self,
         fn: FunctionInfo,
         call: ast.Call,
-        env: dict[str, Effect],
+        env: dict[str, Taint],
         path: str,
-    ) -> list[str]:
-        callee_q = resolve_call_target(self.project, fn, call)
-        if callee_q is None:
-            return []
-        callee = self.project.functions.get(callee_q)
-        if callee is None:
-            return []
-        touched: list[str] = []
-        offset = 1 if callee.is_method else 0
-        hop = f"passed to {callee_q} ({path}:{call.lineno})"
-        params = self._impure_params.setdefault(callee_q, {})
-        for index, arg in enumerate(call.args):
-            if isinstance(arg, ast.Starred):
-                continue
-            slot = index + offset
-            if slot >= len(callee.params):
-                break
-            taint = self._expr_impurity(fn, arg, env, path)
-            if taint is not None and callee.params[slot] not in params:
-                params[callee.params[slot]] = taint.extend(hop)
-                touched.append(callee_q)
-        for keyword in call.keywords:
-            if keyword.arg is None or keyword.arg not in callee.params:
-                continue
-            taint = self._expr_impurity(fn, keyword.value, env, path)
-            if taint is not None and keyword.arg not in params:
-                params[keyword.arg] = taint.extend(hop)
-                touched.append(callee_q)
-        return touched
+    ) -> Taint | None:
+        # The seams are checked before project callees: derive_rng is a
+        # project function whose body reads numpy.random.
+        if self._external_target(fn, call) in self._seams:
+            return None
+        return super()._call(fn, call, env, path)
 
-    def _expr_impurity(
+    def _source(
+        self,
+        fn: FunctionInfo,
+        call: ast.Call,
+        env: dict[str, Taint],
+        path: str,
+    ) -> Taint | None:
+        func = call.func
+        if isinstance(func, ast.Name) and func.id == "id" and self._is_builtin(fn, "id"):
+            return self._origin(
+                fn, call, path, "id() (process-dependent object address)", "called"
+            )
+        external = self._external_target(fn, call)
+        if external is not None and _is_impure_external(external):
+            return self._origin(
+                fn, call, path, f"{external}() (process/host/clock-dependent)", "called"
+            )
+        return None
+
+    def _expr_form(
         self,
         fn: FunctionInfo,
         expr: ast.expr,
-        env: dict[str, Effect],
+        env: dict[str, Taint],
         path: str,
-    ) -> Effect | None:
-        if isinstance(expr, ast.Name):
-            return env.get(expr.id)
-        if isinstance(expr, ast.Attribute):
-            attr = _self_attr(expr)
-            if attr is not None and fn.class_qname is not None:
-                template = self._mutated_outside_init.get(fn.class_qname, {}).get(attr)
-                if template is not None:
-                    return Effect(
-                        kind="impure",
-                        subject=f"self.{attr}",
-                        detail=(
-                            f"read of self.{attr}, mutated outside __init__ "
-                            f"({template.describe()})"
-                        ),
-                        path=path,
-                        line=expr.lineno,
-                        chain=(f"read in {fn.qname} ({path}:{expr.lineno})",),
-                    )
-            # Attribute reads off impure locals do NOT propagate: the
-            # analysis is value-granular (``result.output`` stays clean
-            # when only ``result.wall_ms`` carried the clock) — the
-            # documented RPR014 trade-off.
-            return None
-        if isinstance(expr, ast.Call):
-            return self._call_impurity(fn, expr, env, path)
-        if isinstance(expr, ast.BinOp):
-            return self._expr_impurity(
-                fn, expr.left, env, path
-            ) or self._expr_impurity(fn, expr.right, env, path)
+    ) -> Taint | None:
+        # Attribute reads off impure locals do NOT propagate: the
+        # analysis is value-granular (``result.output`` stays clean when
+        # only ``result.wall_ms`` carried the clock) — the documented
+        # RPR014 trade-off.
         if isinstance(expr, ast.UnaryOp):
-            return self._expr_impurity(fn, expr.operand, env, path)
+            return self._expr(fn, expr.operand, env, path)
         if isinstance(expr, ast.Compare):
-            for sub in (expr.left, *expr.comparators):
-                taint = self._expr_impurity(fn, sub, env, path)
-                if taint is not None:
-                    return taint
-            return None
-        if isinstance(expr, ast.IfExp):
-            return self._expr_impurity(
-                fn, expr.body, env, path
-            ) or self._expr_impurity(fn, expr.orelse, env, path)
-        if isinstance(expr, ast.BoolOp):
-            for value in expr.values:
-                taint = self._expr_impurity(fn, value, env, path)
-                if taint is not None:
-                    return taint
-            return None
-        if isinstance(expr, ast.NamedExpr):
-            return self._expr_impurity(fn, expr.value, env, path)
-        if isinstance(expr, ast.Starred):
-            return self._expr_impurity(fn, expr.value, env, path)
+            return self._first(fn, [expr.left, *expr.comparators], env, path)
         if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            for element in expr.elts:
-                taint = self._expr_impurity(fn, element, env, path)
-                if taint is not None:
-                    return taint
-            return None
+            return self._first(fn, expr.elts, env, path)
         if isinstance(expr, ast.Dict):
-            for sub in (*expr.keys, *expr.values):
-                if sub is None:
-                    continue
-                taint = self._expr_impurity(fn, sub, env, path)
-                if taint is not None:
-                    return taint
-            return None
+            parts = [sub for sub in (*expr.keys, *expr.values) if sub is not None]
+            return self._first(fn, parts, env, path)
         if isinstance(expr, ast.JoinedStr):
-            for value in expr.values:
-                taint = self._expr_impurity(fn, value, env, path)
-                if taint is not None:
-                    return taint
-            return None
-        if isinstance(expr, ast.FormattedValue):
-            return self._expr_impurity(fn, expr.value, env, path)
-        if isinstance(expr, ast.Subscript):
-            return self._expr_impurity(fn, expr.value, env, path)
+            return self._first(fn, expr.values, env, path)
+        if isinstance(expr, (ast.FormattedValue, ast.Subscript)):
+            return self._expr(fn, expr.value, env, path)
         return None
 
-    def _call_impurity(
+    def _check_sink(
         self,
         fn: FunctionInfo,
         call: ast.Call,
-        env: dict[str, Effect],
-        path: str,
-    ) -> Effect | None:
-        external = self._external_target(fn, call)
-        if external is not None and external in self._seams:
-            return None
-        callee = resolve_call_target(self.project, fn, call)
-        if callee is not None:
-            ret = self._impure_returns.get(callee)
-            if ret is not None:
-                return ret
-            return None
-        func = call.func
-        if (
-            isinstance(func, ast.Name)
-            and func.id == "id"
-            and self._is_builtin(fn, func.id)
-        ):
-            return Effect(
-                kind="impure",
-                subject="id()",
-                detail="id() (process-dependent object address)",
-                path=path,
-                line=call.lineno,
-                chain=(f"called in {fn.qname} ({path}:{call.lineno})",),
-            )
-        if external is None:
-            return None
-        if self._is_impure_external(external):
-            return Effect(
-                kind="impure",
-                subject=external,
-                detail=f"{external}() (process/host/clock-dependent)",
-                path=path,
-                line=call.lineno,
-                chain=(f"called in {fn.qname} ({path}:{call.lineno})",),
-            )
-        return None
-
-    @staticmethod
-    def _is_impure_external(target: str) -> bool:
-        if target in IMPURE_CALLS:
-            return True
-        if any(target.startswith(prefix) for prefix in IMPURE_PREFIXES):
-            return True
-        return (
-            target.startswith("datetime.")
-            and target.rpartition(".")[2] in _IMPURE_DATETIME_TAILS
-        )
-
-    def _is_builtin(self, fn: FunctionInfo, name: str) -> bool:
-        module = self.project.modules.get(fn.module)
-        return module is None or name not in module.env
-
-    def _external_target(self, fn: FunctionInfo, call: ast.Call) -> str | None:
-        dotted = _dotted(call.func)
-        if dotted is None:
-            return None
-        resolved = self.project.resolve(fn.module, dotted)
-        if resolved is None or resolved.kind not in ("external", "function"):
-            return None
-        return resolved.target
-
-    # ---- purity sinks ---------------------------------------------------
-
-    def _check_purity_sink(
-        self,
-        fn: FunctionInfo,
-        call: ast.Call,
-        env: dict[str, Effect],
+        env: dict[str, Taint],
         path: str,
     ) -> None:
         func = call.func
-        if not isinstance(func, ast.Attribute):
-            return
-        if func.attr not in _PURITY_SINK_METHODS:
+        if not isinstance(func, ast.Attribute) or func.attr not in _PURITY_SINK_METHODS:
             return
         if not self._receiver_is_persistence(fn, func.value):
             return
@@ -2180,25 +1864,14 @@ class _EffectAnalysis:
             if keyword.arg is None or keyword.arg.endswith("_ms"):
                 continue
             checked.append(keyword.value)
-        for arg in checked:
-            taint = self._expr_impurity(fn, arg, env, path)
-            if taint is None:
-                continue
-            receiver = _dotted(func.value) or "store"
-            key = (path, call.lineno, call.col_offset, f".{func.attr}()")
-            if key not in self._findings:
-                self._findings[key] = PurityFinding(
-                    entry=fn.qname,
-                    path=path,
-                    line=call.lineno,
-                    col=call.col_offset,
-                    sink=f".{func.attr}() on {receiver!r}",
-                    source=taint,
-                )
-            return
+        taint = self._first(fn, checked, env, path)
+        if taint is not None:
+            receiver = dotted_name(func.value) or "store"
+            sink = f".{func.attr}() on {receiver!r}"
+            self._report("impure", fn.qname, path, call, taint, sink)
 
     def _receiver_is_persistence(self, fn: FunctionInfo, expr: ast.expr) -> bool:
-        dotted = _dotted(expr)
+        dotted = dotted_name(expr)
         if dotted is None:
             return False
         if dotted == "self":
@@ -2207,58 +1880,6 @@ class _EffectAnalysis:
             return any(hint in cls for hint in _STORE_CLASS_HINTS)
         tail = dotted.rpartition(".")[2].lower()
         return any(hint in tail for hint in _PURITY_SINK_RECEIVERS)
-
-
-def _receiver_is_sink(expr: ast.expr) -> bool:
-    dotted = _dotted(expr)
-    if dotted is None:
-        return False
-    tail = dotted.rpartition(".")[2].lower()
-    return any(hint in tail for hint in _SINK_RECEIVER_HINTS)
-
-
-def _subscript_root(expr: ast.expr) -> str | None:
-    """The base name of a ``name[...]...`` store target, else ``None``."""
-    current = expr
-    seen_subscript = False
-    while isinstance(current, (ast.Subscript, ast.Attribute)):
-        if isinstance(current, ast.Subscript):
-            seen_subscript = True
-        current = current.value
-    if seen_subscript and isinstance(current, ast.Name):
-        return current.id
-    return None
-
-
-def _augassign_target_name(target: ast.expr) -> str:
-    if isinstance(target, ast.Name):
-        return target.id
-    dotted = _dotted(target)
-    return dotted if dotted is not None else "<target>"
-
-
-def _block_statements(body: list[ast.stmt]) -> list[ast.stmt]:
-    """All statements in a block, recursively, skipping nested defs."""
-    out: list[ast.stmt] = []
-    stack: list[ast.stmt] = list(reversed(body))
-    while stack:
-        stmt = stack.pop()
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        out.append(stmt)
-        for block_name in ("body", "orelse", "finalbody"):
-            block = getattr(stmt, block_name, None)
-            if isinstance(block, list):
-                stack.extend(reversed([s for s in block if isinstance(s, ast.stmt)]))
-        for handler in getattr(stmt, "handlers", []):
-            stack.extend(reversed(handler.body))
-    return out
-
-
-def _owned_statements(fn: FunctionInfo) -> list[ast.stmt]:
-    if isinstance(fn.node, ast.Lambda):
-        return []
-    return list(iter_owned_statements(fn.node))
 
 
 def _stmt_nodes(stmt: ast.stmt) -> list[ast.AST]:
@@ -2271,48 +1892,7 @@ def _stmt_nodes(stmt: ast.stmt) -> list[ast.AST]:
         node = stack.pop()
         nodes.append(node)
         for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child,
-                (
-                    ast.FunctionDef,
-                    ast.AsyncFunctionDef,
-                    ast.Lambda,
-                    ast.ClassDef,
-                    ast.stmt,
-                ),
-            ):
-                continue
-            stack.append(child)
+            # ast.stmt covers nested def/class statements too.
+            if not isinstance(child, (ast.stmt, ast.Lambda)):
+                stack.append(child)
     return nodes
-
-
-def _seed_argument(call: ast.Call) -> ast.expr | None:
-    if call.args:
-        first = call.args[0]
-        return None if isinstance(first, ast.Starred) else first
-    for keyword in call.keywords:
-        if keyword.arg == "seed":
-            return keyword.value
-    return None
-
-
-def _self_attr(node: ast.expr) -> str | None:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def _dotted(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    current: ast.expr = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))

@@ -95,16 +95,6 @@ RULE_GUIDES: dict[str, RuleGuide] = dict(
             a justified inline disable.""",
         ),
         _guide(
-            "RPR004",
-            """A write to shared state inside a backend/executor/pool
-            submitted callable without holding a lock is a data race
-            under the thread backend.""",
-            "def job():\n    self.stats['n'] += 1  # submitted, unlocked",
-            "def job():\n    with self._lock:\n        self.stats['n'] += 1",
-            """Hold the owning lock around the write, or restructure so
-            workers return values the caller merges single-threaded.""",
-        ),
-        _guide(
             "RPR005",
             """Bare ``# type: ignore``, bare ``# noqa``, or a
             ``# repro-lint: disable`` without a justification hides an
@@ -129,14 +119,16 @@ RULE_GUIDES: dict[str, RuleGuide] = dict(
         ),
         _guide(
             "RPR007",
-            """An unlocked shared-state write transitively reachable
-            from a backend-submitted callable — the cross-module,
-            multi-hop generalization of RPR004.  The finding names the
-            call chain from submission to write.""",
+            """A write to shared state (``self.*`` containers, closure
+            or module globals) reachable from a backend/executor/pool
+            submitted callable without a lock held is a data race under
+            the thread backend — whether the write sits in the submitted
+            callable itself or any number of calls away, across modules.
+            The finding names the call chain from submission to write.""",
             "backend.run(jobs, self.on_done)  # on_done -> tracker.update() unlocked",
             "def on_done(r):\n    with self._lock:\n        self._merge(r)",
-            """Lock the write, or confine mutation to the submitting
-            thread.""",
+            """Hold the owning lock around the write, or return values
+            the caller merges single-threaded.""",
         ),
         _guide(
             "RPR008",

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING
 
-from repro.lint.base import FileContext, Violation
+from repro.lint.base import FileContext, Violation, dotted_name
 
 if TYPE_CHECKING:  # runtime import would cycle: callgraph/dataflow build on this
     from repro.lint.callgraph import CallGraph
-    from repro.lint.dataflow import EffectsReport, OrderingFinding
+    from repro.lint.dataflow import EffectsReport, Finding
 
 __all__ = [
     "DEFAULT_BOUND_METHODS",
@@ -47,6 +47,7 @@ __all__ = [
     "is_persistence_path",
     "iter_owned_nodes",
     "iter_owned_statements",
+    "iter_statements",
     "load_config",
     "module_name_for_path",
 ]
@@ -512,26 +513,33 @@ def _function_params(
     return tuple(names)
 
 
-def iter_owned_statements(
-    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
-) -> Iterator[ast.stmt]:
-    """The statements of a function in source order, excluding nested
+def iter_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
+    """The statements of a block in source order, recursing into compound
+    statements (``match`` cases included) but not into nested
     function/class bodies (those belong to their own symbol)."""
-    if isinstance(node, ast.Lambda):
-        return
-    stack: list[ast.stmt] = list(reversed(node.body))
+    stack: list[ast.stmt] = list(reversed(body))
     while stack:
         stmt = stack.pop()
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         yield stmt
-        blocks: list[list[ast.stmt]] = []
-        for attr in ("body", "orelse", "finalbody"):
-            blocks.append(getattr(stmt, attr, []) or [])
-        for handler in getattr(stmt, "handlers", []) or []:
-            blocks.append(handler.body)
+        blocks: list[list[ast.stmt]] = [
+            getattr(stmt, attr, None) or [] for attr in ("body", "orelse", "finalbody")
+        ]
+        blocks.extend(handler.body for handler in getattr(stmt, "handlers", ()))
+        blocks.extend(case.body for case in getattr(stmt, "cases", ()))
         for block in reversed(blocks):
             stack.extend(reversed(block))
+
+
+def iter_owned_statements(
+    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
+) -> Iterator[ast.stmt]:
+    """The statements of a function (none for a lambda); see
+    :func:`iter_statements`."""
+    if isinstance(node, ast.Lambda):
+        return iter(())
+    return iter_statements(node.body)
 
 
 def iter_owned_nodes(
@@ -584,7 +592,7 @@ class Project:
         self._function_qname_by_node_id: dict[int, str] = {}
         # Memoized result of the ordering-provenance fixpoint; RPR010 and
         # RPR012 both consume it, so it runs once per project.
-        self.ordering_cache: list[OrderingFinding] | None = None
+        self.ordering_cache: list[Finding] | None = None
         # Memoized result of the effect-summary fixpoint; RPR013, RPR014
         # and RPR015 all consume it, so it too runs once per project.
         self.effects_cache: EffectsReport | None = None
@@ -790,7 +798,7 @@ class Project:
                 continue
             bases: list[str] = []
             for base in class_info.node.bases:
-                dotted = _dotted(base)
+                dotted = dotted_name(base)
                 if dotted is None:
                     continue
                 resolved = self.resolve(module.name, dotted)
@@ -934,19 +942,7 @@ class Project:
 
 def _decorator_name(decorator: ast.expr) -> str | None:
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return _dotted(target)
-
-
-def _dotted(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    current: ast.expr = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
+    return dotted_name(target)
 
 
 class ProjectRule:

@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from repro.lint.base import Violation, dotted_name
-from repro.lint.callgraph import CallGraph, CallSite, _infer_local_types
+from repro.lint.callgraph import (
+    CallGraph,
+    CallSite,
+    _infer_local_types,
+    _lookup_nested,
+)
 from repro.lint.dataflow import (
     EffectSummary,
     EffectsReport,
@@ -32,13 +37,7 @@ from repro.lint.project import (
     iter_owned_nodes,
     iter_owned_statements,
 )
-from repro.lint.rules import (
-    DISPATCH_METHODS,
-    function_params,
-    locked_lines,
-    receiver_is_backend,
-    shared_writes,
-)
+from repro.lint.rules import _MUTATING_METHODS, _assign_root, _self_write_attr
 
 __all__ = [
     "ALL_PROJECT_RULES",
@@ -71,16 +70,9 @@ def _callable_qname(
     if dotted is None:
         return None
     if isinstance(expr, ast.Name):
-        current: FunctionInfo | None = fn
-        while current is not None:
-            nested = current.nested.get(dotted)
-            if nested is not None:
-                return nested
-            current = (
-                project.functions.get(current.parent)
-                if current.parent is not None
-                else None
-            )
+        nested = _lookup_nested(project, fn, dotted)
+        if nested is not None:
+            return nested
     resolved = project.resolve(fn.module, dotted)
     if resolved is not None and resolved.kind == "function":
         return resolved.target
@@ -133,7 +125,7 @@ class SeedFlowTaintRule(ProjectRule):
         self, project: Project, graph: CallGraph
     ) -> Iterator[Violation]:
         for finding in analyze_rng_taint(project, graph):
-            flow = " -> ".join(finding.chain)
+            flow = " -> ".join(finding.taint.chain)
             yield Violation(
                 path=finding.path,
                 line=finding.line,
@@ -141,37 +133,130 @@ class SeedFlowTaintRule(ProjectRule):
                 rule_id=self.rule_id,
                 message=(
                     f"RNG reaching {finding.entry} originates from ambient "
-                    f"{finding.origin.describe()}; flow: {flow}. Derive the "
+                    f"{finding.taint.origin.describe()}; flow: {flow}. Derive the "
                     "generator via repro.utils.rng.derive_rng(seed, *key) "
                     "or thread the seed in as an explicit parameter"
                 ),
             )
 
 
-class InterprocLocksetRule(ProjectRule):
-    """RPR007 — interprocedural unlocked-shared-write detection.
+#: Dispatch method names that hand a callable to an execution backend.
+DISPATCH_METHODS = frozenset({"run", "submit", "map", "apply_async"})
 
-    RPR004 inspects backend-submitted callables one call hop deep within
-    a single file.  This rule follows the *whole* call graph from every
-    submission site (``backend.run`` / ``executor.submit`` /
-    ``pool.map`` / ``apply_async`` on a backend-looking receiver) to any
-    transitively reachable function — across modules, through methods,
-    aliased imports and re-exports — and flags writes to shared state
-    (``self.*`` containers, closure/module globals) that no lock in the
-    chain protects.  A lock held by a *caller* around the call site
-    propagates down the chain, so helpers invoked under
-    ``with self._lock:`` are correctly treated as protected.  Findings
-    that RPR004 already reports (the write at most one hop from the
-    submitted callable, all within the submission's own module) are
-    skipped, so the two rules never double-report; each RPR007 finding
-    carries the full call chain from the submission site to the
-    unlocked mutation.
+#: Receiver-name fragments that mark a dispatch receiver as a backend.
+RECEIVER_HINTS = ("backend", "executor", "pool", "worker")
+
+
+def receiver_is_backend(receiver: ast.expr) -> bool:
+    """True when a dispatch receiver looks like an execution backend."""
+    if isinstance(receiver, ast.Call):
+        receiver = receiver.func
+    dotted = dotted_name(receiver)
+    if dotted is None:
+        return False
+    lowered = dotted.lower()
+    return any(hint in lowered for hint in RECEIVER_HINTS)
+
+
+def locked_lines(func: ast.AST) -> set[int]:
+    """Line numbers covered by a ``with <something lock-ish>:`` block."""
+    locked: set[int] = set()
+    for node in ast.walk(func):
+        if not isinstance(node, (ast.With, ast.AsyncWith)):
+            continue
+        for item in node.items:
+            expr = item.context_expr
+            if isinstance(expr, ast.Call):
+                expr = expr.func
+            dotted = dotted_name(expr) or ""
+            if "lock" in dotted.lower():
+                end = getattr(node, "end_lineno", node.lineno)
+                locked.update(range(node.lineno, (end or node.lineno) + 1))
+                break
+    return locked
+
+
+def shared_writes(
+    func: ast.AST, params: Iterable[str]
+) -> Iterator[tuple[ast.AST, str]]:
+    """Mutations of non-local state inside ``func``.
+
+    Yields ``(node, label)`` where ``label`` is ``self.<attr>`` for
+    instance-state writes or the bare name of a closure/global target.
+    Names bound locally (assignments, loop targets, parameters) are not
+    shared.
+    """
+    local_names: set[str] = set(params)
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for tgt in node.targets:
+                if isinstance(tgt, ast.Name):
+                    local_names.add(tgt.id)
+        elif isinstance(node, ast.AnnAssign):
+            if isinstance(node.target, ast.Name):
+                local_names.add(node.target.id)
+        elif isinstance(node, ast.NamedExpr):
+            if isinstance(node.target, ast.Name):
+                local_names.add(node.target.id)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                if isinstance(item.optional_vars, ast.Name):
+                    local_names.add(item.optional_vars.id)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            tgt = node.target
+            if isinstance(tgt, ast.Name):
+                local_names.add(tgt.id)
+            elif isinstance(tgt, ast.Tuple):
+                local_names.update(
+                    el.id for el in tgt.elts if isinstance(el, ast.Name)
+                )
+    for node in ast.walk(func):
+        exprs: list[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            exprs = [t for t in node.targets if isinstance(t, ast.Subscript)]
+        elif isinstance(node, ast.AugAssign) and isinstance(
+            node.target, (ast.Subscript, ast.Attribute)
+        ):
+            exprs = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _MUTATING_METHODS:
+                exprs = [node.func.value]
+        for expr in exprs:
+            attr = _self_write_attr(expr)
+            if attr is not None:
+                yield node, f"self.{attr}"
+                continue
+            root = _assign_root(expr)
+            if isinstance(root, ast.Name) and root.id not in local_names:
+                yield node, root.id
+
+
+class InterprocLocksetRule(ProjectRule):
+    """RPR007 — no unlocked shared-state write reachable from a backend.
+
+    Callables handed to an execution backend (``backend.run`` /
+    ``executor.submit`` / ``pool.map`` / ``apply_async`` on a
+    receiver named like a backend, executor, pool or worker) may run on
+    worker threads concurrently; writing shared state from them without
+    holding a lock is a data race that breaks the bitwise
+    backend-equivalence guarantee.  The rule resolves every submitted
+    callable (lambdas, nested and module functions, ``self`` methods),
+    follows the call graph from it to any transitively reachable
+    function — across modules, through methods, aliased imports and
+    re-exports — and flags writes to shared state (``self.*``
+    containers, closure/module globals) that no lock in the chain
+    protects.  A lock held by a *caller* around the call site propagates
+    down the chain, so helpers invoked under ``with self._lock:`` are
+    correctly treated as protected.  Each finding carries the full call
+    chain from the submission site to the unlocked mutation.
+    Single-threaded hook protocols such as ``FramePipeline.run`` are out
+    of scope by receiver name.
     """
 
     rule_id = "RPR007"
     summary = (
-        "unlocked shared-state write transitively reachable (cross-module "
-        "or deeper than one call hop) from a backend-submitted callable"
+        "unlocked shared-state write reachable, through any number of "
+        "calls and modules, from a backend-submitted callable"
     )
 
     def check_project(
@@ -222,16 +307,11 @@ class InterprocLocksetRule(ProjectRule):
             fn: FunctionInfo, chain: tuple[CallSite, ...], under_lock: bool
         ) -> Iterator[Violation]:
             locked = locked_lines(fn.node)
-            params = function_params(fn.node)
             fn_module = project.modules.get(fn.module)
             fn_path = fn_module.path if fn_module is not None else fn.module
-            for write, label in shared_writes(fn.node, params):
+            for write, label in shared_writes(fn.node, fn.params):
                 line = getattr(write, "lineno", 0)
                 if under_lock or line in locked:
-                    continue
-                if self._rpr004_covers(
-                    submission_module, submitted, fn, len(chain)
-                ):
                     continue
                 key = (
                     fn_path,
@@ -281,20 +361,6 @@ class InterprocLocksetRule(ProjectRule):
                 yield from walk(callee, (*chain, site), next_lock)
 
         yield from walk(submitted, (), False)
-
-    @staticmethod
-    def _rpr004_covers(
-        submission_module: ModuleInfo,
-        submitted: FunctionInfo,
-        write_fn: FunctionInfo,
-        depth: int,
-    ) -> bool:
-        """True when the intra-file rule already reports this write."""
-        return (
-            depth <= 1
-            and write_fn.module == submission_module.name
-            and submitted.module == submission_module.name
-        )
 
     @staticmethod
     def _path_of(project: Project, qname: str) -> str:
@@ -688,7 +754,7 @@ class OrderedSinkRule(ProjectRule):
         for finding in analyze_ordering(project, graph):
             if finding.kind != "sink":
                 continue
-            flow = " -> ".join(finding.chain)
+            flow = " -> ".join(finding.taint.chain)
             yield Violation(
                 path=finding.path,
                 line=finding.line,
@@ -697,7 +763,7 @@ class OrderedSinkRule(ProjectRule):
                 message=(
                     f"{finding.detail} receives a value with unstable "
                     f"iteration order originating from "
-                    f"{finding.origin.describe()}; flow: {flow}. Normalize "
+                    f"{finding.taint.origin.describe()}; flow: {flow}. Normalize "
                     "with sorted(..., key=...) before the order is "
                     "persisted or keyed"
                 ),
@@ -866,7 +932,7 @@ class ParallelReductionOrderRule(ProjectRule):
         for finding in analyze_ordering(project, graph):
             if finding.kind != "reduction":
                 continue
-            flow = " -> ".join(finding.chain)
+            flow = " -> ".join(finding.taint.chain)
             yield Violation(
                 path=finding.path,
                 line=finding.line,
@@ -874,7 +940,7 @@ class ParallelReductionOrderRule(ProjectRule):
                 rule_id=self.rule_id,
                 message=(
                     f"{finding.detail}; the iterable originates from "
-                    f"{finding.origin.describe()}; flow: {flow}. Collect "
+                    f"{finding.taint.origin.describe()}; flow: {flow}. Collect "
                     "results and sort by a stable key before folding "
                     "(float addition is not associative)"
                 ),
@@ -1156,16 +1222,16 @@ class CachePurityRule(ProjectRule):
     ) -> Iterator[Violation]:
         effects = analyze_effects(project, graph)
         for finding in effects.purity_findings:
-            chain = " -> ".join(finding.source.chain)
+            chain = " -> ".join(finding.taint.chain)
             yield Violation(
                 path=finding.path,
                 line=finding.line,
                 col=finding.col,
                 rule_id=self.rule_id,
                 message=(
-                    f"value reaching {finding.sink} in {finding.entry} is "
+                    f"value reaching {finding.detail} in {finding.entry} is "
                     "not a pure function of its parameters: it derives "
-                    f"from {finding.source.describe()}; flow: {chain}. "
+                    f"from {finding.taint.origin.describe()}; flow: {chain}. "
                     "Cached results must derive only from parameters and "
                     "sanctioned seams (derive_rng, injected timers) — pass "
                     "the value in explicitly or route timing through a "

@@ -14,28 +14,22 @@ import re
 from collections.abc import Iterator
 
 from repro.lint.base import (
-    Comment,
     DISABLE_COMMENT_RE,
+    Comment,
     FileContext,
     Rule,
     Violation,
     dotted_name,
+    self_attr,
 )
 
 __all__ = [
     "ALL_RULES",
-    "DISPATCH_METHODS",
-    "RECEIVER_HINTS",
     "GlobalRngRule",
     "WallClockRule",
     "UnboundedCacheRule",
-    "UnlockedSharedMutationRule",
     "BlanketSuppressionRule",
-    "function_params",
-    "locked_lines",
-    "receiver_is_backend",
     "rule_ids",
-    "shared_writes",
 ]
 
 #: Container-mutating method names (growth or in-place rewrite).
@@ -66,126 +60,12 @@ _MUTABLE_FACTORIES = frozenset(
 )
 
 
-#: Dispatch method names that hand a callable to an execution backend.
-#: Shared between RPR004 (intra-file) and RPR007 (interprocedural).
-DISPATCH_METHODS = frozenset({"run", "submit", "map", "apply_async"})
-
-#: Receiver-name fragments that mark a dispatch receiver as a backend.
-RECEIVER_HINTS = ("backend", "executor", "pool", "worker")
-
-
-def receiver_is_backend(receiver: ast.expr) -> bool:
-    """True when a dispatch receiver looks like an execution backend."""
-    if isinstance(receiver, ast.Call):
-        receiver = receiver.func
-    dotted = dotted_name(receiver)
-    if dotted is None:
-        return False
-    lowered = dotted.lower()
-    return any(hint in lowered for hint in RECEIVER_HINTS)
-
-
-def locked_lines(func: ast.AST) -> set[int]:
-    """Line numbers covered by a ``with <something lock-ish>:`` block."""
-    locked: set[int] = set()
-    for node in ast.walk(func):
-        if not isinstance(node, (ast.With, ast.AsyncWith)):
-            continue
-        for item in node.items:
-            expr = item.context_expr
-            if isinstance(expr, ast.Call):
-                expr = expr.func
-            dotted = dotted_name(expr) or ""
-            if "lock" in dotted.lower():
-                end = getattr(node, "end_lineno", node.lineno)
-                locked.update(range(node.lineno, (end or node.lineno) + 1))
-                break
-    return locked
-
-
-def function_params(func: ast.AST) -> set[str]:
-    """Parameter names of a function/lambda node (else empty)."""
-    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        args = func.args
-        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        if args.vararg:
-            names.append(args.vararg.arg)
-        if args.kwarg:
-            names.append(args.kwarg.arg)
-        return set(names)
-    return set()
-
-
-def shared_writes(func: ast.AST, params: set[str]) -> Iterator[tuple[ast.AST, str]]:
-    """Mutations of non-local state inside ``func``.
-
-    Yields ``(node, label)`` where ``label`` is ``self.<attr>`` for
-    instance-state writes or the bare name of a closure/global target.
-    Names bound locally (assignments, loop targets, parameters) are not
-    shared.
-    """
-    local_names: set[str] = set(params)
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            for tgt in node.targets:
-                if isinstance(tgt, ast.Name):
-                    local_names.add(tgt.id)
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name):
-                local_names.add(node.target.id)
-        elif isinstance(node, ast.NamedExpr):
-            if isinstance(node.target, ast.Name):
-                local_names.add(node.target.id)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if isinstance(item.optional_vars, ast.Name):
-                    local_names.add(item.optional_vars.id)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            tgt = node.target
-            if isinstance(tgt, ast.Name):
-                local_names.add(tgt.id)
-            elif isinstance(tgt, ast.Tuple):
-                local_names.update(
-                    el.id for el in tgt.elts if isinstance(el, ast.Name)
-                )
-    for node in ast.walk(func):
-        exprs: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            exprs = [t for t in node.targets if isinstance(t, ast.Subscript)]
-        elif isinstance(node, ast.AugAssign) and isinstance(
-            node.target, (ast.Subscript, ast.Attribute)
-        ):
-            exprs = [node.target]
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATING_METHODS:
-                exprs = [node.func.value]
-        for expr in exprs:
-            attr = _self_write_attr(expr)
-            if attr is not None:
-                yield node, f"self.{attr}"
-                continue
-            root = _assign_root(expr)
-            if isinstance(root, ast.Name) and root.id not in local_names:
-                yield node, root.id
-
-
 def _assign_root(node: ast.expr) -> ast.expr:
     """Peel subscripts/attributes down to the rooted expression."""
     current = node
     while isinstance(current, (ast.Subscript, ast.Attribute)):
         current = current.value
     return current
-
-
-def _is_self_attr(node: ast.expr) -> str | None:
-    """``self.<attr>`` → ``attr``; anything else → ``None``."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def _self_write_attr(expr: ast.expr) -> str | None:
@@ -197,7 +77,7 @@ def _self_write_attr(expr: ast.expr) -> str | None:
     """
     current = expr
     while isinstance(current, (ast.Subscript, ast.Attribute)):
-        attr = _is_self_attr(current) if isinstance(current, ast.Attribute) else None
+        attr = self_attr(current) if isinstance(current, ast.Attribute) else None
         if attr is not None:
             return attr
         current = current.value
@@ -396,11 +276,11 @@ class UnboundedCacheRule(Rule):
         for node in ast.walk(class_node):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
-                    attr = _is_self_attr(target)
+                    attr = self_attr(target)
                     if attr is not None:
                         shadowed.add(attr)
             elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                attr = _is_self_attr(node.target)
+                attr = self_attr(node.target)
                 if attr is not None and isinstance(node, ast.AnnAssign):
                     shadowed.add(attr)
         return shadowed
@@ -437,9 +317,9 @@ class UnboundedCacheRule(Rule):
         def classify(
             node: ast.AST, expr: ast.expr, class_name: str | None
         ) -> Iterator[tuple[ast.AST, str, str | None]]:
-            self_attr = _self_write_attr(expr)
-            if self_attr is not None:
-                yield node, self_attr, class_name
+            field_name = _self_write_attr(expr)
+            if field_name is not None:
+                yield node, field_name, class_name
                 return
             base = expr
             while isinstance(base, ast.Subscript):
@@ -505,142 +385,6 @@ class UnboundedCacheRule(Rule):
             )
 
 
-class UnlockedSharedMutationRule(Rule):
-    """RPR004 — no unlocked shared-state mutation in backend-executed code.
-
-    Callables handed to an execution backend (``backend.run(...)``,
-    ``executor.submit(...)``, ``pool.map(...)``) may run on worker
-    threads concurrently; writing ``self.*`` containers or closure state
-    from them without holding a lock is a data race that breaks the
-    bitwise backend-equivalence guarantee.  The rule resolves callables
-    passed at such call sites (lambdas, local functions, ``self.``
-    methods), follows same-module calls one level deep, and flags shared
-    writes that are not inside a ``with <...lock...>:`` block.  Receivers
-    are matched by name (``backend`` / ``executor`` / ``pool`` /
-    ``worker``), so single-threaded hook protocols like
-    ``FramePipeline.run`` are not in scope.
-    """
-
-    rule_id = "RPR004"
-    summary = (
-        "shared-state write inside a backend/executor/pool-submitted "
-        "callable without holding a lock"
-    )
-
-    _DISPATCH_METHODS = DISPATCH_METHODS
-    _RECEIVER_HINTS = RECEIVER_HINTS
-
-    def _receiver_is_backend(self, receiver: ast.expr) -> bool:
-        return receiver_is_backend(receiver)
-
-    def _local_functions(
-        self, ctx: FileContext
-    ) -> dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
-        functions: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                functions.setdefault(node.name, node)
-        return functions
-
-    def _locked_lines(self, func: ast.AST) -> set[int]:
-        return locked_lines(func)
-
-    def _shared_writes(
-        self, func: ast.AST, params: set[str]
-    ) -> Iterator[tuple[ast.AST, str]]:
-        return shared_writes(func, params)
-
-    def _function_params(self, func: ast.AST) -> set[str]:
-        return function_params(func)
-
-    def _callees(
-        self,
-        func: ast.AST,
-        functions: dict[str, ast.FunctionDef | ast.AsyncFunctionDef],
-        methods: dict[str, ast.FunctionDef | ast.AsyncFunctionDef],
-    ) -> list[ast.AST]:
-        callees: list[ast.AST] = []
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            if isinstance(node.func, ast.Name) and node.func.id in functions:
-                callees.append(functions[node.func.id])
-            else:
-                attr = _is_self_attr(node.func)
-                if attr is not None and attr in methods:
-                    callees.append(methods[attr])
-        return callees
-
-    def _enclosing_methods(
-        self, ctx: FileContext, call: ast.Call
-    ) -> dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
-        """Methods of the class lexically containing ``call`` (if any)."""
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef) and any(
-                descendant is call for descendant in ast.walk(node)
-            ):
-                return {
-                    stmt.name: stmt
-                    for stmt in node.body
-                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                }
-        return {}
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        functions = self._local_functions(ctx)
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._DISPATCH_METHODS
-                and self._receiver_is_backend(node.func.value)
-            ):
-                continue
-            methods = self._enclosing_methods(ctx, node)
-            submitted: list[ast.AST] = []
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                if isinstance(arg, ast.Lambda):
-                    submitted.append(arg)
-                elif isinstance(arg, ast.Name) and arg.id in functions:
-                    submitted.append(functions[arg.id])
-                else:
-                    attr = _is_self_attr(arg)
-                    if attr is not None and attr in methods:
-                        submitted.append(methods[attr])
-            reported: set[tuple[int, str]] = set()
-            for callable_node in submitted:
-                frontier: list[ast.AST] = [callable_node]
-                visited: set[int] = set()
-                depth = 0
-                while frontier and depth <= 1:
-                    next_frontier: list[ast.AST] = []
-                    for func in frontier:
-                        if id(func) in visited:
-                            continue
-                        visited.add(id(func))
-                        locked = self._locked_lines(func)
-                        params = self._function_params(func)
-                        for write, label in self._shared_writes(func, params):
-                            line = getattr(write, "lineno", 0)
-                            if line in locked:
-                                continue
-                            key = (line, label)
-                            if key in reported:
-                                continue
-                            reported.add(key)
-                            yield self.violation(
-                                ctx,
-                                write,
-                                f"write to shared {label!r} inside a "
-                                "backend-executed callable without holding a "
-                                "lock; guard it with the store's lock or "
-                                "return results and fold them on the caller",
-                            )
-                        next_frontier.extend(self._callees(func, functions, methods))
-                    frontier = next_frontier
-                    depth += 1
-
-
 class BlanketSuppressionRule(Rule):
     """RPR005 — no blanket suppressions.
 
@@ -700,7 +444,6 @@ ALL_RULES: tuple[Rule, ...] = (
     GlobalRngRule(),
     WallClockRule(),
     UnboundedCacheRule(),
-    UnlockedSharedMutationRule(),
     BlanketSuppressionRule(),
 )
 

@@ -255,9 +255,3 @@ class QueryEngine:
         physical = self.physical_plan(logical, plan=plan)
         with self.obs.span("query", video=plan.query.process.video):
             return physical.execute()
-
-
-def _apply_min_duration(rows: list[Row], min_duration: int) -> list[Row]:
-    """Back-compat shim: the temporal qualifier now lives in
-    :class:`~repro.query.physical.TemporalFilterExec`."""
-    return TemporalFilterExec(min_duration=min_duration).execute(rows)

@@ -9,7 +9,6 @@ from repro.detection.boxes import (
     array_to_boxes,
     average_boxes,
     boxes_to_array,
-    iou,
     iou_matrix,
 )
 
@@ -66,10 +65,10 @@ class TestIoU:
         assert box.iou(box) == pytest.approx(1.0)
 
     def test_disjoint_boxes(self):
-        assert iou(BBox(0, 0, 1, 1), BBox(5, 5, 6, 6)) == 0.0
+        assert BBox(0, 0, 1, 1).iou(BBox(5, 5, 6, 6)) == 0.0
 
     def test_touching_boxes_zero_iou(self):
-        assert iou(BBox(0, 0, 1, 1), BBox(1, 0, 2, 1)) == 0.0
+        assert BBox(0, 0, 1, 1).iou(BBox(1, 0, 2, 1)) == 0.0
 
     def test_half_overlap(self):
         a = BBox(0, 0, 10, 10)

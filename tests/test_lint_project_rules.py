@@ -14,6 +14,8 @@ import textwrap
 
 from repro.lint import LintConfig, Violation, lint_project
 
+ENGINE = "src/repro/engine/fixture.py"
+
 
 def run(
     sources: dict[str, str],
@@ -29,38 +31,54 @@ def run(
 
 
 def test_rpr006_ambient_rng_crossing_into_core_fires() -> None:
-    violations = run(
-        {
-            "src/repro/runner/helpers.py": """
-            import numpy as np
+    helpers = textwrap.dedent(
+        """
+        import numpy as np
 
-            from repro.core.mes import choose
+        from repro.core.mes import choose
 
-            def make_rng():
-                return np.random.default_rng()
-
-            def drive():
-                rng = make_rng()
-                return choose(rng)
-            """,
-            "src/repro/core/mes.py": """
-            def choose(rng):
-                return rng.integers(0, 4)
-            """,
-        },
-        select={"RPR006"},
+        def make_rng():
+            return np.random.default_rng()
+        """
     )
-    assert [v.rule_id for v in violations] == ["RPR006"]
-    message = violations[0].message
-    # The finding names the untainted origin: construct, reason, site.
-    assert "numpy.random.default_rng()" in message
-    assert "no seed argument" in message
-    assert "src/repro/runner/helpers.py:7" in message
-    # ... the entry point it reached ...
-    assert "repro.core.mes.choose" in message
-    # ... and the flow that carried it there.
-    assert "constructed in repro.runner.helpers.make_rng" in message
-    assert "derive_rng" in message  # the suggested fix
+    # ``drive`` as straight-line code, then inside a ``match`` case: the
+    # dataflow walk sees the statements of case bodies too.
+    drives = (
+        """
+        def drive():
+            rng = make_rng()
+            return choose(rng)
+        """,
+        """
+        def drive(kind):
+            match kind:
+                case _:
+                    rng = make_rng()
+                    return choose(rng)
+        """,
+    )
+    for drive in drives:
+        violations = run(
+            {
+                "src/repro/runner/helpers.py": helpers + textwrap.dedent(drive),
+                "src/repro/core/mes.py": """
+                def choose(rng):
+                    return rng.integers(0, 4)
+                """,
+            },
+            select={"RPR006"},
+        )
+        assert [v.rule_id for v in violations] == ["RPR006"]
+        message = violations[0].message
+        # The finding names the untainted origin: construct, reason, site.
+        assert "numpy.random.default_rng()" in message
+        assert "no seed argument" in message
+        assert "src/repro/runner/helpers.py:7" in message
+        # ... the entry point it reached ...
+        assert "repro.core.mes.choose" in message
+        # ... and the flow that carried it there.
+        assert "constructed in repro.runner.helpers.make_rng" in message
+        assert "derive_rng" in message  # the suggested fix
 
 
 def test_rpr006_hardcoded_seed_is_still_ambient() -> None:
@@ -247,9 +265,7 @@ def test_rpr007_lock_held_at_mutation_is_clean() -> None:
     assert violations == []
 
 
-def test_rpr007_depth_one_same_module_left_to_rpr004() -> None:
-    # The one-hop, single-module shape is RPR004's finding; RPR007 must
-    # not double-report it.
+def test_rpr007_depth_one_same_module_fires() -> None:
     violations = run(
         {
             "src/repro/runner/dispatch.py": """
@@ -264,7 +280,137 @@ def test_rpr007_depth_one_same_module_left_to_rpr004() -> None:
         },
         select={"RPR007"},
     )
+    assert [(v.rule_id, v.line) for v in violations] == [("RPR007", 5)]
+    assert "_RESULTS" in violations[0].message
+
+
+def test_rpr007_self_method_submitted_to_backend_fires() -> None:
+    violations = run(
+        {
+            ENGINE: """
+            class Runner:
+                def __init__(self, backend):
+                    self.backend = backend
+                    self.results = {}
+
+                def process(self, jobs):
+                    self.backend.run(jobs, self._collect)
+
+                def _collect(self, key, value):
+                    self.results[key] = value
+            """,
+        },
+        select={"RPR007"},
+    )
+    assert [v.rule_id for v in violations] == ["RPR007"]
+    assert "self.results" in violations[0].message
+
+
+def test_rpr007_lambda_submitted_to_pool_fires() -> None:
+    violations = run(
+        {
+            ENGINE: """
+            class Runner:
+                def __init__(self, pool):
+                    self.pool = pool
+                    self.log = []
+
+                def go(self, item):
+                    self.pool.submit(lambda: self.log.append(item))
+            """,
+        },
+        select={"RPR007"},
+    )
+    assert [v.rule_id for v in violations] == ["RPR007"]
+
+
+def test_rpr007_lock_guarded_write_is_clean() -> None:
+    violations = run(
+        {
+            ENGINE: """
+            class Runner:
+                def __init__(self, backend, lock):
+                    self.backend = backend
+                    self._lock = lock
+                    self.results = {}
+
+                def process(self, jobs):
+                    self.backend.run(jobs, self._collect)
+
+                def _collect(self, key, value):
+                    with self._lock:
+                        self.results[key] = value
+            """,
+        },
+        select={"RPR007"},
+    )
     assert violations == []
+
+
+def test_rpr007_local_accumulation_is_clean() -> None:
+    violations = run(
+        {
+            ENGINE: """
+            def fan_out(pool, jobs):
+                def work(job):
+                    acc = []
+                    acc.append(job)
+                    return acc
+
+                return list(pool.map(work, jobs))
+            """,
+        },
+        select={"RPR007"},
+    )
+    assert violations == []
+
+
+def test_rpr007_single_threaded_pipeline_run_not_in_scope() -> None:
+    # FramePipeline.run drives hooks on the calling thread; receiver
+    # name scoping keeps it out of this rule.
+    violations = run(
+        {
+            ENGINE: """
+            class Algorithm:
+                def __init__(self, pipeline):
+                    self.pipeline = pipeline
+                    self.history = []
+
+                def iterate(self, frames):
+                    for record in self.pipeline.run(frames, self._choose):
+                        self.history.append(record)
+
+                def _choose(self, env, t, frame):
+                    self.history.append(t)
+                    return None, []
+            """,
+        },
+        select={"RPR007"},
+    )
+    assert violations == []
+
+
+def test_rpr007_one_hop_helper_call_fires() -> None:
+    violations = run(
+        {
+            ENGINE: """
+            _TOTALS = {}
+
+            def _bump(key):
+                _TOTALS[key] = _TOTALS.get(key, 0) + 1
+
+            def work(job):
+                _bump(job.key)
+                return job
+
+            def fan_out(executor, jobs):
+                return list(executor.map(work, jobs))
+            """,
+        },
+        select={"RPR007"},
+    )
+    assert [v.rule_id for v in violations] == ["RPR007"]
+    assert "repro.engine.fixture._bump" in violations[0].message
 
 
 def test_rpr007_two_hop_chain_lists_every_hop() -> None:
@@ -570,23 +716,37 @@ def test_rpr009_custom_dag_overrides_default() -> None:
 
 
 def test_rpr010_set_into_json_dump_fires() -> None:
-    violations = run(
-        {
-            "src/repro/query/writer.py": """
+    # Straight-line, then inside a ``match`` case.
+    for writer, origin in (
+        (
+            """
             import json
 
             def persist(items, out):
                 keys = set(items)
                 out.write(json.dumps(list(keys)))
             """,
-        },
-        select={"RPR010"},
-    )
-    assert [v.rule_id for v in violations] == ["RPR010"]
-    message = violations[0].message
-    assert "set()" in message
-    assert "src/repro/query/writer.py:5" in message
-    assert "sorted(" in message
+            "src/repro/query/writer.py:5",
+        ),
+        (
+            """
+            import json
+
+            def persist(items, out, kind):
+                match kind:
+                    case _:
+                        keys = set(items)
+                        out.write(json.dumps(list(keys)))
+            """,
+            "src/repro/query/writer.py:7",
+        ),
+    ):
+        violations = run({"src/repro/query/writer.py": writer}, select={"RPR010"})
+        assert [v.rule_id for v in violations] == ["RPR010"]
+        message = violations[0].message
+        assert "set()" in message
+        assert origin in message
+        assert "sorted(" in message
 
 
 def test_rpr010_sorted_normalization_stays_clean() -> None:
@@ -1229,26 +1389,38 @@ def test_rpr014_parameter_derived_value_is_clean() -> None:
 
 
 def test_rpr015_lexical_loop_growth_fires() -> None:
-    violations = run(
-        {
-            "src/repro/tracking/events.py": """
-            class EventLog:
-                def __init__(self):
-                    self._events = []
+    # Straight-line, then with both method bodies inside ``match`` cases.
+    for events in (
+        """
+        class EventLog:
+            def __init__(self):
+                self._events = []
 
-                def on_batch(self, frames):
-                    for frame in frames:
-                        self._events.append(frame)
-            """,
-        },
-        select={"RPR015"},
-    )
-    assert [v.rule_id for v in violations] == ["RPR015"]
-    message = violations[0].message
-    assert "EventLog._events" in message
-    assert "grows via .append()" in message
-    assert "inside a loop" in message
-    assert "no bounding operation" in message
+            def on_batch(self, frames):
+                for frame in frames:
+                    self._events.append(frame)
+        """,
+        """
+        class EventLog:
+            def __init__(self, kind):
+                match kind:
+                    case _:
+                        self._events = []
+
+            def on_batch(self, frames, kind):
+                match kind:
+                    case _:
+                        for frame in frames:
+                            self._events.append(frame)
+        """,
+    ):
+        violations = run({"src/repro/tracking/events.py": events}, select={"RPR015"})
+        assert [v.rule_id for v in violations] == ["RPR015"]
+        message = violations[0].message
+        assert "EventLog._events" in message
+        assert "grows via .append()" in message
+        assert "inside a loop" in message
+        assert "no bounding operation" in message
 
 
 def test_rpr015_cross_module_growth_chain_fires() -> None:

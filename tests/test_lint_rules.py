@@ -15,7 +15,6 @@ from repro.lint import lint_source
 
 CORE = "src/repro/core/fixture.py"
 SIM = "src/repro/simulation/fixture.py"
-ENGINE = "src/repro/engine/fixture.py"
 
 
 def run(source: str, path: str = CORE, select: set[str] | None = None):
@@ -284,118 +283,6 @@ class TestUnboundedCacheRule:
             """
         )
         assert violations == []
-
-
-class TestUnlockedSharedMutationRule:
-    def test_self_method_submitted_to_backend(self):
-        violations = run(
-            """
-            class Runner:
-                def __init__(self, backend):
-                    self.backend = backend
-                    self.results = {}
-
-                def process(self, jobs):
-                    self.backend.run(jobs, self._collect)
-
-                def _collect(self, key, value):
-                    self.results[key] = value
-            """,
-            path=ENGINE,
-        )
-        assert ids(violations) == ["RPR004"]
-        assert "self.results" in violations[0].message
-
-    def test_lambda_submitted_to_pool(self):
-        violations = run(
-            """
-            class Runner:
-                def __init__(self, pool):
-                    self.pool = pool
-                    self.log = []
-
-                def go(self, item):
-                    self.pool.submit(lambda: self.log.append(item))
-            """,
-            path=ENGINE,
-        )
-        assert ids(violations) == ["RPR004"]
-
-    def test_lock_guarded_write_not_flagged(self):
-        violations = run(
-            """
-            class Runner:
-                def __init__(self, backend, lock):
-                    self.backend = backend
-                    self._lock = lock
-                    self.results = {}
-
-                def process(self, jobs):
-                    self.backend.run(jobs, self._collect)
-
-                def _collect(self, key, value):
-                    with self._lock:
-                        self.results[key] = value
-            """,
-            path=ENGINE,
-        )
-        assert violations == []
-
-    def test_local_accumulation_not_flagged(self):
-        violations = run(
-            """
-            def fan_out(pool, jobs):
-                def work(job):
-                    acc = []
-                    acc.append(job)
-                    return acc
-
-                return list(pool.map(work, jobs))
-            """,
-            path=ENGINE,
-        )
-        assert violations == []
-
-    def test_single_threaded_pipeline_run_not_in_scope(self):
-        # FramePipeline.run drives hooks on the calling thread; receiver
-        # name scoping keeps it out of this rule.
-        violations = run(
-            """
-            class Algorithm:
-                def __init__(self, pipeline):
-                    self.pipeline = pipeline
-                    self.history = []
-
-                def iterate(self, frames):
-                    for record in self.pipeline.run(frames, self._choose):
-                        self.history.append(record)
-
-                def _choose(self, env, t, frame):
-                    self.history.append(t)
-                    return None, []
-            """,
-            path=ENGINE,
-        )
-        assert violations == []
-
-    def test_one_hop_helper_call_followed(self):
-        violations = run(
-            """
-            _TOTALS = {}
-
-            def _bump(key):
-                _TOTALS[key] = _TOTALS.get(key, 0) + 1
-
-            def work(job):
-                _bump(job.key)
-                return job
-
-            def fan_out(executor, jobs):
-                return list(executor.map(work, jobs))
-            """,
-            path=ENGINE,
-        )
-        assert "RPR004" in ids(violations)
 
 
 class TestBlanketSuppressionRule:
