@@ -22,10 +22,13 @@ __all__ = [
     "DISABLE_COMMENT_RE",
     "FileContext",
     "LintError",
+    "MUTATING_METHODS",
     "Rule",
     "Violation",
+    "assign_root",
     "dotted_name",
     "self_attr",
+    "self_write_attr",
 ]
 
 #: The suppression comment: ``# repro-lint: disable=RPR001,RPR003 -- why``.
@@ -34,6 +37,22 @@ __all__ = [
 DISABLE_COMMENT_RE = re.compile(
     r"#\s*repro-lint:\s*disable=(?P<rules>[A-Za-z0-9_,\s]+?)"
     r"(?:\s*--\s*(?P<justification>.*))?$"
+)
+
+
+#: Container-mutating method names (growth or in-place rewrite).
+MUTATING_METHODS = frozenset(
+    {
+        "append",
+        "add",
+        "update",
+        "setdefault",
+        "extend",
+        "insert",
+        "appendleft",
+        "extendleft",
+        "__setitem__",
+    }
 )
 
 
@@ -136,6 +155,30 @@ def self_attr(node: ast.expr) -> str | None:
         and node.value.id == "self"
     ):
         return node.attr
+    return None
+
+
+def assign_root(node: ast.expr) -> ast.expr:
+    """Peel subscripts/attributes down to the rooted expression."""
+    current = node
+    while isinstance(current, (ast.Subscript, ast.Attribute)):
+        current = current.value
+    return current
+
+
+def self_write_attr(expr: ast.expr) -> str | None:
+    """The attribute a ``self.<attr>...`` write chain roots at, if any.
+
+    Handles arbitrary nesting: ``self.cache[key] = v`` and
+    ``self.state.results.append(x)`` both resolve to the attribute
+    hanging directly off ``self`` (``cache`` / ``state``).
+    """
+    current = expr
+    while isinstance(current, (ast.Subscript, ast.Attribute)):
+        attr = self_attr(current) if isinstance(current, ast.Attribute) else None
+        if attr is not None:
+            return attr
+        current = current.value
     return None
 
 

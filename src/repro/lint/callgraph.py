@@ -8,8 +8,9 @@ shapes this codebase actually uses:
   then module globals, then imports (aliased or not);
 * dotted names through module aliases and ``__init__`` re-exports
   (``import repro.core.mes as m; m.MES(...)``);
-* ``self.method(...)`` and ``cls.method(...)`` inside methods, following
-  project-resolved base classes;
+* ``self.method(...)`` and ``cls.method(...)`` inside methods (and inside
+  defs and lambdas nested in them), following project-resolved base
+  classes;
 * ``obj.method(...)`` where ``obj`` is a local constructed from a
   project class in the same function (one-level flow-insensitive type
   inference: ``store = EvaluationStore(...); store.put(...)``);
@@ -25,6 +26,7 @@ traversals guard with visited sets.
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.lint.base import dotted_name
@@ -34,7 +36,7 @@ from repro.lint.project import (
     iter_owned_nodes,
 )
 
-__all__ = ["CallGraph", "CallSite"]
+__all__ = ["CallGraph", "CallSite", "enclosing_class"]
 
 
 @dataclass(frozen=True)
@@ -91,18 +93,34 @@ class CallGraph:
         return tuple(self._reverse.get(qname, ()))
 
 
-def _lookup_nested(project: Project, fn: FunctionInfo, name: str) -> str | None:
+def _enclosing_chain(
+    project: Project, fn: FunctionInfo | None
+) -> Iterator[FunctionInfo]:
+    """``fn`` and the functions lexically enclosing it, innermost first."""
+    while fn is not None:
+        yield fn
+        fn = project.functions.get(fn.parent) if fn.parent is not None else None
+
+
+def _lookup_nested(
+    project: Project, fn: FunctionInfo | None, name: str
+) -> str | None:
     """Resolve a bare name against the enclosing-function def chain."""
-    current: FunctionInfo | None = fn
-    while current is not None:
-        found = current.nested.get(name)
-        if found is not None:
-            return found
-        current = (
-            project.functions.get(current.parent)
-            if current.parent is not None
-            else None
-        )
+    for current in _enclosing_chain(project, fn):
+        if name in current.nested:
+            return current.nested[name]
+    return None
+
+
+def enclosing_class(project: Project, fn: FunctionInfo | None) -> str | None:
+    """The class ``self``/``cls`` name inside ``fn``: its own for a method,
+    the nearest enclosing method's for a nested def or lambda that does
+    not rebind them."""
+    for current in _enclosing_chain(project, fn):
+        if current.class_qname is not None:
+            return current.class_qname
+        if "self" in current.params or "cls" in current.params:
+            return None
     return None
 
 
@@ -148,8 +166,10 @@ def resolve_call_target(
     if isinstance(func, ast.Attribute):
         if isinstance(func.value, ast.Name):
             root = func.value.id
-            if root in ("self", "cls") and fn.class_qname is not None:
-                return project.method(fn.class_qname, func.attr)
+            if root in ("self", "cls"):
+                class_qname = enclosing_class(project, fn)
+                if class_qname is not None:
+                    return project.method(class_qname, func.attr)
             if local_types and root in local_types:
                 return project.method(local_types[root], func.attr)
         dotted = dotted_name(func)

@@ -250,7 +250,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Standalone entry point (``python -m repro.lint``)."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="determinism & concurrency static analysis (14 rules; see --list-rules)",
+        description="determinism & concurrency static analysis (see --list-rules)",
     )
     add_lint_arguments(parser)
     return run_lint(parser.parse_args(argv))

@@ -45,6 +45,7 @@ __all__ = [
     "ProjectRule",
     "Resolved",
     "is_persistence_path",
+    "iter_module_nodes",
     "iter_owned_nodes",
     "iter_owned_statements",
     "iter_statements",
@@ -513,6 +514,17 @@ def _function_params(
     return tuple(names)
 
 
+def _sub_blocks(stmt: ast.stmt) -> list[list[ast.stmt]]:
+    """The statement blocks of a compound statement other than a def or
+    class: bodies, ``else``/``finally`` blocks, handlers, ``match`` cases."""
+    blocks: list[list[ast.stmt]] = [
+        getattr(stmt, attr, None) or [] for attr in ("body", "orelse", "finalbody")
+    ]
+    blocks.extend(handler.body for handler in getattr(stmt, "handlers", ()))
+    blocks.extend(case.body for case in getattr(stmt, "cases", ()))
+    return blocks
+
+
 def iter_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
     """The statements of a block in source order, recursing into compound
     statements (``match`` cases included) but not into nested
@@ -523,12 +535,7 @@ def iter_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         yield stmt
-        blocks: list[list[ast.stmt]] = [
-            getattr(stmt, attr, None) or [] for attr in ("body", "orelse", "finalbody")
-        ]
-        blocks.extend(handler.body for handler in getattr(stmt, "handlers", ()))
-        blocks.extend(case.body for case in getattr(stmt, "cases", ()))
-        for block in reversed(blocks):
+        for block in reversed(_sub_blocks(stmt)):
             stack.extend(reversed(block))
 
 
@@ -564,6 +571,19 @@ def iter_owned_nodes(
             ):
                 continue
             stack.append(child)
+
+
+def iter_module_nodes(tree: ast.Module) -> Iterator[ast.AST]:
+    """All AST nodes of module-level code, class bodies included; def and
+    lambda nodes are yielded but their bodies belong to their own symbol."""
+    stack: list[ast.AST] = list(tree.body)
+    while stack:
+        current = stack.pop()
+        yield current
+        if not isinstance(
+            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            stack.extend(ast.iter_child_nodes(current))
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:
@@ -677,12 +697,8 @@ class Project:
                 elif isinstance(stmt, ast.ClassDef):
                     visit(stmt.body, type_checking, function_level)
                 else:
-                    for attr in ("body", "orelse", "finalbody"):
-                        block = getattr(stmt, attr, None)
-                        if block:
-                            visit(block, type_checking, function_level)
-                    for handler in getattr(stmt, "handlers", []) or []:
-                        visit(handler.body, type_checking, function_level)
+                    for block in _sub_blocks(stmt):
+                        visit(block, type_checking, function_level)
 
         visit(module.context.tree.body, False, False)
 
@@ -745,6 +761,8 @@ class Project:
             class_qname: str | None,
             parent: FunctionInfo | None,
         ) -> None:
+            # Defs and classes nested in if/try/with/loop/match blocks are
+            # symbols too; at module level they bind names like top-level ones.
             for stmt in body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qname = f"{prefix}.{stmt.name}"
@@ -753,6 +771,8 @@ class Project:
                         owner_class = self.classes.get(class_qname)
                         if owner_class is not None:
                             owner_class.methods.setdefault(stmt.name, qname)
+                    elif parent is None:
+                        module.env[stmt.name] = ("function", qname)
                     register_lambdas(info)
                     visit_body(stmt.body, f"{qname}.<locals>", None, info)
                 elif isinstance(stmt, ast.ClassDef):
@@ -763,26 +783,30 @@ class Project:
                     if class_qname is None and parent is None:
                         module.env[stmt.name] = ("class", qname)
                     visit_body(stmt.body, qname, qname, None)
+                else:
+                    for block in _sub_blocks(stmt):
+                        visit_body(block, prefix, class_qname, parent)
 
-        for stmt in module.context.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                module.env[stmt.name] = ("function", f"{module.name}.{stmt.name}")
         visit_body(module.context.tree.body, module.name, None, None)
+        for node in iter_module_nodes(module.context.tree):
+            if isinstance(node, ast.Lambda):
+                self._register_lambda(module, node, None)
 
     def _register_lambda(
-        self, module: ModuleInfo, node: ast.Lambda, parent: FunctionInfo
+        self, module: ModuleInfo, node: ast.Lambda, parent: FunctionInfo | None
     ) -> None:
+        """Register a lambda under its enclosing function, or under the
+        module for one in module-level code."""
         if id(node) in self._function_qname_by_node_id:
             return
-        qname = (
-            f"{parent.qname}.<locals>.<lambda:{node.lineno}:{node.col_offset}>"
-        )
+        prefix = f"{parent.qname}.<locals>" if parent is not None else module.name
+        qname = f"{prefix}.<lambda:{node.lineno}:{node.col_offset}>"
         info = FunctionInfo(
             qname=qname,
             module=module.name,
             node=node,
-            class_qname=parent.class_qname,
-            parent=parent.qname,
+            class_qname=parent.class_qname if parent is not None else None,
+            parent=parent.qname if parent is not None else None,
             params=_function_params(node),
         )
         self.functions[qname] = info

@@ -13,12 +13,19 @@ import ast
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
-from repro.lint.base import Violation, dotted_name
+from repro.lint.base import (
+    MUTATING_METHODS,
+    Violation,
+    assign_root,
+    dotted_name,
+    self_write_attr,
+)
 from repro.lint.callgraph import (
     CallGraph,
     CallSite,
     _infer_local_types,
     _lookup_nested,
+    enclosing_class,
 )
 from repro.lint.dataflow import (
     EffectSummary,
@@ -34,10 +41,10 @@ from repro.lint.project import (
     Project,
     ProjectRule,
     is_persistence_path,
+    iter_module_nodes,
     iter_owned_nodes,
     iter_owned_statements,
 )
-from repro.lint.rules import _MUTATING_METHODS, _assign_root, _self_write_attr
 
 __all__ = [
     "ALL_PROJECT_RULES",
@@ -58,14 +65,19 @@ _MAX_CHAIN_DEPTH = 20
 
 
 def _callable_qname(
-    project: Project, fn: FunctionInfo, expr: ast.expr
+    project: Project, module: str, fn: FunctionInfo | None, expr: ast.expr
 ) -> str | None:
-    """Qualified name of the project function a callable expression
-    references (bound ``self``/``cls`` methods, nested defs up the
-    enclosing chain, module names and re-exports)."""
-    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-        if expr.value.id in ("self", "cls") and fn.class_qname is not None:
-            return project.method(fn.class_qname, expr.attr)
+    """Qualified name of the project function a callable expression in
+    ``fn`` (``None``: module-level code) references: bound ``self``/``cls``
+    methods, nested defs up the enclosing chain, module names and
+    re-exports."""
+    if (
+        isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id in ("self", "cls")
+    ):
+        class_qname = enclosing_class(project, fn)
+        return project.method(class_qname, expr.attr) if class_qname else None
     dotted = dotted_name(expr)
     if dotted is None:
         return None
@@ -73,14 +85,14 @@ def _callable_qname(
         nested = _lookup_nested(project, fn, dotted)
         if nested is not None:
             return nested
-    resolved = project.resolve(fn.module, dotted)
+    resolved = project.resolve(module, dotted)
     if resolved is not None and resolved.kind == "function":
         return resolved.target
     return None
 
 
 def _submitted_callables(
-    project: Project, fn: FunctionInfo, call: ast.Call
+    project: Project, module: str, fn: FunctionInfo | None, call: ast.Call
 ) -> list[tuple[ast.expr, FunctionInfo]]:
     """The (argument expression, resolved function) pairs handed over at
     a dispatch site."""
@@ -90,7 +102,7 @@ def _submitted_callables(
         if isinstance(arg, ast.Lambda):
             target = project.function_for_node(arg)
         elif isinstance(arg, (ast.Name, ast.Attribute)):
-            qname = _callable_qname(project, fn, arg)
+            qname = _callable_qname(project, module, fn, arg)
             if qname is not None:
                 target = project.functions.get(qname)
         if target is not None:
@@ -219,14 +231,14 @@ def shared_writes(
         ):
             exprs = [node.target]
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATING_METHODS:
+            if node.func.attr in MUTATING_METHODS:
                 exprs = [node.func.value]
         for expr in exprs:
-            attr = _self_write_attr(expr)
+            attr = self_write_attr(expr)
             if attr is not None:
                 yield node, f"self.{attr}"
                 continue
-            root = _assign_root(expr)
+            root = assign_root(expr)
             if isinstance(root, ast.Name) and root.id not in local_names:
                 yield node, root.id
 
@@ -239,16 +251,17 @@ class InterprocLocksetRule(ProjectRule):
     receiver named like a backend, executor, pool or worker) may run on
     worker threads concurrently; writing shared state from them without
     holding a lock is a data race that breaks the bitwise
-    backend-equivalence guarantee.  The rule resolves every submitted
-    callable (lambdas, nested and module functions, ``self`` methods),
-    follows the call graph from it to any transitively reachable
-    function — across modules, through methods, aliased imports and
-    re-exports — and flags writes to shared state (``self.*``
-    containers, closure/module globals) that no lock in the chain
-    protects.  A lock held by a *caller* around the call site propagates
-    down the chain, so helpers invoked under ``with self._lock:`` are
-    correctly treated as protected.  Each finding carries the full call
-    chain from the submission site to the unlocked mutation.
+    backend-equivalence guarantee.  The rule checks dispatch sites in
+    functions and in module-level code, resolves every submitted
+    callable lexically (lambdas, nested and module functions, ``self``
+    methods of the enclosing method's class), follows the call graph
+    from it to any transitively reachable function — across modules,
+    through methods, aliased imports and re-exports — and flags writes
+    to shared state (``self.*`` containers, closure/module globals) that
+    no lock in the chain protects.  A lock held by a *caller* around the
+    call site propagates down the chain, so helpers invoked under
+    ``with self._lock:`` are correctly treated as protected.  Each
+    finding carries the full call chain from submission to mutation.
     Single-threaded hook protocols such as ``FramePipeline.run`` are out
     of scope by receiver name.
     """
@@ -265,32 +278,36 @@ class InterprocLocksetRule(ProjectRule):
         reported: set[tuple[str, int, str, str, int]] = set()
         for module_name in sorted(project.modules):
             module = project.modules[module_name]
-            for fn in self._functions_of(project, module_name):
-                for node in iter_owned_nodes(fn.node):
-                    if not (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in DISPATCH_METHODS
-                        and receiver_is_backend(node.func.value)
-                    ):
-                        continue
-                    for _, submitted in _submitted_callables(project, fn, node):
-                        yield from self._trace(
-                            project,
-                            graph,
-                            module,
-                            node,
-                            submitted,
-                            reported,
-                        )
+            for fn, node in self._dispatch_sites(project, module):
+                for _, submitted in _submitted_callables(
+                    project, module_name, fn, node
+                ):
+                    yield from self._trace(
+                        project, graph, module, node, submitted, reported
+                    )
 
     @staticmethod
-    def _functions_of(project: Project, module_name: str) -> list[FunctionInfo]:
-        return [
-            project.functions[qname]
-            for qname in sorted(project.functions)
-            if project.functions[qname].module == module_name
+    def _dispatch_sites(
+        project: Project, module: ModuleInfo
+    ) -> Iterator[tuple[FunctionInfo | None, ast.Call]]:
+        """Every backend dispatch call in a module with the function whose
+        scope resolves its names; ``None`` for module-level code
+        (``if __name__ == "__main__":`` blocks, class bodies)."""
+        scopes: list[tuple[FunctionInfo | None, Iterator[ast.AST]]] = [
+            (fn, iter_owned_nodes(fn.node))
+            for fn in (project.functions[q] for q in sorted(project.functions))
+            if fn.module == module.name
         ]
+        scopes.append((None, iter_module_nodes(module.context.tree)))
+        for fn, nodes in scopes:
+            for node in nodes:
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in DISPATCH_METHODS
+                    and receiver_is_backend(node.func.value)
+                ):
+                    yield fn, node
 
     def _trace(
         self,
@@ -307,8 +324,7 @@ class InterprocLocksetRule(ProjectRule):
             fn: FunctionInfo, chain: tuple[CallSite, ...], under_lock: bool
         ) -> Iterator[Violation]:
             locked = locked_lines(fn.node)
-            fn_module = project.modules.get(fn.module)
-            fn_path = fn_module.path if fn_module is not None else fn.module
+            fn_path = self._path_of(project, fn.qname)
             for write, label in shared_writes(fn.node, fn.params):
                 line = getattr(write, "lineno", 0)
                 if under_lock or line in locked:
@@ -419,9 +435,7 @@ class ResourceSafetyRule(ProjectRule):
         self, project: Project, graph: CallGraph
     ) -> Iterator[Violation]:
         for module_name in sorted(project.modules):
-            if not (
-                module_name == "repro" or module_name.startswith("repro.")
-            ):
+            if not _module_is_repro(module_name):
                 continue
             module = project.modules[module_name]
             for qname in sorted(project.functions):
@@ -806,9 +820,7 @@ class UnstableSerializationRule(ProjectRule):
     ) -> Iterator[Violation]:
         fragments = project.config.persistence_fragments()
         for module_name in sorted(project.modules):
-            if not (
-                module_name == "repro" or module_name.startswith("repro.")
-            ):
+            if not _module_is_repro(module_name):
                 continue
             module = project.modules[module_name]
             if not is_persistence_path(module.path, fragments):
@@ -1032,15 +1044,12 @@ class ProcessTransportRule(ProjectRule):
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in DISPATCH_METHODS
-                    and (
-                        receiver_is_backend(node.func.value)
-                        or _is_process_receiver(node.func.value, process_locals)
-                    )
+                    and _is_process_receiver(node.func.value, process_locals)
                 ):
                     continue
-                if not _is_process_receiver(node.func.value, process_locals):
-                    continue
-                for arg, target in _submitted_callables(project, fn, node):
+                for arg, target in _submitted_callables(
+                    project, fn.module, fn, node
+                ):
                     yield from self._check_submission(
                         effects, module, node, arg, target, reported
                     )

@@ -15,12 +15,15 @@ from collections.abc import Iterator
 
 from repro.lint.base import (
     DISABLE_COMMENT_RE,
+    MUTATING_METHODS,
     Comment,
     FileContext,
     Rule,
     Violation,
+    assign_root,
     dotted_name,
     self_attr,
+    self_write_attr,
 )
 
 __all__ = [
@@ -31,21 +34,6 @@ __all__ = [
     "BlanketSuppressionRule",
     "rule_ids",
 ]
-
-#: Container-mutating method names (growth or in-place rewrite).
-_MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "add",
-        "update",
-        "setdefault",
-        "extend",
-        "insert",
-        "appendleft",
-        "extendleft",
-        "__setitem__",
-    }
-)
 
 #: Calls that construct an empty/unbounded mutable container.
 _MUTABLE_FACTORIES = frozenset(
@@ -58,30 +46,6 @@ _MUTABLE_FACTORIES = frozenset(
         "collections.deque",
     }
 )
-
-
-def _assign_root(node: ast.expr) -> ast.expr:
-    """Peel subscripts/attributes down to the rooted expression."""
-    current = node
-    while isinstance(current, (ast.Subscript, ast.Attribute)):
-        current = current.value
-    return current
-
-
-def _self_write_attr(expr: ast.expr) -> str | None:
-    """The attribute a ``self.<attr>...`` write chain roots at, if any.
-
-    Handles arbitrary nesting: ``self.cache[key] = v`` and
-    ``self.state.results.append(x)`` both resolve to the attribute
-    hanging directly off ``self`` (``cache`` / ``state``).
-    """
-    current = expr
-    while isinstance(current, (ast.Subscript, ast.Attribute)):
-        attr = self_attr(current) if isinstance(current, ast.Attribute) else None
-        if attr is not None:
-            return attr
-        current = current.value
-    return None
 
 
 class GlobalRngRule(Rule):
@@ -310,14 +274,14 @@ class UnboundedCacheRule(Rule):
                     func_expr = node.func
                     if (
                         isinstance(func_expr, ast.Attribute)
-                        and func_expr.attr in _MUTATING_METHODS
+                        and func_expr.attr in MUTATING_METHODS
                     ):
                         yield from classify(node, func_expr.value, class_name)
 
         def classify(
             node: ast.AST, expr: ast.expr, class_name: str | None
         ) -> Iterator[tuple[ast.AST, str, str | None]]:
-            field_name = _self_write_attr(expr)
+            field_name = self_write_attr(expr)
             if field_name is not None:
                 yield node, field_name, class_name
                 return
@@ -330,7 +294,7 @@ class UnboundedCacheRule(Rule):
                     owner, _, attr = chain.partition(".")
                     yield node, attr.split(".")[0], owner
                 return
-            root = _assign_root(expr)
+            root = assign_root(expr)
             if isinstance(root, ast.Name):
                 yield node, root.id, None
 

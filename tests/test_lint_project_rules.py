@@ -285,25 +285,52 @@ def test_rpr007_depth_one_same_module_fires() -> None:
 
 
 def test_rpr007_self_method_submitted_to_backend_fires() -> None:
-    violations = run(
-        {
-            ENGINE: """
-            class Runner:
-                def __init__(self, backend):
-                    self.backend = backend
-                    self.results = {}
+    runner = textwrap.dedent(
+        """
+        class Runner:
+            def __init__(self, backend):
+                self.backend = backend
+                self.results = {}
 
-                def process(self, jobs):
-                    self.backend.run(jobs, self._collect)
-
-                def _collect(self, key, value):
-                    self.results[key] = value
-            """,
-        },
-        select={"RPR007"},
+            def _collect(self, key, value):
+                self.results[key] = value
+        """
     )
-    assert [v.rule_id for v in violations] == ["RPR007"]
-    assert "self.results" in violations[0].message
+    # ``self._collect`` submitted by the method itself, by defs nested in
+    # it (inside an ``if`` block, two levels deep), and reached through a
+    # submitted nested def: ``self`` names the enclosing method's instance.
+    processes = (
+        """
+        def process(self, jobs):
+            self.backend.run(jobs, self._collect)
+        """,
+        """
+        def process(self, jobs):
+            if jobs:
+                def go():
+                    self.backend.run(jobs, self._collect)
+                return go
+        """,
+        """
+        def process(self, jobs):
+            def outer():
+                def go():
+                    self.backend.run(jobs, self._collect)
+                return go
+            return outer
+        """,
+        """
+        def process(self, jobs):
+            def go(job):
+                self._collect(job, job)
+            self.backend.run(jobs, go)
+        """,
+    )
+    for process in processes:
+        source = runner + textwrap.indent(textwrap.dedent(process), "    ")
+        violations = run({ENGINE: source}, select={"RPR007"})
+        assert [(v.rule_id, v.line) for v in violations] == [("RPR007", 8)]
+        assert "self.results" in violations[0].message
 
 
 def test_rpr007_lambda_submitted_to_pool_fires() -> None:
@@ -322,6 +349,19 @@ def test_rpr007_lambda_submitted_to_pool_fires() -> None:
         select={"RPR007"},
     )
     assert [v.rule_id for v in violations] == ["RPR007"]
+    # A module-level lambda handed over by module-level code.
+    violations = run(
+        {
+            ENGINE: """
+            _LOG = []
+
+            with ThreadPoolExecutor() as pool:
+                pool.map(lambda item: _LOG.append(item), ITEMS)
+            """,
+        },
+        select={"RPR007"},
+    )
+    assert [(v.rule_id, v.line) for v in violations] == [("RPR007", 5)]
 
 
 def test_rpr007_lock_guarded_write_is_clean() -> None:
@@ -365,6 +405,27 @@ def test_rpr007_local_accumulation_is_clean() -> None:
     assert violations == []
 
 
+def test_rpr007_name_local_to_another_function_is_clean() -> None:
+    # Names resolve lexically: ``work`` in fan_out is not setup's local def.
+    violations = run(
+        {
+            ENGINE: """
+            _TOTALS = {}
+
+            def setup():
+                def work(job):
+                    _TOTALS[job] = 1
+                return work
+
+            def fan_out(executor, jobs):
+                return list(executor.map(work, jobs))
+            """,
+        },
+        select={"RPR007"},
+    )
+    assert violations == []
+
+
 def test_rpr007_single_threaded_pipeline_run_not_in_scope() -> None:
     # FramePipeline.run drives hooks on the calling thread; receiver
     # name scoping keeps it out of this rule.
@@ -391,26 +452,55 @@ def test_rpr007_single_threaded_pipeline_run_not_in_scope() -> None:
 
 
 def test_rpr007_one_hop_helper_call_fires() -> None:
-    violations = run(
-        {
-            ENGINE: """
-            _TOTALS = {}
+    helpers = textwrap.dedent(
+        """
+        _TOTALS = {}
 
-            def _bump(key):
-                _TOTALS[key] = _TOTALS.get(key, 0) + 1
+        def _bump(key):
+            _TOTALS[key] = _TOTALS.get(key, 0) + 1
+        """
+    )
+    # ``work`` submitted from a function, from module-level code, and
+    # defined in and submitted from defs nested in try/if blocks.
+    dispatches = (
+        """
+        def work(job):
+            _bump(job.key)
+            return job
 
+        def fan_out(executor, jobs):
+            return list(executor.map(work, jobs))
+        """,
+        """
+        def work(job):
+            _bump(job.key)
+            return job
+
+        if __name__ == "__main__":
+            with ThreadPoolExecutor() as executor:
+                executor.map(work, JOBS)
+        """,
+        """
+        try:
             def work(job):
                 _bump(job.key)
                 return job
+        finally:
+            pass
 
-            def fan_out(executor, jobs):
-                return list(executor.map(work, jobs))
-            """,
-        },
-        select={"RPR007"},
+        def fan_out(executor, jobs, parallel):
+            if parallel:
+                def run():
+                    return list(executor.map(work, jobs))
+                return run()
+        """,
     )
-    assert [v.rule_id for v in violations] == ["RPR007"]
-    assert "repro.engine.fixture._bump" in violations[0].message
+    for dispatch in dispatches:
+        violations = run(
+            {ENGINE: helpers + textwrap.dedent(dispatch)}, select={"RPR007"}
+        )
+        assert [(v.rule_id, v.line) for v in violations] == [("RPR007", 5)]
+        assert "repro.engine.fixture._bump" in violations[0].message
 
 
 def test_rpr007_two_hop_chain_lists_every_hop() -> None:
