@@ -62,17 +62,17 @@ def test_pareto_pruned_mes_matches_full_lattice(benchmark):
 
     def run_all():
         calib_env = DetectionEnvironment(
-            list(setup.detectors), setup.reference, scoring=scoring, cache=cache
+            list(setup.detectors), setup.reference, scoring=scoring, store=cache
         )
         front = pareto_ensembles(
             calib_env, setup.frames[:200], sample_stride=4
         )
         env_full = DetectionEnvironment(
-            list(setup.detectors), setup.reference, scoring=scoring, cache=cache
+            list(setup.detectors), setup.reference, scoring=scoring, store=cache
         )
         full = MES(gamma=5).run(env_full, setup.frames)
         env_front = DetectionEnvironment(
-            list(setup.detectors), setup.reference, scoring=scoring, cache=cache
+            list(setup.detectors), setup.reference, scoring=scoring, store=cache
         )
         pruned = _ParetoMES(front, gamma=5).run(env_front, setup.frames)
         return front, full, pruned
@@ -116,7 +116,7 @@ def test_drift_mechanism_ablation(benchmark):
     def run_all():
         results = {}
         for name, algorithm in algorithms.items():
-            env = DetectionEnvironment(pool, lidar, scoring=scoring, cache=cache)
+            env = DetectionEnvironment(pool, lidar, scoring=scoring, store=cache)
             results[name] = algorithm.run(env, video.frames)
         return results
 
@@ -143,11 +143,11 @@ def test_frame_skipping_ablation(benchmark):
 
     def run_all():
         env_plain = DetectionEnvironment(
-            list(setup.detectors), setup.reference, scoring=scoring, cache=cache
+            list(setup.detectors), setup.reference, scoring=scoring, store=cache
         )
         plain = MES(gamma=5).run(env_plain, setup.frames)
         env_skip = DetectionEnvironment(
-            list(setup.detectors), setup.reference, scoring=scoring, cache=cache
+            list(setup.detectors), setup.reference, scoring=scoring, store=cache
         )
         skipped = FrameSkipper(
             MES(gamma=5), similarity_threshold=0.75, max_consecutive_skips=3

@@ -35,7 +35,7 @@ def test_fig10_selection_distribution(benchmark):
                 list(setup.detectors),
                 setup.reference,
                 scoring=scoring,
-                cache=cache,
+                store=cache,
             )
             result = MES(gamma=5).run(env, setup.frames)
             per_weight[w1] = result.selection_counts()

@@ -70,7 +70,7 @@ def test_fig7_drift_scores(benchmark, composition):
         results = {}
         for name, algorithm in algorithms.items():
             env = DetectionEnvironment(
-                pool, lidar, scoring=scoring, cache=cache
+                pool, lidar, scoring=scoring, store=cache
             )
             results[name] = algorithm.run(env, video.frames)
         return results

@@ -30,7 +30,7 @@ def test_theorem41_mes_regret_is_sublinear(benchmark):
 
     def run_all():
         env = DetectionEnvironment(
-            list(setup.detectors), setup.reference, scoring=scoring, cache=cache
+            list(setup.detectors), setup.reference, scoring=scoring, store=cache
         )
         oracle = oracle_scores(env, setup.frames)
         curves = {}
@@ -42,7 +42,7 @@ def test_theorem41_mes_regret_is_sublinear(benchmark):
                 list(setup.detectors),
                 setup.reference,
                 scoring=scoring,
-                cache=cache,
+                store=cache,
             )
             result = algorithm.run(env_run, setup.frames)
             curves[name] = regret_curve(result, oracle)

@@ -37,7 +37,7 @@ def test_table4_lrbp_predictions(benchmark):
                 dataset, trial=0, scale=0.6, m=3, max_frames=num_frames
             )
             cache = EvaluationStore()
-            env = make_environment(setup, cache=cache)
+            env = make_environment(setup, store=cache)
             partial = MESB(gamma=GAMMA).run(
                 env, setup.frames, budget_ms=budget
             )
@@ -47,7 +47,7 @@ def test_table4_lrbp_predictions(benchmark):
             predicted = model.predict_extra_budget(
                 partial.frames_processed, len(setup.frames)
             )
-            env_full = make_environment(setup, cache=cache)
+            env_full = make_environment(setup, store=cache)
             full = MESB(gamma=GAMMA).run(env_full, setup.frames, budget_ms=1e12)
             actual = sum(
                 record.charged_ms

@@ -23,7 +23,7 @@ def main() -> None:
     gamma = 5
 
     budget_ms = 12_000.0
-    env = make_environment(setup, scoring=scoring, cache=cache)
+    env = make_environment(setup, scoring=scoring, store=cache)
     partial = MESB(gamma=gamma).run(env, setup.frames, budget_ms=budget_ms)
     print(
         f"budget B = {budget_ms:.0f} ms processed |V_B| = "
@@ -43,7 +43,7 @@ def main() -> None:
 
     # Ground truth: run the same strategy to completion and measure what
     # the remaining frames actually cost.
-    env_full = make_environment(setup, scoring=scoring, cache=cache)
+    env_full = make_environment(setup, scoring=scoring, store=cache)
     full = MESB(gamma=gamma).run(env_full, setup.frames, budget_ms=1e12)
     actual = sum(
         record.charged_ms

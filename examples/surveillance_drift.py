@@ -43,7 +43,7 @@ def main() -> None:
     cache = EvaluationStore()
 
     def run(algorithm):
-        env = DetectionEnvironment(pool, lidar, scoring=scoring, cache=cache)
+        env = DetectionEnvironment(pool, lidar, scoring=scoring, store=cache)
         return algorithm.run(env, stream.frames)
 
     opt = run(Oracle())

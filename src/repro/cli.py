@@ -26,7 +26,6 @@ from repro.engine.backends import (
     wall_timer,
 )
 from repro.engine.resilience import BreakerPolicy, ResilientBackend, RetryPolicy
-from repro.lint.cli import add_lint_arguments, run_lint
 from repro.obs import (
     NULL_OBS,
     OBS_LEVELS,
@@ -310,11 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("datasets", help="print the Table 1 / Table 2 summaries")
     sub.add_parser("algorithms", help="list selection algorithms")
 
-    lint = sub.add_parser(
+    # Listed for --help only: main() hands ``lint`` to repro.lint.cli
+    # before parsing, so the linter is imported only when it runs.
+    sub.add_parser(
         "lint",
+        add_help=False,
         help="run the determinism & concurrency static analysis (RPR rules)",
     )
-    add_lint_arguments(lint)
     return parser
 
 
@@ -450,6 +451,11 @@ def _run_algorithms(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["lint"]:
+        from repro.lint.cli import main as lint_main
+
+        return lint_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in ("compare", "query"):
@@ -459,7 +465,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "query": _run_query,
         "datasets": _run_datasets,
         "algorithms": _run_algorithms,
-        "lint": run_lint,
     }
     return handlers[args.command](args)
 

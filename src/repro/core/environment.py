@@ -38,7 +38,7 @@ Execution is layered on the :mod:`repro.engine` package:
   *different* configurations: entries from different contexts never
   collide, and because simulated detectors are deterministic per frame a
   hit is always bit-identical to a recompute.  Sharing a store via the
-  ``cache`` parameter makes multi-algorithm experiments several times
+  ``store`` parameter makes multi-algorithm experiments several times
   faster without changing any result; attaching a persistent tier (see
   :class:`~repro.query.matstore.MaterializedDetectionStore`) extends the
   same reuse across queries and across processes.
@@ -264,7 +264,7 @@ class DetectionEnvironment:
         cost_model: Non-inference cost parameters and the ``c_max``
             normalization policy.
         iou_threshold: IoU threshold for AP computation.
-        cache: Optional shared :class:`EvaluationStore` (a private one by
+        store: Optional shared :class:`EvaluationStore` (a private one by
             default).
         clock: Optional externally owned clock (a fresh one by default).
         backend: Execution backend for inference jobs; defaults to
@@ -293,7 +293,7 @@ class DetectionEnvironment:
         fusion: EnsembleMethod | None = None,
         cost_model: CostModel | None = None,
         iou_threshold: float = 0.5,
-        cache: EvaluationStore | None = None,
+        store: EvaluationStore | None = None,
         clock: SimulatedClock | None = None,
         backend: ExecutionBackend | None = None,
         billing: str = "sum",
@@ -327,7 +327,7 @@ class DetectionEnvironment:
             raise ValueError("iou_threshold must be in (0, 1]")
         self.iou_threshold = iou_threshold
         self.store: EvaluationStore = (
-            cache if cache is not None else EvaluationStore()
+            store if store is not None else EvaluationStore()
         )
         self.clock = clock if clock is not None else SimulatedClock()
         self.backend: ExecutionBackend = (

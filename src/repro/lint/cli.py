@@ -31,7 +31,7 @@ _RENDERERS = {
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint flags to ``parser`` (shared with the main CLI)."""
+    """Attach the lint flags to ``parser``."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -247,7 +247,7 @@ def run_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Standalone entry point (``python -m repro.lint``)."""
+    """Entry point of ``repro lint`` and ``python -m repro.lint``."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="determinism & concurrency static analysis (see --list-rules)",

@@ -9,12 +9,12 @@ The paper motivates MES with queries of the form::
 
 This subpackage implements that surface as a layered query stack: a
 lexer and recursive-descent parser (:mod:`repro.query.parser`), a typed
-AST (:mod:`repro.query.ast`), a catalog of registered videos / models
-and their cost profiles (:mod:`repro.query.catalog`), a planner that
-binds names to runtime objects (:mod:`repro.query.planner`), a logical
-plan with rewrite rules — predicate pushdown and projection pruning —
-(:mod:`repro.query.logical`), per-operator physical executors
-(:mod:`repro.query.physical`), detection-level predicates
+AST (:mod:`repro.query.ast`), a catalog of registered videos and models
+(:mod:`repro.query.catalog`), a planner that binds names to runtime
+objects (:mod:`repro.query.planner`), a logical plan with rewrite rules
+— predicate pushdown and projection pruning —
+(:mod:`repro.query.logical`), a physical plan that runs it on the
+engine (:mod:`repro.query.physical`), detection-level predicates
 (:mod:`repro.query.predicates`), a persistent materialized detection
 store for cross-query reuse (:mod:`repro.query.matstore`), and the
 engine that ties them together (:mod:`repro.query.executor`).
@@ -28,7 +28,7 @@ from repro.query.ast import (
     ProcessClause,
     Query,
 )
-from repro.query.catalog import Catalog, CatalogError, DetectorProfile
+from repro.query.catalog import Catalog, CatalogError
 from repro.query.executor import QueryEngine, QueryResult, Row
 from repro.query.logical import LogicalPlan, build_logical_plan
 from repro.query.matstore import MaterializedDetectionStore
@@ -40,7 +40,6 @@ __all__ = [
     "CatalogError",
     "Comparison",
     "CountExpr",
-    "DetectorProfile",
     "ExistsExpr",
     "LogicalExpr",
     "LogicalPlan",

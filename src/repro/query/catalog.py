@@ -1,11 +1,9 @@
-"""The query catalog: registered videos, models and their profiles.
+"""The query catalog: registered videos and models.
 
 :class:`Catalog` replaces the ad-hoc name dicts the old ``QueryEngine``
 carried.  It is the binding context every plan is validated against: the
-registered videos (finite frame sequences), the detector pool, the
-reference models, and a cost/accuracy :class:`DetectorProfile` snapshot
-per registered model — what a DBMS would keep in its system tables and
-what the planner reads when describing expected operator costs.
+registered videos (finite frame sequences), the detector pool and the
+reference models — what a DBMS would keep in its system tables.
 
 The catalog stores *runtime objects* (anything exposing ``.name`` and
 ``.detect(frame)``), but exposes only validated, immutable views;
@@ -15,41 +13,24 @@ registration is the single mutation surface.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from repro.simulation.video import Frame, Video
 
-__all__ = ["CatalogError", "DetectorProfile", "Catalog"]
+__all__ = ["CatalogError", "Catalog"]
 
 
 class CatalogError(KeyError):
     """Raised when a lookup names an unregistered catalog entry."""
 
 
-@dataclass(frozen=True)
-class DetectorProfile:
-    """Cost/accuracy snapshot of one registered model.
-
-    Attributes:
-        name: The model's registered name.
-        expected_time_ms: Expected per-frame inference cost (the planner's
-            cost-model input; 0.0 when the model does not advertise one).
-        kind: ``"detector"`` or ``"reference"``.
-    """
-
-    name: str
-    expected_time_ms: float
-    kind: str
-
-
-def _profile_of(model: object, kind: str) -> DetectorProfile:
+def _checked_name(model: object, kind: str) -> str:
+    """The model's ``.name``, once it has a callable ``.detect``."""
     name = getattr(model, "name", None)
-    if not name or not isinstance(name, str):
+    if not isinstance(name, str) or not name:
         raise ValueError(f"{kind} must expose a non-empty string .name")
     if not callable(getattr(model, "detect", None)):
         raise ValueError(f"{kind} {name!r} must expose .detect(frame)")
-    expected = float(getattr(model, "expected_time_ms", 0.0))
-    return DetectorProfile(name=name, expected_time_ms=expected, kind=kind)
+    return name
 
 
 class Catalog:
@@ -64,7 +45,6 @@ class Catalog:
         self._videos: dict[str, tuple[Frame, ...]] = {}
         self._detectors: dict[str, object] = {}
         self._references: dict[str, object] = {}
-        self._profiles: dict[str, DetectorProfile] = {}
 
     # ---- registration ---------------------------------------------------
 
@@ -79,15 +59,11 @@ class Catalog:
 
     def register_detector(self, detector: object) -> None:
         """Register a detector by its own ``.name``."""
-        profile = _profile_of(detector, "detector")
-        self._detectors[profile.name] = detector
-        self._profiles[profile.name] = profile
+        self._detectors[_checked_name(detector, "detector")] = detector
 
     def register_reference(self, reference: object) -> None:
         """Register a reference model by its own ``.name``."""
-        profile = _profile_of(reference, "reference")
-        self._references[profile.name] = reference
-        self._profiles[profile.name] = profile
+        self._references[_checked_name(reference, "reference")] = reference
 
     # ---- lookups --------------------------------------------------------
 
@@ -117,24 +93,10 @@ class Catalog:
                 f"registered: {self.references}"
             ) from None
 
-    def profile(self, name: str) -> DetectorProfile:
-        """The cost/accuracy profile of a registered model."""
-        try:
-            return self._profiles[name]
-        except KeyError:
-            raise CatalogError(
-                f"unknown model {name!r}; "
-                f"registered: {sorted(self._profiles)}"
-            ) from None
-
     def default_reference(self) -> str | None:
         """Deterministic default REF: the first registered name, if any."""
         names = self.references
         return names[0] if names else None
-
-    def expected_union_cost_ms(self, models: Sequence[str]) -> float:
-        """Expected per-frame cost of inferring the union of ``models``."""
-        return sum(self.profile(name).expected_time_ms for name in models)
 
     # ---- views ----------------------------------------------------------
 

@@ -4,8 +4,8 @@
 and reference models are registered in a :class:`~repro.query.catalog.
 Catalog`; :meth:`QueryEngine.execute` parses a query string, binds it
 (:mod:`repro.query.planner`), lowers it to a rewritten logical plan
-(:mod:`repro.query.logical`), builds per-operator physical executors
-(:mod:`repro.query.physical`) and pulls the result through them.
+(:mod:`repro.query.logical`), binds that to the engine as a
+:class:`~repro.query.physical.PhysicalPlan` and runs it.
 
 All queries of one engine share one
 :class:`~repro.engine.store.EvaluationStore`: because store keys carry
@@ -34,14 +34,9 @@ from repro.query.matstore import MaterializedDetectionStore
 from repro.query.parser import parse_query
 from repro.query.physical import (
     PRODUCIBLE_COLUMNS,
-    DetectExec,
-    FilterExec,
-    FrameScanExec,
     PhysicalPlan,
-    ProjectExec,
     QueryResult,
     Row,
-    TemporalFilterExec,
 )
 from repro.query.planner import PlanError, QueryPlan, build_plan
 from repro.simulation.video import Frame, Video
@@ -64,7 +59,6 @@ class QueryEngine:
         obs: Observability facade threaded into every query's
             environment (spans, metrics and events for the selection
             run).
-        catalog: Optional externally owned :class:`Catalog`.
         materialize_dir: Directory for the persistent materialized
             detection store; when given, every deterministic stage value
             is written through to disk and later queries (in any
@@ -78,14 +72,13 @@ class QueryEngine:
         backend: ExecutionBackend | None = None,
         store: EvaluationStore | None = None,
         obs: Observability = NULL_OBS,
-        catalog: Catalog | None = None,
         materialize_dir: str | Path | None = None,
     ) -> None:
         self.scoring = scoring if scoring is not None else WeightedLogScore(0.5)
         self.fusion = fusion if fusion is not None else WeightedBoxesFusion()
         self.backend = backend
         self.obs = obs
-        self.catalog = catalog if catalog is not None else Catalog()
+        self.catalog = Catalog()
         self.store = store if store is not None else EvaluationStore(obs=obs)
         self.matstore: MaterializedDetectionStore | None = None
         if materialize_dir is not None:
@@ -164,55 +157,29 @@ class QueryEngine:
         """Parse, bind and lower a query to its rewritten logical plan."""
         return self._lower(self.plan(text))
 
-    def physical_plan(
-        self, logical: LogicalPlan, plan: QueryPlan | None = None
-    ) -> PhysicalPlan:
-        """Bind a logical plan to executors (building the environment).
+    def physical_plan(self, logical: LogicalPlan) -> PhysicalPlan:
+        """Bind a logical plan to its frames and a fresh environment.
 
-        ``plan`` supplies the configured algorithm instance; omitted, a
-        fresh one is bound from the logical plan's query.
+        The environment shares the engine's store and backend; it scores
+        estimates only when projection pruning kept Score.
         """
-        if plan is None:
-            query = logical.query
-            plan = build_plan(
-                query,
-                known_videos=self.videos,
-                known_detectors=self.detectors,
-                known_references=self.references,
-            )
         process = logical.query.process
-        reference = (
-            self.catalog.reference(logical.score.reference)
-            if logical.score.enabled and logical.score.reference is not None
-            else None
-        )
         env = DetectionEnvironment(
             detectors=[self.catalog.detector(m) for m in process.models],
-            reference=reference,
+            reference=(
+                None
+                if logical.reference is None
+                else self.catalog.reference(logical.reference)
+            ),
             scoring=self.scoring,
             fusion=self.fusion,
-            cache=self.store,
+            store=self.store,
             backend=self.backend,
-            score_estimates=logical.score.enabled,
+            score_estimates=logical.reference is not None,
             obs=self.obs,
         )
         return PhysicalPlan(
-            logical=logical,
-            scan=FrameScanExec(
-                video=process.video,
-                frames=self.catalog.video(process.video),
-                limit=logical.scan.limit,
-            ),
-            detect=DetectExec(
-                algorithm=plan.algorithm,
-                env=env,
-                budget_ms=logical.detect.budget_ms,
-            ),
-            filter=FilterExec(predicate=logical.filter.predicate),
-            temporal=TemporalFilterExec(
-                min_duration=logical.filter.min_duration
-            ),
-            project=ProjectExec(columns=logical.project.columns),
+            logical=logical, frames=self.catalog.video(process.video), env=env
         )
 
     def explain(self, text: str) -> str:
@@ -220,9 +187,8 @@ class QueryEngine:
 
         Works on queries with or without the ``EXPLAIN`` prefix.
         """
-        plan = self.plan(text)
-        logical = self._lower(plan)
-        physical = self.physical_plan(logical, plan=plan)
+        logical = self.logical_plan(text)
+        physical = self.physical_plan(logical)
         lines = ["logical plan:"]
         lines.extend(f"  {line}" for line in logical.describe_lines())
         lines.append("rewrites:")
@@ -251,7 +217,6 @@ class QueryEngine:
                 "EXPLAIN queries describe the plan instead of running; "
                 "use QueryEngine.explain()"
             )
-        logical = self._lower(plan)
-        physical = self.physical_plan(logical, plan=plan)
+        physical = self.physical_plan(self._lower(plan))
         with self.obs.span("query", video=plan.query.process.video):
             return physical.execute()

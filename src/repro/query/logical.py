@@ -1,4 +1,4 @@
-"""Logical query plans: the operator tree and its rewrite rules.
+"""Logical query plans: the operator chain and its rewrite rules.
 
 A parsed-and-bound query lowers to a fixed operator chain::
 
@@ -9,7 +9,9 @@ video (optionally only a prefix), *Detect* runs the bound selection
 algorithm over the detector pool, *Fuse* names the box-fusion method,
 *Score* names the reference model that estimates per-frame AP, *Filter*
 applies the ``WHERE`` predicate and temporal qualifier, and *Project*
-fixes the output columns.
+fixes the output columns.  The chain never changes shape, so one flat
+:class:`LogicalPlan` records what varies: the scan prefix, the fusion
+method and the reference model (``None`` once Score is pruned).
 
 Two rewrite rules run during lowering, each recorded on the plan for
 ``EXPLAIN``:
@@ -46,12 +48,6 @@ from repro.query.ast import (
 from repro.query.planner import PlanError, QueryPlan
 
 __all__ = [
-    "ScanNode",
-    "DetectNode",
-    "FuseNode",
-    "ScoreNode",
-    "FilterNode",
-    "ProjectNode",
     "LogicalPlan",
     "build_logical_plan",
     "format_expr",
@@ -142,126 +138,58 @@ def frame_prefix_bound(expr: Expr) -> int | None:
     return bound
 
 
-# ---- operator nodes -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScanNode:
-    """Read the registered video, optionally only its first ``limit`` frames."""
-
-    video: str
-    total_frames: int
-    limit: int | None = None
-
-    @property
-    def frames_scanned(self) -> int:
-        if self.limit is None:
-            return self.total_frames
-        return min(self.limit, self.total_frames)
-
-    def describe(self) -> str:
-        if self.limit is None:
-            span = f"all {self.total_frames} frames"
-        else:
-            span = f"first {self.frames_scanned} of {self.total_frames} frames"
-        return f"Scan(video={self.video!r}, {span})"
-
-
-@dataclass(frozen=True)
-class DetectNode:
-    """Run the bound selection algorithm over the detector pool."""
-
-    algorithm: str
-    models: tuple[str, ...]
-    budget_ms: float | None
-
-    def describe(self) -> str:
-        budget = "none" if self.budget_ms is None else f"{self.budget_ms:g}ms"
-        return (
-            f"Detect(algorithm={self.algorithm}, "
-            f"models=[{', '.join(self.models)}], budget={budget})"
-        )
-
-
-@dataclass(frozen=True)
-class FuseNode:
-    """Fuse each selected ensemble's member boxes."""
-
-    method: str
-
-    def describe(self) -> str:
-        return f"Fuse(method={self.method})"
-
-
-@dataclass(frozen=True)
-class ScoreNode:
-    """Estimate per-frame AP against the reference model.
-
-    ``enabled=False`` (with ``reference=None``) marks the operator as
-    elided by projection pruning: the environment runs with
-    ``score_estimates=False``.
-    """
-
-    reference: str | None
-    enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if self.enabled and self.reference is None:
-            raise ValueError("an enabled Score node needs a reference model")
-
-    def describe(self) -> str:
-        if not self.enabled:
-            return "Score(skipped: projection pruning)"
-        return f"Score(reference={self.reference})"
-
-
-@dataclass(frozen=True)
-class FilterNode:
-    """Apply the WHERE predicate and the temporal qualifier."""
-
-    predicate: Expr | None
-    min_duration: int = 1
-
-    def describe(self) -> str:
-        rendered = (
-            "true" if self.predicate is None else format_expr(self.predicate)
-        )
-        return (
-            f"Filter(predicate={rendered}, min_duration={self.min_duration})"
-        )
-
-
-@dataclass(frozen=True)
-class ProjectNode:
-    """Fix the output columns."""
-
-    columns: tuple[str, ...]
-
-    def describe(self) -> str:
-        return f"Project(columns=[{', '.join(self.columns)}])"
+# ---- the plan -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LogicalPlan:
-    """The lowered operator chain plus the rewrites that shaped it."""
+    """A bound query lowered to the operator chain, after rewrites.
 
-    query: Query
-    scan: ScanNode
-    detect: DetectNode
-    fuse: FuseNode
-    score: ScoreNode
-    filter: FilterNode
-    project: ProjectNode
-    rewrites: tuple[str, ...] = ()
+    Attributes:
+        plan: The bound query: AST, algorithm instance and budget.
+        total_frames: Length of the registered video.
+        limit: Scan prefix set by predicate pushdown (``None``: every
+            frame).
+        fusion: Name of the fusion method.
+        reference: The reference model that scores estimates, or
+            ``None`` when projection pruning removed Score.
+        rewrites: One human-readable line per applied rewrite.
+    """
+
+    plan: QueryPlan
+    total_frames: int
+    limit: int | None
+    fusion: str
+    reference: str | None
+    rewrites: tuple[str, ...]
+
+    @property
+    def query(self) -> Query:
+        return self.plan.query
 
     def describe_lines(self) -> list[str]:
+        """One line per operator: Scan, Detect, Fuse, Score, Filter, Project."""
+        query, budget_ms = self.query, self.plan.budget_ms
+        process = query.process
+        where = "true" if query.where is None else format_expr(query.where)
+        if self.limit is None:
+            span = f"all {self.total_frames} frames"
+        else:
+            span = f"first {self.limit} of {self.total_frames} frames"
+        budget = "none" if budget_ms is None else f"{budget_ms:g}ms"
+        if self.reference is None:
+            score = "Score(skipped: projection pruning)"
+        else:
+            score = f"Score(reference={self.reference})"
         return [
-            self.scan.describe(),
-            self.detect.describe(),
-            self.fuse.describe(),
-            self.score.describe(),
-            self.filter.describe(),
-            self.project.describe(),
+            f"Scan(video={process.video!r}, {span})",
+            f"Detect(algorithm={self.plan.algorithm.name}, "
+            f"models=[{', '.join(process.models)}], budget={budget})",
+            f"Fuse(method={self.fusion})",
+            score,
+            f"Filter(predicate={where}, "
+            f"min_duration={query.min_duration})",
+            f"Project(columns=[{', '.join(query.select)}])",
         ]
 
 
@@ -294,22 +222,23 @@ def build_logical_plan(
         if limit is not None and limit < total_frames:
             rewrites.append(
                 f"predicate pushdown: frameID bound limits the scan to the "
-                f"first {min(limit, total_frames)} of {total_frames} frames"
+                f"first {limit} of {total_frames} frames"
             )
-        elif limit is not None:
-            limit = None  # the bound is vacuous; keep the plan unannotated
+        else:
+            limit = None  # no bound, or a vacuous one: scan every frame
 
     produced = {column.lower() for column in process.produce}
     score_read = "score" in produced or (
         query.where is not None
         and expr_references_field(query.where, "score")
     )
+    reference: str | None
     if (
         not score_read
         and not plan.algorithm.needs_reference
         and process.reference is None
     ):
-        score = ScoreNode(reference=None, enabled=False)
+        reference = None
         rewrites.append(
             "projection pruning: no column or predicate reads score and "
             f"{plan.algorithm.name} ignores estimates; reference scoring "
@@ -325,23 +254,12 @@ def build_logical_plan(
             raise PlanError(
                 "query has no reference model and none is registered"
             )
-        score = ScoreNode(reference=reference)
 
     return LogicalPlan(
-        query=query,
-        scan=ScanNode(
-            video=process.video, total_frames=total_frames, limit=limit
-        ),
-        detect=DetectNode(
-            algorithm=plan.algorithm.name,
-            models=process.models,
-            budget_ms=plan.budget_ms,
-        ),
-        fuse=FuseNode(method=fusion_name),
-        score=score,
-        filter=FilterNode(
-            predicate=query.where, min_duration=query.min_duration
-        ),
-        project=ProjectNode(columns=query.select),
+        plan=plan,
+        total_frames=total_frames,
+        limit=limit,
+        fusion=fusion_name,
+        reference=reference,
         rewrites=tuple(rewrites),
     )

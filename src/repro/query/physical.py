@@ -1,18 +1,18 @@
-"""Physical operator executors: the logical chain bound to the engine.
+"""The physical plan: the logical chain bound to the engine.
 
-Each logical operator lowers to one executor.  *FrameScanExec* slices
-the registered frame sequence; *DetectExec* drives the bound selection
-algorithm through the engine's
-:class:`~repro.engine.pipeline.FramePipeline` (a per-frame observer
-materializes rows during the run, so there is never a second frame
-loop) — physically it also subsumes Fuse and Score, which execute
-inside the environment per evaluated ensemble; *FilterExec* applies the
-WHERE predicate; *TemporalFilterExec* applies the ``FOR AT LEAST n
-FRAMES`` qualifier; *ProjectExec* fixes the output columns.
+:class:`PhysicalPlan` pairs a :class:`~repro.query.logical.LogicalPlan`
+with the registered frames and a
+:class:`~repro.core.environment.DetectionEnvironment`.  Its
+:meth:`~PhysicalPlan.execute` slices the scanned frame prefix, drives
+the bound selection algorithm through the engine's
+:class:`~repro.engine.pipeline.FramePipeline` (fusion and scoring run
+inside the environment, per evaluated ensemble), then applies the WHERE
+predicate and the ``FOR AT LEAST n FRAMES`` qualifier
+(:func:`temporal_filter`).
 
-The chain is pull-based and deterministic: running the physical plan
-produces bit-identical rows to the straight-line v1 executor (rewrites
-only remove work whose results the filter provably discards).
+Execution is deterministic: running the physical plan produces
+bit-identical rows to the straight-line v1 executor (rewrites only
+remove work whose results the filter provably discards).
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.environment import DetectionEnvironment, EvaluationBatch
-from repro.core.selection import SelectionAlgorithm, SelectionResult
+from repro.core.selection import SelectionResult
 from repro.detection.types import FrameDetections
 from repro.engine.pipeline import FrameRecord
-from repro.query.ast import Expr, Query
+from repro.query.ast import Query
 from repro.query.logical import LogicalPlan, format_expr
 from repro.query.predicates import evaluate_expr
 from repro.simulation.video import Frame
@@ -32,11 +32,7 @@ __all__ = [
     "PRODUCIBLE_COLUMNS",
     "Row",
     "QueryResult",
-    "FrameScanExec",
-    "DetectExec",
-    "FilterExec",
-    "TemporalFilterExec",
-    "ProjectExec",
+    "temporal_filter",
     "PhysicalPlan",
 ]
 
@@ -93,53 +89,55 @@ class QueryResult:
         return [row.frame_id for row in self.rows]
 
 
-# ---- operator executors -------------------------------------------------
+def temporal_filter(rows: list[Row], min_duration: int) -> list[Row]:
+    """Keep only rows inside consecutive runs of ``min_duration`` frames.
+
+    Implements ``FOR AT LEAST n FRAMES``: an event counts only if the
+    predicate held on ``n`` or more consecutive frames.  ``1`` is the
+    identity.
+    """
+    if min_duration <= 1:
+        return rows
+    kept: list[Row] = []
+    run: list[Row] = []
+    for row in rows:
+        if run and row.frame_id == run[-1].frame_id + 1:
+            run.append(row)
+        else:
+            if len(run) >= min_duration:
+                kept.extend(run)
+            run = [row]
+    if len(run) >= min_duration:
+        kept.extend(run)
+    return kept
 
 
 @dataclass(frozen=True)
-class FrameScanExec:
-    """Yield the scanned frame prefix of the registered video."""
+class PhysicalPlan:
+    """A logical plan bound to its video's frames and an environment.
 
-    video: str
-    frames: tuple[Frame, ...]
-    limit: int | None = None
-
-    def execute(self) -> tuple[Frame, ...]:
-        if self.limit is None:
-            return self.frames
-        return self.frames[: self.limit]
-
-    def describe(self) -> str:
-        scanned = len(self.execute())
-        return (
-            f"FrameScanExec(video={self.video!r}, "
-            f"frames={scanned} of {len(self.frames)})"
-        )
-
-
-class DetectExec:
-    """Run the selection algorithm; materialize one row per frame.
-
-    Physically subsumes the logical Detect, Fuse and Score operators:
+    Physically, Detect subsumes the logical Fuse and Score operators:
     the environment fuses and scores each evaluated ensemble inline
-    (with ``score_estimates=False`` when the Score node was pruned).  A
-    pipeline observer captures the selected ensemble's fused detections
-    as each frame is processed.
+    (with ``score_estimates=False`` when Score was pruned).  Project is
+    the identity: rows keep every field, and the selected columns are
+    the contract of which ones :meth:`QueryResult.column` will be asked
+    for.
     """
 
-    def __init__(
-        self,
-        algorithm: SelectionAlgorithm,
-        env: DetectionEnvironment,
-        budget_ms: float | None = None,
-    ) -> None:
-        self.algorithm = algorithm
-        self.env = env
-        self.budget_ms = budget_ms
+    logical: LogicalPlan
+    frames: tuple[Frame, ...]
+    env: DetectionEnvironment
 
-    def execute(
-        self, frames: tuple[Frame, ...]
-    ) -> tuple[list[Row], SelectionResult]:
+    def execute(self) -> QueryResult:
+        """Run scan -> detect -> WHERE -> ``FOR AT LEAST``.
+
+        A pipeline observer captures the selected ensemble's fused
+        detections as each frame is processed, so rows materialize
+        during the selection run without a second frame loop.
+        """
+        logical = self.logical
+        query = logical.query
+        frames = self.frames[: logical.limit]
         detections_by_index: dict[int, FrameDetections] = {}
 
         def capture_detections(
@@ -148,10 +146,10 @@ class DetectExec:
             evaluation = batch.evaluations[record.selected]
             detections_by_index[record.frame_index] = evaluation.detections
 
-        selection = self.algorithm.run(
+        selection = logical.plan.algorithm.run(
             self.env,
             frames,
-            budget_ms=self.budget_ms,
+            budget_ms=logical.plan.budget_ms,
             observers=[capture_detections],
         )
         rows = [
@@ -163,117 +161,31 @@ class DetectExec:
             )
             for record in selection.records
         ]
-        return rows, selection
-
-    def describe(self) -> str:
-        backend = type(self.env.backend).__name__
-        scoring = (
-            "estimated+true" if self.env.score_estimates else "true-only"
-        )
-        return (
-            f"DetectExec(algorithm={self.algorithm.name}, "
-            f"backend={backend}, scoring={scoring})"
-        )
-
-
-@dataclass(frozen=True)
-class FilterExec:
-    """Apply the WHERE predicate to each row."""
-
-    predicate: Expr | None
-
-    def execute(self, rows: list[Row]) -> list[Row]:
-        if self.predicate is None:
-            return rows
-        return [
-            row
-            for row in rows
-            if evaluate_expr(
-                self.predicate,
-                row.detections,
-                {"frameid": float(row.frame_id), "score": row.score},
-            )
-        ]
-
-    def describe(self) -> str:
-        rendered = (
-            "true" if self.predicate is None else format_expr(self.predicate)
-        )
-        return f"FilterExec(predicate={rendered})"
-
-
-@dataclass(frozen=True)
-class TemporalFilterExec:
-    """Keep only rows inside consecutive runs of ``min_duration`` frames.
-
-    Implements ``FOR AT LEAST n FRAMES``: an event counts only if the
-    predicate held on ``n`` or more consecutive frames.  ``1`` is the
-    identity.
-    """
-
-    min_duration: int = 1
-
-    def execute(self, rows: list[Row]) -> list[Row]:
-        if self.min_duration <= 1:
-            return rows
-        kept: list[Row] = []
-        run: list[Row] = []
-        for row in rows:
-            if run and row.frame_id == run[-1].frame_id + 1:
-                run.append(row)
-            else:
-                if len(run) >= self.min_duration:
-                    kept.extend(run)
-                run = [row]
-        if len(run) >= self.min_duration:
-            kept.extend(run)
-        return kept
-
-    def describe(self) -> str:
-        return f"TemporalFilterExec(min_duration={self.min_duration})"
-
-
-@dataclass(frozen=True)
-class ProjectExec:
-    """Fix the output columns (rows keep every field; projection is the
-    contract of which ones :meth:`QueryResult.column` will be asked for)."""
-
-    columns: tuple[str, ...]
-
-    def execute(self, rows: list[Row]) -> list[Row]:
-        return rows
-
-    def describe(self) -> str:
-        return f"ProjectExec(columns=[{', '.join(self.columns)}])"
-
-
-@dataclass(frozen=True)
-class PhysicalPlan:
-    """The executor chain for one query, bound to an environment."""
-
-    logical: LogicalPlan
-    scan: FrameScanExec
-    detect: DetectExec
-    filter: FilterExec
-    temporal: TemporalFilterExec
-    project: ProjectExec
-
-    def execute(self) -> QueryResult:
-        """Pull rows through the chain: scan -> detect -> filter -> project."""
-        frames = self.scan.execute()
-        rows, selection = self.detect.execute(frames)
-        rows = self.filter.execute(rows)
-        rows = self.temporal.execute(rows)
-        rows = self.project.execute(rows)
-        return QueryResult(
-            rows=rows, selection=selection, query=self.logical.query
-        )
+        if query.where is not None:
+            rows = [
+                row
+                for row in rows
+                if evaluate_expr(
+                    query.where,
+                    row.detections,
+                    {"frameid": float(row.frame_id), "score": row.score},
+                )
+            ]
+        rows = temporal_filter(rows, query.min_duration)
+        return QueryResult(rows=rows, selection=selection, query=query)
 
     def describe_lines(self) -> list[str]:
+        """EXPLAIN's physical-plan lines, one per step of :meth:`execute`."""
+        query = self.logical.query
+        where = "true" if query.where is None else format_expr(query.where)
+        scoring = "estimated+true" if self.env.score_estimates else "true-only"
         return [
-            self.scan.describe(),
-            self.detect.describe(),
-            self.filter.describe(),
-            self.temporal.describe(),
-            self.project.describe(),
+            f"FrameScanExec(video={query.process.video!r}, "
+            f"frames={len(self.frames[: self.logical.limit])} "
+            f"of {len(self.frames)})",
+            f"DetectExec(algorithm={self.logical.plan.algorithm.name}, "
+            f"backend={type(self.env.backend).__name__}, scoring={scoring})",
+            f"FilterExec(predicate={where})",
+            f"TemporalFilterExec(min_duration={query.min_duration})",
+            f"ProjectExec(columns=[{', '.join(query.select)}])",
         ]

@@ -1,9 +1,10 @@
 """Query planning: bind names in the AST to runtime objects.
 
 The planner resolves the ``USING`` algorithm name against the selection-
-algorithm registry (applying ``WITH`` parameters), checks that referenced
-detectors / reference models / videos are registered with the engine, and
-produces an executable plan.
+algorithm registry (applying ``WITH`` parameters and rejecting any the
+algorithm does not take), checks that referenced detectors / reference
+models / videos are registered with the engine, and produces an
+executable plan.
 """
 
 from __future__ import annotations
@@ -32,48 +33,26 @@ class PlanError(ValueError):
     """Raised when a query references unknown names or invalid parameters."""
 
 
-def _make_mes(params: Mapping[str, float]) -> SelectionAlgorithm:
-    return MES(gamma=int(params.get("gamma", 5)))
-
-
-def _make_mes_b(params: Mapping[str, float]) -> SelectionAlgorithm:
-    return MESB(gamma=int(params.get("gamma", 5)))
-
-
-def _make_sw_mes(params: Mapping[str, float]) -> SelectionAlgorithm:
-    if "window" not in params:
-        raise PlanError("SW-MES requires WITH window=<size>")
-    return SWMES(
-        window=int(params["window"]), gamma=int(params.get("gamma", 5))
-    )
-
-
-def _make_d_mes(params: Mapping[str, float]) -> SelectionAlgorithm:
-    return DMES(
-        discount=float(params.get("discount", 0.99)),
-        gamma=int(params.get("gamma", 5)),
-    )
-
-
-def _make_ef(params: Mapping[str, float]) -> SelectionAlgorithm:
-    return ExploreFirst(delta=int(params.get("delta", 5)))
-
-
-def _make_rand(params: Mapping[str, float]) -> SelectionAlgorithm:
-    return RandomSelection(seed=int(params.get("seed", 0)))
-
-
-_ALGORITHMS: dict[str, Callable[[Mapping[str, float]], SelectionAlgorithm]] = {
-    "mes": _make_mes,
-    "mes-b": _make_mes_b,
-    "mes-a": lambda params: MESA(gamma=int(params.get("gamma", 5))),
-    "sw-mes": _make_sw_mes,
-    "d-mes": _make_d_mes,
-    "opt": lambda params: Oracle(),
-    "bf": lambda params: BruteForce(),
-    "sgl": lambda params: SingleBest(),
-    "rand": _make_rand,
-    "ef": _make_ef,
+#: USING name -> (algorithm class, the WITH keys it accepts with their
+#: converters).  ``budget`` is accepted by every algorithm and handled by
+#: :func:`build_plan`; defaults live only in the constructors.
+_ALGORITHMS: dict[
+    str,
+    tuple[
+        Callable[..., SelectionAlgorithm],
+        Mapping[str, Callable[[float], object]],
+    ],
+] = {
+    "mes": (MES, {"gamma": int}),
+    "mes-b": (MESB, {"gamma": int}),
+    "mes-a": (MESA, {"gamma": int}),
+    "sw-mes": (SWMES, {"window": int, "gamma": int}),
+    "d-mes": (DMES, {"discount": float, "gamma": int}),
+    "opt": (Oracle, {}),
+    "bf": (BruteForce, {}),
+    "sgl": (SingleBest, {}),
+    "rand": (RandomSelection, {"seed": int}),
+    "ef": (ExploreFirst, {"delta": int}),
 }
 
 
@@ -127,18 +106,26 @@ def build_plan(
         )
 
     algo_key = process.algorithm.lower()
-    factory = _ALGORITHMS.get(algo_key)
-    if factory is None:
+    if algo_key not in _ALGORITHMS:
         raise PlanError(
             f"unknown algorithm {process.algorithm!r}; "
             f"known: {algorithm_registry()}"
         )
+    make, converters = _ALGORITHMS[algo_key]
     params = dict(process.params)
     budget_ms = params.pop("budget", None)
     if algo_key == "mes-b" and budget_ms is None:
         raise PlanError("MES-B requires WITH budget=<ms>")
+    for key in params:
+        if key not in converters:
+            raise PlanError(
+                f"{process.algorithm} does not take WITH {key}; "
+                f"accepted: {sorted([*converters, 'budget'])}"
+            )
     try:
-        algorithm = factory(params)
+        algorithm = make(
+            **{key: converters[key](value) for key, value in params.items()}
+        )
     except (ValueError, TypeError) as exc:
         raise PlanError(f"invalid parameters for {process.algorithm}: {exc}") from exc
     return QueryPlan(query=query, algorithm=algorithm, budget_ms=budget_ms)

@@ -191,7 +191,7 @@ def make_environment(
     scoring: ScoringFunction | None = None,
     fusion: EnsembleMethod | None = None,
     cost_model: CostModel | None = None,
-    cache: EvaluationStore | None = None,
+    store: EvaluationStore | None = None,
     backend: ExecutionBackend | None = None,
     billing: str = "sum",
     obs: Observability = NULL_OBS,
@@ -201,7 +201,7 @@ def make_environment(
     Args:
         setup: The trial.
         scoring / fusion / cost_model: Environment configuration.
-        cache: Optional shared :class:`EvaluationStore`.
+        store: Optional shared :class:`EvaluationStore`.
         backend: Optional execution backend (serial by default); affects
             wall clock only.
         billing: Detector billing policy (``"sum"`` per Eq. 12/14, or
@@ -215,7 +215,7 @@ def make_environment(
         scoring=scoring if scoring is not None else WeightedLogScore(0.5),
         fusion=fusion if fusion is not None else WeightedBoxesFusion(),
         cost_model=cost_model,
-        cache=cache,
+        store=store,
         backend=backend,
         billing=billing,
         obs=obs,
@@ -228,7 +228,7 @@ def run_algorithms(
     scoring: ScoringFunction | None = None,
     budget_ms: float | None = None,
     fusion: EnsembleMethod | None = None,
-    cache: EvaluationStore | None = None,
+    store: EvaluationStore | None = None,
     backend: ExecutionBackend | None = None,
     billing: str = "sum",
     obs: Observability = NULL_OBS,
@@ -242,7 +242,7 @@ def run_algorithms(
         scoring: Scoring function shared by all runs.
         budget_ms: Optional TCVI budget applied to every run.
         fusion: Fusion method (WBF by default).
-        cache: Optional externally owned :class:`EvaluationStore` (e.g.
+        store: Optional externally owned :class:`EvaluationStore` (e.g.
             shared across the budget points of a sweep over the same
             trial).
         backend: Optional execution backend shared by all runs (the caller
@@ -254,15 +254,15 @@ def run_algorithms(
     Returns:
         Name -> the algorithm's :class:`SelectionResult`.
     """
-    if cache is None:
-        cache = EvaluationStore(obs=obs)
+    if store is None:
+        store = EvaluationStore(obs=obs)
     results: dict[str, SelectionResult] = {}
     for name, factory in algorithms.items():
         env = make_environment(
             setup,
             scoring=scoring,
             fusion=fusion,
-            cache=cache,
+            store=store,
             backend=backend,
             billing=billing,
             obs=obs,

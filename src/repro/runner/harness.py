@@ -101,7 +101,7 @@ def compare_algorithms(
     num_trials: int = 10,
     scoring: ScoringFunction | None = None,
     budget_ms: float | None = None,
-    cache_by_trial: dict[int, EvaluationStore] | None = None,
+    store_by_trial: dict[int, EvaluationStore] | None = None,
     backend: ExecutionBackend | None = None,
     billing: str = "sum",
     obs: Observability = NULL_OBS,
@@ -119,7 +119,7 @@ def compare_algorithms(
         num_trials: Number of independent trials (the paper uses 100).
         scoring: Shared scoring function.
         budget_ms: Optional TCVI budget.
-        cache_by_trial: Optional per-trial evaluation stores, reused across
+        store_by_trial: Optional per-trial evaluation stores, reused across
             calls (e.g. the budget points of a sweep re-run identical
             trials; sharing stores avoids re-inferring every frame).
         backend: Optional execution backend shared across all trials (the
@@ -139,16 +139,16 @@ def compare_algorithms(
     }
     for trial in range(num_trials):
         setup = setup_factory(trial)
-        cache = None
-        if cache_by_trial is not None:
-            cache = cache_by_trial.setdefault(trial, EvaluationStore(obs=obs))
+        store = None
+        if store_by_trial is not None:
+            store = store_by_trial.setdefault(trial, EvaluationStore(obs=obs))
         with obs.span("trial", trial=trial):
             results = run_algorithms(
                 setup,
                 algorithms,
                 scoring=scoring,
                 budget_ms=budget_ms,
-                cache=cache,
+                store=store,
                 backend=backend,
                 billing=billing,
                 obs=obs,

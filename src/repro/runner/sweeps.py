@@ -12,6 +12,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 from repro.core.scoring import WeightedLogScore
 from repro.core.selection import SelectionAlgorithm
+from repro.engine.store import EvaluationStore
 from repro.runner.experiment import TrialSetup
 from repro.runner.harness import TrialOutcome, compare_algorithms
 
@@ -30,9 +31,9 @@ def weight_sweep(
     Figure 5 / Figure 9: ``w1`` is the accuracy weight; ``w2 = 1 - w1``.
     """
     results: dict[float, dict[str, TrialOutcome]] = {}
-    # Weight points share per-trial caches: detector outputs and AP values
+    # Weight points share per-trial stores: detector outputs and AP values
     # are scoring-independent (scores are recomputed from cached AP).
-    cache_by_trial: dict[int, object] = {}
+    store_by_trial: dict[int, EvaluationStore] = {}
     for w1 in accuracy_weights:
         scoring = WeightedLogScore(accuracy_weight=w1)
         results[w1] = compare_algorithms(
@@ -41,7 +42,7 @@ def weight_sweep(
             num_trials=num_trials,
             scoring=scoring,
             budget_ms=budget_ms,
-            cache_by_trial=cache_by_trial,
+            store_by_trial=store_by_trial,
         )
     return results
 
@@ -58,9 +59,9 @@ def budget_sweep(
         raise ValueError("budgets_ms must be non-empty")
     scoring = WeightedLogScore(accuracy_weight=accuracy_weight)
     results: dict[float, dict[str, TrialOutcome]] = {}
-    # Budget points re-run identical trials; sharing per-trial caches means
+    # Budget points re-run identical trials; sharing per-trial stores means
     # each frame is inferred once across the entire sweep.
-    cache_by_trial: dict[int, object] = {}
+    store_by_trial: dict[int, EvaluationStore] = {}
     for budget in budgets_ms:
         results[budget] = compare_algorithms(
             setup_factory,
@@ -68,7 +69,7 @@ def budget_sweep(
             num_trials=num_trials,
             scoring=scoring,
             budget_ms=budget,
-            cache_by_trial=cache_by_trial,
+            store_by_trial=store_by_trial,
         )
     return results
 

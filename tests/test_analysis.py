@@ -84,12 +84,12 @@ class TestOnRealAlgorithms:
         video = generate_video("analysis/clear", 500, "clear", seed=23)
         cache = EvaluationStore()
         scoring = WeightedLogScore(0.5)
-        env = DetectionEnvironment(detector_pool, lidar, scoring=scoring, cache=cache)
+        env = DetectionEnvironment(detector_pool, lidar, scoring=scoring, store=cache)
         oracle = oracle_scores(env, video.frames)
 
         def curve_for(algo):
             env_run = DetectionEnvironment(
-                detector_pool, lidar, scoring=scoring, cache=cache
+                detector_pool, lidar, scoring=scoring, store=cache
             )
             result = algo.run(env_run, video.frames)
             return regret_curve(result, oracle)

@@ -35,7 +35,7 @@ class TestOracle:
 
         def run(algo):
             env = DetectionEnvironment(
-                detector_pool, lidar, scoring=scoring, cache=cache
+                detector_pool, lidar, scoring=scoring, store=cache
             )
             return algo.run(env, frames)
 

@@ -1,7 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -259,6 +265,25 @@ class TestCommands:
         out = capsys.readouterr().out
         for name in ("mes", "sw-mes", "opt"):
             assert name in out
+
+    def test_linter_imported_only_for_lint(self):
+        # A fresh interpreter: this one has imported the linter already.
+        probe = (
+            "import sys, repro.cli\n"
+            "imported = 'repro.lint' in sys.modules\n"
+            "repro.cli.main(['algorithms'])\n"
+            "print(imported, 'repro.lint' in sys.modules)\n"
+        )
+        src = Path(repro.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert result.stdout.splitlines()[-1] == "False False"
 
     def test_compare_runs_small(self, capsys, tmp_path):
         csv_path = tmp_path / "out.csv"

@@ -77,7 +77,7 @@ class TestBackendEquivalence:
         store = EvaluationStore()
         with ThreadPoolBackend(workers=4) as backend:
             env = DetectionEnvironment(
-                detector_pool, lidar, cache=store, backend=backend
+                detector_pool, lidar, store=store, backend=backend
             )
             result = MES().run(env, frames)
             assert result.records == serial_result.records

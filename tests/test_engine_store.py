@@ -103,7 +103,7 @@ class TestEviction:
         frames = small_video.frames[:6]
 
         def run(store):
-            env = DetectionEnvironment(detector_pool, lidar, cache=store)
+            env = DetectionEnvironment(detector_pool, lidar, store=store)
             batches = []
             for frame in frames:
                 batch = env.evaluate(frame, env.all_ensembles, charge=True)
@@ -143,7 +143,7 @@ class TestStats:
         self, detector_pool, lidar, small_video
     ):
         store = EvaluationStore()
-        env = DetectionEnvironment(detector_pool, lidar, cache=store)
+        env = DetectionEnvironment(detector_pool, lidar, store=store)
         # Twice over the same frames: the second pass reads stored values.
         for _ in range(2):
             for frame in small_video.frames[:5]:

@@ -109,11 +109,11 @@ class TestEvaluate:
 class TestSharedCache:
     def test_cache_shared_across_environments(self, detector_pool, lidar, simple_frame):
         store = EvaluationStore()
-        env1 = DetectionEnvironment(detector_pool, lidar, cache=store)
+        env1 = DetectionEnvironment(detector_pool, lidar, store=store)
         env1.evaluate(simple_frame, env1.all_ensembles, charge=False)
         populated = len(store)
         misses_after_first = store.stats().misses
-        env2 = DetectionEnvironment(detector_pool, lidar, cache=store)
+        env2 = DetectionEnvironment(detector_pool, lidar, store=store)
         env2.evaluate(simple_frame, env2.all_ensembles, charge=False)
         # No new detector inference happened: only cache hits, no new
         # entries, no new misses.
@@ -123,8 +123,8 @@ class TestSharedCache:
 
     def test_clocks_are_independent(self, detector_pool, lidar, simple_frame):
         cache = EvaluationStore()
-        env1 = DetectionEnvironment(detector_pool, lidar, cache=cache)
-        env2 = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env1 = DetectionEnvironment(detector_pool, lidar, store=cache)
+        env2 = DetectionEnvironment(detector_pool, lidar, store=cache)
         env1.evaluate(simple_frame, env1.all_ensembles, charge=True)
         assert env2.clock.total_ms == 0.0
 

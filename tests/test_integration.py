@@ -29,7 +29,7 @@ class TestEndToEnd:
 
         def run(cache):
             env = DetectionEnvironment(
-                detector_pool, lidar, scoring=scoring, cache=cache
+                detector_pool, lidar, scoring=scoring, store=cache
             )
             return MES(gamma=3).run(env, small_video.frames)
 
@@ -37,7 +37,7 @@ class TestEndToEnd:
         shared = EvaluationStore()
         # Warm the cache with a different algorithm first.
         env_warm = DetectionEnvironment(
-            detector_pool, lidar, scoring=scoring, cache=shared
+            detector_pool, lidar, scoring=scoring, store=shared
         )
         RandomSelection(seed=9).run(env_warm, small_video.frames)
         cached = run(shared)
@@ -75,7 +75,7 @@ class TestEndToEnd:
 
         def run(algo):
             env = DetectionEnvironment(
-                detector_pool, lidar, scoring=scoring, cache=cache
+                detector_pool, lidar, scoring=scoring, store=cache
             )
             return algo.run(env, small_video.frames)
 

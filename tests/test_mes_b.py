@@ -27,7 +27,7 @@ class TestMESB:
             list(environment._detectors.values()),
             environment.reference,
             scoring=environment.scoring,
-            cache=environment.store,
+            store=environment.store,
         )
         big = MESB(gamma=2).run(env2, small_video.frames, budget_ms=600.0)
         assert big.frames_processed >= small.frames_processed
@@ -98,7 +98,7 @@ class TestLRBP:
         from repro.core.environment import DetectionEnvironment, EvaluationStore
 
         cache = EvaluationStore()
-        env1 = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env1 = DetectionEnvironment(detector_pool, lidar, store=cache)
         partial = MESB(gamma=3).run(env1, small_video.frames, budget_ms=400.0)
         assert 0 < partial.frames_processed < len(small_video)
         model = LRBP.from_result(partial, skip_initialization=3)
@@ -106,7 +106,7 @@ class TestLRBP:
             partial.frames_processed, len(small_video)
         )
 
-        env2 = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env2 = DetectionEnvironment(detector_pool, lidar, store=cache)
         full = MESB(gamma=3).run(env2, small_video.frames, budget_ms=1e9)
         actual = (
             full.total_charged_ms

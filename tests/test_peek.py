@@ -80,7 +80,7 @@ def _run_pair(setup, algorithm_factory, reference=None):
         env = env_class(
             list(setup.detectors),
             reference if reference is not None else setup.reference,
-            cache=EvaluationStore(),
+            store=EvaluationStore(),
         )
         runs.append((algorithm_factory().run(env, setup.frames), env))
     return runs

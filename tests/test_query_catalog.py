@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.query.catalog import Catalog, CatalogError, DetectorProfile
+from repro.query.catalog import Catalog, CatalogError
 
 
 class _Model:
-    def __init__(self, name, expected_time_ms=7.5):
+    def __init__(self, name):
         self.name = name
-        self.expected_time_ms = expected_time_ms
 
     def detect(self, frame):  # pragma: no cover - never invoked here
         raise NotImplementedError
@@ -44,15 +43,6 @@ class TestRegistration:
         with pytest.raises(ValueError, match="detect"):
             catalog.register_detector(Named())
 
-    def test_profiles_recorded(self):
-        catalog = Catalog()
-        catalog.register_detector(_Model("det-a", 12.0))
-        catalog.register_reference(_Model("ref-a", 40.0))
-        assert catalog.profile("det-a") == DetectorProfile(
-            "det-a", 12.0, "detector"
-        )
-        assert catalog.profile("ref-a").kind == "reference"
-
 
 class TestLookups:
     def test_unknown_names_raise_catalog_error(self):
@@ -63,8 +53,6 @@ class TestLookups:
             catalog.detector("ghost")
         with pytest.raises(CatalogError, match="unknown reference"):
             catalog.reference("ghost")
-        with pytest.raises(CatalogError, match="unknown model"):
-            catalog.profile("ghost")
 
     def test_catalog_error_is_key_error(self):
         with pytest.raises(KeyError):
@@ -76,11 +64,3 @@ class TestLookups:
         catalog.register_reference(_Model("zeta-ref"))
         catalog.register_reference(_Model("alpha-ref"))
         assert catalog.default_reference() == "alpha-ref"
-
-    def test_expected_union_cost(self):
-        catalog = Catalog()
-        catalog.register_detector(_Model("a", 10.0))
-        catalog.register_detector(_Model("b", 2.5))
-        assert catalog.expected_union_cost_ms(["a", "b"]) == 12.5
-        with pytest.raises(CatalogError):
-            catalog.expected_union_cost_ms(["a", "ghost"])

@@ -91,7 +91,7 @@ class TestRewrites:
             f"Detections USING MES({MODELS}; lidar-ref) WITH gamma=2) "
             f"WHERE frameID < 5"
         )
-        assert logical.scan.limit == 5
+        assert logical.limit == 5
         assert any("predicate pushdown" in r for r in logical.rewrites)
 
     def test_pushdown_skipped_for_prescan_algorithm(self, engine):
@@ -101,7 +101,7 @@ class TestRewrites:
             f"SELECT frameID FROM (PROCESS inputVideo PRODUCE frameID, "
             f"Detections USING SGL({MODELS})) WHERE frameID < 5"
         )
-        assert logical.scan.limit is None
+        assert logical.limit is None
         assert not any("pushdown" in r for r in logical.rewrites)
 
     def test_vacuous_bound_not_recorded(self, engine, small_video):
@@ -110,7 +110,7 @@ class TestRewrites:
             f"Detections USING BF({MODELS})) "
             f"WHERE frameID < {len(small_video) + 100}"
         )
-        assert logical.scan.limit is None
+        assert logical.limit is None
         assert not any("pushdown" in r for r in logical.rewrites)
 
     def test_projection_pruning_elides_score(self, engine):
@@ -118,8 +118,7 @@ class TestRewrites:
             f"SELECT frameID FROM (PROCESS inputVideo PRODUCE frameID, "
             f"Detections USING BF({MODELS}))"
         )
-        assert logical.score.enabled is False
-        assert logical.score.reference is None
+        assert logical.reference is None
         assert any("projection pruning" in r for r in logical.rewrites)
 
     def test_pruning_blocked_when_score_produced(self, engine):
@@ -127,30 +126,28 @@ class TestRewrites:
             f"SELECT score FROM (PROCESS inputVideo PRODUCE frameID, score "
             f"USING BF({MODELS}))"
         )
-        assert logical.score.enabled is True
-        assert logical.score.reference == "lidar-ref"
+        assert logical.reference == "lidar-ref"
 
     def test_pruning_blocked_when_predicate_reads_score(self, engine):
         logical = engine.logical_plan(
             f"SELECT frameID FROM (PROCESS inputVideo PRODUCE frameID "
             f"USING BF({MODELS})) WHERE score > 0.1"
         )
-        assert logical.score.enabled is True
+        assert logical.reference == "lidar-ref"
 
     def test_pruning_blocked_for_estimate_consuming_algorithm(self, engine):
         logical = engine.logical_plan(
             f"SELECT frameID FROM (PROCESS inputVideo PRODUCE frameID "
             f"USING MES({MODELS}) WITH gamma=2)"
         )
-        assert logical.score.enabled is True
+        assert logical.reference == "lidar-ref"
 
     def test_explicit_reference_blocks_pruning(self, engine):
         logical = engine.logical_plan(
             f"SELECT frameID FROM (PROCESS inputVideo PRODUCE frameID "
             f"USING BF({MODELS}; lidar-ref))"
         )
-        assert logical.score.enabled is True
-        assert logical.score.reference == "lidar-ref"
+        assert logical.reference == "lidar-ref"
 
     def test_pruned_query_runs_without_any_registered_reference(
         self, detector_pool, small_video
@@ -232,6 +229,37 @@ class TestExplain:
             "  FilterExec(predicate=true)\n"
             "  TemporalFilterExec(min_duration=1)\n"
             "  ProjectExec(columns=[frameID])"
+        )
+
+    def test_golden_explain_with_pushdown_scoring_and_duration(self, engine):
+        rendered = engine.explain(
+            "SELECT frameID, score FROM (PROCESS inputVideo PRODUCE "
+            "frameID, Detections, score USING SW-MES(yolov7-tiny-clear, "
+            "yolov7-tiny-night; lidar-ref) WITH window=8, budget=900) "
+            "WHERE COUNT('car', conf > 0.5) >= 2 AND frameID <= 19 "
+            "FOR AT LEAST 3 FRAMES"
+        )
+        assert rendered == (
+            "logical plan:\n"
+            "  Scan(video='inputVideo', first 20 of 30 frames)\n"
+            "  Detect(algorithm=SW-MES, models=[yolov7-tiny-clear, "
+            "yolov7-tiny-night], budget=900ms)\n"
+            "  Fuse(method=wbf)\n"
+            "  Score(reference=lidar-ref)\n"
+            "  Filter(predicate=(COUNT('car', 0.5) >= 2 AND frameID <= 19), "
+            "min_duration=3)\n"
+            "  Project(columns=[frameID, score])\n"
+            "rewrites:\n"
+            "  - predicate pushdown: frameID bound limits the scan to the "
+            "first 20 of 30 frames\n"
+            "physical plan:\n"
+            "  FrameScanExec(video='inputVideo', frames=20 of 30)\n"
+            "  DetectExec(algorithm=SW-MES, backend=SerialBackend, "
+            "scoring=estimated+true)\n"
+            "  FilterExec(predicate=(COUNT('car', 0.5) >= 2 AND "
+            "frameID <= 19))\n"
+            "  TemporalFilterExec(min_duration=3)\n"
+            "  ProjectExec(columns=[frameID, score])"
         )
 
     def test_execute_refuses_explain_queries(self, engine):

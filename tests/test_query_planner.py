@@ -38,6 +38,23 @@ class TestBuildPlan:
         with pytest.raises(PlanError, match="window"):
             plan("SELECT frameID FROM (PROCESS v PRODUCE frameID USING SW-MES(m1))")
 
+    @pytest.mark.parametrize(
+        ("using", "key", "accepted"),
+        [
+            ("MES(m1; lidar) WITH gama=3", "gama", "['budget', 'gamma']"),
+            ("BF(m1) WITH gamma=3", "gamma", "['budget']"),
+        ],
+        ids=["misspelt-key", "key-of-another-algorithm"],
+    )
+    def test_with_key_the_algorithm_does_not_take_rejected(
+        self, using, key, accepted
+    ):
+        with pytest.raises(PlanError) as excinfo:
+            plan(f"SELECT frameID FROM (PROCESS v PRODUCE frameID USING {using})")
+        assert f"does not take WITH {key}; accepted: {accepted}" in str(
+            excinfo.value
+        )
+
     def test_mes_b_requires_budget(self):
         with pytest.raises(PlanError, match="budget"):
             plan("SELECT frameID FROM (PROCESS v PRODUCE frameID USING MES-B(m1))")

@@ -5,7 +5,7 @@ import pytest
 from repro.detection.types import FrameDetections
 from repro.query.executor import Row
 from repro.query.parser import ParseError, parse_query
-from repro.query.physical import TemporalFilterExec
+from repro.query.physical import temporal_filter
 
 
 def row(frame_id):
@@ -50,24 +50,24 @@ class TestParsing:
 class TestApplyMinDuration:
     def test_short_runs_filtered(self):
         rows = [row(i) for i in (1, 2, 5, 6, 7, 10)]
-        kept = TemporalFilterExec(min_duration=3).execute(rows)
+        kept = temporal_filter(rows, 3)
         assert [r.frame_id for r in kept] == [5, 6, 7]
 
     def test_exact_length_run_kept(self):
         rows = [row(i) for i in (1, 2, 3)]
-        assert len(TemporalFilterExec(min_duration=3).execute(rows)) == 3
+        assert len(temporal_filter(rows, 3)) == 3
 
     def test_trailing_run_kept(self):
         rows = [row(i) for i in (0, 5, 6, 7, 8)]
-        kept = TemporalFilterExec(min_duration=2).execute(rows)
+        kept = temporal_filter(rows, 2)
         assert [r.frame_id for r in kept] == [5, 6, 7, 8]
 
     def test_empty_rows(self):
-        assert TemporalFilterExec(min_duration=3).execute([]) == []
+        assert temporal_filter([], 3) == []
 
     def test_duration_one_keeps_everything(self):
         rows = [row(i) for i in (1, 5, 9)]
-        assert TemporalFilterExec(min_duration=1).execute(rows) == rows
+        assert temporal_filter(rows, 1) == rows
 
 
 class TestEndToEnd:

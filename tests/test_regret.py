@@ -13,9 +13,9 @@ from repro.simulation.world import generate_video
 class TestOracleScores:
     def test_matches_oracle_run(self, detector_pool, lidar, small_video):
         cache = EvaluationStore()
-        env = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env = DetectionEnvironment(detector_pool, lidar, store=cache)
         scores = oracle_scores(env, small_video.frames)
-        env2 = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env2 = DetectionEnvironment(detector_pool, lidar, store=cache)
         opt = Oracle().run(env2, small_video.frames)
         assert scores == pytest.approx([r.true_score for r in opt.records])
 
@@ -28,9 +28,9 @@ class TestEmpiricalRegret:
 
     def test_regret_non_negative(self, detector_pool, lidar, small_video):
         cache = EvaluationStore()
-        env = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env = DetectionEnvironment(detector_pool, lidar, store=cache)
         oracle = oracle_scores(env, small_video.frames)
-        env2 = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env2 = DetectionEnvironment(detector_pool, lidar, store=cache)
         result = RandomSelection(seed=3).run(env2, small_video.frames)
         assert empirical_regret(result, oracle) >= 0.0
 
@@ -41,9 +41,9 @@ class TestEmpiricalRegret:
 
     def test_curve_is_cumulative(self, detector_pool, lidar, small_video):
         cache = EvaluationStore()
-        env = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env = DetectionEnvironment(detector_pool, lidar, store=cache)
         oracle = oracle_scores(env, small_video.frames)
-        env2 = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env2 = DetectionEnvironment(detector_pool, lidar, store=cache)
         result = RandomSelection(seed=3).run(env2, small_video.frames)
         curve = regret_curve(result, oracle)
         assert len(curve) == result.frames_processed
@@ -63,9 +63,9 @@ class TestMESRegretGrowth:
         video = generate_video("regret/clear", 400, "clear", seed=17)
         cache = EvaluationStore()
         scoring = WeightedLogScore(0.5)
-        env = DetectionEnvironment(detector_pool, lidar, scoring=scoring, cache=cache)
+        env = DetectionEnvironment(detector_pool, lidar, scoring=scoring, store=cache)
         oracle = oracle_scores(env, video.frames)
-        env2 = DetectionEnvironment(detector_pool, lidar, scoring=scoring, cache=cache)
+        env2 = DetectionEnvironment(detector_pool, lidar, scoring=scoring, store=cache)
         result = MES(gamma=5).run(env2, video.frames)
         curve = regret_curve(result, oracle)
         half = len(curve) // 2

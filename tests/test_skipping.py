@@ -102,9 +102,9 @@ class TestFrameSkipper:
 
         frames = self._static_frames(clear_category, n=16)
         cache = EvaluationStore()
-        env_plain = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env_plain = DetectionEnvironment(detector_pool, lidar, store=cache)
         plain = BruteForce().run(env_plain, frames)
-        env_skip = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env_skip = DetectionEnvironment(detector_pool, lidar, store=cache)
         skipped = FrameSkipper(BruteForce()).run(env_skip, frames)
         assert skipped.total_charged_ms < plain.total_charged_ms * 0.7
         # Reused detections on a static scene barely lose accuracy.

@@ -27,10 +27,10 @@ class TestStreaming:
         from repro.core.environment import DetectionEnvironment, EvaluationStore
 
         cache = EvaluationStore()
-        env_batch = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env_batch = DetectionEnvironment(detector_pool, lidar, store=cache)
         batch = MES(gamma=2).run(env_batch, small_video.frames)
 
-        env_stream = DetectionEnvironment(detector_pool, lidar, cache=cache)
+        env_stream = DetectionEnvironment(detector_pool, lidar, store=cache)
         streamed = list(
             MES(gamma=2).run_stream(env_stream, iter(small_video.frames))
         )

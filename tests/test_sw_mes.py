@@ -97,7 +97,7 @@ class TestDriftAdaptation:
 
         def run(algorithm):
             env = DetectionEnvironment(
-                detector_pool, lidar, scoring=scoring, cache=cache
+                detector_pool, lidar, scoring=scoring, store=cache
             )
             return algorithm.run(env, drifting_frames.frames)
 
