@@ -35,8 +35,9 @@ from repro.obs import (
     write_trace_json,
 )
 from repro.query.executor import QueryEngine
+from repro.query.matstore import MaterializationError
 from repro.query.parser import ParseError, format_parse_error
-from repro.query.planner import algorithm_registry
+from repro.query.planner import PlanError, algorithm_registry
 from repro.runner.experiment import dataset_keys, standard_setup
 from repro.runner.harness import compare_algorithms
 from repro.runner.io import save_outcomes_csv
@@ -398,9 +399,14 @@ def _run_query(args: argparse.Namespace) -> int:
     )
     obs = _make_obs(args)
     with _open_backend(args, obs) as backend:
-        with QueryEngine(
-            backend=backend, obs=obs, materialize_dir=args.materialize_dir
-        ) as engine:
+        try:
+            engine = QueryEngine(
+                backend=backend, obs=obs, materialize_dir=args.materialize_dir
+            )
+        except MaterializationError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        with engine:
             engine.register_video(args.video_name, setup.frames)
             for detector in setup.detectors:
                 engine.register_detector(detector)
@@ -409,6 +415,9 @@ def _run_query(args: argparse.Namespace) -> int:
                 plan = engine.plan(args.text)
             except ParseError as error:
                 print(format_parse_error(error, args.text), file=sys.stderr)
+                return 2
+            except PlanError as error:
+                print(f"error: {error}", file=sys.stderr)
                 return 2
             if args.explain or plan.query.explain:
                 print(engine.explain(args.text))

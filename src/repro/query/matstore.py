@@ -15,18 +15,26 @@ in-memory store's *context tag* (fusion method + parameters, reference
 model, IoU threshold), so entries produced under different configurations
 never collide.
 
-On-disk layout::
+On-disk layout (format version 2)::
 
-    <root>/MANIFEST.json       {"format_version": 1}
-    <root>/segment-00000.jsonl one JSON record per line
+    <root>/MANIFEST.json       {"format_version": 2}
+    <root>/segment-00000.jsonl one record per line: <sha> TAB <payload>
 
-Each record is ``{"stage", "key", "value", "sha"}`` where ``sha`` is the
-sha256 prefix of the canonical (sorted-keys, no-whitespace) encoding of
-the other three fields.  Records failing the checksum — or failing to
-decode at all — are skipped and counted at load time, never trusted; a
-manifest with an unknown ``format_version`` refuses to load.  Each open
-session appends to its own fresh segment, so concurrent writers from
-different processes never interleave within one file.
+``payload`` is the compact JSON array ``[stage, key, value]`` and
+``sha`` the first 16 hex digits of the SHA-256 of the payload bytes
+exactly as written, so a read verifies a line before decoding it and
+never re-encodes.  Detections are stored as rows: a ``FrameDetections``
+is ``[frame_index, source, rows]`` with one ``[x1, y1, x2, y2,
+confidence, label, source, object_id]`` row per detection, a
+``DetectorOutput`` is ``[inference_time_ms, frame_detections]`` and AP
+values are bare floats.
+
+Decoding is a trust boundary: boxes and detections are rebuilt through
+their validating constructors, and lines failing the checksum or decoding
+are skipped and counted, never trusted.  A manifest with any other
+``format_version`` (version 1 included) refuses to load; there is no
+migration.  Each session creates its own segment exclusively at its first
+write, so no other session, in this process or another, appends to it.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import threading
 from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, BinaryIO
 
 from repro.detection.boxes import BBox
 from repro.detection.types import Detection, FrameDetections
@@ -53,7 +61,7 @@ __all__ = [
 ]
 
 #: On-disk format version; bumped on any incompatible record change.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Stages this tier persists — every deterministic evaluation stage.
 #: Persisting all five (not just detector outputs) is what makes warm
@@ -82,8 +90,9 @@ class MatStoreStats:
     Attributes:
         records: Usable records currently indexed (loaded + stored).
         segments: Segment files present when the store was opened.
-        corrupt_records: Records skipped at load time (bad JSON, checksum
-            mismatch, unknown stage, or undecodable payload).
+        corrupt_records: Lines skipped at load time (no checksum,
+            checksum mismatch, bad JSON, unknown stage, or a payload that
+            fails to decode or validate).
         hits / misses: :meth:`~MaterializedDetectionStore.load` outcomes.
         stores: New records appended by this session.
     """
@@ -114,51 +123,41 @@ class MatStoreStats:
 
 # ---- payload codecs -----------------------------------------------------
 #
-# Values round-trip through plain JSON types.  Floats are exact (repr
+# Values round-trip through plain JSON arrays.  Floats are exact (repr
 # shortest round-trip); tuples decode back to tuples so reconstructed
 # objects are equal — and hash-equal — to the originals.
 
 
-def _encode_detections(value: FrameDetections) -> dict[str, Any]:
-    return {
-        "frame_index": value.frame_index,
-        "source": value.source,
-        "detections": [
-            {
-                "box": [d.box.x1, d.box.y1, d.box.x2, d.box.y2],
-                "confidence": d.confidence,
-                "label": d.label,
-                "source": d.source,
-                "object_id": d.object_id,
-            }
-            for d in value.detections
-        ],
-    }
+def _encode_detections(value: FrameDetections) -> list[Any]:
+    rows = [
+        [d.box.x1, d.box.y1, d.box.x2, d.box.y2, d.confidence, d.label,
+         d.source, d.object_id]
+        for d in value.detections
+    ]
+    return [value.frame_index, value.source, rows]
 
 
-def _decode_detections(payload: dict[str, Any]) -> FrameDetections:
+def _decode_detections(payload: Any) -> FrameDetections:
+    frame_index, source, rows = payload
     return FrameDetections(
-        frame_index=int(payload["frame_index"]),
+        frame_index=int(frame_index),
         detections=tuple(
             Detection(
-                box=BBox(*(float(c) for c in d["box"])),
-                confidence=float(d["confidence"]),
-                label=d["label"],
-                source=d["source"],
-                object_id=d["object_id"],
+                BBox(float(x1), float(y1), float(x2), float(y2)),
+                float(confidence),
+                label,
+                detector,
+                object_id,
             )
-            for d in payload["detections"]
+            for x1, y1, x2, y2, confidence, label, detector, object_id in rows
         ),
-        source=payload["source"],
+        source=source,
     )
 
 
 def _encode_value(stage: str, value: Any) -> Any:
     if stage in ("detector", "reference"):
-        return {
-            "detections": _encode_detections(value.detections),
-            "inference_time_ms": value.inference_time_ms,
-        }
+        return [value.inference_time_ms, _encode_detections(value.detections)]
     if stage == "fused":
         return _encode_detections(value)
     # est_ap / true_ap are bare floats.
@@ -167,38 +166,41 @@ def _encode_value(stage: str, value: Any) -> Any:
 
 def _decode_value(stage: str, payload: Any) -> Any:
     if stage in ("detector", "reference"):
+        inference_time_ms, detections = payload
         return DetectorOutput(
-            detections=_decode_detections(payload["detections"]),
-            inference_time_ms=float(payload["inference_time_ms"]),
+            detections=_decode_detections(detections),
+            inference_time_ms=float(inference_time_ms),
         )
     if stage == "fused":
         return _decode_detections(payload)
     return float(payload)
 
 
+def _key_scalar(part: Any) -> Any:
+    if part is None or isinstance(part, (bool, int, float, str)):
+        return part
+    raise TypeError(f"unsupported key component {part!r}")
+
+
 def _encode_key(key: Hashable) -> Any:
-    """Structural key encoding: tuples become lists, scalars pass through."""
-    if isinstance(key, tuple):
-        return [_encode_key(part) for part in key]
-    if key is None or isinstance(key, (bool, int, float, str)):
-        return key
-    raise TypeError(f"unsupported key component {key!r}")
+    """Keys are at most two levels deep — ``(frame, detector)`` or
+    ``(frame, ensemble, tag)`` — which is all :func:`_decode_key` rebuilds."""
+    if not isinstance(key, tuple):
+        return _key_scalar(key)
+    return [
+        [_key_scalar(p) for p in part] if isinstance(part, tuple) else _key_scalar(part)
+        for part in key
+    ]
 
 
 def _decode_key(obj: Any) -> Hashable:
     if isinstance(obj, list):
-        return tuple(_decode_key(part) for part in obj)
+        return tuple(tuple(p) if isinstance(p, list) else p for p in obj)
     return obj
 
 
-def _checksum(stage: str, key: Any, value: Any) -> str:
-    canonical = json.dumps(
-        {"stage": stage, "key": key, "value": value},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return digest[:_SHA_HEX_LEN]
+def _checksum(payload: bytes) -> bytes:
+    return hashlib.sha256(payload).hexdigest()[:_SHA_HEX_LEN].encode("ascii")
 
 
 class MaterializedDetectionStore:
@@ -236,15 +238,12 @@ class MaterializedDetectionStore:
         self._hits = 0
         self._misses = 0
         self._stores = 0
-        self._writer: TextIO | None = None
+        self._writer: BinaryIO | None = None
         self._check_manifest()
         segments = sorted(self._root.glob("segment-*.jsonl"))
         self._segments_loaded = len(segments)
         for segment in segments:
             self._load_segment(segment)
-        self._session_segment = self._root / (
-            f"segment-{self._segments_loaded:05d}.jsonl"
-        )
 
     # ---- open/close -----------------------------------------------------
 
@@ -260,8 +259,9 @@ class MaterializedDetectionStore:
                 ) from exc
             if version != FORMAT_VERSION:
                 raise MaterializationError(
-                    f"{manifest_path} has format_version {version}; "
-                    f"this build reads only {FORMAT_VERSION}"
+                    f"materialized store {self._root} has format_version "
+                    f"{version}; this build reads only format_version "
+                    f"{FORMAT_VERSION} (delete the directory to rebuild it)"
                 )
         else:
             manifest_path.write_text(
@@ -271,31 +271,40 @@ class MaterializedDetectionStore:
             )
 
     def _load_segment(self, path: Path) -> None:
-        for line in path.read_text("utf-8").splitlines():
-            if not line.strip():
-                continue
+        with path.open("rb") as segment:
+            for line in segment:
+                if line.isspace():
+                    continue
+                try:
+                    sha, tab, payload = line.rstrip(b"\n").partition(b"\t")
+                    if not tab:
+                        raise ValueError("no checksum separator")
+                    if sha != _checksum(payload):
+                        raise ValueError("checksum mismatch")
+                    stage, key, value = json.loads(payload)
+                    if stage not in MATERIALIZED_STAGES:
+                        raise ValueError(f"unknown stage {stage!r}")
+                    full_key = (stage, _decode_key(key))
+                    self._index[full_key] = _decode_value(stage, value)  # repro-lint: disable=RPR015 -- persistent disk-mirroring index: sized by the on-disk segment set, not by service uptime; compaction bounds the segments
+                except (ValueError, TypeError, KeyError) as exc:
+                    # A torn write or bit rot: skip the line (the engine
+                    # recomputes the value deterministically), never trust it.
+                    self._corrupt += 1
+                    self._obs.event(
+                        "matstore-corrupt-record",
+                        segment=path.name,
+                        error=str(exc),
+                    )
+
+    def _create_segment(self) -> BinaryIO:
+        """Create this session's segment exclusively, at the first free
+        index from the count seen at open."""
+        index = self._segments_loaded
+        while True:
             try:
-                record = json.loads(line)
-                stage = record["stage"]
-                if stage not in MATERIALIZED_STAGES:
-                    raise ValueError(f"unknown stage {stage!r}")
-                if record["sha"] != _checksum(
-                    stage, record["key"], record["value"]
-                ):
-                    raise ValueError("checksum mismatch")
-                key = _decode_key(record["key"])
-                value = _decode_value(stage, record["value"])
-            except (ValueError, TypeError, KeyError) as exc:
-                # A torn write or bit rot: skip the record — the engine
-                # recomputes it deterministically — but never trust it.
-                self._corrupt += 1
-                self._obs.event(
-                    "matstore-corrupt-record",
-                    segment=path.name,
-                    error=str(exc),
-                )
-                continue
-            self._index[(stage, key)] = value  # repro-lint: disable=RPR015 -- persistent disk-mirroring index: sized by the on-disk segment set, not by service uptime; compaction bounds the segments
+                return (self._root / f"segment-{index:05d}.jsonl").open("xb")
+            except FileExistsError:
+                index += 1
 
     def close(self) -> None:
         """Flush and close this session's segment (idempotent)."""
@@ -347,24 +356,18 @@ class MaterializedDetectionStore:
             full_key = (stage, key)
             if full_key in self._index:
                 return
-            encoded_key = _encode_key(key)
-            encoded_value = _encode_value(stage, value)
-            record = {
-                "stage": stage,
-                "key": encoded_key,
-                "value": encoded_value,
-                "sha": _checksum(stage, encoded_key, encoded_value),
-            }
+            # One encode; sort_keys is inert on an all-array payload but
+            # keeps the bytes canonical by construction (RPR011).
+            payload = json.dumps(
+                [stage, _encode_key(key), _encode_value(stage, value)],
+                separators=(",", ":"),
+                sort_keys=True,
+            ).encode("ascii")
             if self._writer is None:
                 # Lazy: a read-only session never creates a segment.
-                self._writer = self._session_segment.open(
-                    "a", encoding="utf-8"
-                )
-            # sort_keys keeps segment bytes canonical (RPR011).  Compat:
-            # segments written before this change load fine — checksums
-            # are computed over the canonical re-encoding in _checksum,
-            # not over the raw line, so key order never affected them.
-            self._writer.write(json.dumps(record, sort_keys=True) + "\n")
+                self._writer = self._create_segment()
+            self._writer.write(_checksum(payload) + b"\t" + payload + b"\n")
+            # Per record: a killed writer loses no acknowledged record.
             self._writer.flush()
             self._index[full_key] = value
             self._stores += 1

@@ -428,6 +428,38 @@ class TestQueryCliEndToEnd:
         assert lines[1] == f"  {text}"
         assert lines[2].index("^") - 2 == text.index("FORM")
 
+    @pytest.mark.parametrize(
+        "text, v1_store, fragments",
+        [
+            (QUERY.replace("USING BF(yolov7-tiny-clear, yolov7-tiny-night))",
+                           "USING MES(yolov7-tiny-clear) WITH gama=3)"),
+             False, ["does not take WITH gama"]),
+            (QUERY.replace("yolov7-tiny-night", "no-such-model"),
+             False, ["unknown detector 'no-such-model'"]),
+            (QUERY.replace("PROCESS video", "PROCESS elsewhere"),
+             False, ["unknown video 'elsewhere'"]),
+            (QUERY, True, ["has format_version 1", "reads only format_version 2"]),
+        ],
+        ids=["unknown-with-key", "unknown-detector", "unregistered-video",
+             "v1-store"],
+    )
+    def test_plan_and_store_errors_print_one_line_and_exit_2(
+        self, capsys, tmp_path, text, v1_store, fragments
+    ):
+        extra = []
+        if v1_store:
+            (tmp_path / "MANIFEST.json").write_text('{"format_version": 1}\n')
+            extra = ["--materialize-dir", str(tmp_path)]
+            fragments = [str(tmp_path), *fragments]
+        code = main(["query", *self.SMALL, *extra, text])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        for fragment in fragments:
+            assert fragment in line
+
     def test_materialize_dir_warm_run_reuses_everything(self, capsys, tmp_path):
         mat = ["--materialize-dir", str(tmp_path / "mat")]
         code_cold, out_cold, _ = self._run(capsys, *mat)
