@@ -4,10 +4,9 @@ Boxes use the ``(x1, y1, x2, y2)`` corner convention with ``x1 <= x2`` and
 ``y1 <= y2``, in arbitrary (but consistent) image units.  All operations are
 pure: they return new boxes and never mutate their inputs.
 
-The module offers both a scalar :class:`BBox` value type, used by fusion
-and single-object code, and a vectorized :func:`iou_matrix` used by
-matching, AP scoring and tracking, where quadratic pairwise IoU between
-predictions and references would otherwise dominate runtime.
+The module offers a scalar :class:`BBox` value type, used by fusion,
+matching and AP scoring, and a vectorized :func:`iou_matrix`, used by
+tracking and frame skipping for all-pairs IoU between two box sets.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BBox", "iou_matrix", "boxes_to_array", "array_to_boxes"]
+__all__ = ["BBox", "iou_matrix"]
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,6 @@ class BBox:
         half_h = height / 2.0
         return cls(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
 
-    @classmethod
-    def from_xywh(cls, x: float, y: float, width: float, height: float) -> BBox:
-        """Build a box from its top-left corner and side lengths."""
-        if width < 0 or height < 0:
-            raise ValueError("width and height must be non-negative")
-        return cls(x, y, x + width, y + height)
-
     def intersection(self, other: BBox) -> float:
         """Area of overlap with ``other`` (zero if disjoint)."""
         iw = min(self.x2, other.x2) - max(self.x1, other.x1)
@@ -86,10 +78,6 @@ class BBox:
         if iw <= 0 or ih <= 0:
             return 0.0
         return iw * ih
-
-    def union_area(self, other: BBox) -> float:
-        """Area of the union of the two boxes."""
-        return self.area + other.area - self.intersection(other)
 
     def iou(self, other: BBox) -> float:
         """Intersection-over-union with ``other``, in ``[0, 1]``."""
@@ -115,13 +103,6 @@ class BBox:
         """Shift the box by ``(dx, dy)``."""
         return BBox(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
 
-    def scale(self, factor: float) -> BBox:
-        """Scale the box about its center by ``factor`` (> 0)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        cx, cy = self.center
-        return BBox.from_center(cx, cy, self.width * factor, self.height * factor)
-
     def clip(self, frame_width: float, frame_height: float) -> BBox:
         """Clip the box to ``[0, frame_width] x [0, frame_height]``.
 
@@ -134,60 +115,29 @@ class BBox:
         y2 = min(max(self.y2, 0.0), frame_height)
         return BBox(x1, y1, max(x1, x2), max(y1, y2))
 
-    def contains_point(self, x: float, y: float) -> bool:
-        """True if ``(x, y)`` lies inside the box (inclusive edges)."""
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
 
-    def contains_box(self, other: BBox) -> bool:
-        """True if ``other`` lies entirely inside this box."""
-        return (
-            self.x1 <= other.x1
-            and self.y1 <= other.y1
-            and self.x2 >= other.x2
-            and self.y2 >= other.y2
-        )
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
-
-
-def boxes_to_array(boxes: Sequence[BBox]) -> np.ndarray:
+def _corners(boxes: Sequence[BBox]) -> np.ndarray:
     """Stack boxes into an ``(n, 4)`` float array in corner format."""
-    if not boxes:
-        return np.zeros((0, 4), dtype=np.float64)
-    return np.asarray([b.as_tuple() for b in boxes], dtype=np.float64)
+    rows = [(b.x1, b.y1, b.x2, b.y2) for b in boxes]
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), 4)
 
 
-def array_to_boxes(arr: np.ndarray) -> list[BBox]:
-    """Convert an ``(n, 4)`` corner-format array back into :class:`BBox` values."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 4:
-        raise ValueError(f"expected an (n, 4) array, got shape {arr.shape}")
-    return [BBox(float(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in arr]
-
-
-def iou_matrix(
-    boxes_a: Sequence[BBox] | np.ndarray, boxes_b: Sequence[BBox] | np.ndarray
-) -> np.ndarray:
+def iou_matrix(boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]) -> np.ndarray:
     """Pairwise IoU between two box collections.
-
-    Args:
-        boxes_a: Either a sequence of :class:`BBox` or an ``(n, 4)`` array.
-        boxes_b: Either a sequence of :class:`BBox` or an ``(m, 4)`` array.
 
     Returns:
         An ``(n, m)`` array where entry ``(i, j)`` is the IoU of
         ``boxes_a[i]`` with ``boxes_b[j]``.
     """
-    a = boxes_a if isinstance(boxes_a, np.ndarray) else boxes_to_array(boxes_a)
-    b = boxes_b if isinstance(boxes_b, np.ndarray) else boxes_to_array(boxes_b)
+    a = _corners(boxes_a)
+    b = _corners(boxes_b)
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
 
     # Intersection rectangle per pair, broadcast over the (n, m) grid.
     # Buffers are reused via ``out=`` — same elementwise operations (and
     # therefore bit-identical results), about half the allocations; this
-    # matrix is rebuilt for every matched frame and AP computation.
+    # matrix is rebuilt for every tracked frame.
     iw = np.maximum(a[:, None, 0], b[None, :, 0])
     ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
     np.subtract(ix2, iw, out=iw)

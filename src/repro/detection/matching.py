@@ -1,9 +1,11 @@
-"""Greedy IoU matching between a detection set and a reference set.
+"""The VOC greedy match, the one matching protocol in this repo.
 
-Matching follows the standard PASCAL VOC / COCO evaluation protocol:
-detections are visited in decreasing confidence order and each is matched to
-the highest-IoU unmatched reference box of the same class, provided the IoU
-clears the threshold.  The same protocol serves two roles in this repo:
+Predictions are visited in decreasing confidence order (a stable sort, so
+equal confidences keep their input order).  Each takes the untaken
+reference of highest IoU at or above the threshold; when two references
+tie on IoU, the later one wins.  The match is class-agnostic: AP scoring
+calls it once per class pool, and calibration calls it on a whole frame.
+The same protocol serves two roles:
 
 * scoring detections against ground truth (true AP, Eq. 2 of the paper), and
 * scoring detections against the reference model's boxes (estimated AP,
@@ -13,130 +15,67 @@ clears the threshold.  The same protocol serves two roles in this repo:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-import numpy as np
+from repro.detection.types import Detection
 
-from repro.detection.boxes import iou_matrix
-from repro.detection.types import Detection, FrameDetections
-
-__all__ = ["MatchResult", "match_detections"]
+__all__ = ["check_iou_threshold", "greedy_match"]
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome of matching predictions against references for one frame.
-
-    Attributes:
-        pairs: ``(prediction_index, reference_index)`` matched pairs, indices
-            into the *original* prediction / reference sequences.
-        unmatched_predictions: Prediction indices with no matching reference
-            (false positives at this threshold).
-        unmatched_references: Reference indices never matched (false
-            negatives / misses).
-        ious: IoU of each matched pair, aligned with ``pairs``.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    unmatched_predictions: tuple[int, ...]
-    unmatched_references: tuple[int, ...]
-    ious: tuple[float, ...]
-
-    @property
-    def true_positives(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def false_positives(self) -> int:
-        return len(self.unmatched_predictions)
-
-    @property
-    def false_negatives(self) -> int:
-        return len(self.unmatched_references)
-
-    @property
-    def precision(self) -> float:
-        total = self.true_positives + self.false_positives
-        return self.true_positives / total if total else 0.0
-
-    @property
-    def recall(self) -> float:
-        total = self.true_positives + self.false_negatives
-        return self.true_positives / total if total else 0.0
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if (p + r) > 0 else 0.0
+def check_iou_threshold(iou_threshold: float) -> None:
+    """Reject a match threshold outside ``(0, 1]`` (NaN included)."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold!r}")
 
 
-def match_detections(
-    predictions: Sequence[Detection] | FrameDetections,
-    references: Sequence[Detection] | FrameDetections,
-    iou_threshold: float = 0.5,
-    class_aware: bool = True,
-) -> MatchResult:
+def greedy_match(
+    predictions: Sequence[Detection],
+    references: Sequence[Detection],
+    iou_threshold: float,
+) -> list[tuple[int, int, float]]:
     """Greedily match predictions to references by decreasing confidence.
 
     Args:
         predictions: Predicted detections.
         references: Reference detections (ground truth or REF-model boxes).
-        iou_threshold: Minimum IoU for a valid match, in ``(0, 1]``.
-        class_aware: If True (the default, matching the VOC protocol), a
-            prediction may only match a reference with the same label.
+        iou_threshold: Minimum IoU for a match; the public entries check it
+            with :func:`check_iou_threshold`.
 
     Returns:
-        A :class:`MatchResult` over original indices.
+        One ``(prediction_index, reference_index, iou)`` triple per
+        prediction, in the order the predictions were visited.  An
+        unmatched prediction has reference index ``-1`` and IoU ``0.0``.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-
-    preds = list(predictions)
-    refs = list(references)
-    if not preds or not refs:
-        return MatchResult(
-            pairs=(),
-            unmatched_predictions=tuple(range(len(preds))),
-            unmatched_references=tuple(range(len(refs))),
-            ious=(),
-        )
-
-    ious = iou_matrix([p.box for p in preds], [r.box for r in refs])
-    if class_aware:
-        pred_labels = np.asarray([p.label for p in preds], dtype=object)
-        ref_labels = np.asarray([r.label for r in refs], dtype=object)
-        label_ok = pred_labels[:, None] == ref_labels[None, :]
-        ious = np.where(label_ok, ious, 0.0)
-
     order = sorted(
-        range(len(preds)), key=lambda i: preds[i].confidence, reverse=True
+        range(len(predictions)),
+        key=lambda i: predictions[i].confidence,
+        reverse=True,
     )
-    ref_taken = [False] * len(refs)
-    pairs: list[tuple[int, int]] = []
-    pair_ious: list[float] = []
-    unmatched_preds: list[int] = []
-
+    ref_boxes = [r.box for r in references]
+    taken = [False] * len(ref_boxes)
+    matches: list[tuple[int, int, float]] = []
     for pi in order:
-        row = ious[pi]
-        best_ref = -1
+        box = predictions[pi].box
         best_iou = iou_threshold
-        for ri in range(len(refs)):
-            if ref_taken[ri]:
+        best_ref = -1
+        for ri, ref_box in enumerate(ref_boxes):
+            if taken[ri]:
                 continue
-            if row[ri] >= best_iou:
-                best_iou = row[ri]
+            # Inline IoU: avoids method-call overhead in the innermost loop.
+            iw = min(box.x2, ref_box.x2) - max(box.x1, ref_box.x1)
+            if iw <= 0.0:
+                continue
+            ih = min(box.y2, ref_box.y2) - max(box.y1, ref_box.y1)
+            if ih <= 0.0:
+                continue
+            inter = iw * ih
+            union = box.area + ref_box.area - inter
+            overlap = inter / union if union > 0.0 else 0.0
+            if overlap >= best_iou:
+                best_iou = overlap
                 best_ref = ri
         if best_ref >= 0:
-            ref_taken[best_ref] = True
-            pairs.append((pi, best_ref))
-            pair_ious.append(float(best_iou))
+            taken[best_ref] = True
+            matches.append((pi, best_ref, best_iou))
         else:
-            unmatched_preds.append(pi)
-
-    unmatched_refs = [ri for ri, taken in enumerate(ref_taken) if not taken]
-    return MatchResult(
-        pairs=tuple(pairs),
-        unmatched_predictions=tuple(sorted(unmatched_preds)),
-        unmatched_references=tuple(unmatched_refs),
-        ious=tuple(pair_ious),
-    )
+            matches.append((pi, -1, 0.0))
+    return matches

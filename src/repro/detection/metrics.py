@@ -14,16 +14,11 @@ detection sequence.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-import numpy as np
-
-from repro.detection.boxes import iou_matrix
+from repro.detection.matching import check_iou_threshold, greedy_match
 from repro.detection.types import Detection, FrameDetections
 
 __all__ = [
-    "PRCurve",
-    "precision_recall_curve",
     "average_precision",
     "mean_average_precision",
     "coco_map",
@@ -36,168 +31,27 @@ COCO_IOU_THRESHOLDS: tuple[float, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class PRCurve:
-    """A precision-recall curve for one class.
-
-    Attributes:
-        precision: Precision after each prediction (decreasing confidence).
-        recall: Recall after each prediction.
-        confidences: Confidence of each prediction, decreasing.
-        num_references: Number of reference boxes of this class.
-    """
-
-    precision: tuple[float, ...]
-    recall: tuple[float, ...]
-    confidences: tuple[float, ...]
-    num_references: int
-
-    def interpolated_precision(self) -> tuple[float, ...]:
-        """Precision made monotonically non-increasing in recall order."""
-        if not self.precision:
-            return ()
-        interp = list(self.precision)
-        for i in range(len(interp) - 2, -1, -1):
-            interp[i] = max(interp[i], interp[i + 1])
-        return tuple(interp)
-
-    def auc(self) -> float:
-        """Area under the interpolated curve (the AP value)."""
-        if self.num_references == 0 or not self.recall:
-            return 0.0
-        interp = self.interpolated_precision()
-        area = 0.0
-        prev_recall = 0.0
-        for p, r in zip(interp, self.recall, strict=True):
-            area += (r - prev_recall) * p
-            prev_recall = r
-        return area
-
-
-def _tp_fp_flags(
-    predictions: Sequence[Detection],
-    references: Sequence[Detection],
-    iou_threshold: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-prediction TP flags and confidences, VOC greedy protocol.
-
-    Predictions and references are assumed to already be restricted to a
-    single class.  Returns ``(tp_flags, confidences)`` both ordered by
-    decreasing confidence.
-    """
-    order = sorted(
-        range(len(predictions)),
-        key=lambda i: predictions[i].confidence,
-        reverse=True,
-    )
-    confidences = np.asarray(
-        [predictions[i].confidence for i in order], dtype=np.float64
-    )
-    tp = np.zeros(len(order), dtype=bool)
-    if not references:
-        return tp, confidences
-
-    ious = iou_matrix(
-        [predictions[i].box for i in order], [r.box for r in references]
-    )
-    taken = np.zeros(len(references), dtype=bool)
-    for rank in range(len(order)):
-        row = ious[rank]
-        best_ref = -1
-        best_iou = iou_threshold
-        for ri in range(len(references)):
-            if taken[ri]:
-                continue
-            if row[ri] >= best_iou:
-                best_iou = row[ri]
-                best_ref = ri
-        if best_ref >= 0:
-            taken[best_ref] = True
-            tp[rank] = True
-    return tp, confidences
-
-
-def precision_recall_curve(
-    predictions: Sequence[Detection] | FrameDetections,
-    references: Sequence[Detection] | FrameDetections,
-    iou_threshold: float = 0.5,
-    label: str | None = None,
-) -> PRCurve:
-    """Precision-recall curve for one class.
-
-    Args:
-        predictions: Predicted detections (any classes; filtered by ``label``).
-        references: Reference detections.
-        iou_threshold: IoU needed for a true positive.
-        label: The class to evaluate.  If None, all detections are treated
-            as one class (single-class evaluation).
-
-    Returns:
-        The PR curve; empty curves have zero AUC.
-    """
-    preds = [d for d in predictions if label is None or d.label == label]
-    refs = [d for d in references if label is None or d.label == label]
-
-    tp, confidences = _tp_fp_flags(preds, refs, iou_threshold)
-    if len(tp) == 0:
-        return PRCurve((), (), (), len(refs))
-
-    cum_tp = np.cumsum(tp)
-    ranks = np.arange(1, len(tp) + 1)
-    precision = cum_tp / ranks
-    recall = cum_tp / len(refs) if refs else np.zeros_like(precision)
-
-    return PRCurve(
-        precision=tuple(float(p) for p in precision),
-        recall=tuple(float(r) for r in recall),
-        confidences=tuple(float(c) for c in confidences),
-        num_references=len(refs),
-    )
-
-
 def _fast_ap(
     preds: list[Detection], refs: list[Detection], iou_threshold: float
 ) -> float:
     """All-point-interpolated AP for a single-class pool, pure Python.
 
-    Identical protocol to :func:`precision_recall_curve` + ``auc()`` but
-    avoiding numpy — per-frame detection sets are tiny (a handful of boxes)
-    and array overhead dominates at that size.  This is the AP hot path:
-    the selection algorithms call it once per (frame, ensemble).
+    Per-frame detection sets are tiny (a handful of boxes), so plain lists
+    beat arrays here.  This is the AP hot path: the selection algorithms
+    call it once per (frame, ensemble, class).
     """
     if not refs:
         return 1.0 if not preds else 0.0
     if not preds:
         return 0.0
-    order = sorted(preds, key=lambda d: d.confidence, reverse=True)
-    ref_boxes = [r.box for r in refs]
-    taken = [False] * len(refs)
-    # Greedy matching, then raw precision at each recall step.
+    # Raw precision and recall after each prediction, in match order.
     precisions: list[float] = []
     recalls: list[float] = []
     tp = 0
-    for rank, det in enumerate(order, start=1):
-        box = det.box
-        best_iou = iou_threshold
-        best_ref = -1
-        for ri, ref_box in enumerate(ref_boxes):
-            if taken[ri]:
-                continue
-            # Inline IoU: avoids method-call overhead in the innermost loop.
-            iw = min(box.x2, ref_box.x2) - max(box.x1, ref_box.x1)
-            if iw <= 0.0:
-                continue
-            ih = min(box.y2, ref_box.y2) - max(box.y1, ref_box.y1)
-            if ih <= 0.0:
-                continue
-            inter = iw * ih
-            union = box.area + ref_box.area - inter
-            overlap = inter / union if union > 0.0 else 0.0
-            if overlap >= best_iou:
-                best_iou = overlap
-                best_ref = ri
-        if best_ref >= 0:
-            taken[best_ref] = True
+    for rank, (_, ref, _) in enumerate(
+        greedy_match(preds, refs, iou_threshold), start=1
+    ):
+        if ref >= 0:
             tp += 1
         precisions.append(tp / rank)
         recalls.append(tp / len(refs))
@@ -224,7 +78,11 @@ def average_precision(
     Edge cases follow the usual evaluation conventions: with no reference
     boxes and no predictions the frame is perfectly explained and AP is 1.0;
     with references but no predictions (or vice versa) AP is 0.0.
+
+    Raises:
+        ValueError: If ``iou_threshold`` is not in ``(0, 1]``.
     """
+    check_iou_threshold(iou_threshold)
     preds = [d for d in predictions if label is None or d.label == label]
     refs = [d for d in references if label is None or d.label == label]
     return _fast_ap(preds, refs, iou_threshold)
@@ -245,7 +103,11 @@ def mean_average_precision(
         labels: Classes to average over.  Defaults to the union of classes
             present in either set; if that union is empty, returns 1.0
             (nothing to detect, nothing predicted).
+
+    Raises:
+        ValueError: If ``iou_threshold`` is not in ``(0, 1]``.
     """
+    check_iou_threshold(iou_threshold)
     preds = list(predictions)
     refs = list(references)
     if labels is None:
@@ -282,7 +144,8 @@ def coco_map(
     Averaging over stricter thresholds rewards localization quality, which
     is what separates coordinate-averaging fusion methods (WBF, NMW) from
     pure suppression (NMS) — the Section 5.2 comparison uses it for that
-    reason.
+    reason.  Each threshold must be in ``(0, 1]``, as for
+    :func:`mean_average_precision`.
     """
     if not thresholds:
         raise ValueError("thresholds must be non-empty")

@@ -55,22 +55,12 @@ class Detection:
             object_id=self.object_id,
         )
 
-    def with_source(self, source: str | None) -> Detection:
-        """Copy of this detection attributed to ``source``."""
-        return Detection(
-            box=self.box,
-            confidence=self.confidence,
-            label=self.label,
-            source=source,
-            object_id=self.object_id,
-        )
-
 
 @dataclass(frozen=True)
 class FrameDetections:
     """All detections produced for one frame by one detector or ensemble.
 
-    Instances are immutable; transformation helpers return new objects.
+    Instances are immutable.
 
     Attributes:
         frame_index: Index of the frame within its video.
@@ -97,58 +87,12 @@ class FrameDetections:
     def __bool__(self) -> bool:
         return bool(self.detections)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(d.label for d in self.detections)
-
-    def filter_confidence(self, threshold: float) -> FrameDetections:
-        """Keep only detections with confidence ``>= threshold``."""
-        kept = tuple(d for d in self.detections if d.confidence >= threshold)
-        return FrameDetections(self.frame_index, kept, self.source)
-
-    def filter_label(self, label: str) -> FrameDetections:
-        """Keep only detections of class ``label``."""
-        kept = tuple(d for d in self.detections if d.label == label)
-        return FrameDetections(self.frame_index, kept, self.source)
-
     def by_label(self) -> dict[str, list[Detection]]:
         """Group detections by class label."""
         groups: dict[str, list[Detection]] = {}
         for det in self.detections:
             groups.setdefault(det.label, []).append(det)
         return groups
-
-    def sorted_by_confidence(self) -> FrameDetections:
-        """Detections ordered by decreasing confidence."""
-        ordered = tuple(
-            sorted(self.detections, key=lambda d: d.confidence, reverse=True)
-        )
-        return FrameDetections(self.frame_index, ordered, self.source)
-
-    def with_source(self, source: str | None) -> FrameDetections:
-        """Copy with a replaced source name on the frame and each detection."""
-        return FrameDetections(
-            self.frame_index,
-            tuple(d.with_source(source) for d in self.detections),
-            source,
-        )
-
-    def merged_with(self, *others: FrameDetections) -> FrameDetections:
-        """Concatenate detection lists from multiple sources for one frame.
-
-        This is the raw pooling step that fusion methods start from; it does
-        not deduplicate anything.
-        """
-        for other in others:
-            if other.frame_index != self.frame_index:
-                raise ValueError(
-                    "cannot merge detections from different frames "
-                    f"({self.frame_index} vs {other.frame_index})"
-                )
-        pooled: list[Detection] = list(self.detections)
-        for other in others:
-            pooled.extend(other.detections)
-        return FrameDetections(self.frame_index, tuple(pooled), None)
 
     @staticmethod
     def pool(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.detection.matching import match_detections
+from repro.detection.matching import check_iou_threshold, greedy_match
 from repro.simulation.video import Frame
 
 __all__ = ["CategoryStats", "EstimatedProfile", "estimate_profile", "rank_by_recall"]
@@ -97,14 +97,15 @@ def estimate_profile(
 
     Matching is class-agnostic at the box level (so a correctly localized
     but mislabeled detection counts toward recall and against label
-    accuracy, separating the two error modes), with the usual greedy
-    IoU protocol.
+    accuracy, separating the two error modes), with the VOC greedy match
+    of :func:`~repro.detection.matching.greedy_match`.
 
     Args:
         detector: Anything with ``.name`` and ``.detect(frame)``.
         frames: Labeled frames to profile over (must be non-empty).
-        iou_threshold: Match threshold.
+        iou_threshold: Match threshold, in ``(0, 1]``.
     """
+    check_iou_threshold(iou_threshold)
     by_category: dict[str, CategoryStats] = {}
     total_ms = 0.0
     frames_profiled = 0
@@ -116,17 +117,13 @@ def estimate_profile(
         stats.frames += 1
         ground_truth = frame.ground_truth_detections()
         stats.gt_objects += len(ground_truth)
-        result = match_detections(
-            output.detections,
-            ground_truth,
-            iou_threshold=iou_threshold,
-            class_aware=False,
-        )
-        stats.matched += result.true_positives
-        stats.false_positives += result.false_positives
-        stats.iou_sum += sum(result.ious)
         detections = list(output.detections)
-        for (pred_idx, ref_idx) in result.pairs:
+        matches = greedy_match(detections, ground_truth, iou_threshold)
+        pairs = [(pred, ref, iou) for pred, ref, iou in matches if ref >= 0]
+        stats.matched += len(pairs)
+        stats.false_positives += len(detections) - len(pairs)
+        stats.iou_sum += sum(iou for _, _, iou in pairs)
+        for pred_idx, ref_idx, _ in pairs:
             if detections[pred_idx].label == ground_truth[ref_idx].label:
                 stats.label_correct += 1
     if frames_profiled == 0:
@@ -145,6 +142,7 @@ def rank_by_recall(
     iou_threshold: float = 0.5,
 ) -> list[tuple[str, float]]:
     """Rank detectors by overall recall on a frame sample, best first."""
+    check_iou_threshold(iou_threshold)
     ranked = [
         (detector.name, estimate_profile(detector, frames, iou_threshold).overall_recall())
         for detector in detectors

@@ -51,22 +51,15 @@ def test_intersection_bounded_by_min_area(a, b):
 @given(bboxes(), bboxes())
 def test_enclosing_contains_both(a, b):
     hull = a.enclosing(b)
-    assert hull.contains_box(a)
-    assert hull.contains_box(b)
+    for box in (a, b):
+        assert hull.x1 <= box.x1 and box.x2 <= hull.x2
+        assert hull.y1 <= box.y1 and box.y2 <= hull.y2
 
 
 @given(bboxes(), st.floats(min_value=-100, max_value=100), st.floats(min_value=-100, max_value=100))
 def test_translate_preserves_area(box, dx, dy):
     moved = box.translate(dx, dy)
     assert math.isclose(moved.area, box.area, rel_tol=1e-9, abs_tol=1e-9)
-
-
-@given(bboxes(), st.floats(min_value=0.1, max_value=10.0))
-def test_scale_area_quadratic(box, factor):
-    scaled = box.scale(factor)
-    assert math.isclose(
-        scaled.area, box.area * factor * factor, rel_tol=1e-6, abs_tol=1e-6
-    )
 
 
 @given(bboxes(), st.floats(min_value=1.0, max_value=2000.0), st.floats(min_value=1.0, max_value=2000.0))

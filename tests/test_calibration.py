@@ -73,6 +73,34 @@ class TestEstimateProfile:
             estimate_profile(detector, [])
 
 
+class TestGolden:
+    def test_counters_pinned(self, clear_frames, night_frames):
+        """Every counter of a seeded profile, iou_sum to the last bit.
+
+        The hex of ``iou_sum`` pins the matched IoUs and the order they
+        are summed in, so any change to the match or its IoU arithmetic
+        shows here.
+        """
+        detector = SimulatedDetector(make_profile("yolov7-tiny", "rainy"), seed=7)
+        profile = estimate_profile(
+            detector, list(clear_frames) + list(night_frames)
+        )
+        counters = {
+            name: (
+                stats.matched,
+                stats.false_positives,
+                stats.label_correct,
+                stats.gt_objects,
+                stats.iou_sum.hex(),
+            )
+            for name, stats in profile.by_category.items()
+        }
+        assert counters == {
+            "clear": (254, 19, 246, 669, "0x1.a270e7081b40cp+7"),
+            "night": (70, 47, 68, 435, "0x1.86608824be4f4p+5"),
+        }
+
+
 class TestRankByRecall:
     def test_specialist_ranks_first_in_domain(self, night_frames):
         detectors = [

@@ -1,13 +1,14 @@
-"""Unit tests for AP / mAP metrics."""
+"""Unit tests for AP / mAP metrics.
+
+``TestPRCurve`` checks the numpy PR-curve oracle in ``tests/voc_oracle.py``
+that the agreement tests compare the AP hot path against.
+"""
 
 import pytest
+from tests.voc_oracle import precision_recall_curve
 
 from repro.detection.boxes import BBox
-from repro.detection.metrics import (
-    average_precision,
-    mean_average_precision,
-    precision_recall_curve,
-)
+from repro.detection.metrics import average_precision, mean_average_precision
 from repro.detection.types import Detection
 
 

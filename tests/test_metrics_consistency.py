@@ -1,49 +1,95 @@
-"""Cross-validation of the fast AP path and coco_map.
+"""Cross-validation of the AP hot path, the match kernel and coco_map.
 
-The hot-path pure-Python AP (``_fast_ap``) must agree exactly with the
-reference numpy implementation (``precision_recall_curve().auc()``) — they
-implement the same VOC protocol by different code paths, so property-based
-agreement is the strongest regression guard for the optimization.
+The pure-Python kernel (``greedy_match``) and the AP built on it must
+equal the numpy oracle in ``tests/voc_oracle.py`` bit for bit: they
+implement the same VOC protocol by different code paths, so exact
+property-based agreement is the strongest regression guard for both.
+Boxes and confidences are partly drawn from small palettes, so pools hold
+duplicate boxes and equal confidences, and zero sides give zero-area
+boxes: the stable confidence order and the IoU tie rule are exercised.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests.voc_oracle import match_detections, precision_recall_curve
 
 from repro.detection.boxes import BBox
+from repro.detection.matching import greedy_match
 from repro.detection.metrics import (
     COCO_IOU_THRESHOLDS,
     average_precision,
     coco_map,
     mean_average_precision,
-    precision_recall_curve,
 )
 from repro.detection.types import Detection
 
-confs = st.floats(min_value=0.01, max_value=0.99)
+corners = st.floats(min_value=0, max_value=400)
+sides = st.one_of(st.just(0.0), st.floats(min_value=2, max_value=150))
+fresh_boxes = st.builds(
+    lambda x, y, w, h: BBox(x, y, x + w, y + h), corners, corners, sides, sides
+)
+confs = st.one_of(
+    st.sampled_from([0.3, 0.6, 0.9]), st.floats(min_value=0.01, max_value=0.99)
+)
+thresholds = st.sampled_from([0.3, 0.5, 0.75, 1.0])
 
 
 @st.composite
-def detections(draw):
-    x1 = draw(st.floats(min_value=0, max_value=400))
-    y1 = draw(st.floats(min_value=0, max_value=400))
-    w = draw(st.floats(min_value=2, max_value=150))
-    h = draw(st.floats(min_value=2, max_value=150))
-    return Detection(BBox(x1, y1, x1 + w, y1 + h), draw(confs), "car")
+def pools(draw, labels=("car",)):
+    """A ``(predictions, references)`` pair over one shared box palette."""
+    palette = draw(st.lists(fresh_boxes, min_size=1, max_size=4))
+    detection = st.builds(
+        Detection,
+        st.one_of(st.sampled_from(palette), fresh_boxes),
+        confs,
+        st.sampled_from(labels),
+    )
+    det_lists = st.lists(detection, max_size=10)
+    return draw(det_lists), draw(det_lists)
 
 
-det_lists = st.lists(detections(), min_size=0, max_size=10)
+def oracle_ap(preds, refs, threshold, label=None):
+    """AP by the numpy PR curve, with the no-reference convention."""
+    if any(label is None or d.label == label for d in refs):
+        return precision_recall_curve(preds, refs, threshold, label).auc()
+    return 0.0 if any(label is None or d.label == label for d in preds) else 1.0
 
 
-@given(det_lists, det_lists, st.sampled_from([0.3, 0.5, 0.75]))
+@given(pools(), thresholds)
 @settings(max_examples=120)
-def test_fast_ap_matches_reference_implementation(preds, refs, threshold):
-    fast = average_precision(preds, refs, threshold)
-    if refs:
-        reference = precision_recall_curve(preds, refs, threshold).auc()
-    else:
-        reference = 1.0 if not preds else 0.0
-    assert fast == pytest.approx(reference, abs=1e-12)
+def test_fast_ap_matches_reference_implementation(pool, threshold):
+    preds, refs = pool
+    assert average_precision(preds, refs, threshold) == oracle_ap(
+        preds, refs, threshold
+    )
+
+
+@given(pools(labels=("car", "bus", "truck")), thresholds)
+@settings(max_examples=120)
+def test_map_matches_per_label_reference(pool, threshold):
+    preds, refs = pool
+    labels = sorted({d.label for d in preds} | {d.label for d in refs})
+    expected = 1.0
+    if labels:
+        total = 0.0
+        for label in labels:
+            total += oracle_ap(preds, refs, threshold, label)
+        expected = total / len(labels)
+    assert mean_average_precision(preds, refs, threshold) == expected
+
+
+@given(pools(labels=("car", "bus")), thresholds)
+@settings(max_examples=120)
+def test_match_kernel_matches_numpy_matcher(pool, threshold):
+    preds, refs = pool
+    matches = greedy_match(preds, refs, threshold)
+    oracle = match_detections(preds, refs, threshold, class_aware=False)
+    assert sorted(pred for pred, _, _ in matches) == list(range(len(preds)))
+    assert tuple((p, r) for p, r, _ in matches if r >= 0) == oracle.pairs
+    assert tuple(iou for _, r, iou in matches if r >= 0) == oracle.ious
+    unmatched = sorted(p for p, r, _ in matches if r < 0)
+    assert tuple(unmatched) == oracle.unmatched_predictions
 
 
 class TestCocoMap:

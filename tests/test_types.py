@@ -31,17 +31,13 @@ class TestDetection:
         assert updated.box == det.box
         assert det.confidence == 0.9  # original untouched
 
-    def test_with_source(self):
-        det = make_detection()
-        assert det.with_source("m2").source == "m2"
-
 
 class TestFrameDetections:
     def test_basic_container(self):
         dets = FrameDetections(0, (make_detection(), make_detection(label="bus")))
         assert len(dets) == 2
         assert bool(dets)
-        assert dets.labels == ("car", "bus")
+        assert tuple(d.label for d in dets) == ("car", "bus")
 
     def test_empty(self):
         dets = FrameDetections(3)
@@ -56,20 +52,6 @@ class TestFrameDetections:
         dets = FrameDetections(0, [make_detection()])
         assert isinstance(dets.detections, tuple)
 
-    def test_filter_confidence(self):
-        dets = FrameDetections(
-            0, (make_detection(conf=0.9), make_detection(conf=0.2))
-        )
-        kept = dets.filter_confidence(0.5)
-        assert len(kept) == 1
-        assert kept.detections[0].confidence == 0.9
-
-    def test_filter_label(self):
-        dets = FrameDetections(
-            0, (make_detection(label="car"), make_detection(label="bus"))
-        )
-        assert kept_labels(dets.filter_label("bus")) == ("bus",)
-
     def test_by_label_groups(self):
         dets = FrameDetections(
             0,
@@ -82,31 +64,6 @@ class TestFrameDetections:
         groups = dets.by_label()
         assert sorted(groups) == ["bus", "car"]
         assert len(groups["car"]) == 2
-
-    def test_sorted_by_confidence(self):
-        dets = FrameDetections(
-            0, (make_detection(conf=0.2), make_detection(conf=0.8))
-        )
-        ordered = dets.sorted_by_confidence()
-        confs = [d.confidence for d in ordered]
-        assert confs == sorted(confs, reverse=True)
-
-    def test_with_source_propagates(self):
-        dets = FrameDetections(0, (make_detection(),)).with_source("ens")
-        assert dets.source == "ens"
-        assert all(d.source == "ens" for d in dets)
-
-    def test_merged_with(self):
-        a = FrameDetections(1, (make_detection(),))
-        b = FrameDetections(1, (make_detection(label="bus"),))
-        merged = a.merged_with(b)
-        assert len(merged) == 2
-
-    def test_merged_with_frame_mismatch(self):
-        a = FrameDetections(1, (make_detection(),))
-        b = FrameDetections(2, (make_detection(),))
-        with pytest.raises(ValueError):
-            a.merged_with(b)
 
     def test_pool(self):
         parts = [
@@ -121,6 +78,3 @@ class TestFrameDetections:
         with pytest.raises(ValueError):
             FrameDetections.pool(1, [FrameDetections(2, (make_detection(),))])
 
-
-def kept_labels(dets: FrameDetections):
-    return tuple(d.label for d in dets)
