@@ -180,16 +180,31 @@ def _make_obs(args: argparse.Namespace) -> Observability:
 
 
 def _write_obs_outputs(args: argparse.Namespace, obs: Observability) -> None:
-    """Export metrics / trace / events to the requested files."""
+    """Export metrics / trace / events to the requested files.
+
+    The tracer and the event log keep only their newest records; a file
+    that lost any gets a ``warning:`` line on stderr.
+    """
     if args.metrics_out:
         write_metrics(args.metrics_out, obs.snapshot())
         print(f"metrics written to {args.metrics_out}")
     if args.trace_out and obs.tracer is not None:
         write_trace_json(args.trace_out, obs.tracer)
         print(f"trace written to {args.trace_out}")
+        _warn_dropped(obs.tracer.dropped, "spans", args.trace_out)
     if args.events_out and obs.events is not None:
         write_events_jsonl(args.events_out, obs.events)
         print(f"events written to {args.events_out}")
+        _warn_dropped(obs.events.dropped, "events", args.events_out)
+
+
+def _warn_dropped(dropped: int, records: str, path: str) -> None:
+    if dropped:
+        print(
+            f"warning: {dropped} {records} dropped from {path}: "
+            f"only the newest are kept",
+            file=sys.stderr,
+        )
 
 
 def _open_backend(

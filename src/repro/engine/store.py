@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Any, Protocol, runtime_checkable
 
 from repro.engine.backends import wall_timer
-from repro.obs import NULL_OBS, Counter, Observability
+from repro.obs import NULL_OBS, Counter, Histogram, Observability
 
 __all__ = [
     "StageStats",
@@ -217,11 +217,13 @@ class EvaluationStore:
         self._stages: dict[str, _MutableStageStats] = {}
         self._evictions = 0
         self._hit_streak = 0
-        # Per-stage (lookups, hits) counter handles, resolved once: get()
-        # is the hottest instrumented path in the repo, and resolving a
-        # counter through the registry on every lookup (label-set
-        # normalization plus a registry lock) costs more than the lookup.
+        # Per-stage (lookups, hits) counter handles and the hit-streak
+        # histogram, resolved on first use: get() is the hottest
+        # instrumented path in the repo, and resolving a series through
+        # the registry on every lookup (label-set normalization plus a
+        # registry lock) costs more than the lookup.
         self._obs_counters: dict[str, tuple[Counter, Counter]] = {}
+        self._obs_streak: Histogram | None = None
 
     @property
     def capacity(self) -> int:
@@ -270,6 +272,18 @@ class EvaluationStore:
             )
             self._obs_counters[stage] = pair
         return pair
+
+    def _streak_histogram(self) -> Histogram:
+        """The hit-streak histogram, cached like the stage counters."""
+        histogram = self._obs_streak
+        if histogram is None:
+            registry = self._obs.metrics
+            assert registry is not None  # guarded by metrics_on at call site
+            histogram = self._obs_streak = registry.histogram(
+                "repro_cache_hit_streak",
+                description="Consecutive-hit run lengths, ended by a miss",
+            )
+        return histogram
 
     def _insert_locked(self, full_key: tuple[str, Hashable], value: Any) -> None:
         """Insert an entry and enforce the bound; caller holds the lock."""
@@ -320,11 +334,7 @@ class EvaluationStore:
             return value
         stats.misses += 1
         if self._hit_streak and self._obs.metrics_on:
-            self._obs.observe(
-                "repro_cache_hit_streak",
-                float(self._hit_streak),
-                description="Consecutive-hit run lengths, ended by a miss",
-            )
+            self._streak_histogram().observe(float(self._hit_streak))
         self._hit_streak = 0
         return None
 
@@ -404,8 +414,6 @@ class EvaluationStore:
         start = self._timer()
         value = compute()
         elapsed_ms = (self._timer() - start) * 1000.0
-        if self._obs.trace_on:
-            self._obs.add_span("cache-miss", wall_ms=elapsed_ms, stage=stage)
         self.put(stage, key, value, compute_ms=elapsed_ms)
         return value
 

@@ -106,13 +106,21 @@ def write_metrics(path: str, snapshot: MetricsSnapshot) -> None:
 
 
 def write_trace_json(path: str, tracer: Tracer) -> None:
-    """Write finished spans (plus the drop counter) as a JSON document."""
-    payload: dict[str, Any] = {
-        "spans": tracer.to_dicts(),
-        "dropped": tracer.dropped,
-    }
+    """Write finished spans (plus the drop counter) as one JSON document.
+
+    The document is ``{"dropped": n, "spans": [...]}`` with sorted keys.
+    It is streamed: the head first, then one span object per line, each
+    encoded on its own by ``json.dumps`` (the C encoder), so neither the
+    span dicts nor the whole text are ever held at once.
+    """
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write(f'{{"dropped": {tracer.dropped}, "spans": [')
+        separator = "\n"
+        for span in tracer.finished():
+            handle.write(separator)
+            handle.write(json.dumps(span.as_dict(), sort_keys=True))
+            separator = ",\n"
+        handle.write("\n]}\n")
 
 
 def _write_jsonl(handle: IO[str], rows: list[dict[str, Any]]) -> None:

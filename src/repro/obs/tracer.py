@@ -252,6 +252,3 @@ class Tracer:
         children precede their parents)."""
         with self._lock:
             return list(self._finished)
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        return [span.as_dict() for span in self.finished()]

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import _write_obs_outputs, build_parser, main
+from repro.obs import Observability
 
 
 class TestParser:
@@ -231,6 +233,32 @@ class TestObservabilityFlags:
         ]
         assert events
         assert all(e["type"] == "frame-completed" for e in events)
+
+    def test_dropped_spans_and_events_are_reported(self, capsys, tmp_path):
+        args = argparse.Namespace(
+            metrics_out=None,
+            trace_out=str(tmp_path / "trace.json"),
+            events_out=str(tmp_path / "events.jsonl"),
+        )
+        obs = Observability(level="trace", max_spans=1, max_events=1)
+        _write_obs_outputs(args, obs)
+        assert capsys.readouterr().err == ""
+        for frames in (1, 2):
+            obs.add_span("detect-model", model="m")
+            obs.event(
+                "budget",
+                algorithm="MES",
+                budget_ms=10.0,
+                spent_ms=5.0,
+                frames=frames,
+                exhausted=False,
+            )
+        _write_obs_outputs(args, obs)
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(" from ")[0] for line in err] == [
+            "warning: 1 spans dropped",
+            "warning: 1 events dropped",
+        ]
 
     def test_compare_prometheus_metrics_out(self, capsys, tmp_path):
         metrics_path = tmp_path / "metrics.prom"

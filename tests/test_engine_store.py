@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.environment import DetectionEnvironment
 from repro.engine.store import CacheStats, DEFAULT_CAPACITY, EvaluationStore
+from repro.obs import Observability
 
 
 class TestBasics:
@@ -139,11 +140,13 @@ class TestStats:
         for stage in stats.stages.values():
             assert stage.hits + stage.misses == stage.lookups
 
+    @pytest.mark.parametrize("obs_level", ["off", "trace"])
     def test_invariant_holds_after_environment_run(
-        self, detector_pool, lidar, small_video
+        self, detector_pool, lidar, small_video, obs_level
     ):
-        store = EvaluationStore()
-        env = DetectionEnvironment(detector_pool, lidar, store=store)
+        obs = Observability(level=obs_level)
+        store = EvaluationStore(obs=obs)
+        env = DetectionEnvironment(detector_pool, lidar, store=store, obs=obs)
         # Twice over the same frames: the second pass reads stored values.
         for _ in range(2):
             for frame in small_video.frames[:5]:
@@ -154,6 +157,18 @@ class TestStats:
         assert stats.lookups > 0
         assert stats.hits > 0
         assert set(stats.stages) >= {"detector", "reference", "fused"}
+        if obs_level == "trace":
+            # Misses stay countable (lookups - hits) with no span per miss.
+            snapshot = obs.snapshot()
+            for stage, stage_stats in stats.stages.items():
+                assert snapshot.counter_value(
+                    "repro_cache_lookups_total", stage=stage
+                ) == stage_stats.lookups
+                assert snapshot.counter_value(
+                    "repro_cache_hits_total", stage=stage
+                ) == stage_stats.hits
+            names = {span.name for span in obs.tracer.finished()}
+            assert "cache-miss" not in names
 
     def test_per_stage_compute_timing(self):
         store = EvaluationStore(capacity=8)

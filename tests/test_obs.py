@@ -267,6 +267,39 @@ class TestEvents:
         assert len(log.events()) == len(EVENT_SCHEMAS)
 
 
+def _flat_trace():
+    tracer = Tracer()
+    with tracer.span("frame", iteration=1):
+        tracer.add_span("detect-model", sim_ms=4.0, model="m")
+    return tracer
+
+
+def _nested_mixed_trace():
+    """Nested spans, non-ASCII text, float/None/bool attributes, and an
+    ``error`` status from a span left by an exception."""
+    tracer = Tracer()
+    with pytest.raises(RuntimeError):
+        with tracer.span("frame", algorithm="MES-β", iteration=2):
+            with tracer.span("fuse", ratio=0.1 + 0.2, empty=None, ok=True):
+                tracer.add_span(
+                    "détecte",
+                    wall_ms=1.5,
+                    sim_ms=1 / 3,
+                    status="timeout",
+                    model="夜間",
+                    degraded=False,
+                )
+            raise RuntimeError("abandon the frame")
+    return tracer
+
+
+def _dropping_trace():
+    tracer = Tracer(max_spans=2)
+    for index in range(5):
+        tracer.add_span("detect-model", sim_ms=float(index), model="m")
+    return tracer
+
+
 class TestExporters:
     def _snapshot(self):
         registry = MetricsRegistry()
@@ -326,15 +359,23 @@ class TestExporters:
         payload = json.loads(js.read_text())
         assert payload["counters"][0]["name"] == "repro_frames_total"
 
-    def test_write_trace_json(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("frame", iteration=1):
-            tracer.add_span("detect-model", sim_ms=4.0, model="m")
+    @pytest.mark.parametrize(
+        "make_tracer",
+        [_flat_trace, _nested_mixed_trace, Tracer, _dropping_trace],
+        ids=["flat", "nested-mixed", "empty", "dropped"],
+    )
+    def test_write_trace_json(self, tmp_path, make_tracer):
+        tracer = make_tracer()
         path = tmp_path / "trace.json"
         write_trace_json(str(path), tracer)
-        payload = json.loads(path.read_text())
-        assert payload["dropped"] == 0
-        assert [s["name"] for s in payload["spans"]] == ["detect-model", "frame"]
+        text = path.read_text(encoding="utf-8")
+        spans = tracer.finished()
+        assert json.loads(text) == {
+            "dropped": tracer.dropped,
+            "spans": [s.as_dict() for s in spans],
+        }
+        # The head, one line per span, the tail.
+        assert len(text.splitlines()) == len(spans) + 2
 
     def test_write_events_jsonl(self, tmp_path):
         log = RunEventLog()
