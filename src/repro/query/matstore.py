@@ -49,7 +49,7 @@ from typing import Any, BinaryIO
 
 from repro.detection.boxes import BBox
 from repro.detection.types import Detection, FrameDetections
-from repro.obs import NULL_OBS, Counter, Observability
+from repro.obs import NULL_OBS, Observability
 from repro.simulation.detectors import DetectorOutput
 
 __all__ = [
@@ -238,8 +238,6 @@ class MaterializedDetectionStore:
         self._hits = 0
         self._misses = 0
         self._stores = 0
-        # (stage, hit) -> the hits or misses counter, resolved on first use.
-        self._obs_counters: dict[tuple[str, bool], Counter] = {}
         self._writer: BinaryIO | None = None
         self._check_manifest()
         segments = sorted(self._root.glob("segment-*.jsonl"))
@@ -339,25 +337,17 @@ class MaterializedDetectionStore:
             else:
                 self._hits += 1
             if self._obs.metrics_on:
-                self._outcome_counter(stage, value is not None).inc()
+                name = (
+                    "repro_matstore_hits_total"
+                    if value is not None
+                    else "repro_matstore_misses_total"
+                )
+                self._obs.count(
+                    name,
+                    description="Materialized-store lookups by outcome",
+                    stage=stage,
+                )
             return value
-
-    def _outcome_counter(self, stage: str, hit: bool) -> Counter:
-        """One stage's hits or misses counter, resolved through the
-        registry once: :meth:`load` runs on every memory miss of the
-        evaluation store it backs."""
-        counter = self._obs_counters.get((stage, hit))
-        if counter is None:
-            registry = self._obs.metrics
-            assert registry is not None  # guarded by metrics_on at call site
-            counter = self._obs_counters[(stage, hit)] = registry.counter(
-                "repro_matstore_hits_total"
-                if hit
-                else "repro_matstore_misses_total",
-                "Materialized-store lookups by outcome",
-                stage=stage,
-            )
-        return counter
 
     def store(self, stage: str, key: Hashable, value: Any) -> None:
         if not self.accepts(stage):
