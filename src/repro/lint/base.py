@@ -13,6 +13,7 @@ import ast
 import io
 import re
 import tokenize
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
@@ -108,29 +109,44 @@ def _collect_comments(source: str) -> list[Comment]:
     return comments
 
 
-def _resolve_imports(tree: ast.AST) -> tuple[dict[str, str], dict[str, str]]:
+#: The fields holding statement blocks, handlers or match cases, in the
+#: order ``ast.iter_child_nodes`` yields them for every node type.
+_BLOCK_FIELDS = ("body", "handlers", "orelse", "finalbody", "cases")
+
+
+def _resolve_imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, str]]:
     """Map local names to the dotted things they import.
 
     Returns ``(module_aliases, member_imports)`` where ``module_aliases``
     maps a local name to a module path (``np -> numpy``,
     ``npr -> numpy.random``) and ``member_imports`` maps a local name to
     the full dotted path of an imported member
-    (``perf_counter -> time.perf_counter``).
+    (``perf_counter -> time.perf_counter``).  Imports anywhere in the
+    file count, and a later one wins a name.  The scan visits only
+    statements, handlers and match cases, breadth first, so imports come
+    in the order ``ast.walk`` would yield them.
     """
     module_aliases: dict[str, str] = {}
     member_imports: dict[str, str] = {}
-    for node in ast.walk(tree):
+    queue: deque[ast.AST] = deque(tree.body)
+    while queue:
+        node = queue.popleft()
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
                 target = alias.name if alias.asname else alias.name.split(".")[0]
                 module_aliases[local] = target
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+        elif isinstance(node, ast.ImportFrom):
+            if not node.module or node.level != 0:
+                continue
             for alias in node.names:
                 if alias.name == "*":
                     continue
                 local = alias.asname or alias.name
                 member_imports[local] = f"{node.module}.{alias.name}"
+        else:
+            for name in _BLOCK_FIELDS:
+                queue.extend(getattr(node, name, ()))
     return module_aliases, member_imports
 
 

@@ -30,11 +30,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.lint.base import dotted_name
-from repro.lint.project import (
-    FunctionInfo,
-    Project,
-    iter_owned_nodes,
-)
+from repro.lint.project import FunctionInfo, Project
 
 __all__ = ["CallGraph", "CallSite", "enclosing_class"]
 
@@ -63,7 +59,7 @@ class CallGraph:
         for qname in sorted(project.functions):
             fn = project.functions[qname]
             local_types = _infer_local_types(project, fn)
-            for node in iter_owned_nodes(fn.node):
+            for node in fn.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 callee = resolve_call_target(project, fn, node, local_types)
@@ -127,7 +123,7 @@ def enclosing_class(project: Project, fn: FunctionInfo | None) -> str | None:
 def _infer_local_types(project: Project, fn: FunctionInfo) -> dict[str, str]:
     """Locals assigned from a project-class constructor → class qname."""
     types: dict[str, str] = {}
-    for node in iter_owned_nodes(fn.node):
+    for node in fn.nodes:
         if not (
             isinstance(node, ast.Assign)
             and len(node.targets) == 1

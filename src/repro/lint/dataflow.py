@@ -55,13 +55,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.lint.base import dotted_name, self_attr
 from repro.lint.callgraph import CallGraph, resolve_call_target
-from repro.lint.project import (
-    FunctionInfo,
-    Project,
-    iter_owned_nodes,
-    iter_owned_statements,
-    iter_statements,
-)
+from repro.lint.project import FunctionInfo, Project
 
 __all__ = [
     "GROWTH_METHODS",
@@ -184,8 +178,8 @@ class _Walker:
         env: dict[str, Taint] = dict(self._params.get(fn.qname, {}))
         path = self._path(fn)
         scoped = self._scoped(fn)
-        for stmt in iter_owned_statements(fn.node):
-            for node in _stmt_nodes(stmt):
+        for stmt in fn.statements:
+            for node in fn.expressions[stmt]:
                 if isinstance(node, ast.Call):
                     touched.extend(self._bind_args(fn, node, env, path))
                     self._visit_call(fn, node, env, path, scoped)
@@ -819,8 +813,8 @@ class _Ordering(_Walker):
         if taint is None:
             return
         loop_taint = taint.extend(f"iterated in {fn.qname} ({path}:{stmt.lineno})")
-        for inner in iter_statements([*stmt.body, *stmt.orelse]):
-            for node in _stmt_nodes(inner):
+        for inner in fn.inner_statements(stmt):
+            for node in fn.expressions[inner]:
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
@@ -1166,15 +1160,15 @@ def _local_names(fn: FunctionInfo) -> frozenset[str]:
     function declares ``global``/``nonlocal`` are excluded — writes to
     them target the outer scope."""
     names = set(fn.params)
-    for node in iter_owned_nodes(fn.node):
+    outer: set[str] = set()
+    for node in fn.nodes:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.ExceptHandler) and node.name:
             names.add(node.name)
-    for node in iter_owned_nodes(fn.node):
-        if isinstance(node, (ast.Global, ast.Nonlocal)):
-            names.difference_update(node.names)
-    return frozenset(names)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            outer.update(node.names)
+    return frozenset(names - outer)
 
 
 #: Loop constructs; calls inside comprehensions also run per element.
@@ -1191,7 +1185,7 @@ _LOOP_NODES = (
 
 def _loop_line_set(fn: FunctionInfo) -> frozenset[int]:
     lines: set[int] = set()
-    for node in iter_owned_nodes(fn.node):
+    for node in fn.nodes:
         if isinstance(node, _LOOP_NODES):
             end = node.end_lineno or node.lineno
             lines.update(range(node.lineno, end + 1))
@@ -1270,7 +1264,7 @@ class _Purity(_Walker):
         kinds = self._field_kinds.setdefault(cls, {})
         in_init = fn.name == "__init__"
         path = self._path(fn)
-        for stmt in iter_owned_statements(fn.node):
+        for stmt in fn.statements:
             pairs: list[tuple[str, ast.expr | None, int]] = []
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
                 attr = self_attr(stmt.targets[0])
@@ -1322,14 +1316,14 @@ class _Purity(_Walker):
         loops = self._loop_lines[fn.qname] = _loop_line_set(fn)
         upserts = self._upsert_guarded(fn, locals_)
         self._collect_captures(fn, summary, path)
-        for node in iter_owned_nodes(fn.node):
+        for node in fn.nodes:
             if isinstance(node, ast.Call):
                 if isinstance(node.func, ast.Attribute):
                     self._container_method_effects(
                         fn, node, summary, path, locals_, node.lineno in loops, upserts
                     )
                 self._io_effect(fn, node, summary, path)
-        for stmt in iter_owned_statements(fn.node):
+        for stmt in fn.statements:
             in_loop = stmt.lineno in loops
             if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 self._store_effects(
@@ -1355,7 +1349,7 @@ class _Purity(_Walker):
         containers are mutations but not unbounded growth.
         """
         guarded: set[str] = set()
-        for node in iter_owned_nodes(fn.node):
+        for node in fn.nodes:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -1393,7 +1387,7 @@ class _Purity(_Walker):
         own = self._locals.get(fn.qname)
         if own is None:
             own = self._locals[fn.qname] = _local_names(fn)
-        for node in iter_owned_nodes(fn.node):
+        for node in fn.nodes:
             if not (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)):
                 continue
             name = node.id
@@ -1416,7 +1410,7 @@ class _Purity(_Walker):
                 break
 
     def _captured_kind(self, ancestor: FunctionInfo, name: str) -> str:
-        for stmt in iter_owned_statements(ancestor.node):
+        for stmt in ancestor.statements:
             value: ast.expr | None = None
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
                 target = stmt.targets[0]
@@ -1880,19 +1874,3 @@ class _Purity(_Walker):
             return any(hint in cls for hint in _STORE_CLASS_HINTS)
         tail = dotted.rpartition(".")[2].lower()
         return any(hint in tail for hint in _PURITY_SINK_RECEIVERS)
-
-
-def _stmt_nodes(stmt: ast.stmt) -> list[ast.AST]:
-    """The expression nodes of one statement, excluding nested
-    function/lambda/class subtrees (each is its own analysis unit) and
-    the bodies of compound statements (visited as their own statements)."""
-    nodes: list[ast.AST] = []
-    stack: list[ast.AST] = [stmt]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        for child in ast.iter_child_nodes(node):
-            # ast.stmt covers nested def/class statements too.
-            if not isinstance(child, (ast.stmt, ast.Lambda)):
-                stack.append(child)
-    return nodes

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import ast
 import json
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.lint.base import FileContext, Violation, dotted_name
 
@@ -45,10 +45,6 @@ __all__ = [
     "ProjectRule",
     "Resolved",
     "is_persistence_path",
-    "iter_module_nodes",
-    "iter_owned_nodes",
-    "iter_owned_statements",
-    "iter_statements",
     "load_config",
     "module_name_for_path",
 ]
@@ -459,6 +455,16 @@ class FunctionInfo:
     ``repro.core.mes.MES.choose`` for methods,
     ``pkg.mod.outer.<locals>.inner`` for nested defs and
     ``...<locals>.<lambda:LINE:COL>`` for lambdas.
+
+    Construction walks the function's own code once (:func:`_walk`); the
+    call graph, the dataflow passes and the project rules read these
+    sequences instead of walking the AST again:
+
+    * ``nodes`` — every node the function owns;
+    * ``statements`` — its statements, none for a lambda;
+    * ``expressions`` — per statement, the statement and its expression
+      nodes;
+    * ``lambdas`` — the lambdas written directly in its code.
     """
 
     qname: str
@@ -470,10 +476,31 @@ class FunctionInfo:
     is_method: bool = False
     decorators: tuple[str, ...] = ()
     nested: dict[str, str] = field(default_factory=dict)
+    nodes: tuple[ast.AST, ...] = field(init=False, repr=False, compare=False)
+    statements: tuple[ast.stmt, ...] = field(init=False, repr=False, compare=False)
+    expressions: dict[ast.stmt, tuple[ast.AST, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    lambdas: tuple[ast.Lambda, ...] = field(init=False, repr=False, compare=False)
+    _inner: dict[ast.stmt, slice] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        (
+            self.nodes,
+            self.statements,
+            self.expressions,
+            self._inner,
+            self.lambdas,
+        ) = _walk(self.node, _SCOPES)
 
     @property
     def name(self) -> str:
         return self.qname.rsplit(".", 1)[-1]
+
+    def inner_statements(self, stmt: ast.stmt) -> tuple[ast.stmt, ...]:
+        """The statements nested in ``stmt``, one of :attr:`statements`,
+        in the same order."""
+        return self.statements[self._inner[stmt]]
 
 
 @dataclass
@@ -489,13 +516,23 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """One analyzed file as a module: context, namespace, import edges."""
+    """One analyzed file as a module: context, namespace, import edges.
+
+    ``nodes`` and ``lambdas`` are the walk of its module-level code,
+    class bodies included (:func:`_walk`).
+    """
 
     name: str
     context: FileContext
     is_package: bool
     env: dict[str, tuple[str, str]] = field(default_factory=dict)
     imports: list[ImportEdge] = field(default_factory=list)
+    nodes: tuple[ast.AST, ...] = field(init=False, repr=False, compare=False)
+    lambdas: tuple[ast.Lambda, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        walk = _walk(self.context.tree, _MODULE_SCOPES)
+        self.nodes, self.lambdas = walk.nodes, walk.lambdas
 
     @property
     def path(self) -> str:
@@ -525,65 +562,89 @@ def _sub_blocks(stmt: ast.stmt) -> list[list[ast.stmt]]:
     return blocks
 
 
-def iter_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
-    """The statements of a block in source order, recursing into compound
-    statements (``match`` cases included) but not into nested
-    function/class bodies (those belong to their own symbol)."""
-    stack: list[ast.stmt] = list(reversed(body))
-    while stack:
-        stmt = stack.pop()
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield stmt
-        for block in reversed(_sub_blocks(stmt)):
-            stack.extend(reversed(block))
+#: Nodes that open a symbol of their own: a function's walk does not
+#: enter them.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+#: Module-level code includes class bodies.
+_MODULE_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
-def iter_owned_statements(
-    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
-) -> Iterator[ast.stmt]:
-    """The statements of a function (none for a lambda); see
-    :func:`iter_statements`."""
-    if isinstance(node, ast.Lambda):
-        return iter(())
-    return iter_statements(node.body)
+class _Walk(NamedTuple):
+    nodes: tuple[ast.AST, ...]
+    statements: tuple[ast.stmt, ...]
+    expressions: dict[ast.stmt, tuple[ast.AST, ...]]
+    inner: dict[ast.stmt, slice]
+    lambdas: tuple[ast.Lambda, ...]
 
 
-def iter_owned_nodes(
-    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
-) -> Iterator[ast.AST]:
-    """All AST nodes belonging to a function, excluding nested
-    function/class/lambda subtrees (each of those is its own node in the
-    project symbol table)."""
-    roots: list[ast.AST]
-    if isinstance(node, ast.Lambda):
-        roots = [node.body]
-    else:
-        roots = list(node.body)
-    stack = list(roots)
-    while stack:
-        current = stack.pop()
-        yield current
-        for child in ast.iter_child_nodes(current):
-            if isinstance(
-                child,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-            ):
+def _walk(
+    owner: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda | ast.Module,
+    scopes: tuple[type[ast.AST], ...],
+) -> _Walk:
+    """The one walk of a scope's own code, which every pass then reads.
+
+    ``nodes`` holds the owner's nodes depth first, each before its
+    children, the last child first.  Nodes of a ``scopes`` type are not
+    entered; the lambdas among them are collected in ``lambdas`` to be
+    registered as symbols of their own.  ``expressions`` maps each
+    statement to itself and its expression nodes, in the same order,
+    stopping at nested statements.  ``statements`` lists the statements
+    in source order, a compound statement before the blocks
+    :func:`_sub_blocks` returns for it, and ``inner`` maps each to the
+    slice of ``statements`` nested in it.
+    """
+    roots: list[ast.AST] = (
+        [owner.body] if isinstance(owner, ast.Lambda) else list(owner.body)
+    )
+    nodes: list[ast.AST] = []
+    expressions: dict[ast.stmt, list[ast.AST]] = {}
+    lambdas: list[ast.Lambda] = []
+    stack: list[tuple[ast.AST, list[ast.AST] | None]] = []
+    children: Iterable[ast.AST] = roots
+    owned: list[ast.AST] | None = None
+    if not isinstance(owner, ast.Module):
+        # A function's top-level statements are entered whatever their type.
+        stack = [(root, None) for root in roots]
+        children = ()
+    while True:
+        for child in children:
+            if not isinstance(child, scopes):
+                stack.append((child, owned))
+            elif isinstance(child, ast.Lambda):
+                lambdas.append(child)
+        if not stack:
+            break
+        node, owned = stack.pop()
+        nodes.append(node)
+        if isinstance(node, ast.stmt):
+            owned = expressions[node] = [node]
+        elif owned is not None:
+            owned.append(node)
+        children = ast.iter_child_nodes(node)
+
+    statements: list[ast.stmt] = []
+    inner: dict[ast.stmt, slice] = {}
+
+    def order(block: Sequence[ast.stmt]) -> None:
+        for stmt in block:
+            if isinstance(stmt, scopes):
                 continue
-            stack.append(child)
+            statements.append(stmt)
+            start = len(statements)
+            for sub in _sub_blocks(stmt):
+                order(sub)
+            inner[stmt] = slice(start, len(statements))
 
-
-def iter_module_nodes(tree: ast.Module) -> Iterator[ast.AST]:
-    """All AST nodes of module-level code, class bodies included; def and
-    lambda nodes are yielded but their bodies belong to their own symbol."""
-    stack: list[ast.AST] = list(tree.body)
-    while stack:
-        current = stack.pop()
-        yield current
-        if not isinstance(
-            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            stack.extend(ast.iter_child_nodes(current))
+    if not isinstance(owner, ast.Lambda):
+        order(owner.body)
+    return _Walk(
+        tuple(nodes),
+        tuple(statements),
+        {stmt: tuple(owned) for stmt, owned in expressions.items()},
+        inner,
+        tuple(lambdas),
+    )
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:
@@ -749,12 +810,6 @@ class Project:
                 parent.nested[node.name] = qname
             return info
 
-        def register_lambdas(owner: FunctionInfo) -> None:
-            for node in iter_owned_nodes(owner.node):
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, ast.Lambda):
-                        self._register_lambda(module, child, owner)
-
         def visit_body(
             body: list[ast.stmt],
             prefix: str,
@@ -773,7 +828,8 @@ class Project:
                             owner_class.methods.setdefault(stmt.name, qname)
                     elif parent is None:
                         module.env[stmt.name] = ("function", qname)
-                    register_lambdas(info)
+                    for lam in info.lambdas:
+                        self._register_lambda(module, lam, info)
                     visit_body(stmt.body, f"{qname}.<locals>", None, info)
                 elif isinstance(stmt, ast.ClassDef):
                     qname = f"{prefix}.{stmt.name}"
@@ -788,9 +844,8 @@ class Project:
                         visit_body(block, prefix, class_qname, parent)
 
         visit_body(module.context.tree.body, module.name, None, None)
-        for node in iter_module_nodes(module.context.tree):
-            if isinstance(node, ast.Lambda):
-                self._register_lambda(module, node, None)
+        for lam in module.lambdas:
+            self._register_lambda(module, lam, None)
 
     def _register_lambda(
         self, module: ModuleInfo, node: ast.Lambda, parent: FunctionInfo | None
@@ -811,10 +866,8 @@ class Project:
         )
         self.functions[qname] = info
         self._function_qname_by_node_id[id(node)] = qname
-        for inner in iter_owned_nodes(node):
-            for child in ast.iter_child_nodes(inner):
-                if isinstance(child, ast.Lambda):
-                    self._register_lambda(module, child, info)
+        for lam in info.lambdas:
+            self._register_lambda(module, lam, info)
 
     def _resolve_class_bases(self, module: ModuleInfo) -> None:
         for class_info in self.classes.values():

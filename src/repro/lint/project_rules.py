@@ -41,9 +41,6 @@ from repro.lint.project import (
     Project,
     ProjectRule,
     is_persistence_path,
-    iter_module_nodes,
-    iter_owned_nodes,
-    iter_owned_statements,
 )
 
 __all__ = [
@@ -293,12 +290,12 @@ class InterprocLocksetRule(ProjectRule):
         """Every backend dispatch call in a module with the function whose
         scope resolves its names; ``None`` for module-level code
         (``if __name__ == "__main__":`` blocks, class bodies)."""
-        scopes: list[tuple[FunctionInfo | None, Iterator[ast.AST]]] = [
-            (fn, iter_owned_nodes(fn.node))
+        scopes: list[tuple[FunctionInfo | None, Iterable[ast.AST]]] = [
+            (fn, fn.nodes)
             for fn in (project.functions[q] for q in sorted(project.functions))
             if fn.module == module.name
         ]
-        scopes.append((None, iter_module_nodes(module.context.tree)))
+        scopes.append((None, module.nodes))
         for fn, nodes in scopes:
             for node in nodes:
                 if (
@@ -450,7 +447,7 @@ class ResourceSafetyRule(ProjectRule):
     def _check_handles(
         self, project: Project, module: ModuleInfo, fn: FunctionInfo
     ) -> Iterator[Violation]:
-        for stmt in iter_owned_statements(fn.node):
+        for stmt in fn.statements:
             if not (
                 isinstance(stmt, ast.Assign)
                 and len(stmt.targets) == 1
@@ -496,7 +493,7 @@ class ResourceSafetyRule(ProjectRule):
         """``None`` when the handle is safe; else a problem description."""
         release_nodes: list[ast.Call] = []
         finally_releases = False
-        for node in iter_owned_nodes(fn.node):
+        for node in fn.nodes:
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     expr = item.context_expr
@@ -560,8 +557,8 @@ class ResourceSafetyRule(ProjectRule):
             return
         if "JobResult" not in annotation:
             return
-        protected = self._protected_ranges(node)
-        for inner in iter_owned_nodes(node):
+        protected = self._protected_ranges(fn)
+        for inner in fn.nodes:
             if not (
                 isinstance(inner, ast.Call)
                 and isinstance(inner.func, ast.Attribute)
@@ -585,11 +582,9 @@ class ResourceSafetyRule(ProjectRule):
             )
 
     @staticmethod
-    def _protected_ranges(
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> list[tuple[int, int]]:
+    def _protected_ranges(fn: FunctionInfo) -> list[tuple[int, int]]:
         ranges: list[tuple[int, int]] = []
-        for inner in iter_owned_nodes(node):
+        for inner in fn.nodes:
             if not isinstance(inner, ast.Try):
                 continue
             if not any(_catches_exception(h) for h in inner.handlers):
@@ -1039,7 +1034,7 @@ class ProcessTransportRule(ProjectRule):
             if module is None or isinstance(fn.node, ast.Lambda):
                 continue
             process_locals = _process_pool_locals(project, fn)
-            for node in iter_owned_nodes(fn.node):
+            for node in fn.nodes:
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -1153,9 +1148,7 @@ def _process_pool_locals(project: Project, fn: FunctionInfo) -> frozenset[str]:
     for name, class_qname in sorted(_infer_local_types(project, fn).items()):
         if "process" in class_qname.rpartition(".")[2].lower():
             names.add(name)
-    if isinstance(fn.node, ast.Lambda):
-        return frozenset(names)
-    for stmt in iter_owned_statements(fn.node):
+    for stmt in fn.statements:
         if not (
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1
