@@ -585,28 +585,23 @@ def _walk(
     """The one walk of a scope's own code, which every pass then reads.
 
     ``nodes`` holds the owner's nodes depth first, each before its
-    children, the last child first.  Nodes of a ``scopes`` type are not
-    entered; the lambdas among them are collected in ``lambdas`` to be
-    registered as symbols of their own.  ``expressions`` maps each
+    children, the last child first.  Nodes of a ``scopes`` type, at the
+    top level too, are not entered; the lambdas among them are collected
+    in ``lambdas`` to be registered as symbols of their own.  ``expressions`` maps each
     statement to itself and its expression nodes, in the same order,
     stopping at nested statements.  ``statements`` lists the statements
     in source order, a compound statement before the blocks
     :func:`_sub_blocks` returns for it, and ``inner`` maps each to the
     slice of ``statements`` nested in it.
     """
-    roots: list[ast.AST] = (
-        [owner.body] if isinstance(owner, ast.Lambda) else list(owner.body)
-    )
     nodes: list[ast.AST] = []
     expressions: dict[ast.stmt, list[ast.AST]] = {}
     lambdas: list[ast.Lambda] = []
     stack: list[tuple[ast.AST, list[ast.AST] | None]] = []
-    children: Iterable[ast.AST] = roots
+    children: Iterable[ast.AST] = (
+        [owner.body] if isinstance(owner, ast.Lambda) else owner.body
+    )
     owned: list[ast.AST] | None = None
-    if not isinstance(owner, ast.Module):
-        # A function's top-level statements are entered whatever their type.
-        stack = [(root, None) for root in roots]
-        children = ()
     while True:
         for child in children:
             if not isinstance(child, scopes):

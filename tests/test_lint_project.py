@@ -357,6 +357,25 @@ def test_nested_def_call_preferred_over_module_global() -> None:
     assert callees == {"repro.utils.n.outer.<locals>.helper"}
 
 
+def test_def_in_function_body_owns_its_calls() -> None:
+    project, graph = build_graph(
+        {
+            "src/repro/utils/n.py": """
+            def helper():
+                return "module"
+
+            def outer():
+                def inner():
+                    return helper()
+                return inner
+            """,
+        }
+    )
+    assert graph.callees("repro.utils.n.outer") == ()
+    callees = {s.callee for s in graph.callees("repro.utils.n.outer.<locals>.inner")}
+    assert callees == {"repro.utils.n.helper"}
+
+
 def test_recursive_cycle_edges_exist() -> None:
     project, graph = build_graph(
         {
