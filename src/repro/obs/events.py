@@ -56,6 +56,8 @@ EVENT_SCHEMAS: dict[str, frozenset[str]] = {
     "budget": frozenset(
         {"algorithm", "budget_ms", "spent_ms", "frames", "exhausted"}
     ),
+    # Opening a materialized store skipped a torn or corrupt record.
+    "matstore-corrupt-record": frozenset({"segment", "error"}),
 }
 
 #: Allowed values for the ``kind`` field of ``degradation`` events.

@@ -15,6 +15,7 @@ from tests.conftest import make_detection
 from repro.detection.boxes import BBox
 from repro.detection.types import Detection, FrameDetections
 from repro.engine.store import EvaluationStore
+from repro.obs import Observability
 from repro.query.executor import QueryEngine
 from repro.query.matstore import (
     FORMAT_VERSION,
@@ -181,14 +182,27 @@ def _inverted_box(line: str) -> str:
     return _checksummed("fused", key, [0, None, rows])
 
 
+_TAMPERS = {
+    "value-changed": _change_value,
+    "sha-flipped": _flip_sha_char,
+    "no-tab": _drop_tab,
+    "unknown-stage": _unknown_stage,
+    "inverted-box": _inverted_box,
+}
+
+
 class TestIntegrity:
     @pytest.mark.parametrize(
-        "tamper",
-        [_change_value, _flip_sha_char, _drop_tab, _unknown_stage, _inverted_box],
-        ids=["value-changed", "sha-flipped", "no-tab", "unknown-stage",
-             "inverted-box"],
+        ("tamper", "level"),
+        [
+            pytest.param(
+                tamper, level, id=name if level == "off" else f"{name}-{level}"
+            )
+            for level in ("off", "metrics", "trace")
+            for name, tamper in _TAMPERS.items()
+        ],
     )
-    def test_corrupt_record_skipped_and_counted(self, tmp_path, tamper):
+    def test_corrupt_record_skipped_and_counted(self, tmp_path, tamper, level):
         with MaterializedDetectionStore(tmp_path) as store:
             store.store("true_ap", ("v#0", ("a",), "t"), 0.5)
             store.store("true_ap", ("v#1", ("a",), "t"), 0.7)
@@ -196,11 +210,18 @@ class TestIntegrity:
         lines = segment.read_text().splitlines()
         # Corrupt the first record; its neighbour must still load.
         segment.write_text(tamper(lines[0]) + "\n" + lines[1] + "\n")
-        reopened = MaterializedDetectionStore(tmp_path)
+        obs = Observability(level=level)
+        reopened = MaterializedDetectionStore(tmp_path, obs=obs)
         assert reopened.load("true_ap", ("v#0", ("a",), "t")) is None
         assert reopened.load("true_ap", ("v#1", ("a",), "t")) == 0.7
         assert reopened.stats().corrupt_records == 1
         assert len(reopened) == 1
+        if level == "off":
+            assert obs.events is None
+        else:
+            (event,) = obs.events.events()
+            assert event["type"] == "matstore-corrupt-record"
+            assert event["segment"] == segment.name
 
     def test_torn_write_skipped(self, tmp_path):
         with MaterializedDetectionStore(tmp_path) as store:
