@@ -636,7 +636,7 @@ def _walk(
     return _Walk(
         tuple(nodes),
         tuple(statements),
-        {stmt: tuple(owned) for stmt, owned in expressions.items()},
+        {stmt: tuple(found) for stmt, found in expressions.items()},
         inner,
         tuple(lambdas),
     )
