@@ -620,19 +620,8 @@ def _walk(
 
     statements: list[ast.stmt] = []
     inner: dict[ast.stmt, slice] = {}
-
-    def order(block: Sequence[ast.stmt]) -> None:
-        for stmt in block:
-            if isinstance(stmt, scopes):
-                continue
-            statements.append(stmt)
-            start = len(statements)
-            for sub in _sub_blocks(stmt):
-                order(sub)
-            inner[stmt] = slice(start, len(statements))
-
     if not isinstance(owner, ast.Lambda):
-        order(owner.body)
+        _order(owner.body, scopes, statements, inner)
     return _Walk(
         tuple(nodes),
         tuple(statements),
@@ -640,6 +629,28 @@ def _walk(
         inner,
         tuple(lambdas),
     )
+
+
+def _order(
+    block: Sequence[ast.stmt],
+    scopes: tuple[type[ast.AST], ...],
+    statements: list[ast.stmt],
+    inner: dict[ast.stmt, slice],
+) -> None:
+    """Append ``block``'s statements to ``statements`` for :func:`_walk`.
+
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle, which would keep every walked tree alive until the
+    next full garbage collection.
+    """
+    for stmt in block:
+        if isinstance(stmt, scopes):
+            continue
+        statements.append(stmt)
+        start = len(statements)
+        for sub in _sub_blocks(stmt):
+            _order(sub, scopes, statements, inner)
+        inner[stmt] = slice(start, len(statements))
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:
@@ -695,68 +706,80 @@ class Project:
         # Later files win on (pathological) duplicate module names; the
         # sorted insertion order keeps even that deterministic.
         self.modules[name] = module
-        self._scan_imports(module)
-        self._collect_definitions(module)
+        # Methods, not recursive closures: a closure that calls itself is
+        # a reference cycle, and one that holds ``self`` would keep the
+        # whole project alive until the next full garbage collection.
+        self._scan_imports(module, ctx.tree.body, False, False)
+        self._collect_definitions(module, ctx.tree.body, name, None, None)
+        for lam in module.lambdas:
+            self._register_lambda(module, lam, None)
 
-    def _scan_imports(self, module: ModuleInfo) -> None:
-        def record(node: ast.stmt, type_checking: bool, function_level: bool) -> None:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    module.imports.append(
-                        ImportEdge(
-                            target=alias.name,
-                            line=node.lineno,
-                            col=node.col_offset,
-                            type_checking=type_checking,
-                            function_level=function_level,
-                        )
-                    )
-                    if not function_level:
-                        if alias.asname is not None:
-                            module.env[alias.asname] = ("module", alias.name)
-                        else:
-                            root = alias.name.split(".")[0]
-                            module.env[root] = ("module", root)
-            elif isinstance(node, ast.ImportFrom):
-                target = self._absolute_import_base(module, node)
-                if target is None:
-                    return
+    def _scan_imports(
+        self,
+        module: ModuleInfo,
+        body: list[ast.stmt],
+        type_checking: bool,
+        function_level: bool,
+    ) -> None:
+        for stmt in body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                self._record_import(module, stmt, type_checking, function_level)
+            elif isinstance(stmt, ast.If):
+                inner_tc = type_checking or _is_type_checking_test(stmt.test)
+                self._scan_imports(module, stmt.body, inner_tc, function_level)
+                self._scan_imports(module, stmt.orelse, type_checking, function_level)
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._scan_imports(module, stmt.body, type_checking, True)
+            elif isinstance(stmt, ast.ClassDef):
+                self._scan_imports(module, stmt.body, type_checking, function_level)
+            else:
+                for block in _sub_blocks(stmt):
+                    self._scan_imports(module, block, type_checking, function_level)
+
+    def _record_import(
+        self,
+        module: ModuleInfo,
+        node: ast.Import | ast.ImportFrom,
+        type_checking: bool,
+        function_level: bool,
+    ) -> None:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
                 module.imports.append(
                     ImportEdge(
-                        target=target,
+                        target=alias.name,
                         line=node.lineno,
                         col=node.col_offset,
                         type_checking=type_checking,
                         function_level=function_level,
                     )
                 )
-                if function_level:
-                    return
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    module.env[local] = ("member", f"{target}.{alias.name}")
-
-        def visit(
-            body: list[ast.stmt], type_checking: bool, function_level: bool
-        ) -> None:
-            for stmt in body:
-                if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                    record(stmt, type_checking, function_level)
-                elif isinstance(stmt, ast.If):
-                    inner_tc = type_checking or _is_type_checking_test(stmt.test)
-                    visit(stmt.body, inner_tc, function_level)
-                    visit(stmt.orelse, type_checking, function_level)
-                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    visit(stmt.body, type_checking, True)
-                elif isinstance(stmt, ast.ClassDef):
-                    visit(stmt.body, type_checking, function_level)
-                else:
-                    for block in _sub_blocks(stmt):
-                        visit(block, type_checking, function_level)
-
-        visit(module.context.tree.body, False, False)
+                if not function_level:
+                    if alias.asname is not None:
+                        module.env[alias.asname] = ("module", alias.name)
+                    else:
+                        root = alias.name.split(".")[0]
+                        module.env[root] = ("module", root)
+            return
+        target = self._absolute_import_base(module, node)
+        if target is None:
+            return
+        module.imports.append(
+            ImportEdge(
+                target=target,
+                line=node.lineno,
+                col=node.col_offset,
+                type_checking=type_checking,
+                function_level=function_level,
+            )
+        )
+        if function_level:
+            return
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            local = alias.asname or alias.name
+            module.env[local] = ("member", f"{target}.{alias.name}")
 
     @staticmethod
     def _absolute_import_base(
@@ -776,71 +799,75 @@ class Project:
             base_parts = base_parts + node.module.split(".")
         return ".".join(base_parts) if base_parts else None
 
-    def _collect_definitions(self, module: ModuleInfo) -> None:
-        def register_function(
-            node: ast.FunctionDef | ast.AsyncFunctionDef,
-            qname: str,
-            class_qname: str | None,
-            parent: FunctionInfo | None,
-        ) -> FunctionInfo:
-            decorators = tuple(
-                decorator_name
-                for decorator in node.decorator_list
-                if (decorator_name := _decorator_name(decorator)) is not None
-            )
-            info = FunctionInfo(
-                qname=qname,
-                module=module.name,
-                node=node,
-                class_qname=class_qname,
-                parent=parent.qname if parent is not None else None,
-                params=_function_params(node),
-                is_method=class_qname is not None
-                and "staticmethod" not in decorators,
-                decorators=decorators,
-            )
-            self.functions[qname] = info
-            self._function_qname_by_node_id[id(node)] = qname
-            if parent is not None:
-                parent.nested[node.name] = qname
-            return info
-
-        def visit_body(
-            body: list[ast.stmt],
-            prefix: str,
-            class_qname: str | None,
-            parent: FunctionInfo | None,
-        ) -> None:
-            # Defs and classes nested in if/try/with/loop/match blocks are
-            # symbols too; at module level they bind names like top-level ones.
-            for stmt in body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qname = f"{prefix}.{stmt.name}"
-                    info = register_function(stmt, qname, class_qname, parent)
-                    if class_qname is not None:
-                        owner_class = self.classes.get(class_qname)
-                        if owner_class is not None:
-                            owner_class.methods.setdefault(stmt.name, qname)
-                    elif parent is None:
-                        module.env[stmt.name] = ("function", qname)
-                    for lam in info.lambdas:
-                        self._register_lambda(module, lam, info)
-                    visit_body(stmt.body, f"{qname}.<locals>", None, info)
-                elif isinstance(stmt, ast.ClassDef):
-                    qname = f"{prefix}.{stmt.name}"
-                    self.classes[qname] = ClassInfo(
-                        qname=qname, module=module.name, node=stmt
+    def _collect_definitions(
+        self,
+        module: ModuleInfo,
+        body: list[ast.stmt],
+        prefix: str,
+        class_qname: str | None,
+        parent: FunctionInfo | None,
+    ) -> None:
+        # Defs and classes nested in if/try/with/loop/match blocks are
+        # symbols too; at module level they bind names like top-level ones.
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qname = f"{prefix}.{stmt.name}"
+                info = self._register_function(
+                    module, stmt, qname, class_qname, parent
+                )
+                if class_qname is not None:
+                    owner_class = self.classes.get(class_qname)
+                    if owner_class is not None:
+                        owner_class.methods.setdefault(stmt.name, qname)
+                elif parent is None:
+                    module.env[stmt.name] = ("function", qname)
+                for lam in info.lambdas:
+                    self._register_lambda(module, lam, info)
+                self._collect_definitions(
+                    module, stmt.body, f"{qname}.<locals>", None, info
+                )
+            elif isinstance(stmt, ast.ClassDef):
+                qname = f"{prefix}.{stmt.name}"
+                self.classes[qname] = ClassInfo(
+                    qname=qname, module=module.name, node=stmt
+                )
+                if class_qname is None and parent is None:
+                    module.env[stmt.name] = ("class", qname)
+                self._collect_definitions(module, stmt.body, qname, qname, None)
+            else:
+                for block in _sub_blocks(stmt):
+                    self._collect_definitions(
+                        module, block, prefix, class_qname, parent
                     )
-                    if class_qname is None and parent is None:
-                        module.env[stmt.name] = ("class", qname)
-                    visit_body(stmt.body, qname, qname, None)
-                else:
-                    for block in _sub_blocks(stmt):
-                        visit_body(block, prefix, class_qname, parent)
 
-        visit_body(module.context.tree.body, module.name, None, None)
-        for lam in module.lambdas:
-            self._register_lambda(module, lam, None)
+    def _register_function(
+        self,
+        module: ModuleInfo,
+        node: ast.FunctionDef | ast.AsyncFunctionDef,
+        qname: str,
+        class_qname: str | None,
+        parent: FunctionInfo | None,
+    ) -> FunctionInfo:
+        decorators = tuple(
+            decorator_name
+            for decorator in node.decorator_list
+            if (decorator_name := _decorator_name(decorator)) is not None
+        )
+        info = FunctionInfo(
+            qname=qname,
+            module=module.name,
+            node=node,
+            class_qname=class_qname,
+            parent=parent.qname if parent is not None else None,
+            params=_function_params(node),
+            is_method=class_qname is not None and "staticmethod" not in decorators,
+            decorators=decorators,
+        )
+        self.functions[qname] = info
+        self._function_qname_by_node_id[id(node)] = qname
+        if parent is not None:
+            parent.nested[node.name] = qname
+        return info
 
     def _register_lambda(
         self, module: ModuleInfo, node: ast.Lambda, parent: FunctionInfo | None
