@@ -587,12 +587,12 @@ def _walk(
     ``nodes`` holds the owner's nodes depth first, each before its
     children, the last child first.  Nodes of a ``scopes`` type, at the
     top level too, are not entered; the lambdas among them are collected
-    in ``lambdas`` to be registered as symbols of their own.  ``expressions`` maps each
-    statement to itself and its expression nodes, in the same order,
-    stopping at nested statements.  ``statements`` lists the statements
-    in source order, a compound statement before the blocks
-    :func:`_sub_blocks` returns for it, and ``inner`` maps each to the
-    slice of ``statements`` nested in it.
+    in ``lambdas`` to be registered as symbols of their own.
+    ``expressions`` maps each statement to itself and its expression
+    nodes, in the same order, stopping at nested statements.
+    ``statements`` lists the statements in source order, a compound
+    statement before the blocks :func:`_sub_blocks` returns for it, and
+    ``inner`` maps each to the slice of ``statements`` nested in it.
     """
     nodes: list[ast.AST] = []
     expressions: dict[ast.stmt, list[ast.AST]] = {}
