@@ -613,7 +613,8 @@ def _walk(
         node, owned = stack.pop()
         nodes.append(node)
         if isinstance(node, ast.stmt):
-            owned = expressions[node] = [node]
+            owned = [node]
+            expressions[node] = owned
         elif owned is not None:
             owned.append(node)
         children = ast.iter_child_nodes(node)
