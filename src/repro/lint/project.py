@@ -500,7 +500,8 @@ class FunctionInfo:
     def inner_statements(self, stmt: ast.stmt) -> tuple[ast.stmt, ...]:
         """The statements nested in ``stmt``, one of :attr:`statements`,
         in the same order."""
-        return self.statements[self._inner[stmt]]
+        span = self._inner.get(stmt)
+        return self.statements[span] if span is not None else ()
 
 
 @dataclass
@@ -592,7 +593,8 @@ def _walk(
     nodes, in the same order, stopping at nested statements.
     ``statements`` lists the statements in source order, a compound
     statement before the blocks :func:`_sub_blocks` returns for it, and
-    ``inner`` maps each to the slice of ``statements`` nested in it.
+    ``inner`` maps each statement that holds statements to the slice of
+    ``statements`` nested in it.
     """
     nodes: list[ast.AST] = []
     expressions: dict[ast.stmt, list[ast.AST]] = {}
@@ -651,7 +653,8 @@ def _order(
         start = len(statements)
         for sub in _sub_blocks(stmt):
             _order(sub, scopes, statements, inner)
-        inner[stmt] = slice(start, len(statements))
+        if len(statements) > start:
+            inner[stmt] = slice(start, len(statements))
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:
