@@ -1,10 +1,10 @@
 """Shared lint infrastructure: violations, file context, the rule ABC.
 
 A :class:`FileContext` bundles everything a rule may need for one file —
-the parsed AST, raw source lines, comment tokens, and resolved import
-aliases — so each rule stays a pure function of the context and every
-expensive step (parsing, tokenizing, alias resolution) happens once per
-file regardless of how many rules run.
+the parsed AST, raw source lines, directive comments, and resolved
+import aliases — so each rule stays a pure function of the context and
+every expensive step (parsing, tokenizing, alias resolution) happens at
+most once per file regardless of how many rules run.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ import tokenize
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import PurePosixPath
 
 __all__ = [
     "Comment",
+    "DIRECTIVE_MARKER_RE",
     "DISABLE_COMMENT_RE",
     "FileContext",
     "LintError",
@@ -39,6 +41,12 @@ DISABLE_COMMENT_RE = re.compile(
     r"#\s*repro-lint:\s*disable=(?P<rules>[A-Za-z0-9_,\s]+?)"
     r"(?:\s*--\s*(?P<justification>.*))?$"
 )
+
+#: A word every directive comment names.  It must cover each pattern a
+#: directive is read with: ``DISABLE_COMMENT_RE`` above and RPR005's
+#: ``_TYPE_IGNORE`` and ``_BARE_NOQA``.  A file whose text matches none
+#: of it holds no directive, so it is never tokenized.
+DIRECTIVE_MARKER_RE = re.compile(r"repro-lint|type:\s*ignore|noqa", re.IGNORECASE)
 
 
 #: Container-mutating method names (growth or in-place rewrite).
@@ -94,19 +102,29 @@ class Comment:
     text: str
 
 
-def _collect_comments(source: str) -> list[Comment]:
-    comments: list[Comment] = []
+def _collect_directives(source: str) -> tuple[Comment, ...]:
+    """The ``#`` comments of ``source`` that match the directive marker.
+
+    Only a tokenizer tells a comment from a ``#`` inside a string, and
+    it costs a pass over the whole file, so a file whose text never
+    names the marker is not tokenized at all.
+    """
+    if DIRECTIVE_MARKER_RE.search(source) is None:
+        return ()
+    directives: list[Comment] = []
     reader = io.StringIO(source).readline
     try:
         for token in tokenize.generate_tokens(reader):
-            if token.type == tokenize.COMMENT:
-                comments.append(
+            if token.type == tokenize.COMMENT and DIRECTIVE_MARKER_RE.search(
+                token.string
+            ):
+                directives.append(
                     Comment(line=token.start[0], col=token.start[1], text=token.string)
                 )
     except tokenize.TokenError:
         # Unterminated constructs; ast.parse will produce the real error.
         pass
-    return comments
+    return tuple(directives)
 
 
 #: The fields holding statement blocks, handlers or match cases, in the
@@ -208,7 +226,6 @@ class FileContext:
             which is how fixtures opt in or out of path-scoped rules.
         source: Full source text.
         tree: Parsed module AST.
-        comments: All ``#`` comment tokens.
         module_aliases / member_imports: Import resolution maps (see
             :func:`_resolve_imports`).
     """
@@ -216,7 +233,6 @@ class FileContext:
     path: str
     source: str
     tree: ast.Module
-    comments: list[Comment] = field(default_factory=list)
     module_aliases: dict[str, str] = field(default_factory=dict)
     member_imports: dict[str, str] = field(default_factory=dict)
 
@@ -235,10 +251,19 @@ class FileContext:
             path=posix,
             source=source,
             tree=tree,
-            comments=_collect_comments(source),
             module_aliases=module_aliases,
             member_imports=member_imports,
         )
+
+    @cached_property
+    def directives(self) -> tuple[Comment, ...]:
+        """The ``#`` comments that can carry a directive (a disable, a
+        ``type: ignore`` or a ``noqa``), in source order.
+
+        Collected on first read, with one tokenize pass over the source
+        when its text matches :data:`DIRECTIVE_MARKER_RE`.
+        """
+        return _collect_directives(self.source)
 
     def resolve_call(self, func: ast.expr) -> str | None:
         """Resolve a call target to its fully-qualified dotted path.

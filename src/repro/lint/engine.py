@@ -84,7 +84,7 @@ class _Suppression:
 def _parse_suppressions(ctx: FileContext) -> dict[int, _Suppression]:
     """Per-line suppressions from ``# repro-lint: disable=...`` comments."""
     suppressions: dict[int, _Suppression] = {}
-    for comment in ctx.comments:
+    for comment in ctx.directives:
         match = DISABLE_COMMENT_RE.search(comment.text)
         if match is None:
             continue
@@ -102,9 +102,11 @@ def _parse_suppressions(ctx: FileContext) -> dict[int, _Suppression]:
 
 
 def _comment_only_lines(ctx: FileContext) -> set[int]:
+    """The directive lines that hold nothing but the comment; a line
+    without a directive cannot suppress, so no other line matters."""
     lines = ctx.source.splitlines()
     only: set[int] = set()
-    for comment in ctx.comments:
+    for comment in ctx.directives:
         index = comment.line - 1
         if 0 <= index < len(lines) and lines[index].strip().startswith("#"):
             only.add(comment.line)
@@ -135,22 +137,31 @@ def _is_suppressed(
     return False
 
 
+def _unsuppressed(ctx: FileContext, found: list[Violation]) -> list[Violation]:
+    """``found`` without the findings ``ctx``'s comments suppress.
+
+    The suppression map is built only for a file with a finding, so a
+    clean file's comments are never read.
+    """
+    if not found:
+        return found
+    suppressions = _parse_suppressions(ctx)
+    comment_only = _comment_only_lines(ctx)
+    return [v for v in found if not _is_suppressed(v, suppressions, comment_only)]
+
+
 def _file_violations(
     ctx: FileContext, rules: Sequence[Rule], wanted: set[str] | None
 ) -> list[Violation]:
     """Run the per-file rules on one parsed context, suppressions applied."""
-    suppressions = _parse_suppressions(ctx)
-    comment_only = _comment_only_lines(ctx)
-    violations: list[Violation] = []
+    found: list[Violation] = []
     for rule in rules:
         if wanted is not None and rule.rule_id not in wanted:
             continue
         if not rule.applies_to(ctx):
             continue
-        for violation in rule.check(ctx):
-            if not _is_suppressed(violation, suppressions, comment_only):
-                violations.append(violation)
-    return violations
+        found.extend(rule.check(ctx))
+    return _unsuppressed(ctx, found)
 
 
 def lint_source(
@@ -188,17 +199,14 @@ def _project_violations(
     """Run the whole-program rules over parsed contexts."""
     project = Project.from_contexts(contexts, config=config)
     graph = CallGraph.build(project)
-    suppression_maps = {
-        path: (_parse_suppressions(ctx), _comment_only_lines(ctx))
-        for path, ctx in contexts.items()
-    }
-    violations: list[Violation] = []
+    found: dict[str, list[Violation]] = {}
     for rule in project_rules:
         for violation in rule.check_project(project, graph):
-            maps = suppression_maps.get(violation.path)
-            if maps is not None and _is_suppressed(violation, maps[0], maps[1]):
-                continue
-            violations.append(violation)
+            found.setdefault(violation.path, []).append(violation)
+    violations: list[Violation] = []
+    for path, in_file in found.items():
+        ctx = contexts.get(path)
+        violations.extend(_unsuppressed(ctx, in_file) if ctx is not None else in_file)
     return violations
 
 

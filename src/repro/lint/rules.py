@@ -372,7 +372,7 @@ class BlanketSuppressionRule(Rule):
     _BARE_NOQA = re.compile(r"#\s*noqa(?!\s*:\s*[A-Z])", re.IGNORECASE)
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for comment in ctx.comments:
+        for comment in ctx.directives:
             yield from self._check_comment(ctx, comment)
 
     def _check_comment(self, ctx: FileContext, comment: Comment) -> Iterator[Violation]:
