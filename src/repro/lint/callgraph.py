@@ -26,7 +26,7 @@ traversals guard with visited sets.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 from repro.lint.base import dotted_name
@@ -52,6 +52,7 @@ class CallGraph:
     def __init__(self) -> None:
         self._edges: dict[str, list[CallSite]] = {}
         self._reverse: dict[str, list[CallSite]] = {}
+        self._local_types: dict[str, dict[str, str]] = {}
 
     @classmethod
     def build(cls, project: Project) -> CallGraph:
@@ -59,6 +60,8 @@ class CallGraph:
         for qname in sorted(project.functions):
             fn = project.functions[qname]
             local_types = _infer_local_types(project, fn)
+            if local_types:
+                graph._local_types[qname] = local_types
             for node in fn.nodes:
                 if not isinstance(node, ast.Call):
                     continue
@@ -87,6 +90,11 @@ class CallGraph:
     def callers(self, qname: str) -> tuple[CallSite, ...]:
         """Call sites that target ``qname``."""
         return tuple(self._reverse.get(qname, ()))
+
+    def local_types(self, qname: str) -> Mapping[str, str]:
+        """The locals of ``qname`` typed by a project-class constructor,
+        as the graph resolved their method calls (local → class qname)."""
+        return self._local_types.get(qname, {})
 
 
 def _enclosing_chain(

@@ -23,7 +23,6 @@ from repro.lint.base import (
 from repro.lint.callgraph import (
     CallGraph,
     CallSite,
-    _infer_local_types,
     _lookup_nested,
     enclosing_class,
 )
@@ -86,6 +85,15 @@ def _callable_qname(
     if resolved is not None and resolved.kind == "function":
         return resolved.target
     return None
+
+
+def _functions_by_module(project: Project) -> dict[str, list[FunctionInfo]]:
+    """Each module's functions, in sorted qualified-name order."""
+    grouped: dict[str, list[FunctionInfo]] = {}
+    for qname in sorted(project.functions):
+        fn = project.functions[qname]
+        grouped.setdefault(fn.module, []).append(fn)
+    return grouped
 
 
 def _submitted_callables(
@@ -273,9 +281,12 @@ class InterprocLocksetRule(ProjectRule):
         self, project: Project, graph: CallGraph
     ) -> Iterator[Violation]:
         reported: set[tuple[str, int, str, str, int]] = set()
+        functions = _functions_by_module(project)
         for module_name in sorted(project.modules):
             module = project.modules[module_name]
-            for fn, node in self._dispatch_sites(project, module):
+            for fn, node in self._dispatch_sites(
+                module, functions.get(module_name, [])
+            ):
                 for _, submitted in _submitted_callables(
                     project, module_name, fn, node
                 ):
@@ -285,15 +296,14 @@ class InterprocLocksetRule(ProjectRule):
 
     @staticmethod
     def _dispatch_sites(
-        project: Project, module: ModuleInfo
+        module: ModuleInfo, functions: list[FunctionInfo]
     ) -> Iterator[tuple[FunctionInfo | None, ast.Call]]:
-        """Every backend dispatch call in a module with the function whose
-        scope resolves its names; ``None`` for module-level code
-        (``if __name__ == "__main__":`` blocks, class bodies)."""
+        """Every backend dispatch call in a module, given its functions,
+        with the function whose scope resolves its names; ``None`` for
+        module-level code (``if __name__ == "__main__":`` blocks, class
+        bodies)."""
         scopes: list[tuple[FunctionInfo | None, Iterable[ast.AST]]] = [
-            (fn, fn.nodes)
-            for fn in (project.functions[q] for q in sorted(project.functions))
-            if fn.module == module.name
+            (fn, fn.nodes) for fn in functions
         ]
         scopes.append((None, module.nodes))
         for fn, nodes in scopes:
@@ -431,13 +441,13 @@ class ResourceSafetyRule(ProjectRule):
     def check_project(
         self, project: Project, graph: CallGraph
     ) -> Iterator[Violation]:
+        functions = _functions_by_module(project)
         for module_name in sorted(project.modules):
             if not _module_is_repro(module_name):
                 continue
             module = project.modules[module_name]
-            for qname in sorted(project.functions):
-                fn = project.functions[qname]
-                if fn.module != module_name or isinstance(fn.node, ast.Lambda):
+            for fn in functions.get(module_name, []):
+                if isinstance(fn.node, ast.Lambda):
                     continue
                 yield from self._check_handles(project, module, fn)
                 yield from self._check_job_result_contract(module, fn)
@@ -1033,7 +1043,7 @@ class ProcessTransportRule(ProjectRule):
             module = project.modules.get(fn.module)
             if module is None or isinstance(fn.node, ast.Lambda):
                 continue
-            process_locals = _process_pool_locals(project, fn)
+            process_locals = _process_pool_locals(project, graph, fn)
             for node in fn.nodes:
                 if not (
                     isinstance(node, ast.Call)
@@ -1142,10 +1152,12 @@ _PROCESS_POOL_TARGETS = frozenset(
 )
 
 
-def _process_pool_locals(project: Project, fn: FunctionInfo) -> frozenset[str]:
+def _process_pool_locals(
+    project: Project, graph: CallGraph, fn: FunctionInfo
+) -> frozenset[str]:
     """Local names provably bound to a process pool in this function."""
     names: set[str] = set()
-    for name, class_qname in sorted(_infer_local_types(project, fn).items()):
+    for name, class_qname in graph.local_types(fn.qname).items():
         if "process" in class_qname.rpartition(".")[2].lower():
             names.add(name)
     for stmt in fn.statements:
