@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.lint.base import (
     MUTATING_METHODS,
@@ -175,10 +175,11 @@ def receiver_is_backend(receiver: ast.expr) -> bool:
     return any(hint in lowered for hint in RECEIVER_HINTS)
 
 
-def locked_lines(func: ast.AST) -> set[int]:
-    """Line numbers covered by a ``with <something lock-ish>:`` block."""
+def locked_lines(nodes: Iterable[ast.AST]) -> set[int]:
+    """Line numbers covered by a ``with <something lock-ish>:`` block
+    among ``nodes``."""
     locked: set[int] = set()
-    for node in ast.walk(func):
+    for node in nodes:
         if not isinstance(node, (ast.With, ast.AsyncWith)):
             continue
         for item in node.items:
@@ -194,17 +195,17 @@ def locked_lines(func: ast.AST) -> set[int]:
 
 
 def shared_writes(
-    func: ast.AST, params: Iterable[str]
-) -> Iterator[tuple[ast.AST, str]]:
-    """Mutations of non-local state inside ``func``.
+    nodes: Sequence[ast.AST], params: Iterable[str]
+) -> list[tuple[ast.AST, str]]:
+    """Mutations of non-local state among a function's ``nodes``.
 
-    Yields ``(node, label)`` where ``label`` is ``self.<attr>`` for
-    instance-state writes or the bare name of a closure/global target.
-    Names bound locally (assignments, loop targets, parameters) are not
-    shared.
+    Returns ``(node, label)`` pairs in source order, where ``label`` is
+    ``self.<attr>`` for instance-state writes or the bare name of a
+    closure/global target.  Names bound locally (assignments, loop
+    targets, parameters) are not shared.
     """
     local_names: set[str] = set(params)
-    for node in ast.walk(func):
+    for node in nodes:
         if isinstance(node, ast.Assign):
             for tgt in node.targets:
                 if isinstance(tgt, ast.Name):
@@ -227,7 +228,8 @@ def shared_writes(
                 local_names.update(
                     el.id for el in tgt.elts if isinstance(el, ast.Name)
                 )
-    for node in ast.walk(func):
+    writes: list[tuple[ast.AST, str]] = []
+    for node in nodes:
         exprs: list[ast.expr] = []
         if isinstance(node, ast.Assign):
             exprs = [t for t in node.targets if isinstance(t, ast.Subscript)]
@@ -241,11 +243,32 @@ def shared_writes(
         for expr in exprs:
             attr = self_write_attr(expr)
             if attr is not None:
-                yield node, f"self.{attr}"
+                writes.append((node, f"self.{attr}"))
                 continue
             root = assign_root(expr)
             if isinstance(root, ast.Name) and root.id not in local_names:
-                yield node, root.id
+                writes.append((node, root.id))
+    writes.sort(
+        key=lambda write: (
+            getattr(write[0], "lineno", 0),
+            getattr(write[0], "col_offset", 0),
+        )
+    )
+    return writes
+
+
+def _own_and_lambda_nodes(project: Project, fn: FunctionInfo) -> list[ast.AST]:
+    """``fn``'s own nodes and those of the lambdas written in it, at any
+    depth.  A def or class nested in ``fn`` is a function of its own,
+    checked when the call graph reaches it."""
+    nodes = list(fn.nodes)
+    lambdas = list(fn.lambdas)
+    while lambdas:
+        info = project.function_for_node(lambdas.pop())
+        if info is not None:
+            nodes.extend(info.nodes)
+            lambdas.extend(info.lambdas)
+    return nodes
 
 
 class InterprocLocksetRule(ProjectRule):
@@ -330,9 +353,10 @@ class InterprocLocksetRule(ProjectRule):
         def walk(
             fn: FunctionInfo, chain: tuple[CallSite, ...], under_lock: bool
         ) -> Iterator[Violation]:
-            locked = locked_lines(fn.node)
+            nodes = _own_and_lambda_nodes(project, fn)
+            locked = locked_lines(nodes)
             fn_path = self._path_of(project, fn.qname)
-            for write, label in shared_writes(fn.node, fn.params):
+            for write, label in shared_writes(nodes, fn.params):
                 line = getattr(write, "lineno", 0)
                 if under_lock or line in locked:
                     continue

@@ -10,7 +10,10 @@ names exactly as on disk.
 
 from __future__ import annotations
 
+import re
 import textwrap
+
+import pytest
 
 from repro.lint import LintConfig, Violation, lint_project
 
@@ -532,6 +535,99 @@ def test_rpr007_two_hop_chain_lists_every_hop() -> None:
     assert "submitted repro.engine.work.outer" in message
     assert "repro.engine.store.stash" in message
     assert violations[0].path == "src/repro/engine/store.py"
+
+
+#: ``run`` submits ``job``, and ``job`` holds a nested def, a nested
+#: class or a lambda that appends to the module's ``RESULTS``.  Each
+#: case maps to its findings as (line, the function the write is in).
+#: A nested def or class is a function of its own, checked only when the
+#: call graph reaches it, under the lock its caller holds; a lambda's
+#: code counts as the enclosing function's.
+RPR007_NESTED_CASES = {
+    "def-returned-uncalled": (
+        """\
+        RESULTS = []
+
+        def job(x):
+            def later():
+                RESULTS.append(x)
+            return later
+
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [],
+    ),
+    "def-called-under-lock": (
+        """\
+        import threading
+
+        RESULTS = []
+        LOCK = threading.Lock()
+
+        def job(x):
+            def later():
+                RESULTS.append(x)
+            with LOCK:
+                later()
+
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [],
+    ),
+    "def-called-unlocked": (
+        """\
+        RESULTS = []
+
+        def job(x):
+            def later():
+                RESULTS.append(x)
+            later()
+
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [(5, "repro.engine.work.job.<locals>.later")],
+    ),
+    "class-returned": (
+        """\
+        RESULTS = []
+
+        def job(x):
+            class Sink:
+                def push(self):
+                    RESULTS.append(x)
+            return Sink
+
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [],
+    ),
+    "lambda-mapped": (
+        """\
+        RESULTS = []
+        def job(x):
+            return list(map(lambda v: RESULTS.append(v), x))
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [(3, "repro.engine.work.job")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RPR007_NESTED_CASES))
+def test_rpr007_nested_scopes_are_their_own_functions(case: str) -> None:
+    source, expected = RPR007_NESTED_CASES[case]
+    violations = run({"src/repro/engine/work.py": source}, select={"RPR007"})
+    found = []
+    for violation in violations:
+        writer = re.search(r" in (\S+) is reachable", violation.message)
+        assert writer is not None
+        found.append((violation.line, writer.group(1)))
+    assert found == expected
 
 
 # ---------------------------------------------------------------------------
