@@ -308,7 +308,6 @@ def _lint_file_job(
 
 def lint_paths(
     paths: Iterable[str | Path],
-    rules: Sequence[Rule] = ALL_RULES,
     select: Iterable[str] | None = None,
     *,
     jobs: int = 1,
@@ -320,8 +319,8 @@ def lint_paths(
 
     Args:
         paths: Files or directories to walk.
-        rules: Per-file rules to run.
-        select: Optional rule-ID filter spanning both rule kinds.
+        select: Optional rule-ID filter spanning both rule kinds; the
+            per-file phase runs the shipped rules it selects.
         jobs: Worker processes for the per-file phase; ``1`` runs
             in-process.  Findings are identical for any value.
         project_rules: Whole-program rules to run after the per-file
@@ -358,7 +357,7 @@ def lint_paths(
     digests: dict[str, str] = {}
     file_keys: dict[Path, str] = {}
     if cache is not None:
-        rule_ids = [rule.rule_id for rule in rules] + [
+        rule_ids = [rule.rule_id for rule in ALL_RULES] + [
             rule.rule_id for rule in project_rules
         ]
         environment = environment_key(
@@ -433,7 +432,7 @@ def lint_paths(
     else:
         for path in pending:
             file_violations = lint_source(
-                sources[path], path.as_posix(), rules, select=select_arg
+                sources[path], path.as_posix(), select=select_arg
             )
             if cache is not None:
                 cache.store_file(file_keys[path], file_violations)

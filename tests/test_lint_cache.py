@@ -174,6 +174,28 @@ def test_jobs_and_cache_compose(tmp_path: Path) -> None:
         assert render(serial) == render(cold_jobs) == render(warm_jobs)
 
 
+def test_select_narrows_alike_for_any_jobs(tmp_path: Path) -> None:
+    package = tmp_path / "src" / "repro" / "core"
+    package.mkdir(parents=True)
+    for name in ("first", "second"):
+        (package / f"{name}.py").write_text(
+            "import random\n\ndef draw():\n    return random.random()\n",
+            encoding="utf-8",
+        )
+    runs = [
+        lint_paths(
+            [tmp_path / "src"], select={"RPR001"}, jobs=jobs, config=CONFIG
+        )
+        for jobs in (1, 2)
+    ]
+    for result in runs:
+        assert [(Path(v.path).name, v.rule_id) for v in result.violations] == [
+            ("first.py", "RPR001"),
+            ("second.py", "RPR001"),
+        ]
+    assert runs[0] == runs[1]
+
+
 def test_missing_cache_dir_parent_degrades_gracefully(tmp_path: Path) -> None:
     write_tree(tmp_path)
     # A cache rooted somewhere creatable-but-absent just gets created;
