@@ -269,22 +269,26 @@ def test_rpr007_lock_held_at_mutation_is_clean() -> None:
 
 
 def test_rpr007_depth_one_same_module_fires() -> None:
-    violations = run(
-        {
-            "src/repro/runner/dispatch.py": """
+    template = """
             _RESULTS = {}
 
             def job(key):
-                _RESULTS[key] = key
+                BODY
 
             def drive(backend, jobs):
                 return [backend.run(job) for _ in jobs]
-            """,
-        },
-        select={"RPR007"},
-    )
-    assert [(v.rule_id, v.line) for v in violations] == [("RPR007", 5)]
-    assert "_RESULTS" in violations[0].message
+            """
+    # One write, then two on one line: the first in source order is the
+    # one reported.
+    for body in ("_RESULTS[key] = key", "_RESULTS[key] = key; _RESULTS[0] = key"):
+        violations = run(
+            {"src/repro/runner/dispatch.py": template.replace("BODY", body)},
+            select={"RPR007"},
+        )
+        assert [(v.rule_id, v.line, v.col) for v in violations] == [
+            ("RPR007", 5, 4)
+        ]
+        assert "_RESULTS" in violations[0].message
 
 
 def test_rpr007_self_method_submitted_to_backend_fires() -> None:
