@@ -121,6 +121,7 @@ def test_file_without_marker_is_not_tokenized(
     assert passes == []
     marked = FileContext.from_source("x = 1  # noqa: E501\n", "marked.py")
     assert [comment.text for comment in marked.directives] == ["# noqa: E501"]
+    # A second read is served from the first: still one pass.
     assert marked.directives == marked.directives
     assert len(passes) == 1
 
