@@ -81,7 +81,7 @@ from repro.engine.resilience import FaultStats
 from repro.engine.store import CacheStats, EvaluationStore
 from repro.ensembling.base import EnsembleMethod
 from repro.ensembling.wbf import WeightedBoxesFusion
-from repro.obs import NULL_OBS, Counter, Observability
+from repro.obs import NULL_OBS, Observability
 from repro.simulation.clock import CostModel, SimulatedClock
 from repro.simulation.video import Frame
 
@@ -336,9 +336,6 @@ class DetectionEnvironment:
         self.billing = billing
         self.score_estimates = score_estimates
         self.obs = obs
-        # Counter handles by name, resolved on first use (as the store's
-        # stage counters are), so no zero-valued series is ever exported.
-        self._obs_counters: dict[str, Counter] = {}
 
         # Context tags appended to store keys: everything a cached value
         # depends on beyond the frame, so heterogeneous environments (and
@@ -440,17 +437,6 @@ class DetectionEnvironment:
             ensembles_dropped=self._ensembles_dropped,
         )
 
-    def _counter(self, name: str, description: str) -> Counter:
-        """A counter handle, resolved through the registry once."""
-        counter = self._obs_counters.get(name)
-        if counter is None:
-            registry = self.obs.metrics
-            assert registry is not None  # guarded by metrics_on at call site
-            counter = self._obs_counters[name] = registry.counter(
-                name, description
-            )
-        return counter
-
     # ---- inference ------------------------------------------------------
 
     def _missing_jobs(
@@ -491,16 +477,18 @@ class DetectionEnvironment:
         if self.obs.metrics_on:
             detector_jobs = sum(1 for stage, _ in stages if stage == "detector")
             if detector_jobs:
-                self._counter(
+                self.obs.count(
                     "repro_detector_invocations_total",
-                    "Detector inferences actually executed "
+                    float(detector_jobs),
+                    description="Detector inferences actually executed "
                     "(store and materialized-tier hits excluded)",
-                ).inc(float(detector_jobs))
+                )
             if len(jobs) > detector_jobs:
-                self._counter(
+                self.obs.count(
                     "repro_reference_invocations_total",
-                    "Reference-model inferences actually executed",
-                ).inc(float(len(jobs) - detector_jobs))
+                    float(len(jobs) - detector_jobs),
+                    description="Reference-model inferences actually executed",
+                )
         with self.obs.span("detect", jobs=len(jobs)) as detect_span:
             results = self.backend.run(jobs)
             if self.obs.trace_on:
@@ -839,14 +827,17 @@ class DetectionEnvironment:
             self.clock.charge("detector", detector_ms)
             self.clock.charge("ensembling", ensembling_ms)
             if self.obs.metrics_on:
-                self._counter(
-                    "repro_evaluations_total", "Charged ensemble evaluations"
-                ).inc(float(len(evaluations)))
+                self.obs.count(
+                    "repro_evaluations_total",
+                    float(len(evaluations)),
+                    description="Charged ensemble evaluations",
+                )
                 if dropped:
-                    self._counter(
+                    self.obs.count(
                         "repro_ensembles_dropped_total",
-                        "Requested ensembles with no healthy member",
-                    ).inc(float(dropped))
+                        float(dropped),
+                        description="Requested ensembles with no healthy member",
+                    )
 
         return EvaluationBatch(
             evaluations=evaluations,

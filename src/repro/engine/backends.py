@@ -27,7 +27,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
-from repro.obs import NULL_OBS, Counter, Histogram, Observability
+from repro.obs import NULL_OBS, Observability
 
 __all__ = [
     "InferenceJob",
@@ -184,43 +184,24 @@ class ExecutionBackend(Protocol):
         ...
 
 
-class _BatchMetrics:
-    """Folds batches into the jobs/batch-size metrics with cached handles.
+def _record_batch(obs: Observability, results: Sequence[JobResult]) -> None:
+    """Fold one batch into the jobs/batch-size metrics.
 
     Only *logical* facts are recorded (statuses, counts — both
     deterministic for a seeded run), never wall times, so serial and
-    parallel backends produce identical metric snapshots.  Handles are
-    resolved through the registry once per (metric, status) rather than
-    per job — this runs for every inference of every frame.
+    parallel backends produce identical metric snapshots.
     """
-
-    __slots__ = ("_obs", "_batch_jobs", "_job_counters")
-
-    def __init__(self, obs: Observability) -> None:
-        self._obs = obs
-        self._batch_jobs: Histogram | None = None
-        self._job_counters: dict[str, Counter] = {}
-
-    def record(self, results: Sequence[JobResult]) -> None:
-        registry = self._obs.metrics
-        assert registry is not None  # guarded by metrics_on at call sites
-        batch_jobs = self._batch_jobs
-        if batch_jobs is None:
-            batch_jobs = self._batch_jobs = registry.histogram(
-                "repro_engine_batch_jobs",
-                description="Inference jobs per backend batch",
-            )
-        batch_jobs.observe(float(len(results)))
-        counters = self._job_counters
-        for result in results:
-            counter = counters.get(result.status)
-            if counter is None:
-                counter = counters[result.status] = registry.counter(
-                    "repro_engine_jobs_total",
-                    "Inference jobs executed, by outcome status",
-                    status=result.status,
-                )
-            counter.inc()
+    obs.observe(
+        "repro_engine_batch_jobs",
+        float(len(results)),
+        description="Inference jobs per backend batch",
+    )
+    for result in results:
+        obs.count(
+            "repro_engine_jobs_total",
+            description="Inference jobs executed, by outcome status",
+            status=result.status,
+        )
 
 
 class SerialBackend:
@@ -230,12 +211,11 @@ class SerialBackend:
 
     def __init__(self, obs: Observability = NULL_OBS) -> None:
         self.obs = obs
-        self._metrics = _BatchMetrics(obs)
 
     def run(self, jobs: Sequence[InferenceJob]) -> list[JobResult]:
         results = [_execute_job(job) for job in jobs]
         if self.obs.metrics_on:
-            self._metrics.record(results)
+            _record_batch(self.obs, results)
         return results
 
     def close(self) -> None:  # nothing to release
@@ -261,7 +241,6 @@ class _PoolBackend:
             raise ValueError("workers must be at least 1")
         self.workers = workers
         self.obs = obs
-        self._metrics = _BatchMetrics(obs)
         self._executor: Executor | None = None
 
     def _make_executor(self) -> Executor:
@@ -287,7 +266,7 @@ class _PoolBackend:
                 )
             )
         if self.obs.metrics_on:
-            self._metrics.record(results)
+            _record_batch(self.obs, results)
         return results
 
     def close(self) -> None:

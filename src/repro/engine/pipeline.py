@@ -38,7 +38,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.obs import NULL_OBS, Counter, Histogram
+from repro.obs import NULL_OBS
 
 if TYPE_CHECKING:  # imported lazily to avoid a package import cycle
     from repro.core.environment import DetectionEnvironment, EvaluationBatch
@@ -151,10 +151,6 @@ class FramePipeline:
         self.budget_ms = budget_ms
         self.observers: tuple[FrameObserver, ...] = tuple(observers)
         self.label = label
-        # Per-frame metric handles, resolved once on first use: going
-        # through the registry (label normalization + a lock) every frame
-        # is measurable against the trace-overhead gate.
-        self._frame_handles: tuple[Counter, Histogram, Histogram] | None = None
 
     def run(
         self,
@@ -288,30 +284,22 @@ class FramePipeline:
         identical for serial and parallel backends on the same seed.
         """
         obs = getattr(self.env, "obs", NULL_OBS)
-        handles = self._frame_handles
-        if handles is None:
-            registry = obs.metrics
-            assert registry is not None  # guarded by metrics_on at call site
-            handles = self._frame_handles = (
-                registry.counter(
-                    "repro_frames_total",
-                    "Frames completing the select/evaluate/update loop",
-                    algorithm=self.label,
-                ),
-                registry.histogram(
-                    "repro_frame_charged_ms",
-                    description="Billable (simulated) milliseconds per frame",
-                ),
-                registry.histogram(
-                    "repro_ensemble_size",
-                    buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0),
-                    description="Members in the realized selected ensemble",
-                ),
-            )
-        frames_total, charged_ms, ensemble_size = handles
-        frames_total.inc()
-        charged_ms.observe(record.charged_ms)
-        ensemble_size.observe(float(len(record.realized_key)))
+        obs.count(
+            "repro_frames_total",
+            description="Frames completing the select/evaluate/update loop",
+            algorithm=self.label,
+        )
+        obs.observe(
+            "repro_frame_charged_ms",
+            record.charged_ms,
+            description="Billable (simulated) milliseconds per frame",
+        )
+        obs.observe(
+            "repro_ensemble_size",
+            float(len(record.realized_key)),
+            buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0),
+            description="Members in the realized selected ensemble",
+        )
         selected_label = "+".join(record.selected)
         realized_label = (
             "+".join(record.realized) if record.realized is not None else None

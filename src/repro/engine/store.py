@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Any, Protocol, runtime_checkable
 
 from repro.engine.backends import wall_timer
-from repro.obs import NULL_OBS, Counter, Histogram, Observability
+from repro.obs import NULL_OBS, Counter, Observability
 
 __all__ = [
     "StageStats",
@@ -151,15 +151,23 @@ class CacheStats:
 
 
 class _MutableStageStats:
-    """Internal mutable accumulator behind :class:`StageStats`."""
+    """Internal mutable accumulator behind :class:`StageStats`.
 
-    __slots__ = ("lookups", "hits", "misses", "compute_ms")
+    ``counters`` holds the stage's ``repro_cache_lookups_total`` and
+    ``repro_cache_hits_total`` series once its first lookup resolves
+    them with metrics on.  They are the store's only held metric
+    handles: lookups are its hottest instrumented path, where even the
+    registry's memoized resolution costs measurable CPU.
+    """
+
+    __slots__ = ("lookups", "hits", "misses", "compute_ms", "counters")
 
     def __init__(self) -> None:
         self.lookups = 0
         self.hits = 0
         self.misses = 0
         self.compute_ms = 0.0
+        self.counters: tuple[Counter, Counter] | None = None
 
     def freeze(self) -> StageStats:
         return StageStats(
@@ -217,13 +225,6 @@ class EvaluationStore:
         self._stages: dict[str, _MutableStageStats] = {}
         self._evictions = 0
         self._hit_streak = 0
-        # Per-stage (lookups, hits) counter handles and the hit-streak
-        # histogram, resolved on first use: get() is the hottest
-        # instrumented path in the repo, and resolving a series through
-        # the registry on every lookup (label-set normalization plus a
-        # registry lock) costs more than the lookup.
-        self._obs_counters: dict[str, tuple[Counter, Counter]] = {}
-        self._obs_streak: Histogram | None = None
 
     @property
     def capacity(self) -> int:
@@ -252,13 +253,13 @@ class EvaluationStore:
             stats = self._stages[stage] = _MutableStageStats()
         return stats
 
-    def _stage_counters(self, stage: str) -> tuple[Counter, Counter]:
-        """The (lookups, hits) counter pair for one stage, cached."""
-        pair = self._obs_counters.get(stage)
-        if pair is None:
-            registry = self._obs.metrics
-            assert registry is not None  # guarded by metrics_on at call site
-            pair = (
+    def _lookup_stage(self, stage: str) -> _MutableStageStats:
+        """The stage's record, its lookup counters resolved at the first
+        lookup when metrics are on; caller holds the lock."""
+        stats = self._stage(stage)
+        registry = self._obs.metrics
+        if stats.counters is None and registry is not None:
+            stats.counters = (
                 registry.counter(
                     "repro_cache_lookups_total",
                     "Evaluation-store lookups, by stage",
@@ -270,20 +271,7 @@ class EvaluationStore:
                     stage=stage,
                 ),
             )
-            self._obs_counters[stage] = pair
-        return pair
-
-    def _streak_histogram(self) -> Histogram:
-        """The hit-streak histogram, cached like the stage counters."""
-        histogram = self._obs_streak
-        if histogram is None:
-            registry = self._obs.metrics
-            assert registry is not None  # guarded by metrics_on at call site
-            histogram = self._obs_streak = registry.histogram(
-                "repro_cache_hit_streak",
-                description="Consecutive-hit run lengths, ended by a miss",
-            )
-        return histogram
+        return stats
 
     def _insert_locked(self, full_key: tuple[str, Hashable], value: Any) -> None:
         """Insert an entry and enforce the bound; caller holds the lock."""
@@ -309,15 +297,12 @@ class EvaluationStore:
         return value
 
     def _get_locked(
-        self,
-        stage: str,
-        key: Hashable,
-        stats: _MutableStageStats,
-        counters: tuple[Counter, Counter] | None,
+        self, stage: str, key: Hashable, stats: _MutableStageStats
     ) -> Any | None:
         """One counted lookup; caller holds the lock."""
         full_key = (stage, key)
         stats.lookups += 1
+        counters = stats.counters
         if counters is not None:
             counters[0].inc()
         value: Any | None
@@ -334,7 +319,11 @@ class EvaluationStore:
             return value
         stats.misses += 1
         if self._hit_streak and self._obs.metrics_on:
-            self._streak_histogram().observe(float(self._hit_streak))
+            self._obs.observe(
+                "repro_cache_hit_streak",
+                float(self._hit_streak),
+                description="Consecutive-hit run lengths, ended by a miss",
+            )
         self._hit_streak = 0
         return None
 
@@ -347,11 +336,7 @@ class EvaluationStore:
         ``None`` return unambiguously means *absent*.
         """
         with self._lock:
-            stats = self._stage(stage)
-            counters = (
-                self._stage_counters(stage) if self._obs.metrics_on else None
-            )
-            return self._get_locked(stage, key, stats, counters)
+            return self._get_locked(stage, key, self._lookup_stage(stage))
 
     def get_many(
         self, stage: str, keys: Sequence[Hashable]
@@ -365,13 +350,8 @@ class EvaluationStore:
         frame's worth of entries at once.
         """
         with self._lock:
-            stats = self._stage(stage)
-            counters = (
-                self._stage_counters(stage) if self._obs.metrics_on else None
-            )
-            return [
-                self._get_locked(stage, key, stats, counters) for key in keys
-            ]
+            stats = self._lookup_stage(stage)
+            return [self._get_locked(stage, key, stats) for key in keys]
 
     def put(
         self, stage: str, key: Hashable, value: Any, compute_ms: float = 0.0

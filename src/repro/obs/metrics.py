@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any
+from typing import Any, TypeVar, cast
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -36,6 +36,9 @@ __all__ = [
 #: ``(name, sorted (key, value) pairs)`` — the identity of one time series.
 LabelSet = tuple[tuple[str, str], ...]
 MetricKey = tuple[str, LabelSet]
+#: ``(kind, name, label names in call order, their str() values)`` — how
+#: one call site spells a series; see :meth:`MetricsRegistry._resolve`.
+_Spelling = tuple[str, str, tuple[str, ...], tuple[str, ...]]
 
 #: Default histogram upper bounds (simulated milliseconds); observations
 #: above the last bound land in the implicit ``+Inf`` bucket.
@@ -262,6 +265,9 @@ class MetricsSnapshot:
         }
 
 
+_M = TypeVar("_M", Counter, Gauge, Histogram)
+
+
 class MetricsRegistry:
     """Thread-safe home of every live counter, gauge and histogram.
 
@@ -269,6 +275,12 @@ class MetricsRegistry:
     name may attach a ``description`` (exported as Prometheus ``# HELP``).
     All bookkeeping is instance-level and bounded by the (small, static)
     set of instrumentation sites — there is no per-frame growth.
+
+    A series is resolved once per spelling: the first call that names it
+    with given label names (in call order) and ``str()`` values sorts the
+    labels under the lock, and later calls read the resolved series from
+    a memo without either.  Per-frame call sites can therefore go through
+    the facade's ``count``/``observe`` on every event.
     """
 
     def __init__(self) -> None:
@@ -277,30 +289,52 @@ class MetricsRegistry:
         self._gauges: dict[MetricKey, Gauge] = {}
         self._histograms: dict[MetricKey, Histogram] = {}
         self._descriptions: dict[str, str] = {}
+        self._resolved: dict[_Spelling, Counter | Gauge | Histogram] = {}
 
     def _describe(self, name: str, description: str) -> None:
         if description and name not in self._descriptions:
             self._descriptions[name] = description
 
+    def _resolve(
+        self,
+        series: dict[MetricKey, _M],
+        kind: str,
+        name: str,
+        description: str,
+        labels: dict[str, object],
+        new: Callable[[], _M],
+    ) -> _M:
+        """The series ``(name, labels)`` of one kind, created on first use.
+
+        The memo key keeps label values as ``str()`` reads them, so
+        ``n=1`` and ``n="1"`` share a series while ``n=True`` does not.
+        A hit skips the lock unless it brings a name's first description.
+        A miss stores the canonical series, so threads racing on a new
+        series all get the same one.
+        """
+        spelling = (kind, name, tuple(labels), tuple(map(str, labels.values())))
+        metric = self._resolved.get(spelling)
+        if metric is None or (description and name not in self._descriptions):
+            with self._lock:
+                self._describe(name, description)
+                key = (name, labelset(labels))
+                metric = series.get(key)
+                if metric is None:
+                    metric = series[key] = new()
+                self._resolved[spelling] = metric
+        return cast(_M, metric)
+
     def counter(
         self, name: str, description: str = "", **labels: object
     ) -> Counter:
-        key = (name, labelset(labels))
-        with self._lock:
-            self._describe(name, description)
-            metric = self._counters.get(key)
-            if metric is None:
-                metric = self._counters[key] = Counter()
-            return metric
+        return self._resolve(
+            self._counters, "counter", name, description, labels, Counter
+        )
 
     def gauge(self, name: str, description: str = "", **labels: object) -> Gauge:
-        key = (name, labelset(labels))
-        with self._lock:
-            self._describe(name, description)
-            metric = self._gauges.get(key)
-            if metric is None:
-                metric = self._gauges[key] = Gauge()
-            return metric
+        return self._resolve(
+            self._gauges, "gauge", name, description, labels, Gauge
+        )
 
     def histogram(
         self,
@@ -309,13 +343,14 @@ class MetricsRegistry:
         description: str = "",
         **labels: object,
     ) -> Histogram:
-        key = (name, labelset(labels))
-        with self._lock:
-            self._describe(name, description)
-            metric = self._histograms.get(key)
-            if metric is None:
-                metric = self._histograms[key] = Histogram(buckets)
-            return metric
+        return self._resolve(
+            self._histograms,
+            "histogram",
+            name,
+            description,
+            labels,
+            lambda: Histogram(buckets),
+        )
 
     def snapshot(self) -> MetricsSnapshot:
         """An immutable point-in-time view of every series."""

@@ -170,6 +170,29 @@ class TestStats:
             names = {span.name for span in obs.tracer.finished()}
             assert "cache-miss" not in names
 
+    def test_stage_series_appear_at_first_lookup(self):
+        obs = Observability(level="metrics")
+        store = EvaluationStore(obs=obs)
+        store.put("detector", "k", "v")
+        store.put_many("fused", [("k", "v", 0.0)])
+        assert obs.snapshot().counters == {}
+        store.get("detector", "k")
+        store.get_many("fused", ["k", "absent"])
+        store.clear()
+        store.get("detector", "k")
+        snapshot = obs.snapshot()
+        assert sorted(snapshot.counters) == [
+            ("repro_cache_hits_total", (("stage", "detector"),)),
+            ("repro_cache_hits_total", (("stage", "fused"),)),
+            ("repro_cache_lookups_total", (("stage", "detector"),)),
+            ("repro_cache_lookups_total", (("stage", "fused"),)),
+        ]
+        for stage in ("detector", "fused"):
+            lookups = ("repro_cache_lookups_total", (("stage", stage),))
+            hits = ("repro_cache_hits_total", (("stage", stage),))
+            assert snapshot.counters[lookups] == 2
+            assert snapshot.counters[hits] == 1
+
     def test_per_stage_compute_timing(self):
         store = EvaluationStore(capacity=8)
         store.get_or_compute("slow", "k", lambda: sum(range(1000)))

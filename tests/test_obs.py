@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
+import repro.obs.metrics as metrics_module
 from repro.obs import (
     EVENT_SCHEMAS,
     NULL_OBS,
@@ -193,6 +196,73 @@ class TestMetrics:
         registry.counter("c", "first")
         registry.counter("c", "second")
         assert registry.snapshot().descriptions["c"] == "first"
+
+    def test_series_resolved_once_per_spelling(self, monkeypatch):
+        calls = []
+        labelset = metrics_module.labelset
+
+        def counting_labelset(labels):
+            calls.append(dict(labels))
+            return labelset(labels)
+
+        monkeypatch.setattr(metrics_module, "labelset", counting_labelset)
+        registry = MetricsRegistry()
+        counter = registry.counter("x", stage="a")
+        for _ in range(999):
+            assert registry.counter("x", stage="a") is counter
+        counter.inc()
+        assert calls == [{"stage": "a"}]
+
+    def test_labels_compare_as_strings(self):
+        registry = MetricsRegistry()
+        registry.counter("x", n=1).inc()
+        registry.counter("x", n="1").inc()
+        registry.counter("x", n=True).inc()
+        registry.counter("x", n=1).inc()
+        snap = registry.snapshot()
+        assert snap.counter_value("x", n="1") == 3.0
+        assert snap.counter_value("x", n="True") == 1.0
+        assert registry.counter("x", n=1) is registry.counter("x", n="1")
+        assert registry.counter("x", n=1) is not registry.counter("x", n=True)
+
+    def test_keyword_order_is_one_series_and_first_description_wins(self):
+        registry = MetricsRegistry()
+        registry.counter("c", a=1, b=2).inc()
+        registry.counter("c", "first", b=2, a=1).inc()
+        registry.counter("c", "second", a=1, b=2).inc()
+        registry.histogram("h", description="", a=1, b=2).observe(1.0)
+        registry.histogram("h", description="late", b=2, a=1).observe(2.0)
+        registry.histogram("h", description="later", b=2, a=1).observe(3.0)
+        snap = registry.snapshot()
+        assert snap.counters == {("c", (("a", "1"), ("b", "2"))): 3.0}
+        hist = snap.histogram_snapshot("h", a=1, b=2)
+        assert hist is not None and hist.count == 3
+        assert snap.descriptions == {"c": "first", "h": "late"}
+
+    def test_threads_racing_on_a_new_series_share_it(self):
+        registry = MetricsRegistry()
+        threads, series = 8, 500
+        barrier = threading.Barrier(threads, timeout=10.0)
+
+        def work():
+            barrier.wait()
+            for stage in range(series):
+                registry.counter("raced", stage=stage).inc()
+
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        counters = registry.snapshot().counters
+        assert len(counters) == series
+        assert set(counters.values()) == {float(threads)}
 
 
 class TestEvents:
