@@ -53,7 +53,7 @@ __all__ = [
 #: Bump on any rule/engine change that can alter findings; every cache
 #: key folds this in, so an upgraded analyzer never serves stale
 #: results computed by older logic.
-ANALYZER_VERSION = "5"
+ANALYZER_VERSION = "6"
 
 _ENTRY_SUFFIX = ".json"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.lint.base import (
     MUTATING_METHODS,
@@ -30,6 +30,7 @@ from repro.lint.dataflow import (
     EffectSummary,
     EffectsReport,
     GrowthSite,
+    _local_names,
     analyze_effects,
     analyze_ordering,
     analyze_rng_taint,
@@ -195,39 +196,15 @@ def locked_lines(nodes: Iterable[ast.AST]) -> set[int]:
 
 
 def shared_writes(
-    nodes: Sequence[ast.AST], params: Iterable[str]
+    nodes: Sequence[ast.AST], local_names: Collection[str]
 ) -> list[tuple[ast.AST, str]]:
     """Mutations of non-local state among a function's ``nodes``.
 
     Returns ``(node, label)`` pairs in source order, where ``label`` is
     ``self.<attr>`` for instance-state writes or the bare name of a
-    closure/global target.  Names bound locally (assignments, loop
-    targets, parameters) are not shared.
+    closure/global target.  A write whose root is one of
+    ``local_names`` is not shared.
     """
-    local_names: set[str] = set(params)
-    for node in nodes:
-        if isinstance(node, ast.Assign):
-            for tgt in node.targets:
-                if isinstance(tgt, ast.Name):
-                    local_names.add(tgt.id)
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name):
-                local_names.add(node.target.id)
-        elif isinstance(node, ast.NamedExpr):
-            if isinstance(node.target, ast.Name):
-                local_names.add(node.target.id)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if isinstance(item.optional_vars, ast.Name):
-                    local_names.add(item.optional_vars.id)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            tgt = node.target
-            if isinstance(tgt, ast.Name):
-                local_names.add(tgt.id)
-            elif isinstance(tgt, ast.Tuple):
-                local_names.update(
-                    el.id for el in tgt.elts if isinstance(el, ast.Name)
-                )
     writes: list[tuple[ast.AST, str]] = []
     for node in nodes:
         exprs: list[ast.expr] = []
@@ -257,18 +234,20 @@ def shared_writes(
     return writes
 
 
-def _own_and_lambda_nodes(project: Project, fn: FunctionInfo) -> list[ast.AST]:
-    """``fn``'s own nodes and those of the lambdas written in it, at any
-    depth.  A def or class nested in ``fn`` is a function of its own,
-    checked when the call graph reaches it."""
-    nodes = list(fn.nodes)
+def _own_and_lambda_scopes(
+    project: Project, fn: FunctionInfo
+) -> list[FunctionInfo]:
+    """``fn`` and the lambdas written in it, at any depth.  A def or
+    class nested in ``fn`` is a function of its own, checked when the
+    call graph reaches it."""
+    scopes = [fn]
     lambdas = list(fn.lambdas)
     while lambdas:
         info = project.function_for_node(lambdas.pop())
         if info is not None:
-            nodes.extend(info.nodes)
+            scopes.append(info)
             lambdas.extend(info.lambdas)
-    return nodes
+    return scopes
 
 
 class InterprocLocksetRule(ProjectRule):
@@ -353,10 +332,12 @@ class InterprocLocksetRule(ProjectRule):
         def walk(
             fn: FunctionInfo, chain: tuple[CallSite, ...], under_lock: bool
         ) -> Iterator[Violation]:
-            nodes = _own_and_lambda_nodes(project, fn)
+            scopes = _own_and_lambda_scopes(project, fn)
+            nodes = [node for scope in scopes for node in scope.nodes]
+            local_names = {name for scope in scopes for name in _local_names(scope)}
             locked = locked_lines(nodes)
             fn_path = self._path_of(project, fn.qname)
-            for write, label in shared_writes(nodes, fn.params):
+            for write, label in shared_writes(nodes, local_names):
                 line = getattr(write, "lineno", 0)
                 if under_lock or line in locked:
                     continue

@@ -542,11 +542,14 @@ def test_rpr007_two_hop_chain_lists_every_hop() -> None:
 
 
 #: ``run`` submits ``job``, and ``job`` holds a nested def, a nested
-#: class or a lambda that appends to the module's ``RESULTS``.  Each
-#: case maps to its findings as (line, the function the write is in).
-#: A nested def or class is a function of its own, checked only when the
-#: call graph reaches it, under the lock its caller holds; a lambda's
-#: code counts as the enclosing function's.
+#: class or a lambda that appends to the module's ``RESULTS``, or
+#: mutates a name it binds itself.  Each case maps to its findings as
+#: (line, column, the function the write is in).  A nested def or class
+#: is a function of its own, checked only when the call graph reaches
+#: it, under the lock its caller holds; a lambda's code counts as the
+#: enclosing function's.  A name bound in ``job`` or its lambdas (a
+#: parameter, an assignment or loop target, a comprehension variable,
+#: an ``except ... as`` name) is local unless declared ``global``.
 RPR007_NESTED_CASES = {
     "def-returned-uncalled": (
         """\
@@ -592,7 +595,7 @@ RPR007_NESTED_CASES = {
         def run(backend, items):
             return backend.map(job, items)
         """,
-        [(5, "repro.engine.work.job.<locals>.later")],
+        [(5, 8, "repro.engine.work.job.<locals>.later")],
     ),
     "class-returned": (
         """\
@@ -617,7 +620,60 @@ RPR007_NESTED_CASES = {
         def run(backend, items):
             return backend.map(job, items)
         """,
-        [(3, "repro.engine.work.job")],
+        [(3, 30, "repro.engine.work.job")],
+    ),
+    "lambda-parameter": (
+        """\
+        def job(rows):
+            return list(map(lambda row: row.append(0), rows))
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [],
+    ),
+    "comprehension-variable": (
+        """\
+        def job(rows):
+            return [row.append(0) for row in rows]
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [],
+    ),
+    "tuple-assignment": (
+        """\
+        def job(x):
+            a, b = [], []
+            a.append(x)
+            return a, b
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [],
+    ),
+    "except-name": (
+        """\
+        def job(x):
+            try:
+                return x()
+            except Exception as err:
+                err.args.append(1)
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [],
+    ),
+    "global-rebound": (
+        """\
+        RESULTS = []
+        def job(x):
+            global RESULTS
+            RESULTS = RESULTS or []
+            RESULTS.append(x)
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [(5, 4, "repro.engine.work.job")],
     ),
 }
 
@@ -630,7 +686,7 @@ def test_rpr007_nested_scopes_are_their_own_functions(case: str) -> None:
     for violation in violations:
         writer = re.search(r" in (\S+) is reachable", violation.message)
         assert writer is not None
-        found.append((violation.line, writer.group(1)))
+        found.append((violation.line, violation.col, writer.group(1)))
     assert found == expected
 
 
