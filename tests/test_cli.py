@@ -287,6 +287,49 @@ class TestObservabilityFlags:
         assert "repro_trials_total 1" in text
 
 
+    def test_compare_metrics_and_events_do_not_depend_on_backend(
+        self, capsys, tmp_path
+    ):
+        backends = {
+            "serial": [],
+            "thread": ["--backend", "thread", "--workers", "2"],
+            "process": ["--backend", "process", "--workers", "2"],
+        }
+        written = {}
+        for name, flags in backends.items():
+            metrics_path = tmp_path / f"{name}-metrics.json"
+            events_path = tmp_path / f"{name}-events.jsonl"
+            code = main(
+                [
+                    "compare",
+                    "--dataset",
+                    "nusc-clear",
+                    "--frames",
+                    "30",
+                    "--trials",
+                    "1",
+                    "--m",
+                    "3",
+                    "--scale",
+                    "0.05",
+                    "--obs-level",
+                    "metrics",
+                    "--metrics-out",
+                    str(metrics_path),
+                    "--events-out",
+                    str(events_path),
+                    *flags,
+                ]
+            )
+            assert code == 0
+            written[name] = (metrics_path.read_bytes(), events_path.read_bytes())
+        capsys.readouterr()
+        assert b"repro_frames_total" in written["serial"][0]
+        assert written["serial"][1]
+        assert written["thread"] == written["serial"]
+        assert written["process"] == written["serial"]
+
+
 class TestCommands:
     def test_algorithms_lists_registry(self, capsys):
         assert main(["algorithms"]) == 0
