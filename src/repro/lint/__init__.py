@@ -67,7 +67,6 @@ from repro.lint.project import (
     LintConfig,
     Project,
     ProjectRule,
-    load_config,
     module_name_for_path,
 )
 from repro.lint.project_rules import ALL_PROJECT_RULES, project_rule_ids
@@ -102,7 +101,6 @@ __all__ = [
     "lint_project",
     "lint_source",
     "load_baseline",
-    "load_config",
     "module_name_for_path",
     "project_rule_ids",
     "render_json",

@@ -16,8 +16,9 @@ Every key also folds in:
 * :data:`ANALYZER_VERSION` — bumped whenever a rule or the engine
   changes in a findings-affecting way, so stale logic never serves;
 * the active rule IDs and ``--select`` set;
-* the :meth:`~repro.lint.project.LintConfig.fingerprint` of the loaded
-  config (layer DAG + persistence list).
+* the :meth:`~repro.lint.project.LintConfig.fingerprint` of the run's
+  config (layer DAG + persistence list, sanctioned seams and bounding
+  methods).
 
 Changing any ingredient changes the key, so invalidation is purely
 constructive — old entries are simply never looked up again (and can be
@@ -53,7 +54,7 @@ __all__ = [
 #: Bump on any rule/engine change that can alter findings; every cache
 #: key folds this in, so an upgraded analyzer never serves stale
 #: results computed by older logic.
-ANALYZER_VERSION = "6"
+ANALYZER_VERSION = "7"
 
 _ENTRY_SUFFIX = ".json"
 

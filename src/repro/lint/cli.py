@@ -16,7 +16,6 @@ from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.cache import LintCache
 from repro.lint.engine import LintResult, known_rule_ids, lint_paths
 from repro.lint.explain import RULE_GUIDES, format_guide
-from repro.lint.project import load_config
 from repro.lint.project_rules import ALL_PROJECT_RULES
 from repro.lint.report import render_json, render_sarif, render_text
 from repro.lint.rules import ALL_RULES
@@ -131,26 +130,9 @@ def _explain_rule(raw: str) -> int:
     return 0
 
 
-def _warn_unknown_config_keys(paths: Sequence[str]) -> None:
-    """Stderr warning for typo'd ``[tool.repro-lint]`` keys.
-
-    Exit-code-neutral by design: a typo'd ``persistance`` must not
-    *fail* the run, but it must not silently disable enforcement
-    either, so the warning always prints.
-    """
-    if not paths:
-        return
-    try:
-        config = load_config(paths[0])
-    except OSError:
-        return
-    if config.unknown_keys:
-        keys = ", ".join(repr(key) for key in config.unknown_keys)
-        print(
-            f"warning: unknown [tool.repro-lint] key(s) {keys} ignored "
-            "(known: layers, persistence, sanctioned-seams, bound-methods)",
-            file=sys.stderr,
-        )
+def _write_error(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
 
 
 def _summary_line(result: LintResult, suppressed_by_baseline: int) -> str:
@@ -178,7 +160,6 @@ def run_lint(args: argparse.Namespace) -> int:
         return _list_rules()
     if args.explain:
         return _explain_rule(args.explain)
-    _warn_unknown_config_keys(args.paths)
     select = None
     if args.select:
         select = {part.strip().upper() for part in args.select.split(",") if part.strip()}
@@ -212,7 +193,10 @@ def run_lint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.write_baseline:
-        count = write_baseline(args.write_baseline, result.violations)
+        try:
+            count = write_baseline(args.write_baseline, result.violations)
+        except OSError as exc:
+            return _write_error(args.write_baseline, exc)
         print(
             f"baseline: {count} finding{'s' if count != 1 else ''} "
             f"recorded to {args.write_baseline}"
@@ -233,7 +217,10 @@ def run_lint(args: argparse.Namespace) -> int:
         )
     report = _RENDERERS[args.output_format](result)
     if args.output:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
+        try:
+            Path(args.output).write_text(report + "\n", encoding="utf-8")
+        except OSError as exc:
+            return _write_error(args.output, exc)
         print(_summary_line(result, suppressed_by_baseline))
         print(f"report written to {args.output}")
     else:

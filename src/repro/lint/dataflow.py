@@ -39,10 +39,11 @@ expression forms:
   an unordered iterable.  See :func:`analyze_ordering`.
 * **purity** (RPR014) — sources are process/host/clock/entropy reads
   and reads of ``self`` fields mutated outside ``__init__``; the
-  configured sanctioned seams are clean.  Sinks are ``put``/``store``
-  calls on cache/store receivers.  The per-function **effect
-  summaries** behind RPR013 and RPR015 (mutations, io, captures,
-  container growth and bounding evidence) ride the same fixpoint.
+  sanctioned seams (``DEFAULT_SANCTIONED_SEAMS``) are clean.  Sinks
+  are ``put``/``store`` calls on cache/store receivers.  The
+  per-function **effect summaries** behind RPR013 and RPR015
+  (mutations, io, captures, container growth and bounding evidence)
+  ride the same fixpoint.
   See :func:`analyze_effects`.
 """
 
@@ -55,7 +56,12 @@ from dataclasses import dataclass, field, replace
 
 from repro.lint.base import dotted_name, self_attr
 from repro.lint.callgraph import CallGraph, resolve_call_target
-from repro.lint.project import FunctionInfo, Project
+from repro.lint.project import (
+    DEFAULT_BOUND_METHODS,
+    DEFAULT_SANCTIONED_SEAMS,
+    FunctionInfo,
+    Project,
+)
 
 __all__ = [
     "GROWTH_METHODS",
@@ -1232,8 +1238,6 @@ class _Purity(_Walker):
         self._loop_lines: dict[str, frozenset[int]] = {}
         self._locals: dict[str, frozenset[str]] = {}
         self._module_containers: dict[str, str | None] = {}
-        self._seams = project.config.sanctioned_seam_targets()
-        self._bounders = project.config.bounding_methods()
 
     def report(self) -> EffectsReport:
         for qname in sorted(self.project.functions):
@@ -1512,7 +1516,7 @@ class _Purity(_Walker):
         assert isinstance(func, ast.Attribute)
         method = func.attr
         is_growth = method in GROWTH_METHODS
-        is_bounder = method in self._bounders
+        is_bounder = method in DEFAULT_BOUND_METHODS
         if not (is_growth or is_bounder):
             return
         container = self._container_of(fn, func.value, locals_)
@@ -1788,7 +1792,7 @@ class _Purity(_Walker):
     ) -> Taint | None:
         # The seams are checked before project callees: derive_rng is a
         # project function whose body reads numpy.random.
-        if self._external_target(fn, call) in self._seams:
+        if self._external_target(fn, call) in DEFAULT_SANCTIONED_SEAMS:
             return None
         return super()._call(fn, call, env, path)
 

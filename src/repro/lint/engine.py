@@ -25,7 +25,7 @@ from pathlib import Path
 from repro.lint.base import DISABLE_COMMENT_RE, FileContext, LintError, Rule, Violation
 from repro.lint.cache import LintCache, content_hash, environment_key
 from repro.lint.callgraph import CallGraph
-from repro.lint.project import LintConfig, Project, ProjectRule, load_config
+from repro.lint.project import LintConfig, Project, ProjectRule
 from repro.lint.project_rules import ALL_PROJECT_RULES
 from repro.lint.rules import ALL_RULES
 
@@ -325,8 +325,9 @@ def lint_paths(
             in-process.  Findings are identical for any value.
         project_rules: Whole-program rules to run after the per-file
             phase (skipped entirely when ``select`` excludes them all).
-        config: Analysis configuration; discovered from the nearest
-            ``pyproject.toml`` when omitted.
+        config: Layer DAG and persistence list; ``DEFAULT_LAYERS`` and
+            ``DEFAULT_PERSISTENCE`` in ``repro/lint/project.py`` when
+            omitted.
         cache: Incremental cache (see :mod:`repro.lint.cache`).  Hits
             skip parsing and analysis entirely; findings are
             byte-identical with or without it, for any ``jobs``.
@@ -349,8 +350,6 @@ def lint_paths(
         except OSError as exc:
             violations.append(_read_error(path, exc))
 
-    if config is None and files:
-        config = load_config(files[0])
     effective = config if config is not None else LintConfig()
 
     environment = ""

@@ -113,9 +113,8 @@ RULE_GUIDES: dict[str, RuleGuide] = dict(
             carries the full flow chain.""",
             "rng = np.random.default_rng()  # flows into select_frames()",
             "rng = derive_rng(run_seed, 'selector')  # sanctioned seam",
-            """``repro.utils.rng.derive_rng`` (and config
-            ``sanctioned-seams``) launder a seed into an RNG
-            legitimately.""",
+            """``repro.utils.rng.derive_rng`` (and ``spawn_seeds``,
+            ``derive_seed``) launder a seed into an RNG legitimately.""",
         ),
         _guide(
             "RPR007",
@@ -144,8 +143,9 @@ RULE_GUIDES: dict[str, RuleGuide] = dict(
         _guide(
             "RPR009",
             """A runtime import that violates the layer DAG declared in
-            ``[tool.repro-lint.layers]`` couples layers that must stay
-            independent (e.g. core importing engine).""",
+            ``DEFAULT_LAYERS`` in ``repro/lint/project.py`` couples
+            layers that must stay independent (e.g. core importing
+            engine).""",
             "from repro.engine import runner  # inside repro/core/",
             "if TYPE_CHECKING:\n    from repro.engine import runner",
             """``TYPE_CHECKING`` imports are exempt; otherwise move the
@@ -172,8 +172,8 @@ RULE_GUIDES: dict[str, RuleGuide] = dict(
             "key = repr(params); json.dump(obj, fh)",
             "key = canonical_key(params); json.dump(obj, fh, sort_keys=True)",
             """Persistence modules are declared in
-            ``[tool.repro-lint]`` ``persistence``; others are not
-            checked.""",
+            ``DEFAULT_PERSISTENCE`` in ``repro/lint/project.py``; others
+            are not checked.""",
         ),
         _guide(
             "RPR012",
@@ -212,9 +212,9 @@ RULE_GUIDES: dict[str, RuleGuide] = dict(
             the impurity's flow chain into the sink.""",
             "store.put(stage, key, time.time())  # clock reaches the cache",
             "rng = derive_rng(seed, stage)\nstore.put(stage, key, f(inputs, rng))",
-            """``derive_rng`` (plus config ``sanctioned-seams``) and
-            ``*_ms`` timing keywords (metadata, not cached values) are
-            exempt.""",
+            """``derive_rng`` and the other ``DEFAULT_SANCTIONED_SEAMS``
+            in ``repro/lint/project.py``, and ``*_ms`` timing keywords
+            (metadata, not cached values), are exempt.""",
         ),
         _guide(
             "RPR015",
@@ -228,7 +228,8 @@ RULE_GUIDES: dict[str, RuleGuide] = dict(
             "def on_frame(self, f):\n    self._events.append(f)  # per-frame, never drained",
             "self._events = deque(maxlen=1024)  # bounded construction",
             """Bounded constructions, eviction methods (``pop``,
-            ``evict``, ... plus config ``bound-methods``), keyed upserts
+            ``evict``, ..., ``DEFAULT_BOUND_METHODS`` in
+            ``repro/lint/project.py``), keyed upserts
             (``d.get``/``in``-guarded or ``setdefault`` stores), and
             reassignment outside ``__init__`` all count as bounds;
             ``repro.lint`` itself is exempt (batch-lifetime).""",

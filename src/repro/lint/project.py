@@ -21,7 +21,7 @@ import ast
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
+from pathlib import PurePosixPath
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.lint.base import FileContext, Violation, dotted_name
@@ -38,14 +38,12 @@ __all__ = [
     "ClassInfo",
     "FunctionInfo",
     "ImportEdge",
-    "KNOWN_CONFIG_KEYS",
     "LintConfig",
     "ModuleInfo",
     "Project",
     "ProjectRule",
     "Resolved",
     "is_persistence_path",
-    "load_config",
     "module_name_for_path",
 ]
 
@@ -55,12 +53,13 @@ __all__ = [
 _ROOT_MARKERS = ("src",)
 _TOP_LEVEL_PACKAGES = ("repro", "tests", "benchmarks", "examples")
 
-#: The shipped layer DAG — kept in sync with ``[tool.repro-lint.layers]``
-#: in ``pyproject.toml`` (which overrides this when present).  Each layer
-#: lists the layers it may import; enforcement uses the transitive
-#: closure, and intra-layer imports are always allowed.  ``engine`` is
-#: execution infrastructure below ``core`` (its only runtime dependency
-#: is ``utils``; its references to core types are TYPE_CHECKING-only).
+#: The import-layer DAG enforced by RPR009: each layer (a top-level
+#: package under ``repro``; ``root`` is ``repro`` and its ``__main__``)
+#: lists the layers it may import at runtime.  Enforcement uses the
+#: transitive closure, intra-layer imports are always allowed, and
+#: ``if TYPE_CHECKING:`` imports are exempt.  ``engine`` is execution
+#: infrastructure below ``core`` (its only runtime dependency is
+#: ``utils``; its references to core types are TYPE_CHECKING-only).
 DEFAULT_LAYERS: dict[str, tuple[str, ...]] = {
     "utils": (),
     "lint": (),
@@ -128,11 +127,11 @@ DEFAULT_LAYERS: dict[str, tuple[str, ...]] = {
 
 #: Path fragments naming the *persistence* modules RPR011 audits — the
 #: files whose bytes land on disk (or in another process) and therefore
-#: must serialize deterministically.  Overridden by the ``persistence``
-#: list under ``[tool.repro-lint]`` in pyproject.toml when present.
-#: A module is a persistence module when any fragment occurs in its
-#: POSIX path; fragments with a leading ``/`` anchor at a path-segment
-#: boundary (``/io.py`` matches ``runner/io.py`` but not ``prio.py``).
+#: must serialize deterministically.  A module is a persistence module
+#: when a bare fragment occurs in its basename (``store`` matches
+#: ``engine/store.py`` and ``matstore.py``, not ``store/x.py``), or when
+#: its POSIX path ends with a fragment that has a leading ``/``
+#: (``/io.py`` matches ``runner/io.py`` but not ``prio.py``).
 DEFAULT_PERSISTENCE: tuple[str, ...] = (
     "store",
     "export",
@@ -145,10 +144,9 @@ DEFAULT_PERSISTENCE: tuple[str, ...] = (
 
 #: Call targets whose results the cache-purity analysis (RPR014) treats
 #: as derivable state: the deterministic RNG seam and seed derivation.
-#: Extended (not replaced) by ``sanctioned-seams`` under
-#: ``[tool.repro-lint]``.  Injected clocks/timers need no entry here —
-#: calls through injected attributes resolve to nothing and are treated
-#: as clean by construction.
+#: Injected clocks/timers need no entry here — calls through injected
+#: attributes resolve to nothing and are treated as clean by
+#: construction.
 DEFAULT_SANCTIONED_SEAMS: tuple[str, ...] = (
     "repro.utils.rng.derive_rng",
     "repro.utils.rng.spawn_seeds",
@@ -157,8 +155,7 @@ DEFAULT_SANCTIONED_SEAMS: tuple[str, ...] = (
 
 #: Method names the effect analysis counts as *bounding* a container —
 #: evidence that a grow-only field is in fact evicted/drained somewhere,
-#: which clears RPR015.  Extended by ``bound-methods`` under
-#: ``[tool.repro-lint]``.
+#: which clears RPR015.
 DEFAULT_BOUND_METHODS: tuple[str, ...] = (
     "pop",
     "popitem",
@@ -174,77 +171,41 @@ DEFAULT_BOUND_METHODS: tuple[str, ...] = (
     "truncate",
 )
 
-#: Keys the analyzer understands under ``[tool.repro-lint]`` (the
-#: ``layers`` sub-table included).  Anything else is reported as an
-#: unknown key so a typo'd ``persistance`` cannot silently disable
-#: enforcement.
-KNOWN_CONFIG_KEYS: frozenset[str] = frozenset(
-    {"layers", "persistence", "sanctioned-seams", "bound-methods"}
-)
-
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Project-level analysis configuration.
+    """The layer DAG and persistence list one analysis runs with.
+
+    The defaults are the project's own configuration; tests pass other
+    values to run RPR009 and RPR011 on fixture DAGs.
 
     Attributes:
         layers: The layer DAG for RPR009 — layer name → layers it may
-            import (closure applied at check time).  ``None`` falls back
-            to :data:`DEFAULT_LAYERS`.
+            import (closure applied at check time).
         persistence: Path fragments selecting the persistence modules
-            RPR011 audits.  ``None`` falls back to
-            :data:`DEFAULT_PERSISTENCE`.
-        sanctioned_seams: Extra dotted call targets whose results the
-            purity analysis (RPR014) treats as parameter-derived, on top
-            of :data:`DEFAULT_SANCTIONED_SEAMS`.
-        bound_methods: Extra method names counted as container-bounding
-            operations by the growth analysis (RPR015), on top of
-            :data:`DEFAULT_BOUND_METHODS`.
-        unknown_keys: Keys found under ``[tool.repro-lint]`` that the
-            analyzer does not understand.  Diagnostic only — the CLI
-            warns about them on stderr — and deliberately excluded from
-            :meth:`fingerprint` (they cannot change findings).
+            RPR011 audits (matched by :func:`is_persistence_path`).
     """
 
-    layers: Mapping[str, tuple[str, ...]] | None = None
-    persistence: tuple[str, ...] | None = None
-    sanctioned_seams: tuple[str, ...] = ()
-    bound_methods: tuple[str, ...] = ()
-    unknown_keys: tuple[str, ...] = ()
-
-    def layer_dag(self) -> Mapping[str, tuple[str, ...]]:
-        return self.layers if self.layers is not None else DEFAULT_LAYERS
-
-    def persistence_fragments(self) -> tuple[str, ...]:
-        if self.persistence is not None:
-            return self.persistence
-        return DEFAULT_PERSISTENCE
-
-    def sanctioned_seam_targets(self) -> frozenset[str]:
-        return frozenset(DEFAULT_SANCTIONED_SEAMS) | frozenset(
-            self.sanctioned_seams
-        )
-
-    def bounding_methods(self) -> frozenset[str]:
-        return frozenset(DEFAULT_BOUND_METHODS) | frozenset(self.bound_methods)
+    layers: Mapping[str, tuple[str, ...]] = field(
+        default_factory=lambda: DEFAULT_LAYERS
+    )
+    persistence: tuple[str, ...] = DEFAULT_PERSISTENCE
 
     def fingerprint(self) -> str:
         """Canonical JSON of everything that can change findings.
 
-        The incremental cache folds this into every entry key, so any
-        config edit — layer DAG, persistence list, seam or bound-method
-        allowlist — invalidates all cached findings.  ``unknown_keys``
-        is excluded: a typo'd key changes a warning, never a finding.
+        The incremental cache folds this into every entry key, so an
+        edit to the layer DAG, the persistence list, the sanctioned seams
+        or the bounding methods invalidates all cached findings.
         """
         return json.dumps(
             {
                 "layers": {
-                    name: list(allowed)
-                    for name, allowed in self.layer_dag().items()
+                    name: list(allowed) for name, allowed in self.layers.items()
                 },
-                "persistence": list(self.persistence_fragments()),
-                "sanctioned_seams": sorted(self.sanctioned_seam_targets()),
-                "bound_methods": sorted(self.bounding_methods()),
+                "persistence": list(self.persistence),
+                "sanctioned_seams": sorted(DEFAULT_SANCTIONED_SEAMS),
+                "bound_methods": sorted(DEFAULT_BOUND_METHODS),
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -255,8 +216,8 @@ def is_persistence_path(path: str, fragments: Sequence[str]) -> bool:
     """True when ``path`` names a persistence module per ``fragments``.
 
     Fragments starting with ``/`` must match at a path-segment boundary;
-    bare fragments match anywhere in the POSIX path's basename-bearing
-    tail.  Matching is case-sensitive (module paths are).
+    bare fragments match anywhere in the basename.  Matching is
+    case-sensitive (module paths are).
     """
     posix = PurePosixPath(path).as_posix()
     for fragment in fragments:
@@ -266,126 +227,6 @@ def is_persistence_path(path: str, fragments: Sequence[str]) -> bool:
         elif fragment in posix.rsplit("/", 1)[-1]:
             return True
     return False
-
-
-def _string_list(raw: object) -> tuple[str, ...] | None:
-    if isinstance(raw, list):
-        return tuple(str(item) for item in raw)
-    return None
-
-
-def _parse_repro_lint_tables(text: str) -> LintConfig:
-    """Extract ``[tool.repro-lint]`` config from pyproject text.
-
-    Every field of the returned :class:`LintConfig` falls back to its
-    default when its section or key is absent or malformed; keys the
-    analyzer does not understand land in ``unknown_keys``.  Uses
-    :mod:`tomllib` when available (3.11+); on 3.10 falls back to a
-    minimal line parser that understands exactly the shapes these
-    sections use (``name = ["a", "b"]``, lists possibly spanning lines).
-    """
-    try:
-        import tomllib
-    except ImportError:  # Python 3.10: no stdlib TOML reader
-        return _parse_repro_lint_tables_fallback(text)
-    try:
-        data = tomllib.loads(text)
-    except tomllib.TOMLDecodeError:
-        return LintConfig()
-    section = data.get("tool", {}).get("repro-lint", {})
-    if not isinstance(section, dict):
-        return LintConfig()
-    layers: dict[str, tuple[str, ...]] | None = None
-    table = section.get("layers")
-    if isinstance(table, dict):
-        parsed_layers = {
-            str(name): tuple(str(item) for item in allowed)
-            for name, allowed in table.items()
-            if isinstance(allowed, list)
-        }
-        layers = parsed_layers or None
-    unknown = tuple(
-        sorted(str(key) for key in section if key not in KNOWN_CONFIG_KEYS)
-    )
-    return LintConfig(
-        layers=layers,
-        persistence=_string_list(section.get("persistence")),
-        sanctioned_seams=_string_list(section.get("sanctioned-seams")) or (),
-        bound_methods=_string_list(section.get("bound-methods")) or (),
-        unknown_keys=unknown,
-    )
-
-
-def _parse_repro_lint_tables_fallback(text: str) -> LintConfig:
-    layers: dict[str, tuple[str, ...]] = {}
-    lists: dict[str, tuple[str, ...]] = {}
-    unknown: set[str] = set()
-    section = ""
-    pending_key: str | None = None
-    pending_value = ""
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if line.startswith("["):
-            section = line
-            pending_key = None
-            if section.startswith("[tool.repro-lint."):
-                table = section[len("[tool.repro-lint.") : -1]
-                if table not in KNOWN_CONFIG_KEYS:
-                    unknown.add(table)
-            continue
-        in_layers = section == "[tool.repro-lint.layers]"
-        in_root = section == "[tool.repro-lint]"
-        if not (in_layers or in_root) or not line or line.startswith("#"):
-            continue
-        if pending_key is None:
-            key, sep, value = line.partition("=")
-            if not sep:
-                continue
-            pending_key, pending_value = key.strip().strip('"'), value.strip()
-            if in_root and pending_key not in KNOWN_CONFIG_KEYS:
-                unknown.add(pending_key)
-        else:
-            pending_value += " " + line
-        if pending_value.startswith("[") and pending_value.endswith("]"):
-            try:
-                parsed = ast.literal_eval(pending_value)
-            except (SyntaxError, ValueError):
-                parsed = None
-            if isinstance(parsed, list):
-                items = tuple(str(item) for item in parsed)
-                if in_layers:
-                    layers[pending_key] = items
-                else:
-                    lists[pending_key] = items
-            pending_key = None
-    return LintConfig(
-        layers=layers or None,
-        persistence=lists.get("persistence"),
-        sanctioned_seams=lists.get("sanctioned-seams", ()),
-        bound_methods=lists.get("bound-methods", ()),
-        unknown_keys=tuple(sorted(unknown)),
-    )
-
-
-def load_config(start: Path | str) -> LintConfig:
-    """Load the lint config from the nearest ``pyproject.toml``.
-
-    Walks upward from ``start`` (a file or directory); missing file or
-    missing ``[tool.repro-lint]`` section falls back to the built-in
-    defaults, so fixture trees without a pyproject analyze identically.
-    """
-    directory = Path(start).resolve()
-    if directory.is_file():
-        directory = directory.parent
-    for candidate in (directory, *directory.parents):
-        pyproject = candidate / "pyproject.toml"
-        if pyproject.is_file():
-            try:
-                text = pyproject.read_text(encoding="utf-8")
-            except OSError:
-                return LintConfig()
-            return _parse_repro_lint_tables(text)
-    return LintConfig()
 
 
 def module_name_for_path(path: str) -> str:

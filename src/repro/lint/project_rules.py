@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 
 from repro.lint.base import (
     MUTATING_METHODS,
@@ -196,35 +196,39 @@ def locked_lines(nodes: Iterable[ast.AST]) -> set[int]:
 
 
 def shared_writes(
-    nodes: Sequence[ast.AST], local_names: Collection[str]
+    scopes: Iterable[tuple[FunctionInfo, Collection[str]]]
 ) -> list[tuple[ast.AST, str]]:
-    """Mutations of non-local state among a function's ``nodes``.
+    """Mutations of non-local state in ``scopes``, each a function or
+    lambda paired with the names local to its code.
 
     Returns ``(node, label)`` pairs in source order, where ``label`` is
     ``self.<attr>`` for instance-state writes or the bare name of a
-    closure/global target.  A write whose root is one of
-    ``local_names`` is not shared.
+    closure/global target.  A write whose root is local to the scope it
+    is written in is not shared.
     """
     writes: list[tuple[ast.AST, str]] = []
-    for node in nodes:
-        exprs: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            exprs = [t for t in node.targets if isinstance(t, ast.Subscript)]
-        elif isinstance(node, ast.AugAssign) and isinstance(
-            node.target, (ast.Subscript, ast.Attribute)
-        ):
-            exprs = [node.target]
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in MUTATING_METHODS:
-                exprs = [node.func.value]
-        for expr in exprs:
-            attr = self_write_attr(expr)
-            if attr is not None:
-                writes.append((node, f"self.{attr}"))
-                continue
-            root = assign_root(expr)
-            if isinstance(root, ast.Name) and root.id not in local_names:
-                writes.append((node, root.id))
+    for scope, local_names in scopes:
+        for node in scope.nodes:
+            exprs: list[ast.expr] = []
+            if isinstance(node, ast.Assign):
+                exprs = [t for t in node.targets if isinstance(t, ast.Subscript)]
+            elif isinstance(node, ast.AugAssign) and isinstance(
+                node.target, (ast.Subscript, ast.Attribute)
+            ):
+                exprs = [node.target]
+            elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute
+            ):
+                if node.func.attr in MUTATING_METHODS:
+                    exprs = [node.func.value]
+            for expr in exprs:
+                attr = self_write_attr(expr)
+                if attr is not None:
+                    writes.append((node, f"self.{attr}"))
+                    continue
+                root = assign_root(expr)
+                if isinstance(root, ast.Name) and root.id not in local_names:
+                    writes.append((node, root.id))
     writes.sort(
         key=lambda write: (
             getattr(write[0], "lineno", 0),
@@ -236,17 +240,20 @@ def shared_writes(
 
 def _own_and_lambda_scopes(
     project: Project, fn: FunctionInfo
-) -> list[FunctionInfo]:
-    """``fn`` and the lambdas written in it, at any depth.  A def or
-    class nested in ``fn`` is a function of its own, checked when the
-    call graph reaches it."""
-    scopes = [fn]
-    lambdas = list(fn.lambdas)
+) -> list[tuple[FunctionInfo, frozenset[str]]]:
+    """``fn`` and the lambdas written in it, at any depth, each with the
+    names local to its code: its own and those of the scopes it is
+    written in.  A def or class nested in ``fn`` is a function of its
+    own, checked when the call graph reaches it."""
+    scopes = [(fn, _local_names(fn))]
+    lambdas = [(lam, scopes[0][1]) for lam in fn.lambdas]
     while lambdas:
-        info = project.function_for_node(lambdas.pop())
+        lam, enclosing = lambdas.pop()
+        info = project.function_for_node(lam)
         if info is not None:
-            scopes.append(info)
-            lambdas.extend(info.lambdas)
+            local_names = enclosing | _local_names(info)
+            scopes.append((info, local_names))
+            lambdas.extend((inner, local_names) for inner in info.lambdas)
     return scopes
 
 
@@ -333,11 +340,11 @@ class InterprocLocksetRule(ProjectRule):
             fn: FunctionInfo, chain: tuple[CallSite, ...], under_lock: bool
         ) -> Iterator[Violation]:
             scopes = _own_and_lambda_scopes(project, fn)
-            nodes = [node for scope in scopes for node in scope.nodes]
-            local_names = {name for scope in scopes for name in _local_names(scope)}
-            locked = locked_lines(nodes)
+            locked = locked_lines(
+                node for scope, _ in scopes for node in scope.nodes
+            )
             fn_path = self._path_of(project, fn.qname)
-            for write, label in shared_writes(nodes, local_names):
+            for write, label in shared_writes(scopes):
                 line = getattr(write, "lineno", 0)
                 if under_lock or line in locked:
                     continue
@@ -615,7 +622,7 @@ class ResourceSafetyRule(ProjectRule):
 class ImportLayeringRule(ProjectRule):
     """RPR009 — the declared layer DAG is enforced against real imports.
 
-    ``[tool.repro-lint.layers]`` in ``pyproject.toml`` declares, per
+    ``DEFAULT_LAYERS`` in ``repro/lint/project.py`` declares, per
     layer (= top-level package under ``repro``), which layers it may
     import; enforcement uses the transitive closure, intra-layer imports
     are always legal, and imports under ``if TYPE_CHECKING:`` are exempt
@@ -629,13 +636,14 @@ class ImportLayeringRule(ProjectRule):
     rule_id = "RPR009"
     summary = (
         "runtime import violating the layer DAG declared in "
-        "[tool.repro-lint.layers] (TYPE_CHECKING imports exempt)"
+        "DEFAULT_LAYERS in repro/lint/project.py (TYPE_CHECKING imports "
+        "exempt)"
     )
 
     def check_project(
         self, project: Project, graph: CallGraph
     ) -> Iterator[Violation]:
-        layers = project.config.layer_dag()
+        layers = project.config.layers
         closure = _transitive_closure(layers)
         for module_name in sorted(project.modules):
             layer = project.layer_of(module_name)
@@ -650,7 +658,8 @@ class ImportLayeringRule(ProjectRule):
                     rule_id=self.rule_id,
                     message=(
                         f"module {module_name} belongs to layer {layer!r}, "
-                        "which is not declared in [tool.repro-lint.layers]; "
+                        "which is not declared in DEFAULT_LAYERS in "
+                        "repro/lint/project.py; "
                         "add it to the DAG with its allowed imports"
                     ),
                 )
@@ -798,9 +807,8 @@ class UnstableSerializationRule(ProjectRule):
     """RPR011 — persistence modules must serialize deterministically.
 
     Scoped to the *persistence modules* — files whose bytes cross a
-    process boundary — selected by the ``persistence`` path-fragment
-    list under ``[tool.repro-lint]`` (default
-    :data:`~repro.lint.project.DEFAULT_PERSISTENCE`).  Three checks:
+    process boundary — selected by the path fragments of
+    ``DEFAULT_PERSISTENCE`` in ``repro/lint/project.py``.  Three checks:
 
     * ``json.dump``/``json.dumps`` without ``sort_keys=True`` — dict
       key order is insertion order, which varies with code path, so
@@ -828,7 +836,7 @@ class UnstableSerializationRule(ProjectRule):
     def check_project(
         self, project: Project, graph: CallGraph
     ) -> Iterator[Violation]:
-        fragments = project.config.persistence_fragments()
+        fragments = project.config.persistence
         for module_name in sorted(project.modules):
             if not _module_is_repro(module_name):
                 continue
@@ -1222,8 +1230,8 @@ class CachePurityRule(ProjectRule):
     store/cache/tier receiver is flagged with the full flow chain.
 
     Sanctioned seams stay clean: ``repro.utils.rng.derive_rng`` /
-    ``derive_seed`` / ``spawn_seeds`` (plus any target listed under
-    ``sanctioned-seams`` in ``[tool.repro-lint]``), and timing keywords
+    ``derive_seed`` / ``spawn_seeds`` (``DEFAULT_SANCTIONED_SEAMS`` in
+    ``repro/lint/project.py``), and timing keywords
     (``compute_ms`` and friends ending ``_ms``), which are measurement
     metadata rather than cached values.
     """
@@ -1269,8 +1277,8 @@ class UnboundedGrowthRule(ProjectRule):
     container — and every piece of *bounding evidence* anywhere in the
     project: bounded construction (``deque(maxlen=...)``, LRU/bounded
     cache classes), eviction calls (``pop``/``clear``/``evict``/
-    ``prune``/... plus any method listed under ``bound-methods`` in
-    ``[tool.repro-lint]``), ``del c[...]``, or wholesale reassignment
+    ``prune``/..., ``DEFAULT_BOUND_METHODS`` in
+    ``repro/lint/project.py``), ``del c[...]``, or wholesale reassignment
     outside ``__init__``.  A growth site with no bounding evidence for
     its container is flagged when it executes repeatedly: the growth
     statement sits inside a loop, or the caller-graph walk finds a call

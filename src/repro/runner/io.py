@@ -13,8 +13,6 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from repro.core.selection import FrameRecord, SelectionResult
-from repro.engine.resilience import FaultStats
-from repro.engine.store import CacheStats
 from repro.runner.harness import TrialOutcome
 
 __all__ = [
@@ -26,10 +24,6 @@ __all__ = [
     "outcomes_to_rows",
     "save_outcomes_csv",
     "load_outcomes_csv",
-    "cache_stats_to_dict",
-    "save_cache_stats_json",
-    "fault_stats_to_dict",
-    "save_fault_stats_json",
 ]
 
 _PathLike = str | Path
@@ -268,25 +262,3 @@ def load_outcomes_csv(path: _PathLike) -> dict[str, TrialOutcome]:
             outcome.mean_cost.append(float(row["mean_cost"]))
             outcome.frames_processed.append(int(row["frames_processed"]))
     return outcomes
-
-
-def cache_stats_to_dict(stats: CacheStats) -> dict:
-    """A JSON-serializable view of an :class:`EvaluationStore` snapshot."""
-    return stats.as_dict()
-
-
-def save_cache_stats_json(stats: CacheStats, path: _PathLike) -> None:
-    """Write a store's :class:`CacheStats` snapshot to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(cache_stats_to_dict(stats), handle, indent=2, sort_keys=True)
-
-
-def fault_stats_to_dict(stats: FaultStats) -> dict:
-    """A JSON-serializable view of a run's :class:`FaultStats`."""
-    return stats.as_dict()
-
-
-def save_fault_stats_json(stats: FaultStats, path: _PathLike) -> None:
-    """Write a :class:`FaultStats` snapshot to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(fault_stats_to_dict(stats), handle, indent=2, sort_keys=True)

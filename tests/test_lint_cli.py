@@ -153,30 +153,17 @@ def test_sarif_full_description_matches_explain_guide(tmp_path, capsys):
         assert by_id[rule_id]["fullDescription"]["text"] == guide.description
 
 
-def test_unknown_config_key_warns_on_stderr(tmp_path, capsys):
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.repro-lint]\npersistance = ["store"]\n', encoding="utf-8"
-    )
+@pytest.mark.parametrize("flag", ["--output", "--write-baseline"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, flag):
     (tmp_path / "clean.py").write_text("x = 1\n", encoding="utf-8")
-    exit_code = repro_main(["lint", str(tmp_path)])
+    target = tmp_path / "missing" / "out.txt"
+    exit_code = repro_main(["lint", flag, str(target), str(tmp_path)])
     captured = capsys.readouterr()
-    # Exit-code-neutral: the typo warns but never fails the run.
-    assert exit_code == 0
-    assert "unknown [tool.repro-lint] key(s) 'persistance'" in captured.err
-    assert "no violations" in captured.out
-
-
-def test_known_config_keys_do_not_warn(tmp_path, capsys):
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.repro-lint]\npersistence = ["store"]\n'
-        'sanctioned-seams = ["pkg.clock.now"]\n',
-        encoding="utf-8",
-    )
-    (tmp_path / "clean.py").write_text("x = 1\n", encoding="utf-8")
-    exit_code = repro_main(["lint", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert exit_code == 0
-    assert "unknown" not in captured.err
+    # An I/O error is a usage error (2), not "violations found" (1).
+    assert exit_code == 2
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_standalone_module_entrypoint(tmp_path, capsys):

@@ -3,7 +3,7 @@
 The edge cases the interprocedural rules (RPR006–RPR009) lean on:
 module-name derivation, aliased imports, ``__init__`` re-export chains,
 import cycles, decorated functions, methods resolved through ``self``
-and base classes, nested defs/lambdas, and layer-config parsing.
+and base classes, nested defs/lambdas, and the layer config.
 """
 
 from __future__ import annotations
@@ -18,12 +18,8 @@ from repro.lint import (
     FileContext,
     LintConfig,
     Project,
-    load_config,
+    lint_paths,
     module_name_for_path,
-)
-from repro.lint.project import (
-    _parse_repro_lint_tables,
-    _parse_repro_lint_tables_fallback,
 )
 
 
@@ -436,112 +432,21 @@ def test_default_layers_form_a_dag() -> None:
         assert layer not in reachable(layer), f"cycle through {layer}"
 
 
-TOML_SNIPPET = textwrap.dedent(
-    """
-    [project]
-    name = "x"
-
-    [tool.repro-lint.layers]
-    # comment line
-    utils = []
-    core = ["utils"]
-    cli = [
-        "core",
-        "utils",
-    ]
-
-    [tool.other]
-    key = "value"
-    """
-)
-
-TOML_SNIPPET_WITH_PERSISTENCE = textwrap.dedent(
-    """
-    [tool.repro-lint]
-    persistence = ["store", "/io.py"]
-
-    [tool.repro-lint.layers]
-    utils = []
-    core = ["utils"]
-    """
-)
-
-
-def test_layer_table_parsers_agree() -> None:
-    expected = {"utils": (), "core": ("utils",), "cli": ("core", "utils")}
-    for parse in (_parse_repro_lint_tables, _parse_repro_lint_tables_fallback):
-        config = parse(TOML_SNIPPET)
-        assert config.layers == expected
-        assert config.persistence is None
-        # [tool.other] belongs to another tool — never an unknown key.
-        assert config.unknown_keys == ()
-
-
-def test_persistence_list_parsers_agree() -> None:
-    for parse in (_parse_repro_lint_tables, _parse_repro_lint_tables_fallback):
-        config = parse(TOML_SNIPPET_WITH_PERSISTENCE)
-        assert config.layers == {"utils": (), "core": ("utils",)}
-        assert config.persistence == ("store", "/io.py")
-        assert config.unknown_keys == ()
-
-
-TOML_SNIPPET_WITH_TYPOS = textwrap.dedent(
-    """
-    [tool.repro-lint]
-    persistance = ["store"]
-    sanctioned-seams = ["pkg.clock.now"]
-    bound-methods = ["drop_oldest"]
-
-    [tool.repro-lint.layres]
-    utils = []
-    """
-)
-
-
-def test_unknown_keys_collected_by_both_parsers() -> None:
-    for parse in (_parse_repro_lint_tables, _parse_repro_lint_tables_fallback):
-        config = parse(TOML_SNIPPET_WITH_TYPOS)
-        assert config.unknown_keys == ("layres", "persistance")
-        # Known keys still parse despite the typos alongside them.
-        assert config.sanctioned_seams == ("pkg.clock.now",)
-        assert config.bound_methods == ("drop_oldest",)
-
-
-def test_unknown_keys_excluded_from_fingerprint() -> None:
-    clean = LintConfig()
-    typod = LintConfig(unknown_keys=("persistance",))
-    assert clean.fingerprint() == typod.fingerprint()
-
-
-def test_seam_and_bound_method_accessors_union_defaults() -> None:
-    config = LintConfig(
-        sanctioned_seams=("pkg.clock.now",), bound_methods=("drop_oldest",)
-    )
-    seams = config.sanctioned_seam_targets()
-    bounds = config.bounding_methods()
-    assert "pkg.clock.now" in seams
-    assert "repro.utils.rng.derive_rng" in seams
-    assert "drop_oldest" in bounds
-    assert "evict" in bounds
-
-
-def test_load_config_finds_repo_pyproject(tmp_path) -> None:
+def test_pyproject_table_does_not_change_findings(tmp_path) -> None:
+    # The layer DAG is DEFAULT_LAYERS alone: a [tool.repro-lint] table
+    # in a pyproject.toml above the tree is not read.
+    module = tmp_path / "src" / "repro" / "core" / "x.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("import repro.engine\n", encoding="utf-8")
+    without = lint_paths([tmp_path / "src"], jobs=1)
     (tmp_path / "pyproject.toml").write_text(
-        "[tool.repro-lint.layers]\na = []\nb = [\"a\"]\n", encoding="utf-8"
+        "[tool.repro-lint.layers]\ncore = []\n", encoding="utf-8"
     )
-    nested = tmp_path / "src" / "pkg"
-    nested.mkdir(parents=True)
-    config = load_config(nested)
-    assert config.layers == {"a": (), "b": ("a",)}
-
-
-def test_load_config_without_pyproject_uses_defaults(tmp_path) -> None:
-    config = load_config(tmp_path)
-    assert config.layers is None
-    assert config.layer_dag() == DEFAULT_LAYERS
+    assert lint_paths([tmp_path / "src"], jobs=1) == without
+    assert without.violations == ()
 
 
 def test_lint_config_default_dag() -> None:
-    assert LintConfig().layer_dag() is DEFAULT_LAYERS
+    assert LintConfig().layers is DEFAULT_LAYERS
     custom = LintConfig(layers={"a": ()})
-    assert custom.layer_dag() == {"a": ()}
+    assert custom.layers == {"a": ()}

@@ -547,9 +547,10 @@ def test_rpr007_two_hop_chain_lists_every_hop() -> None:
 #: (line, column, the function the write is in).  A nested def or class
 #: is a function of its own, checked only when the call graph reaches
 #: it, under the lock its caller holds; a lambda's code counts as the
-#: enclosing function's.  A name bound in ``job`` or its lambdas (a
-#: parameter, an assignment or loop target, a comprehension variable,
-#: an ``except ... as`` name) is local unless declared ``global``.
+#: enclosing function's.  A name bound in ``job`` (a parameter, an
+#: assignment or loop target, a comprehension variable, an
+#: ``except ... as`` name) is local to ``job`` and its lambdas unless
+#: declared ``global``; a name a lambda binds is local to that lambda.
 RPR007_NESTED_CASES = {
     "def-returned-uncalled": (
         """\
@@ -674,6 +675,48 @@ RPR007_NESTED_CASES = {
             return backend.map(job, items)
         """,
         [(5, 4, "repro.engine.work.job")],
+    ),
+    "lambda-parameter-shadows-global": (
+        """\
+        RESULTS = []
+        def job(rows):
+            RESULTS.append(rows)
+            return list(map(lambda RESULTS: RESULTS + 1, rows))
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [(3, 4, "repro.engine.work.job")],
+    ),
+    "nested-lambda-parameter-shadows-global": (
+        """\
+        RESULTS = []
+        def job(rows):
+            RESULTS.append(rows)
+            return list(map(lambda r: (lambda RESULTS: RESULTS)(r), rows))
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [(3, 4, "repro.engine.work.job")],
+    ),
+    "lambda-appends-global": (
+        """\
+        RESULTS = []
+        def job(rows):
+            return list(map(lambda row: RESULTS.append(row), rows))
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [(3, 32, "repro.engine.work.job")],
+    ),
+    "lambda-appends-enclosing-local": (
+        """\
+        def job(rows):
+            acc = []
+            return list(map(lambda row: acc.append(row), rows))
+        def run(backend, items):
+            return backend.map(job, items)
+        """,
+        [],
     ),
 }
 
