@@ -42,10 +42,13 @@ __all__ = [
 class Oracle(IterativeSelection):
     """OPT: the per-frame best ensemble by *true* score.
 
-    The oracle peeks at every ensemble's ground-truth score without
+    The oracle peeks at the ensembles' ground-truth scores without
     consuming budget (an impossible luxury online — Section 5.3 includes it
     purely as the attainable ceiling), then is billed only for the ensemble
-    it actually selects.
+    it actually selects.  The peek is
+    :meth:`~repro.core.environment.DetectionEnvironment.peek_best`, the
+    exact ``(true_score, key)`` argmax over every ensemble, which skips
+    the ensembles whose score cannot win.
     """
 
     name = "OPT"
@@ -54,11 +57,7 @@ class Oracle(IterativeSelection):
     def _choose(
         self, env: DetectionEnvironment, t: int, frame: Frame
     ) -> tuple[EnsembleKey, list[EnsembleKey]]:
-        peek = env.peek(frame, env.all_ensembles)
-        best_key = max(
-            peek.evaluations,
-            key=lambda key: (peek.evaluations[key].true_score, key),
-        )
+        best_key = env.peek_best(frame, env.all_ensembles).key
         return best_key, [best_key]
 
 

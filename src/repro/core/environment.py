@@ -16,7 +16,9 @@ paper's Eq. (12)/(14) prescribe:
 Evaluations report both the *estimated* score (AP against REF — what the
 algorithms may see, Eq. 3) and the *true* score (AP against ground truth —
 what the experiments report, Eq. 2).  :meth:`DetectionEnvironment.peek`
-is the oracle's uncharged view and reports the true score only.
+is the uncharged view that reports the true score only, and
+:meth:`DetectionEnvironment.peek_best` is the oracle's: the true-score
+argmax, found without fusing ensembles whose score cannot win.
 
 Each evaluation reads its frame's inputs once: every member's output and
 REF's output come from one batched store read plus the frame's own
@@ -136,7 +138,8 @@ class EnsembleEvaluation:
         normalized_cost: ``c_hat_{S|v} = c_{S|v} / c_max``, clipped to
             ``[0, 1]``.
         est_ap: AP against the reference model (Eq. 3); 0.0 when not
-            estimated (from :meth:`DetectionEnvironment.peek`, or with
+            estimated (from :meth:`DetectionEnvironment.peek` or
+            :meth:`DetectionEnvironment.peek_best`, or with
             ``score_estimates=False``).
         est_score: Score from estimated AP — what the bandit observes;
             0.0 whenever ``est_ap`` is not estimated.
@@ -246,6 +249,27 @@ class _FrameInputs:
     def ground_truth(self) -> list[Detection]:
         """The frame's ground truth as detections, built on first use."""
         return self.frame.ground_truth_detections()
+
+
+@dataclass
+class _Realization:
+    """A frame's requested ensembles, realized against its inputs.
+
+    Attributes:
+        inputs: The frame's inputs, read once over the union.
+        union_models: Sorted union of the requested ensembles' members.
+        failed_models: Union members with no output this frame.
+        realized_of: Requested key -> the healthy subset that runs, in
+            request order; requested keys with no healthy member are
+            absent.
+        dropped: How many requested keys had no healthy member.
+    """
+
+    inputs: _FrameInputs
+    union_models: list[str]
+    failed_models: tuple[str, ...]
+    realized_of: dict[EnsembleKey, EnsembleKey]
+    dropped: int
 
 
 class DetectionEnvironment:
@@ -647,6 +671,113 @@ class DetectionEnvironment:
 
     # ---- evaluation -----------------------------------------------------
 
+    def _realize(
+        self, frame: Frame, keys: Iterable[EnsembleKey], charge: bool
+    ) -> _Realization:
+        """Canonicalize ``keys``, read the frame once and realize each key.
+
+        Members without an output this frame are unhealthy; each requested
+        ensemble realizes as its healthy subset.  Fault-free, every key
+        realizes as itself.  ``charge`` counts the dropped keys in
+        :meth:`fault_stats`.
+
+        Raises:
+            FrameEvaluationError: When REF failed (and estimates are on),
+                or no requested ensemble has a healthy member.
+        """
+        key_list: list[EnsembleKey] = []
+        seen: set[EnsembleKey] = set()
+        for raw in keys:
+            key = make_key(raw)
+            for member in key:
+                if member not in self._detectors:
+                    raise KeyError(
+                        f"ensemble {key} references unknown detector {member!r}"
+                    )
+            if key not in seen:
+                seen.add(key)
+                key_list.append(key)
+        if not key_list:
+            raise ValueError("evaluate() requires at least one ensemble")
+
+        union_models = sorted({m for key in key_list for m in key})
+        inputs = self._frame_inputs(frame, union_models)
+        outputs = inputs.outputs
+        failed_models = tuple(m for m in union_models if m not in outputs)
+
+        if self.score_estimates and inputs.reference is None:
+            raise FrameEvaluationError(
+                f"reference inference failed for frame {frame.key!r}"
+            )
+
+        realized_of: dict[EnsembleKey, EnsembleKey] = {}
+        dropped = 0
+        for key in key_list:
+            realized = (
+                tuple(m for m in key if m in outputs) if failed_models else key
+            )
+            if realized:
+                realized_of[key] = realized
+            else:
+                dropped += 1
+        if charge:
+            self._ensembles_dropped += dropped
+        if not realized_of:
+            raise FrameEvaluationError(
+                f"no requested ensemble has a healthy member for frame "
+                f"{frame.key!r} (failed: {list(failed_models)})"
+            )
+        return _Realization(
+            inputs, union_models, failed_models, realized_of, dropped
+        )
+
+    def _cost_ms(
+        self, inputs: _FrameInputs, realized: EnsembleKey
+    ) -> tuple[float, float]:
+        """``(inference_ms, fusion_ms)`` of a realized ensemble, pre-fusion.
+
+        Inference is the members' summed time as if the ensemble ran
+        alone; fusion is the cost model's charge for the pooled boxes.
+        """
+        members = [inputs.outputs[m] for m in realized]
+        inference_ms = sum(o.inference_time_ms for o in members)
+        pooled_boxes = sum(len(o.detections) for o in members)
+        return inference_ms, self.cost_model.ensembling_cost_ms(pooled_boxes)
+
+    def _evaluation(
+        self,
+        inputs: _FrameInputs,
+        key: EnsembleKey,
+        realized: EnsembleKey,
+        fused: FrameDetections,
+        inference_ms: float,
+        fusion_ms: float,
+        estimate: bool,
+    ) -> EnsembleEvaluation:
+        """Score one realized ensemble's fused output (true AP memoized)."""
+        cost_ms = inference_ms + fusion_ms
+        c_hat = self.normalized_cost(cost_ms)
+        if estimate:
+            est_ap = self._estimated_ap(inputs, realized, fused)
+            est_score = self.scoring(est_ap, c_hat)
+        else:
+            est_ap = 0.0
+            est_score = 0.0
+        true_ap = self._true_ap(inputs, realized, fused)
+        return EnsembleEvaluation(
+            key=key,
+            detections=fused,
+            inference_ms=inference_ms,
+            ensembling_ms=fusion_ms,
+            cost_ms=cost_ms,
+            normalized_cost=c_hat,
+            est_ap=est_ap,
+            est_score=est_score,
+            true_ap=true_ap,
+            true_score=self.scoring(true_ap, c_hat),
+            realized=realized,
+        )
+
     def peek(
         self, frame: Frame, keys: Iterable[EnsembleKey]
     ) -> EvaluationBatch:
@@ -654,15 +785,69 @@ class DetectionEnvironment:
 
         Equal to ``evaluate(frame, keys, charge=False)`` except that the
         REF-estimated AP is never computed: every evaluation reports
-        ``est_ap = est_score = 0.0``.  It serves the callers that read
-        only true scores (OPT, SGL's calibration and
-        :func:`~repro.core.regret.oracle_scores`); a caller that needs
-        estimates uses ``evaluate(..., charge=False)``.  REF is still
-        inferred (if missing) and checked exactly as in :meth:`evaluate`,
-        so a frame whose REF inference fails raises
+        ``est_ap = est_score = 0.0``.  It serves callers that read only
+        true scores of every requested ensemble (SGL's calibration); a
+        caller that wants only the best one uses :meth:`peek_best`, and a
+        caller that needs estimates uses ``evaluate(..., charge=False)``.
+        REF is still inferred (if missing) and checked exactly as in
+        :meth:`evaluate`, so a frame whose REF inference fails raises
         :class:`~repro.engine.pipeline.FrameEvaluationError` either way.
         """
         return self._evaluate(frame, keys, charge=False, estimate=False)
+
+    def peek_best(
+        self, frame: Frame, keys: Iterable[EnsembleKey]
+    ) -> EnsembleEvaluation:
+        """The true-score-best evaluation among ``keys``, uncharged.
+
+        Returns exactly ``max(peek(frame, keys).evaluations.values(),
+        key=lambda e: (e.true_score, e.key))`` — OPT's choice and
+        :func:`~repro.core.regret.oracle_scores`' value — but fuses and
+        scores only the ensembles that can still win.  A realized
+        ensemble's cost is known before fusion, so ``scoring(1.0, c_hat)``
+        bounds its true score (see :class:`ScoringFunction`).  Candidates
+        are visited in descending ``(bound, key)`` order, and the search
+        stops at the first whose ``(bound, key)`` is below the best
+        ``(true_score, key)`` so far.
+
+        The frame is read and realized as in :meth:`peek`, so inference
+        jobs, fault streams and :class:`FrameEvaluationError` are the
+        same; dropped keys are skipped.  Nothing is charged or counted,
+        and no ``fuse``/``score`` span opens: the time sits in the
+        caller's span.  Every fusion and true AP computed goes through
+        the store.
+        """
+        realization = self._realize(frame, keys, charge=False)
+        inputs = realization.inputs
+        candidates: list[
+            tuple[float, EnsembleKey, EnsembleKey, float, float]
+        ] = []
+        for key, realized in realization.realized_of.items():
+            inference_ms, fusion_ms = self._cost_ms(inputs, realized)
+            c_hat = self.normalized_cost(inference_ms + fusion_ms)
+            bound = self.scoring(1.0, c_hat)
+            candidates.append((bound, key, realized, inference_ms, fusion_ms))
+        candidates.sort(key=lambda c: (c[0], c[1]), reverse=True)
+        best: EnsembleEvaluation | None = None
+        for bound, key, realized, inference_ms, fusion_ms in candidates:
+            if best is not None and (bound, key) < (best.true_score, best.key):
+                break
+            evaluation = self._evaluation(
+                inputs,
+                key,
+                realized,
+                self._fused(inputs, realized),
+                inference_ms,
+                fusion_ms,
+                estimate=False,
+            )
+            if best is None or (evaluation.true_score, key) > (
+                best.true_score,
+                best.key,
+            ):
+                best = evaluation
+        assert best is not None  # _realize leaves at least one candidate
+        return best
 
     def evaluate(
         self,
@@ -708,56 +893,13 @@ class DetectionEnvironment:
         charge: bool,
         estimate: bool,
     ) -> EvaluationBatch:
-        key_list: list[EnsembleKey] = []
-        seen: set[EnsembleKey] = set()
-        for raw in keys:
-            key = make_key(raw)
-            for member in key:
-                if member not in self._detectors:
-                    raise KeyError(
-                        f"ensemble {key} references unknown detector {member!r}"
-                    )
-            if key not in seen:
-                seen.add(key)
-                key_list.append(key)
-        if not key_list:
-            raise ValueError("evaluate() requires at least one ensemble")
-
-        union_models = sorted({m for key in key_list for m in key})
-        inputs = self._frame_inputs(frame, union_models)
+        realization = self._realize(frame, keys, charge)
+        inputs = realization.inputs
         outputs = inputs.outputs
-
-        # Members without an output this frame are unhealthy; each
-        # requested ensemble realizes as its healthy subset.  Fault-free,
-        # everything below reduces to the identity.
-        failed_models = tuple(m for m in union_models if m not in outputs)
-
-        if self.score_estimates and inputs.reference is None:
-            raise FrameEvaluationError(
-                f"reference inference failed for frame {frame.key!r}"
-            )
-
-        realized_of: dict[EnsembleKey, EnsembleKey] = {}
-        dropped = 0
-        for key in key_list:
-            realized = (
-                tuple(m for m in key if m in outputs) if failed_models else key
-            )
-            if realized:
-                realized_of[key] = realized
-            else:
-                dropped += 1
-        if charge:
-            self._ensembles_dropped += dropped
-        if not realized_of:
-            raise FrameEvaluationError(
-                f"no requested ensemble has a healthy member for frame "
-                f"{frame.key!r} (failed: {list(failed_models)})"
-            )
 
         member_times = [
             outputs[model].inference_time_ms
-            for model in union_models
+            for model in realization.union_models
             if model in outputs
         ]
         if self.billing == "max":
@@ -782,15 +924,9 @@ class DetectionEnvironment:
             tuple[EnsembleKey, EnsembleKey, FrameDetections, float, float]
         ] = []
         with self.obs.span("fuse") as fuse_span:
-            for key in key_list:
-                realized = realized_of.get(key)
-                if realized is None:
-                    continue
+            for key, realized in realization.realized_of.items():
                 fused = self._fused(inputs, realized)
-                members = [outputs[m] for m in realized]
-                inference_ms = sum(o.inference_time_ms for o in members)
-                pooled_boxes = sum(len(o.detections) for o in members)
-                fusion_ms = self.cost_model.ensembling_cost_ms(pooled_boxes)
+                inference_ms, fusion_ms = self._cost_ms(inputs, realized)
                 if realized not in fusions_billed:
                     # Distinct requested ensembles can collapse onto one
                     # realized subset; its fusion runs (and bills) once.
@@ -800,27 +936,9 @@ class DetectionEnvironment:
             fuse_span.set_sim_ms(ensembling_ms)
         with self.obs.span("score"):
             for key, realized, fused, inference_ms, fusion_ms in prepared:
-                cost_ms = inference_ms + fusion_ms
-                c_hat = self.normalized_cost(cost_ms)
-                if estimate:
-                    est_ap = self._estimated_ap(inputs, realized, fused)
-                    est_score = self.scoring(est_ap, c_hat)
-                else:
-                    est_ap = 0.0
-                    est_score = 0.0
-                true_ap = self._true_ap(inputs, realized, fused)
-                evaluations[key] = EnsembleEvaluation(
-                    key=key,
-                    detections=fused,
-                    inference_ms=inference_ms,
-                    ensembling_ms=fusion_ms,
-                    cost_ms=cost_ms,
-                    normalized_cost=c_hat,
-                    est_ap=est_ap,
-                    est_score=est_score,
-                    true_ap=true_ap,
-                    true_score=self.scoring(true_ap, c_hat),
-                    realized=realized,
+                evaluations[key] = self._evaluation(
+                    inputs, key, realized, fused, inference_ms, fusion_ms,
+                    estimate,
                 )
 
         if charge:
@@ -832,10 +950,10 @@ class DetectionEnvironment:
                     float(len(evaluations)),
                     description="Charged ensemble evaluations",
                 )
-                if dropped:
+                if realization.dropped:
                     self.obs.count(
                         "repro_ensembles_dropped_total",
-                        float(dropped),
+                        float(realization.dropped),
                         description="Requested ensembles with no healthy member",
                     )
 
@@ -844,8 +962,8 @@ class DetectionEnvironment:
             detector_ms=detector_ms,
             ensembling_ms=ensembling_ms,
             reference_ms=reference_ms,
-            failed_models=failed_models,
-            ensembles_dropped=dropped,
+            failed_models=realization.failed_models,
+            ensembles_dropped=realization.dropped,
         )
 
     def charge_overhead(self, num_candidates: int) -> None:

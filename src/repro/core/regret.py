@@ -21,13 +21,29 @@ def oracle_scores(
     env: DetectionEnvironment, frames: Sequence[Frame]
 ) -> list[float]:
     """``r_{S*_v | v}`` — best true score per frame, by uncharged peek."""
-    best: list[float] = []
-    for frame in frames:
-        batch = env.peek(frame, env.all_ensembles)
-        best.append(
-            max(ev.true_score for ev in batch.evaluations.values())
+    return [
+        env.peek_best(frame, env.all_ensembles).true_score for frame in frames
+    ]
+
+
+def _per_record_regret(
+    result: SelectionResult, oracle: Sequence[float]
+) -> list[float]:
+    """Each record's regret against the oracle score of its own frame.
+
+    A record's frame is ``record.iteration - 1`` in the sequence the run
+    was given.  Abandoned frames leave no record, so after the first one
+    a record's position in the list is no longer its frame's.
+    """
+    if result.records and len(oracle) < result.records[-1].iteration:
+        raise ValueError(
+            f"oracle has {len(oracle)} scores but the run reached frame "
+            f"{result.records[-1].iteration}"
         )
-    return best
+    return [
+        oracle[record.iteration - 1] - record.true_score
+        for record in result.records
+    ]
 
 
 def empirical_regret(
@@ -38,32 +54,25 @@ def empirical_regret(
     Args:
         result: The algorithm's run.
         oracle: Per-frame oracle scores, aligned with the frame sequence
-            the algorithm processed (only the processed prefix is used, so
-            budgeted runs work unchanged).
+            the algorithm was given.  Each record is scored against its
+            own frame's oracle (``record.iteration - 1``), so frames the
+            run abandoned are skipped, and only the prefix the run reached
+            is used, so budgeted runs work unchanged.
 
     Raises:
-        ValueError: If the oracle sequence is shorter than the run.
+        ValueError: If the oracle sequence ends before the run's last
+            frame.
     """
-    if len(oracle) < len(result.records):
-        raise ValueError(
-            f"oracle has {len(oracle)} scores but the run processed "
-            f"{len(result.records)} frames"
-        )
-    return sum(
-        oracle[i] - record.true_score
-        for i, record in enumerate(result.records)
-    )
+    return sum(_per_record_regret(result, oracle))
 
 
 def regret_curve(
     result: SelectionResult, oracle: Sequence[float]
 ) -> list[float]:
-    """Cumulative regret after each iteration (for growth-rate checks)."""
-    if len(oracle) < len(result.records):
-        raise ValueError("oracle shorter than the run")
+    """Cumulative regret after each record (for growth-rate checks)."""
     curve: list[float] = []
     total = 0.0
-    for i, record in enumerate(result.records):
-        total += oracle[i] - record.true_score
+    for regret in _per_record_regret(result, oracle):
+        total += regret
         curve.append(total)
     return curve

@@ -28,7 +28,19 @@ __all__ = [
 
 
 class ScoringFunction(abc.ABC):
-    """Maps (AP, normalized cost) to an aggregate score in ``[0, 1]``."""
+    """Maps (AP, normalized cost) to an aggregate score in ``[0, 1]``.
+
+    The oracle relies on the Section 2.2 criterion that a score is
+    non-decreasing in AP (:func:`verify_criteria` checks it):
+    :meth:`~repro.core.environment.DetectionEnvironment.peek_best` takes
+    ``score(1.0, c_hat)`` as an upper bound on an ensemble's true score
+    and never fuses an ensemble whose bound cannot beat the best found.
+    The bound must hold in floating point, not only on paper.  For
+    :class:`WeightedLogScore` it does: ``log2(2.0) == 1.0`` exactly, and
+    rounding is monotone, so ``log2(a + 1.0) <= 1.0`` for every
+    ``a <= 1.0`` and the weighted sum with the same time term can only
+    grow.  For :class:`LinearScore` it holds trivially.
+    """
 
     @abc.abstractmethod
     def score(self, ap: float, normalized_cost: float) -> float:

@@ -26,8 +26,11 @@ class TestOracle:
             peek = environment.evaluate(
                 frames[record.frame_index], environment.all_ensembles, charge=False
             )
-            best = max(ev.true_score for ev in peek.evaluations.values())
-            assert record.true_score == pytest.approx(best)
+            best = max(
+                peek.evaluations.values(), key=lambda ev: (ev.true_score, ev.key)
+            )
+            assert record.selected == best.key
+            assert record.true_score == best.true_score
 
     def test_oracle_dominates_everyone(self, detector_pool, lidar, frames):
         cache = EvaluationStore()

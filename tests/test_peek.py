@@ -1,8 +1,11 @@
-"""``peek`` is the true-score-only oracle view.
+"""``peek`` is the true-score-only view, ``peek_best`` the oracle's.
 
 Until peeks skipped REF-estimated AP, ``peek`` was a plain
 ``evaluate(charge=False)``.  :class:`_EstimatingPeeks` restores that
-behaviour, so every comparison below is against the old peek.
+behaviour, so every comparison below is against the old peek.  OPT and
+``oracle_scores`` now call ``peek_best``; their old path is the exhaustive
+argmax over the old peek (:class:`ExhaustiveOracle`,
+:func:`exhaustive_best`).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from repro.core.skipping import DIFF_DETECTOR_MS, FrameSkipper
 from repro.engine.store import EvaluationStore
 from repro.runner.experiment import standard_setup
 from repro.simulation.faults import FaultSpec, FaultyDetector
+from tests.test_oracle_pruning import ExhaustiveOracle, exhaustive_best
 
 
 class _EstimatingPeeks(DetectionEnvironment):
@@ -73,23 +77,32 @@ def setup():
     return standard_setup("nusc-night", trial=0, scale=0.02, m=3, max_frames=24)
 
 
-def _run_pair(setup, algorithm_factory, reference=None):
+def _run_pair(setup, old_factory, new_factory, reference=None):
     """One run on the old peek and one on the new, on separate stores."""
     runs = []
-    for env_class in (_EstimatingPeeks, DetectionEnvironment):
+    for env_class, factory in (
+        (_EstimatingPeeks, old_factory),
+        (DetectionEnvironment, new_factory),
+    ):
         env = env_class(
             list(setup.detectors),
             reference if reference is not None else setup.reference,
             store=EvaluationStore(),
         )
-        runs.append((algorithm_factory().run(env, setup.frames), env))
+        runs.append((factory().run(env, setup.frames), env))
     return runs
 
 
 class TestRecordsUnchanged:
-    @pytest.mark.parametrize("factory", [Oracle, SingleBest])
-    def test_records_equal_old_peeks(self, setup, factory):
-        (old, old_env), (new, new_env) = _run_pair(setup, factory)
+    @pytest.mark.parametrize(
+        ("old_factory", "new_factory"),
+        [(ExhaustiveOracle, Oracle), (SingleBest, SingleBest)],
+        ids=["Oracle", "SingleBest"],
+    )
+    def test_records_equal_old_peeks(self, setup, old_factory, new_factory):
+        (old, old_env), (new, new_env) = _run_pair(
+            setup, old_factory, new_factory
+        )
         assert new.records == old.records
         assert new_env.clock.snapshot() == old_env.clock.snapshot()
 
@@ -97,7 +110,9 @@ class TestRecordsUnchanged:
         def faulty_reference():
             return FaultyDetector(setup.reference, FaultSpec(outage=(5, 9)), seed=0)
 
-        (old, old_env), (new, new_env) = _run_pair(setup, Oracle, faulty_reference())
+        (old, old_env), (new, new_env) = _run_pair(
+            setup, ExhaustiveOracle, Oracle, faulty_reference()
+        )
         assert new.records == old.records
         assert new.frames_processed == len(setup.frames) - 4
         assert new_env.fault_stats() == old_env.fault_stats()
@@ -105,9 +120,10 @@ class TestRecordsUnchanged:
     def test_oracle_scores_equal_old_peeks(self, setup):
         old_env = _EstimatingPeeks(list(setup.detectors), setup.reference)
         new_env = DetectionEnvironment(list(setup.detectors), setup.reference)
-        assert oracle_scores(new_env, setup.frames) == oracle_scores(
-            old_env, setup.frames
-        )
+        assert oracle_scores(new_env, setup.frames) == [
+            exhaustive_best(old_env, frame, old_env.all_ensembles).true_score
+            for frame in setup.frames
+        ]
 
     def test_opt_estimates_only_its_selection(self, setup):
         """OPT's one estimated AP per frame comes from its charged evaluate."""
@@ -119,8 +135,9 @@ class TestRecordsUnchanged:
             assert env.store.contains(
                 "est_ap", (frame.key, record.selected, env._est_tag)
             )
-        # Every ensemble's true AP was computed once, by the peeks.
-        assert _stage(env, "true_ap").misses == len(setup.frames) * len(
+        # The oracle search skips ensembles that cannot win, so fewer
+        # true APs are computed than one per ensemble per frame.
+        assert _stage(env, "true_ap").misses < len(setup.frames) * len(
             env.all_ensembles
         )
 

@@ -7,6 +7,7 @@ from repro.core.environment import DetectionEnvironment, EvaluationStore
 from repro.core.mes import MES
 from repro.core.regret import empirical_regret, oracle_scores, regret_curve
 from repro.core.scoring import WeightedLogScore
+from repro.runner.experiment import standard_setup
 from repro.simulation.world import generate_video
 
 
@@ -50,6 +51,43 @@ class TestEmpiricalRegret:
         assert curve[-1] == pytest.approx(empirical_regret(result, oracle))
         # Per-frame regret is non-negative so the curve never decreases.
         assert all(b >= a - 1e-9 for a, b in zip(curve, curve[1:], strict=False))
+
+
+class TestAbandonedFrames:
+    """Each record is scored against its own frame's oracle score."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        kwargs = dict(trial=0, scale=0.02, m=3, max_frames=40, seed=0)
+        clean = standard_setup("nusc-night", **kwargs)
+        env = DetectionEnvironment(list(clean.detectors), clean.reference)
+        oracle = oracle_scores(env, clean.frames)
+        faulty = standard_setup("nusc-night", fault_profile="outage-first", **kwargs)
+        env = DetectionEnvironment(list(faulty.detectors), faulty.reference)
+        return RandomSelection(seed=1).run(env, faulty.frames), oracle
+
+    def test_regret_skips_abandoned_frames(self, run):
+        result, oracle = run
+        iterations = [record.iteration for record in result.records]
+        assert sorted(set(range(1, 41)) - set(iterations)) == [19, 26]
+        per_record = [
+            oracle[record.iteration - 1] - record.true_score
+            for record in result.records
+        ]
+        assert min(per_record) >= 0.0
+        assert empirical_regret(result, oracle) == sum(per_record)
+        curve = regret_curve(result, oracle)
+        assert [b - a for a, b in zip([0.0, *curve], curve, strict=False)] == (
+            pytest.approx(per_record)
+        )
+
+    def test_oracle_must_reach_the_last_frame(self, run):
+        result, oracle = run
+        prefix = oracle[: len(result.records)]
+        with pytest.raises(ValueError):
+            empirical_regret(result, prefix)
+        with pytest.raises(ValueError):
+            regret_curve(result, prefix)
 
 
 class TestMESRegretGrowth:
