@@ -31,15 +31,19 @@ class ScoringFunction(abc.ABC):
     """Maps (AP, normalized cost) to an aggregate score in ``[0, 1]``.
 
     The oracle relies on the Section 2.2 criterion that a score is
-    non-decreasing in AP (:func:`verify_criteria` checks it):
+    non-decreasing in AP, in an exact form:
     :meth:`~repro.core.environment.DetectionEnvironment.peek_best` takes
     ``score(1.0, c_hat)`` as an upper bound on an ensemble's true score
     and never fuses an ensemble whose bound cannot beat the best found.
-    The bound must hold in floating point, not only on paper.  For
-    :class:`WeightedLogScore` it does: ``log2(2.0) == 1.0`` exactly, and
-    rounding is monotone, so ``log2(a + 1.0) <= 1.0`` for every
-    ``a <= 1.0`` and the weighted sum with the same time term can only
-    grow.  For :class:`LinearScore` it holds trivially.
+    So ``score(ap, c) <= score(1.0, c)`` must hold in floating point, for
+    every ``ap`` in ``[0, 1]`` and every ``c`` the environment produces;
+    otherwise OPT may silently return something other than the argmax.
+    :func:`verify_criteria` does not establish this: it samples a grid
+    and forgives a decrease up to its tolerance.  For
+    :class:`WeightedLogScore` the bound holds: ``log2(2.0) == 1.0``
+    exactly, and rounding is monotone, so ``log2(a + 1.0) <= 1.0`` for
+    every ``a <= 1.0`` and the weighted sum with the same time term can
+    only grow.  For :class:`LinearScore` it holds trivially.
     """
 
     @abc.abstractmethod

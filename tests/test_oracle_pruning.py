@@ -1,10 +1,9 @@
 """``peek_best`` is the exhaustive true-score argmax, found with less work.
 
-OPT used to peek at every ensemble and take the ``(true_score, key)``
-maximum.  :func:`exhaustive_best` and :class:`ExhaustiveOracle` keep that
-search as the oracle the bound-ordered search is checked against: frame by
-frame (the whole evaluation, bit for bit) and run by run (records, clock
-and fault counters), over every dataset, every fault profile, both scoring
+The exhaustive search (``tests/exhaustive_oracle.py``) is the oracle the
+bound-ordered search is checked against: frame by frame (the whole
+evaluation, bit for bit) and run by run (records, clock and fault
+counters), over every dataset, every fault profile, both scoring
 functions and w1 from 0.1 to 0.9.
 """
 
@@ -20,27 +19,12 @@ from repro.engine.resilience import ResilientBackend
 from repro.engine.store import EvaluationStore
 from repro.runner.experiment import dataset_keys, standard_setup
 from repro.simulation.faults import FAULT_PROFILE_NAMES
+from tests.exhaustive_oracle import ExhaustiveOracle, exhaustive_best
 
 WEIGHTS = (0.1, 0.3, 0.5, 0.7, 0.9)
 SCORES = (WeightedLogScore, LinearScore)
 SCORINGS = [score(w1) for score in SCORES for w1 in WEIGHTS]
 FRAMES = 20
-
-
-def exhaustive_best(env, frame, keys):
-    """OPT's old search: peek at every ensemble, keep the argmax."""
-    batch = env.peek(frame, keys)
-    return max(
-        batch.evaluations.values(), key=lambda e: (e.true_score, e.key)
-    )
-
-
-class ExhaustiveOracle(Oracle):
-    """OPT choosing by :func:`exhaustive_best`."""
-
-    def _choose(self, env, t, frame):
-        key = exhaustive_best(env, frame, env.all_ensembles).key
-        return key, [key]
 
 
 def _setup(dataset, profile):
@@ -135,14 +119,3 @@ def test_oracle_runs_equal_exhaustive_runs(dataset, profile):
     assert pruned_env.clock.snapshot() == exhaustive_env.clock.snapshot()
     assert pruned_env.fault_stats() == exhaustive_env.fault_stats()
 
-
-def test_search_skips_ensembles_that_cannot_win():
-    """The point of the bound: fewer fusions and true APs than 31 a frame."""
-    setup = _setup("nusc-night", "none")
-    env = _env(setup, "none", WeightedLogScore(0.5))
-    for frame in setup.frames:
-        env.peek_best(frame, env.all_ensembles)
-    stages = env.store.stats().stages
-    exhaustive = len(setup.frames) * len(env.all_ensembles)
-    assert stages["fused"].misses == stages["true_ap"].misses < exhaustive
-    assert "est_ap" not in stages

@@ -20,7 +20,7 @@ from repro.core.skipping import DIFF_DETECTOR_MS, FrameSkipper
 from repro.engine.store import EvaluationStore
 from repro.runner.experiment import standard_setup
 from repro.simulation.faults import FaultSpec, FaultyDetector
-from tests.test_oracle_pruning import ExhaustiveOracle, exhaustive_best
+from tests.exhaustive_oracle import ExhaustiveOracle, exhaustive_best
 
 
 class _EstimatingPeeks(DetectionEnvironment):
@@ -136,10 +136,11 @@ class TestRecordsUnchanged:
                 "est_ap", (frame.key, record.selected, env._est_tag)
             )
         # The oracle search skips ensembles that cannot win, so fewer
-        # true APs are computed than one per ensemble per frame.
-        assert _stage(env, "true_ap").misses < len(setup.frames) * len(
-            env.all_ensembles
-        )
+        # fusions and true APs are computed than one per ensemble per
+        # frame; every ensemble it fuses, it scores.
+        fused = _stage(env, "fused").misses
+        assert fused == _stage(env, "true_ap").misses
+        assert fused < len(setup.frames) * len(env.all_ensembles)
 
     def test_skipping_records_keep_estimates(self, setup):
         """A skipped frame reuses its source's output *and* its estimate."""
