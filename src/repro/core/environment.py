@@ -56,9 +56,10 @@ gracefully when members are down — each requested ensemble is *realized*
 as its healthy subset (fusion recomputed over the surviving members,
 billed accordingly), requested ensembles with no healthy member are
 dropped, and a frame with nothing left to score raises
-:class:`~repro.engine.pipeline.FrameEvaluationError` for the pipeline to
-abandon.  Fault-free runs are bit-for-bit unaffected: every realized
-ensemble equals its requested one and all charges are identical.
+:class:`FrameEvaluationError` for the selection loop
+(:class:`~repro.core.selection.IterativeSelection`) to abandon.
+Fault-free runs are bit-for-bit unaffected: every realized ensemble
+equals its requested one and all charges are identical.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from repro.engine.backends import (
     JobResult,
     SerialBackend,
 )
-from repro.engine.pipeline import FrameEvaluationError
 from repro.engine.resilience import FaultStats
 from repro.engine.store import CacheStats, EvaluationStore
 from repro.ensembling.base import EnsembleMethod
@@ -103,6 +103,16 @@ __all__ = [
 #: times (Eq. 12/14 — one device runs them back to back); ``"max"`` charges
 #: the slowest member only (members run on parallel devices).
 BILLING_POLICIES: tuple[str, ...] = ("sum", "max")
+
+
+class FrameEvaluationError(RuntimeError):
+    """A frame produced no usable evaluation (REF or all members failed).
+
+    Raised by :meth:`DetectionEnvironment.evaluate` (and the uncharged
+    views) when fault injection leaves nothing to score; the frame loop
+    of :class:`~repro.core.selection.IterativeSelection` catches it,
+    abandons the frame and moves on.
+    """
 
 
 def method_tag(method: object) -> str:
@@ -303,9 +313,9 @@ class DetectionEnvironment:
             OPT, SGL); the query planner's projection-pruning rewrite uses
             this to skip reference scoring for queries that never read
             ``score``.  True-AP reporting is unaffected.
-        obs: Observability facade shared by the pipeline and this
-            environment; spans (detect / per-model / fuse / score) and
-            evaluation counters flow through it.  The default no-op
+        obs: Observability facade shared by the selection loop and
+            this environment; spans (detect / per-model / fuse / score)
+            and evaluation counters flow through it.  The default no-op
             facade keeps uninstrumented runs zero-cost.
     """
 
@@ -426,7 +436,7 @@ class DetectionEnvironment:
         loops: algorithms mask arms containing open-circuit detectors and
         spend their pulls on ensembles that can actually run.  Fails
         open — if *every* detector is down, the full list is returned so
-        the pipeline still probes (and abandons) rather than deadlocks.
+        the frame loop still probes (and abandons) rather than deadlocks.
         """
         down = self.unavailable_detectors()
         if not down:
@@ -437,11 +447,11 @@ class DetectionEnvironment:
         return healthy if healthy else list(self.all_ensembles)
 
     def note_frame_degraded(self) -> None:
-        """Record one frame whose realized ensemble shrank (pipeline use)."""
+        """Record one frame whose realized ensemble shrank (frame-loop use)."""
         self._frames_degraded += 1
 
     def note_frame_abandoned(self) -> None:
-        """Record one frame that yielded no evaluation (pipeline use)."""
+        """Record one frame that yielded no evaluation (frame-loop use)."""
         self._frames_abandoned += 1
 
     def fault_stats(self) -> FaultStats:
@@ -791,7 +801,7 @@ class DetectionEnvironment:
         caller that needs estimates uses ``evaluate(..., charge=False)``.
         REF is still inferred (if missing) and checked exactly as in
         :meth:`evaluate`, so a frame whose REF inference fails raises
-        :class:`~repro.engine.pipeline.FrameEvaluationError` either way.
+        :class:`FrameEvaluationError` either way.
         """
         return self._evaluate(frame, keys, charge=False, estimate=False)
 
@@ -879,8 +889,8 @@ class DetectionEnvironment:
         Raises:
             FrameEvaluationError: When nothing can be scored — the
                 reference inference failed, or no requested ensemble has
-                a single healthy member.  The pipeline catches this and
-                abandons the frame.
+                a single healthy member.  The selection loop catches this
+                and abandons the frame.
         """
         return self._evaluate(
             frame, keys, charge=charge, estimate=self.score_estimates

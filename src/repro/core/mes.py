@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from repro.core.ensembles import EnsembleKey, subsets_inclusive, with_member
 from repro.core.environment import DetectionEnvironment, EvaluationBatch
 from repro.core.selection import IterativeSelection
-from repro.core.stats import EnsembleStatistics
+from repro.core.stats import BanditStatistics, EnsembleStatistics
 from repro.simulation.video import Frame
 
 __all__ = ["MES"]
@@ -30,6 +30,11 @@ __all__ = ["MES"]
 
 class MES(IterativeSelection):
     """UCB-based ensemble selection for the TUVI problem.
+
+    The γ initialization, the open-circuit arm masking, the UCB argmax
+    and the subset piggyback are written here once; the drift-adaptive
+    variants (:mod:`repro.core.sw_mes`) only swap the placeholders that
+    :meth:`_new_statistics` makes.
 
     Args:
         gamma: Number of initialization frames on which every ensemble is
@@ -48,14 +53,18 @@ class MES(IterativeSelection):
             raise ValueError("gamma must be at least 1")
         self.gamma = gamma
         self.evaluate_subsets = evaluate_subsets
-        self._stats = EnsembleStatistics()
+        self._stats = self._new_statistics()
+
+    def _new_statistics(self) -> BanditStatistics:
+        """Fresh placeholders for one run: cumulative ``(T_S, mu_S)``."""
+        return EnsembleStatistics()
 
     def _begin(self, env: DetectionEnvironment, frames: Sequence[Frame]) -> None:
-        self._stats = EnsembleStatistics()
+        self._stats = self._new_statistics()
 
     @property
-    def statistics(self) -> EnsembleStatistics:
-        """The current ``(T_S, mu_S)`` placeholders (read-only use)."""
+    def statistics(self) -> BanditStatistics:
+        """The current placeholders (read-only use)."""
         return self._stats
 
     def _choose(
@@ -74,7 +83,7 @@ class MES(IterativeSelection):
             )
         best_key = max(
             candidates,
-            key=lambda key: (self._stats.ucb(key, t - 1), key),
+            key=lambda key: (self._stats.ucb_at(key, t), key),
         )
         if self.evaluate_subsets:
             eval_keys = subsets_inclusive(best_key)
@@ -89,5 +98,4 @@ class MES(IterativeSelection):
         frame: Frame,
         batch: EvaluationBatch,
     ) -> None:
-        for key, est_score in batch.observations():
-            self._stats.record(key, est_score)
+        self._stats.observe(t, batch.observations())

@@ -1,24 +1,50 @@
-"""Selection-algorithm framework: records, results, and the run API.
+"""Selection-algorithm framework: records, results, and the frame loop.
 
 All algorithms — MES, MES-B, SW-MES and every baseline — share the same
 iterative structure: per frame, choose an ensemble (and possibly extra
 ensembles to piggyback-evaluate), apply them through the environment, and
-update internal state.  The loop itself — including the TCVI budget guard
-(Alg. 2's ``while C <= B``) — lives in exactly one place, the engine's
-:class:`~repro.engine.pipeline.FramePipeline`; :class:`IterativeSelection`
-binds an algorithm's ``_choose`` / ``_update`` hooks to it, so each
-algorithm only supplies those hooks.
+update internal state.  That frame loop is written once, in
+:class:`IterativeSelection`; each algorithm only supplies its ``_choose``
+and ``_update`` hooks, and every consumer (the multi-trial harness, the
+query engine's physical plan) drives the loop through ``run`` or
+``run_stream``.
+
+Per iteration the loop:
+
+1. guards the TCVI budget (Alg. 2 line 6: iteration ``t`` starts only
+   while cumulative billable cost is ``<= B``; the final iteration may
+   overshoot, the next never starts);
+2. asks the algorithm to *choose* the selected ensemble plus the full
+   evaluation list (piggyback subsets included);
+3. bills selection overhead and *evaluates* the batch through the
+   environment (union-of-member inference, Eq. 12/14 billing);
+4. lets the algorithm *observe* the batch (its ``_update`` hook) and
+   notifies any registered observers (e.g. the query engine capturing
+   fused detections for row materialization);
+5. yields the :class:`FrameRecord`.
+
+Under fault injection an evaluation can *degrade*: failed members drop
+out and the environment realizes each requested ensemble as its best
+healthy subset.  The loop then records both the selected and the
+realized ensemble.  A frame with no usable evaluation at all (REF down,
+or every member of every requested ensemble failed) raises
+:class:`~repro.core.environment.FrameEvaluationError` inside the
+environment; the loop *abandons* that frame — counts it, yields no
+record — and continues with the next one instead of aborting the run.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.core.ensembles import EnsembleKey
-from repro.core.environment import DetectionEnvironment, EvaluationBatch
-from repro.engine.pipeline import FrameObserver, FramePipeline, FrameRecord
+from repro.core.environment import (
+    DetectionEnvironment,
+    EvaluationBatch,
+    FrameEvaluationError,
+)
 from repro.simulation.video import Frame
 
 __all__ = [
@@ -28,6 +54,64 @@ __all__ = [
     "SelectionAlgorithm",
     "IterativeSelection",
 ]
+
+
+@dataclass(frozen=True)
+class FrameRecord:
+    """Outcome of one iteration (one processed frame).
+
+    Attributes:
+        iteration: 1-based iteration number ``t``: the frame's position
+            in the sequence the run was given, so an abandoned frame
+            leaves a gap in the numbering.
+        frame_index: Index of the processed frame in its video.
+        selected: The ensemble chosen for this frame.
+        est_score / est_ap: Estimated (REF-based) score and AP of the
+            selected ensemble — what the algorithm observed.
+        true_score / true_ap: Ground-truth score and AP — what experiments
+            report (``r`` in the paper's ``s_sum``).
+        cost_ms: ``c_{S|v}`` of the selected ensemble (its own cost, as
+            scored).
+        normalized_cost: ``c_hat`` of the selected ensemble.
+        charged_ms: Billable time actually spent this iteration (includes
+            piggyback subset fusions; Eq. 12/14).
+        realized: The ensemble that actually ran.  ``None`` (the default,
+            and the value on every fault-free run) means the selected
+            ensemble ran as requested; under fault injection it is the
+            healthy subset the frame fell back to, and all score/cost
+            fields describe *it*.
+    """
+
+    iteration: int
+    frame_index: int
+    selected: EnsembleKey
+    est_score: float
+    est_ap: float
+    true_score: float
+    true_ap: float
+    cost_ms: float
+    normalized_cost: float
+    charged_ms: float
+    realized: EnsembleKey | None = None
+
+    @property
+    def realized_key(self) -> EnsembleKey:
+        """The ensemble whose output this record describes."""
+        return self.realized if self.realized is not None else self.selected
+
+    @property
+    def degraded(self) -> bool:
+        """True when faults forced a proper subset of the selection."""
+        return self.realized is not None and self.realized != self.selected
+
+
+#: Callback fired after each processed frame, before the record is yielded.
+FrameObserver = Callable[[Frame, EvaluationBatch, FrameRecord], None]
+
+
+def _check_budget(budget_ms: float | None) -> None:
+    if budget_ms is not None and budget_ms <= 0:
+        raise ValueError("budget_ms must be positive when given")
 
 
 @dataclass
@@ -130,13 +214,13 @@ class SelectionAlgorithm(abc.ABC):
             budget_ms: Optional TCVI budget ``B``; processing stops once
                 cumulative billable time exceeds it.
             observers: Per-frame callbacks ``(frame, batch, record)`` fired
-                by the pipeline for each processed frame (e.g. row
-                materialization in the query executor).
+                for each processed frame (e.g. row materialization in the
+                query engine's physical plan).
         """
 
 
 class IterativeSelection(SelectionAlgorithm):
-    """Template for per-frame selection algorithms.
+    """Template for per-frame selection algorithms, and the one frame loop.
 
     Subclasses implement:
 
@@ -145,8 +229,8 @@ class IterativeSelection(SelectionAlgorithm):
       ensembles to evaluate this iteration;
     * :meth:`_update` — fold the evaluation batch into internal state.
 
-    The hooks are bound to the single shared
-    :class:`~repro.engine.pipeline.FramePipeline` loop.
+    :meth:`run` and :meth:`run_stream` drive the hooks through the same
+    loop (see the module docstring).
     """
 
     def _begin(
@@ -177,17 +261,6 @@ class IterativeSelection(SelectionAlgorithm):
     #: override this to False.
     supports_streaming: bool = True
 
-    def _pipeline(
-        self,
-        env: DetectionEnvironment,
-        budget_ms: float | None,
-        observers: Sequence[FrameObserver],
-    ) -> FramePipeline:
-        """The engine pipeline bound to this algorithm's hooks."""
-        return FramePipeline(
-            env, budget_ms=budget_ms, observers=observers, label=self.name
-        )
-
     def run_stream(
         self,
         env: DetectionEnvironment,
@@ -203,14 +276,15 @@ class IterativeSelection(SelectionAlgorithm):
         Raises:
             TypeError: If the algorithm requires a full pre-scan
                 (``supports_streaming`` is False).
+            ValueError: If ``budget_ms`` is given and not positive.
         """
         if not self.supports_streaming:
             raise TypeError(
                 f"{self.name} pre-scans the video and cannot run on a stream"
             )
-        pipeline = self._pipeline(env, budget_ms, observers)
+        _check_budget(budget_ms)
         self._begin(env, ())
-        return pipeline.run(frames, self._choose, self._update)
+        return self._frames(env, frames, budget_ms, tuple(observers))
 
     def run(
         self,
@@ -219,9 +293,9 @@ class IterativeSelection(SelectionAlgorithm):
         budget_ms: float | None = None,
         observers: Sequence[FrameObserver] = (),
     ) -> SelectionResult:
-        pipeline = self._pipeline(env, budget_ms, observers)
+        _check_budget(budget_ms)
         self._begin(env, frames)
-        records = list(pipeline.run(frames, self._choose, self._update))
+        records = list(self._frames(env, frames, budget_ms, tuple(observers)))
         result = SelectionResult(
             algorithm=self.name, records=records, budget_ms=budget_ms
         )
@@ -232,3 +306,182 @@ class IterativeSelection(SelectionAlgorithm):
             algorithm=self.name,
         )
         return result
+
+    def _frames(
+        self,
+        env: DetectionEnvironment,
+        frames: Iterable[Frame],
+        budget_ms: float | None,
+        observers: tuple[FrameObserver, ...],
+    ) -> Iterator[FrameRecord]:
+        """The frame loop: one record per processed frame, lazily.
+
+        Raises:
+            RuntimeError: If ``_choose`` returns a selected ensemble that
+                is missing from its own evaluation list.
+        """
+        obs = env.obs
+        label = self.name
+        spent_ms = 0.0
+        frames_done = 0
+        for t, frame in enumerate(frames, start=1):
+            if budget_ms is not None and spent_ms > budget_ms:
+                break
+            with obs.span(
+                "frame",
+                algorithm=label,
+                iteration=t,
+                frame_index=frame.index,
+            ) as frame_span:
+                try:
+                    # _choose() is inside the guard too: oracle-style hooks
+                    # peek through the environment and can hit the same
+                    # failures as the charged evaluation below.
+                    with obs.span("select"):
+                        selected, eval_keys = self._choose(env, t, frame)
+                        if selected not in eval_keys:
+                            raise RuntimeError(
+                                f"{label}: selected ensemble {selected} "
+                                "missing from its evaluation list"
+                            )
+                        env.charge_overhead(len(eval_keys))
+                    batch = env.evaluate(frame, eval_keys, charge=True)
+                except FrameEvaluationError:
+                    # Nothing usable came back (REF down or every member of
+                    # every requested ensemble failed): abandon this frame,
+                    # keep the run alive.  Failed inferences produce no
+                    # simulated output, hence nothing billable.
+                    env.note_frame_abandoned()
+                    frame_span.set_status("abandoned")
+                    if obs.metrics_on:
+                        obs.count(
+                            "repro_frames_abandoned_total",
+                            description="Frames with no usable evaluation",
+                            algorithm=label,
+                        )
+                        obs.event(
+                            "degradation",
+                            algorithm=label,
+                            iteration=t,
+                            frame_index=frame.index,
+                            kind="abandoned",
+                            selected=None,
+                            realized=None,
+                            failed_models=[],
+                        )
+                    continue
+                with obs.span("update"):
+                    self._update(env, t, frame, batch)
+                chosen = batch.evaluations.get(selected)
+                if chosen is None:
+                    # The selection itself realized empty; fall back to the
+                    # best healthy evaluation of the batch (deterministic
+                    # tie-break on the key).
+                    chosen = max(
+                        batch.evaluations.values(),
+                        key=lambda e: (e.est_score, e.key),
+                    )
+                realized = chosen.realized_key
+                degraded = realized != selected
+                if degraded:
+                    env.note_frame_degraded()
+                spent_ms += batch.billable_ms
+                frames_done += 1
+                frame_span.set_sim_ms(batch.billable_ms)
+                record = FrameRecord(
+                    iteration=t,
+                    frame_index=frame.index,
+                    selected=selected,
+                    est_score=chosen.est_score,
+                    est_ap=chosen.est_ap,
+                    true_score=chosen.true_score,
+                    true_ap=chosen.true_ap,
+                    cost_ms=chosen.cost_ms,
+                    normalized_cost=chosen.normalized_cost,
+                    charged_ms=batch.billable_ms,
+                    realized=realized if degraded else None,
+                )
+                if obs.metrics_on:
+                    self._record_frame_obs(env, t, frame, batch, record)
+                for observer in observers:
+                    observer(frame, batch, record)
+            yield record
+        if obs.metrics_on:
+            obs.set_gauge(
+                "repro_budget_spent_ms",
+                spent_ms,
+                description="Billable milliseconds consumed by the run",
+                algorithm=label,
+            )
+            if budget_ms is not None:
+                obs.event(
+                    "budget",
+                    algorithm=label,
+                    budget_ms=budget_ms,
+                    spent_ms=spent_ms,
+                    frames=frames_done,
+                    exhausted=spent_ms > budget_ms,
+                )
+
+    def _record_frame_obs(
+        self,
+        env: DetectionEnvironment,
+        t: int,
+        frame: Frame,
+        batch: EvaluationBatch,
+        record: FrameRecord,
+    ) -> None:
+        """Fold one completed frame into metrics and the event log.
+
+        Everything recorded here is *logical* (simulated costs, counts) —
+        identical for serial and parallel backends on the same seed.
+        """
+        obs = env.obs
+        obs.count(
+            "repro_frames_total",
+            description="Frames completing the select/evaluate/update loop",
+            algorithm=self.name,
+        )
+        obs.observe(
+            "repro_frame_charged_ms",
+            record.charged_ms,
+            description="Billable (simulated) milliseconds per frame",
+        )
+        obs.observe(
+            "repro_ensemble_size",
+            float(len(record.realized_key)),
+            buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0),
+            description="Members in the realized selected ensemble",
+        )
+        selected_label = "+".join(record.selected)
+        realized_label = (
+            "+".join(record.realized) if record.realized is not None else None
+        )
+        if record.degraded:
+            obs.count(
+                "repro_frames_degraded_total",
+                description="Frames served by a degraded (subset) ensemble",
+                algorithm=self.name,
+            )
+            obs.event(
+                "degradation",
+                algorithm=self.name,
+                iteration=t,
+                frame_index=frame.index,
+                kind="degraded",
+                selected=selected_label,
+                realized=realized_label,
+                failed_models=list(batch.failed_models),
+            )
+        obs.event(
+            "frame-completed",
+            algorithm=self.name,
+            iteration=t,
+            frame_index=frame.index,
+            selected=selected_label,
+            realized=realized_label,
+            charged_ms=record.charged_ms,
+            est_score=record.est_score,
+            true_score=record.true_score,
+            degraded=record.degraded,
+        )

@@ -17,8 +17,13 @@ real difference detector would call similar.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import replace
 
-from repro.core.environment import DetectionEnvironment
+from repro.core.environment import (
+    DetectionEnvironment,
+    EnsembleEvaluation,
+    EvaluationBatch,
+)
 from repro.core.selection import (
     FrameObserver,
     FrameRecord,
@@ -88,9 +93,13 @@ class FrameSkipper(SelectionAlgorithm):
             scene cannot starve the selector (and its bandit statistics)
             forever.
 
-    The result's records cover *all* frames: skipped frames carry the
-    reused ensemble with the reused detections' true scores against the
-    skipped frame's ground truth, and near-zero charged cost.
+    The result's records cover every frame the run reached, each with its
+    1-based position in ``frames`` as ``iteration``: skipped frames carry
+    the reused ensemble (selected and realized, as recorded for the frame
+    they reuse) with the reused detections' true scores against the
+    skipped frame's ground truth, and near-zero charged cost.  A frame
+    the inner run abandoned has no record, and neither has any frame
+    that would reuse its detections.
     """
 
     def __init__(
@@ -122,9 +131,11 @@ class FrameSkipper(SelectionAlgorithm):
             raise TypeError(
                 "FrameSkipper requires an IterativeSelection-based algorithm"
             )
-        # Phase 1: decide which frames to process vs skip.
+        # Phase 1: decide which frames to process vs skip.  Each frame
+        # gets the inner iteration (1-based position in processed_frames)
+        # whose detections it carries: its own when processed.
         processed_frames: list[Frame] = []
-        reuse_from: list[int | None] = []  # per frame: processed idx or None
+        sources: list[tuple[int, bool]] = []  # (inner iteration, skipped)
         last_processed: Frame | None = None
         consecutive = 0
         for frame in frames:
@@ -135,80 +146,77 @@ class FrameSkipper(SelectionAlgorithm):
                 >= self.similarity_threshold
             )
             if skip:
-                reuse_from.append(len(processed_frames) - 1)
+                sources.append((len(processed_frames), True))
                 consecutive += 1
             else:
-                reuse_from.append(None)
                 processed_frames.append(frame)
+                sources.append((len(processed_frames), False))
                 last_processed = frame
                 consecutive = 0
 
-        # Phase 2: run the inner algorithm on the processed subsequence.
-        # Observers fire per *processed* frame (skipped frames never form
-        # an evaluation batch to observe).
-        inner_result = self.inner.run(
-            env, processed_frames, budget_ms=budget_ms, observers=observers
-        )
+        # Phase 2: run the inner algorithm on the processed subsequence,
+        # keeping each processed frame's evaluation of its selection for
+        # the frames that reuse it.  Observers fire per *processed* frame
+        # (skipped frames never form an evaluation batch to observe).
+        kept: dict[int, EnsembleEvaluation] = {}
 
-        # Phase 3: stitch full-coverage records, reusing detections on
-        # skipped frames.
-        records: list[FrameRecord] = []
-        inner_by_position = {
-            i: record for i, record in enumerate(inner_result.records)
+        def keep_evaluation(
+            frame: Frame, batch: EvaluationBatch, record: FrameRecord
+        ) -> None:
+            kept[record.iteration] = batch.evaluations[record.selected]
+
+        inner_result = self.inner.run(
+            env,
+            processed_frames,
+            budget_ms=budget_ms,
+            observers=[*observers, keep_evaluation],
+        )
+        inner_records = {
+            record.iteration: record for record in inner_result.records
         }
-        position = -1
-        for frame, reuse in zip(frames, reuse_from, strict=True):
-            if reuse is None:
-                position += 1
-                inner_record = inner_by_position.get(position)
-                if inner_record is None:
-                    break  # budget exhausted inside the inner run
+
+        # Phase 3: stitch the records.  A frame whose source has no
+        # record (abandoned, or past the budget) gets none either.
+        records: list[FrameRecord] = []
+        for t, (frame, (source, skipped)) in enumerate(
+            zip(frames, sources, strict=True), start=1
+        ):
+            source_record = inner_records.get(source)
+            if source_record is None:
+                continue
+            if not skipped:
                 records.append(
-                    FrameRecord(
-                        iteration=len(records) + 1,
-                        frame_index=frame.index,
-                        selected=inner_record.selected,
-                        est_score=inner_record.est_score,
-                        est_ap=inner_record.est_ap,
-                        true_score=inner_record.true_score,
-                        true_ap=inner_record.true_ap,
-                        cost_ms=inner_record.cost_ms,
-                        normalized_cost=inner_record.normalized_cost,
-                        charged_ms=inner_record.charged_ms + DIFF_DETECTOR_MS,
+                    replace(
+                        source_record,
+                        iteration=t,
+                        charged_ms=source_record.charged_ms + DIFF_DETECTOR_MS,
                     )
                 )
-            else:
-                source_record = inner_by_position.get(reuse)
-                if source_record is None:
-                    break
-                source_frame = processed_frames[reuse]
-                # An uncharged evaluate, not a peek: the record needs the
-                # reused output's estimated AP too.
-                reused = env.evaluate(
-                    source_frame, [source_record.selected], charge=False
-                ).evaluations[source_record.selected]
-                true_ap = mean_average_precision(
-                    reused.detections,
-                    frame.ground_truth_detections(),
-                    env.iou_threshold,
+                continue
+            reused = kept[source]
+            true_ap = mean_average_precision(
+                reused.detections,
+                frame.ground_truth_detections(),
+                env.iou_threshold,
+            )
+            # The reused output costs nothing but the difference check;
+            # its score reflects zero inference time.
+            c_hat = env.normalized_cost(DIFF_DETECTOR_MS)
+            records.append(
+                FrameRecord(
+                    iteration=t,
+                    frame_index=frame.index,
+                    selected=source_record.selected,
+                    est_score=env.scoring(reused.est_ap, c_hat),
+                    est_ap=reused.est_ap,
+                    true_score=env.scoring(true_ap, c_hat),
+                    true_ap=true_ap,
+                    cost_ms=DIFF_DETECTOR_MS,
+                    normalized_cost=c_hat,
+                    charged_ms=DIFF_DETECTOR_MS,
+                    realized=source_record.realized,
                 )
-                # The reused output costs nothing but the difference check;
-                # its score reflects zero inference time.
-                c_hat = env.normalized_cost(DIFF_DETECTOR_MS)
-                records.append(
-                    FrameRecord(
-                        iteration=len(records) + 1,
-                        frame_index=frame.index,
-                        selected=source_record.selected,
-                        est_score=env.scoring(reused.est_ap, c_hat),
-                        est_ap=reused.est_ap,
-                        true_score=env.scoring(true_ap, c_hat),
-                        true_ap=true_ap,
-                        cost_ms=DIFF_DETECTOR_MS,
-                        normalized_cost=c_hat,
-                        charged_ms=DIFF_DETECTOR_MS,
-                    )
-                )
+            )
         return SelectionResult(
             algorithm=self.name, records=records, budget_ms=budget_ms
         )

@@ -9,20 +9,38 @@
 
 An ensemble never observed (``T_S = 0``) has an infinite exploration bonus,
 so UCB selection visits every arm before exploiting.
+
+All three implement :class:`BanditStatistics`, the two operations MES's
+UCB step (:class:`~repro.core.mes.MES`) needs from its placeholders.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable
+from typing import Protocol
 
 from repro.core.ensembles import EnsembleKey
 
 __all__ = [
+    "BanditStatistics",
     "EnsembleStatistics",
     "SlidingWindowStatistics",
     "DiscountedStatistics",
 ]
+
+
+class BanditStatistics(Protocol):
+    """The placeholders of one UCB loop, as MES reads and writes them."""
+
+    def observe(
+        self, t: int, observations: Iterable[tuple[EnsembleKey, float]]
+    ) -> None:
+        """Fold iteration ``t``'s ``(ensemble, est_score)`` observations."""
+
+    def ucb_at(self, key: EnsembleKey, t: int) -> float:
+        """The UCB index of ``key`` when choosing at iteration ``t``."""
 
 
 class EnsembleStatistics:
@@ -60,6 +78,16 @@ class EnsembleStatistics:
 
     def observed_keys(self) -> list[EnsembleKey]:
         return sorted(self._counts)
+
+    def observe(
+        self, t: int, observations: Iterable[tuple[EnsembleKey, float]]
+    ) -> None:
+        for key, reward in observations:
+            self.record(key, reward)
+
+    def ucb_at(self, key: EnsembleKey, t: int) -> float:
+        """``U_S`` at iteration ``t``, over the ``t - 1`` seen (Alg. 1)."""
+        return self.ucb(key, t - 1)
 
 
 class SlidingWindowStatistics:
@@ -120,6 +148,15 @@ class SlidingWindowStatistics:
         """Windowed UCB (Eq. 16)."""
         return self.mean(key, t) + self.exploration_bonus(key, t)
 
+    def observe(
+        self, t: int, observations: Iterable[tuple[EnsembleKey, float]]
+    ) -> None:
+        for key, reward in observations:
+            self.record(key, reward, iteration=t)
+
+    def ucb_at(self, key: EnsembleKey, t: int) -> float:
+        return self.ucb(key, t)
+
 
 class DiscountedStatistics:
     """Exponentially discounted counts/means (the D-UCB alternative).
@@ -166,3 +203,14 @@ class DiscountedStatistics:
 
     def ucb(self, key: EnsembleKey) -> float:
         return self.mean(key) + self.exploration_bonus(key)
+
+    def observe(
+        self, t: int, observations: Iterable[tuple[EnsembleKey, float]]
+    ) -> None:
+        """Decay everything by one iteration, then fold the new scores."""
+        self.advance()
+        for key, reward in observations:
+            self.record(key, reward)
+
+    def ucb_at(self, key: EnsembleKey, t: int) -> float:
+        return self.ucb(key)

@@ -10,18 +10,21 @@ With a well-chosen window its regret is
 D-MES is the discounted-UCB alternative we add as an ablation of the drift
 mechanism: instead of a hard window it decays all observation mass
 geometrically each iteration.
+
+Both are MES with other placeholders (Eq. 15/16 against Eq. 8–10): they
+subclass :class:`~repro.core.mes.MES` and supply only their statistics.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
-from repro.core.ensembles import EnsembleKey, subsets_inclusive, with_member
-from repro.core.environment import DetectionEnvironment, EvaluationBatch
-from repro.core.selection import IterativeSelection
-from repro.core.stats import DiscountedStatistics, SlidingWindowStatistics
-from repro.simulation.video import Frame
+from repro.core.mes import MES
+from repro.core.stats import (
+    BanditStatistics,
+    DiscountedStatistics,
+    SlidingWindowStatistics,
+)
 
 __all__ = ["SWMES", "DMES", "suggested_window"]
 
@@ -41,7 +44,7 @@ def suggested_window(num_frames: int, num_breakpoints: int) -> int:
     return max(int(math.sqrt(n * math.log(n) / num_breakpoints)), 2)
 
 
-class SWMES(IterativeSelection):
+class SWMES(MES):
     """Sliding-window MES.
 
     Args:
@@ -58,53 +61,22 @@ class SWMES(IterativeSelection):
     ) -> None:
         if window < 1:
             raise ValueError("window must be at least 1")
-        if gamma < 1:
-            raise ValueError("gamma must be at least 1")
         self.window = window
-        self.gamma = gamma
-        self.evaluate_subsets = evaluate_subsets
-        self._stats = SlidingWindowStatistics(window)
+        super().__init__(gamma=gamma, evaluate_subsets=evaluate_subsets)
 
-    def _begin(self, env: DetectionEnvironment, frames: Sequence[Frame]) -> None:
-        self._stats = SlidingWindowStatistics(self.window)
-
-    @property
-    def statistics(self) -> SlidingWindowStatistics:
-        return self._stats
-
-    def _choose(
-        self, env: DetectionEnvironment, t: int, frame: Frame
-    ) -> tuple[EnsembleKey, list[EnsembleKey]]:
-        candidates = env.available_ensembles()
-        if t <= self.gamma:
-            return env.full_ensemble, with_member(candidates, env.full_ensemble)
-        best_key = max(
-            candidates,
-            key=lambda key: (self._stats.ucb(key, t), key),
-        )
-        if self.evaluate_subsets:
-            eval_keys = subsets_inclusive(best_key)
-        else:
-            eval_keys = [best_key]
-        return best_key, eval_keys
-
-    def _update(
-        self,
-        env: DetectionEnvironment,
-        t: int,
-        frame: Frame,
-        batch: EvaluationBatch,
-    ) -> None:
-        for key, est_score in batch.observations():
-            self._stats.record(key, est_score, iteration=t)
+    def _new_statistics(self) -> BanditStatistics:
+        return SlidingWindowStatistics(self.window)
 
 
-class DMES(IterativeSelection):
+class DMES(MES):
     """Discounted-UCB MES (drift-mechanism ablation).
 
     Args:
-        discount: Per-iteration decay of all observation mass in (0, 1];
-            1.0 recovers plain MES behaviour.
+        discount: Per-iteration decay of all observation mass in (0, 1].
+            1.0 only switches the decay off; the result is still D-UCB,
+            not MES: its exploration horizon is the summed observation
+            mass over all arms, which subset piggybacking makes far
+            larger than ``t``.
         gamma: Initialization frames.
         evaluate_subsets: Alg. 1 lines 9–10 piggyback evaluation.
     """
@@ -117,43 +89,8 @@ class DMES(IterativeSelection):
         gamma: int = 5,
         evaluate_subsets: bool = True,
     ) -> None:
-        if gamma < 1:
-            raise ValueError("gamma must be at least 1")
         self.discount = discount
-        self.gamma = gamma
-        self.evaluate_subsets = evaluate_subsets
-        self._stats = DiscountedStatistics(discount)
+        super().__init__(gamma=gamma, evaluate_subsets=evaluate_subsets)
 
-    def _begin(self, env: DetectionEnvironment, frames: Sequence[Frame]) -> None:
-        self._stats = DiscountedStatistics(self.discount)
-
-    @property
-    def statistics(self) -> DiscountedStatistics:
-        return self._stats
-
-    def _choose(
-        self, env: DetectionEnvironment, t: int, frame: Frame
-    ) -> tuple[EnsembleKey, list[EnsembleKey]]:
-        candidates = env.available_ensembles()
-        if t <= self.gamma:
-            return env.full_ensemble, with_member(candidates, env.full_ensemble)
-        best_key = max(
-            candidates,
-            key=lambda key: (self._stats.ucb(key), key),
-        )
-        if self.evaluate_subsets:
-            eval_keys = subsets_inclusive(best_key)
-        else:
-            eval_keys = [best_key]
-        return best_key, eval_keys
-
-    def _update(
-        self,
-        env: DetectionEnvironment,
-        t: int,
-        frame: Frame,
-        batch: EvaluationBatch,
-    ) -> None:
-        self._stats.advance()
-        for key, est_score in batch.observations():
-            self._stats.record(key, est_score)
+    def _new_statistics(self) -> BanditStatistics:
+        return DiscountedStatistics(self.discount)

@@ -1,14 +1,12 @@
-"""The pluggable execution engine: backends, bounded store, frame pipeline.
+"""The pluggable execution engine: backends, bounded store, resilience.
 
 This package is the layer between the selection algorithms / query planner
-and the detector models:
+and the detector models; it imports nothing from :mod:`repro.core`:
 
 * :mod:`repro.engine.backends` — *where* inference jobs run (serial,
   thread pool, process pool), wall-clock only, result-equivalent;
 * :mod:`repro.engine.store` — the bounded, LRU-evicting, thread-safe
   :class:`EvaluationStore` with :class:`CacheStats` instrumentation;
-* :mod:`repro.engine.pipeline` — the single
-  frame → evaluate → observe → record loop (:class:`FramePipeline`);
 * :mod:`repro.engine.resilience` — retries with deterministic backoff,
   simulated-latency timeouts and per-detector circuit breakers
   (:class:`ResilientBackend`), with :class:`FaultStats` instrumentation.
@@ -24,14 +22,6 @@ from repro.engine.backends import (
     SerialBackend,
     ThreadPoolBackend,
     make_backend,
-)
-from repro.engine.pipeline import (
-    ChooseHook,
-    FrameEvaluationError,
-    FrameObserver,
-    FramePipeline,
-    FrameRecord,
-    UpdateHook,
 )
 from repro.engine.resilience import (
     BreakerPolicy,
@@ -57,12 +47,6 @@ __all__ = [
     "ThreadPoolBackend",
     "ProcessPoolBackend",
     "make_backend",
-    "ChooseHook",
-    "FrameEvaluationError",
-    "FrameObserver",
-    "FramePipeline",
-    "FrameRecord",
-    "UpdateHook",
     "DEFAULT_CAPACITY",
     "CacheStats",
     "EvaluationStore",

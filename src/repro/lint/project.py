@@ -58,8 +58,8 @@ _TOP_LEVEL_PACKAGES = ("repro", "tests", "benchmarks", "examples")
 #: lists the layers it may import at runtime.  Enforcement uses the
 #: transitive closure, intra-layer imports are always allowed, and
 #: ``if TYPE_CHECKING:`` imports are exempt.  ``engine`` is execution
-#: infrastructure below ``core`` (its only runtime dependency is
-#: ``utils``; its references to core types are TYPE_CHECKING-only).
+#: infrastructure below ``core`` (backends, store, resilience); it names
+#: no core type, and the frame loop that drives it lives in ``core``.
 DEFAULT_LAYERS: dict[str, tuple[str, ...]] = {
     "utils": (),
     "lint": (),

@@ -276,8 +276,8 @@ class InterprocLocksetRule(ProjectRule):
     call site propagates down the chain, so helpers invoked under
     ``with self._lock:`` are correctly treated as protected.  Each
     finding carries the full call chain from submission to mutation.
-    Single-threaded hook protocols such as ``FramePipeline.run`` are out
-    of scope by receiver name.
+    Single-threaded hook drivers such as a ``pipeline.run(frames, ...)``
+    loop are out of scope by receiver name.
     """
 
     rule_id = "RPR007"

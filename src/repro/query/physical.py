@@ -3,12 +3,12 @@
 :class:`PhysicalPlan` pairs a :class:`~repro.query.logical.LogicalPlan`
 with the registered frames and a
 :class:`~repro.core.environment.DetectionEnvironment`.  Its
-:meth:`~PhysicalPlan.execute` slices the scanned frame prefix, drives
-the bound selection algorithm through the engine's
-:class:`~repro.engine.pipeline.FramePipeline` (fusion and scoring run
-inside the environment, per evaluated ensemble), then applies the WHERE
-predicate and the ``FOR AT LEAST n FRAMES`` qualifier
-(:func:`temporal_filter`).
+:meth:`~PhysicalPlan.execute` slices the scanned frame prefix, runs
+the bound selection algorithm's frame loop
+(:meth:`~repro.core.selection.SelectionAlgorithm.run`; fusion and
+scoring run inside the environment, per evaluated ensemble), then
+applies the WHERE predicate and the ``FOR AT LEAST n FRAMES``
+qualifier (:func:`temporal_filter`).
 
 Execution is deterministic: running the physical plan produces
 bit-identical rows to the straight-line v1 executor (rewrites only
@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.environment import DetectionEnvironment, EvaluationBatch
-from repro.core.selection import SelectionResult
+from repro.core.selection import FrameRecord, SelectionResult
 from repro.detection.types import FrameDetections
-from repro.engine.pipeline import FrameRecord
 from repro.query.ast import Query
 from repro.query.logical import LogicalPlan, format_expr
 from repro.query.predicates import evaluate_expr
@@ -131,7 +130,7 @@ class PhysicalPlan:
     def execute(self) -> QueryResult:
         """Run scan -> detect -> WHERE -> ``FOR AT LEAST``.
 
-        A pipeline observer captures the selected ensemble's fused
+        A frame observer captures the selected ensemble's fused
         detections as each frame is processed, so rows materialize
         during the selection run without a second frame loop.
         """

@@ -207,7 +207,7 @@ def make_environment(
         billing: Detector billing policy (``"sum"`` per Eq. 12/14, or
             ``"max"`` for parallel-device deployments).
         obs: Observability facade threaded into the environment (and
-            through it, the frame pipeline).
+            through it, the selection frame loop).
     """
     return DetectionEnvironment(
         detectors=list(setup.detectors),

@@ -108,8 +108,8 @@ def compare_algorithms(
 ) -> dict[str, TrialOutcome]:
     """Run the multi-trial comparison protocol.
 
-    Every per-algorithm run inside a trial drives the engine's single
-    :class:`~repro.engine.pipeline.FramePipeline` loop through
+    Every per-algorithm run inside a trial drives the one frame loop of
+    :class:`~repro.core.selection.IterativeSelection` through
     :func:`~repro.runner.experiment.run_algorithms`.
 
     Args:

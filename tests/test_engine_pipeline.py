@@ -1,18 +1,33 @@
-"""Tests for the unified frame pipeline (frame → evaluate → observe → record)."""
+"""Tests for the frame loop (frame → evaluate → observe → record) that
+:class:`~repro.core.selection.IterativeSelection` runs for every algorithm.
+"""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.environment import DetectionEnvironment
 from repro.core.mes import MES
-from repro.engine.pipeline import FramePipeline, FrameRecord
+from repro.core.selection import FrameRecord, IterativeSelection
+from repro.obs import NULL_OBS
 
 
-def _greedy_choose(env, t, frame):
-    """A trivial hook: evaluate all singles, select the first."""
-    singles = [key for key in env.all_ensembles if len(key) == 1]
-    return singles[0], singles
+class _Greedy(IterativeSelection):
+    """A trivial algorithm: evaluate all singles, select the first."""
+
+    name = "greedy"
+
+    def __init__(self) -> None:
+        self.updates: list[tuple[int, list]] = []
+
+    def _choose(self, env, t, frame):
+        singles = [key for key in env.all_ensembles if len(key) == 1]
+        return singles[0], singles
+
+    def _update(self, env, t, frame, batch):
+        self.updates.append((t, sorted(batch.evaluations)))
 
 
 class TestPipeline:
@@ -20,8 +35,7 @@ class TestPipeline:
         self, detector_pool, lidar, small_video
     ):
         env = DetectionEnvironment(detector_pool, lidar)
-        pipeline = FramePipeline(env)
-        records = list(pipeline.run(small_video.frames[:7], _greedy_choose))
+        records = _Greedy().run(env, small_video.frames[:7]).records
         assert len(records) == 7
         assert [r.iteration for r in records] == list(range(1, 8))
         assert [r.frame_index for r in records] == [
@@ -33,18 +47,12 @@ class TestPipeline:
         self, detector_pool, lidar, small_video
     ):
         env = DetectionEnvironment(detector_pool, lidar)
-        probe = list(
-            FramePipeline(env).run(small_video.frames[:1], _greedy_choose)
-        )
+        probe = _Greedy().run(env, small_video.frames[:1]).records
         per_frame_ms = probe[0].charged_ms
         # Budget for ~3 frames: frame t+1 starts only while spent <= B.
         budget = per_frame_ms * 2.5
         env2 = DetectionEnvironment(detector_pool, lidar)
-        records = list(
-            FramePipeline(env2, budget_ms=budget).run(
-                small_video.frames, _greedy_choose
-            )
-        )
+        records = _Greedy().run(env2, small_video.frames, budget_ms=budget).records
         assert 0 < len(records) < len(small_video.frames)
         spent = sum(r.charged_ms for r in records)
         # The last started iteration may overshoot, but without its charge
@@ -55,11 +63,11 @@ class TestPipeline:
         """Alg. 2 line 6 is ``<= B``: when cumulative spend lands exactly
         on the budget, the next iteration still starts (and may overshoot);
         only spend strictly above B stops the loop."""
-        from types import SimpleNamespace
-
         per_frame_ms = 100.0
 
         class _StubEnv:
+            obs = NULL_OBS
+
             def charge_overhead(self, count):
                 pass
 
@@ -85,35 +93,48 @@ class TestPipeline:
                     billable_ms=per_frame_ms,
                 )
 
-        def choose(env, t, frame):
-            return ("a",), [("a",)]
+        class _Fixed(IterativeSelection):
+            name = "fixed"
+
+            def _choose(self, env, t, frame):
+                return ("a",), [("a",)]
 
         frames = [SimpleNamespace(index=i) for i in range(10)]
-        pipeline = FramePipeline(_StubEnv(), budget_ms=3 * per_frame_ms)
-        records = list(pipeline.run(frames, choose))
+        records = _Fixed().run(_StubEnv(), frames, budget_ms=3 * per_frame_ms).records
         # Frames 1–3 spend exactly B=300; frame 4 is admitted because the
         # guard is strict (>), and its charge ends the run at 400.
         assert len(records) == 4
         assert sum(r.charged_ms for r in records) == 4 * per_frame_ms
 
-    def test_invalid_budget_rejected(self, environment):
-        with pytest.raises(ValueError, match="budget_ms"):
-            FramePipeline(environment, budget_ms=0.0)
-        with pytest.raises(ValueError, match="budget_ms"):
-            FramePipeline(environment, budget_ms=-10.0)
+    def test_invalid_budget_rejected(self, environment, small_video):
+        for budget in (0.0, -10.0):
+            with pytest.raises(ValueError, match="budget_ms"):
+                _Greedy().run(environment, small_video.frames, budget_ms=budget)
+
+    def test_run_stream_rejects_invalid_budget_when_called(
+        self, environment, small_video
+    ):
+        """The check runs at the call, not at the stream's first frame."""
+        for budget in (0.0, -10.0):
+            with pytest.raises(ValueError, match="budget_ms"):
+                _Greedy().run_stream(
+                    environment, iter(small_video.frames), budget_ms=budget
+                )
 
     def test_selected_must_be_in_evaluation_list(
         self, detector_pool, lidar, small_video
     ):
         env = DetectionEnvironment(detector_pool, lidar)
 
-        def bad_choose(env, t, frame):
-            singles = [key for key in env.all_ensembles if len(key) == 1]
-            return env.full_ensemble, singles  # selected not evaluated
+        class _Bad(_Greedy):
+            name = "bad-algo"
 
-        pipeline = FramePipeline(env, label="bad-algo")
+            def _choose(self, env, t, frame):
+                singles = [key for key in env.all_ensembles if len(key) == 1]
+                return env.full_ensemble, singles  # selected not evaluated
+
         with pytest.raises(RuntimeError, match="bad-algo"):
-            list(pipeline.run(small_video.frames[:1], bad_choose))
+            _Bad().run(env, small_video.frames[:1])
 
     def test_observers_fire_per_frame(self, detector_pool, lidar, small_video):
         env = DetectionEnvironment(detector_pool, lidar)
@@ -123,8 +144,9 @@ class TestPipeline:
             assert record.selected in batch.evaluations
             seen.append((frame.index, record.iteration))
 
-        pipeline = FramePipeline(env, observers=[observer])
-        records = list(pipeline.run(small_video.frames[:5], _greedy_choose))
+        records = _Greedy().run(
+            env, small_video.frames[:5], observers=[observer]
+        ).records
         assert len(seen) == len(records) == 5
         assert seen == [(r.frame_index, r.iteration) for r in records]
 
@@ -132,26 +154,24 @@ class TestPipeline:
         self, detector_pool, lidar, small_video
     ):
         env = DetectionEnvironment(detector_pool, lidar)
-        updates = []
+        algorithm = _Greedy()
+        updated_before_record = []
 
-        def update(env_, t, frame, batch):
-            updates.append((t, sorted(batch.evaluations)))
+        def observer(frame, batch, record):
+            updated_before_record.append(algorithm.updates[-1][0] == record.iteration)
 
-        list(
-            FramePipeline(env).run(
-                small_video.frames[:3], _greedy_choose, update
-            )
-        )
-        assert [t for t, _ in updates] == [1, 2, 3]
+        algorithm.run(env, small_video.frames[:3], observers=[observer])
+        assert [t for t, _ in algorithm.updates] == [1, 2, 3]
+        assert updated_before_record == [True, True, True]
 
     def test_works_on_lazy_streams(self, detector_pool, lidar, small_video):
-        """The pipeline never materializes its input."""
+        """The loop never materializes its input."""
         env = DetectionEnvironment(detector_pool, lidar)
 
         def stream():
             yield from small_video.frames[:4]
 
-        records = list(FramePipeline(env).run(stream(), _greedy_choose))
+        records = list(_Greedy().run_stream(env, stream()))
         assert len(records) == 4
 
 
@@ -159,8 +179,8 @@ class TestSingleLoopOwnership:
     def test_algorithms_share_the_pipeline_loop(
         self, detector_pool, lidar, small_video
     ):
-        """IterativeSelection runs drive FramePipeline — observers wired
-        through `run` see exactly the frames the pipeline processed."""
+        """Observers wired through `run` see exactly the records the
+        loop yields."""
         env = DetectionEnvironment(detector_pool, lidar)
         observed = []
         result = MES().run(

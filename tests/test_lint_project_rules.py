@@ -434,7 +434,7 @@ def test_rpr007_name_local_to_another_function_is_clean() -> None:
 
 
 def test_rpr007_single_threaded_pipeline_run_not_in_scope() -> None:
-    # FramePipeline.run drives hooks on the calling thread; receiver
+    # A pipeline's run() drives hooks on the calling thread; receiver
     # name scoping keeps it out of this rule.
     violations = run(
         {

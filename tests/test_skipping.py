@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.core.baselines import BruteForce
+from repro.core.baselines import BruteForce, RandomSelection
+from repro.core.environment import DetectionEnvironment
 from repro.core.mes import MES
 from repro.core.skipping import DIFF_DETECTOR_MS, FrameSkipper, frame_similarity
 from repro.detection.boxes import BBox
+from repro.engine.backends import SerialBackend
+from repro.engine.resilience import ResilientBackend
+from repro.runner.experiment import standard_setup
+from repro.simulation.faults import FaultSpec, FaultyDetector
 from repro.simulation.video import Frame, GroundTruthObject
 
 
@@ -139,3 +144,83 @@ class TestFrameSkipper:
         skipper.max_consecutive_skips = 2
         with pytest.raises(TypeError):
             skipper.run(environment, small_video.frames)
+
+
+def _faulty_night(fault_profile="none", reference_fault=None):
+    """A small nusc-night trial on the CLI's backend for faulty runs."""
+    setup = standard_setup(
+        "nusc-night",
+        trial=0,
+        scale=0.02,
+        m=3,
+        max_frames=60,
+        seed=0,
+        fault_profile=fault_profile,
+    )
+    reference = setup.reference
+    if reference_fault is not None:
+        reference = FaultyDetector(reference, reference_fault, seed=0)
+    env = DetectionEnvironment(
+        list(setup.detectors),
+        reference,
+        backend=ResilientBackend(SerialBackend()),
+    )
+    return env, setup.frames
+
+
+class TestFrameSkipperUnderFaults:
+    def test_records_pair_with_their_own_frames(self):
+        """Frames the inner run abandoned must not shift later records."""
+        env, frames = _faulty_night("outage-first")
+        result = FrameSkipper(
+            RandomSelection(seed=1), similarity_threshold=0.999
+        ).run(env, frames)
+        direct_env, direct_frames = _faulty_night("outage-first")
+        direct = RandomSelection(seed=1).run(direct_env, direct_frames)
+        assert env.fault_stats().frames_abandoned > 0
+        # No frame is similar enough to skip, so every record is the
+        # direct run's record for the same frame plus the difference check.
+        assert [r.iteration for r in result.records] == [
+            r.iteration for r in direct.records
+        ]
+        for record, expected in zip(result.records, direct.records, strict=True):
+            assert record.frame_index == frames[record.iteration - 1].index
+            assert record.frame_index == expected.frame_index
+            assert record.selected == expected.selected
+            assert record.true_score == expected.true_score
+            assert record.charged_ms == expected.charged_ms + DIFF_DETECTOR_MS
+
+    def test_reference_outage_abandons_instead_of_raising(self):
+        """A skipped frame whose source was abandoned is abandoned too."""
+        outage = (3, 20)
+        env, frames = _faulty_night(reference_fault=FaultSpec(outage=outage))
+        result = FrameSkipper(BruteForce()).run(env, frames)
+        assert env.fault_stats().frames_abandoned > 0
+        assert 0 < len(result.records) < len(frames)
+        assert result.records[-1].frame_index == frames[-1].index
+        for record in result.records:
+            assert record.frame_index == frames[record.iteration - 1].index
+            if record.charged_ms > DIFF_DETECTOR_MS:  # processed, not reused
+                assert not outage[0] <= record.frame_index < outage[1]
+
+    def test_degraded_frames_keep_realized(self):
+        """Processed records keep the subset that ran; a skipped frame
+        names the subset whose detections it reuses."""
+        env, frames = _faulty_night("flaky-first")
+        result = FrameSkipper(MES(gamma=3), similarity_threshold=0.8).run(
+            env, frames
+        )
+        processed = [r for r in result.records if r.charged_ms > DIFF_DETECTOR_MS]
+        assert len(processed) < len(result.records)
+        degraded = sum(1 for r in processed if r.degraded)
+        assert degraded == env.fault_stats().frames_degraded > 0
+        source = None
+        for record in result.records:
+            if record.charged_ms > DIFF_DETECTOR_MS:
+                source = record
+            else:
+                assert source is not None
+                assert (record.selected, record.realized) == (
+                    source.selected,
+                    source.realized,
+                )
