@@ -221,6 +221,21 @@ class EvaluationBatch:
         """True when any union member failed this frame."""
         return bool(self.failed_models)
 
+    def serving(self, selected: EnsembleKey) -> EnsembleEvaluation:
+        """The evaluation that serves a frame whose selection was ``selected``.
+
+        ``selected``'s own evaluation, realized subset included.  When the
+        selection itself realized empty (no healthy member), the best
+        healthy evaluation of the batch, with a deterministic tie-break
+        on the key.
+        """
+        chosen = self.evaluations.get(selected)
+        if chosen is None:
+            chosen = max(
+                self.evaluations.values(), key=lambda e: (e.est_score, e.key)
+            )
+        return chosen
+
     def observations(self) -> Iterator[tuple[EnsembleKey, float]]:
         """``(ensemble, est_score)`` pairs — what a bandit observes.
 

@@ -372,15 +372,7 @@ class IterativeSelection(SelectionAlgorithm):
                     continue
                 with obs.span("update"):
                     self._update(env, t, frame, batch)
-                chosen = batch.evaluations.get(selected)
-                if chosen is None:
-                    # The selection itself realized empty; fall back to the
-                    # best healthy evaluation of the batch (deterministic
-                    # tie-break on the key).
-                    chosen = max(
-                        batch.evaluations.values(),
-                        key=lambda e: (e.est_score, e.key),
-                    )
+                chosen = batch.serving(selected)
                 realized = chosen.realized_key
                 degraded = realized != selected
                 if degraded:

@@ -163,7 +163,7 @@ class FrameSkipper(SelectionAlgorithm):
         def keep_evaluation(
             frame: Frame, batch: EvaluationBatch, record: FrameRecord
         ) -> None:
-            kept[record.iteration] = batch.evaluations[record.selected]
+            kept[record.iteration] = batch.serving(record.selected)
 
         inner_result = self.inner.run(
             env,

@@ -142,7 +142,7 @@ class PhysicalPlan:
         def capture_detections(
             frame: Frame, batch: EvaluationBatch, record: FrameRecord
         ) -> None:
-            evaluation = batch.evaluations[record.selected]
+            evaluation = batch.serving(record.selected)
             detections_by_index[record.frame_index] = evaluation.detections
 
         selection = logical.plan.algorithm.run(

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.environment import DetectionEnvironment
+from repro.core.environment import DetectionEnvironment, EvaluationBatch
 from repro.core.mes import MES
 from repro.core.selection import FrameRecord, IterativeSelection
 from repro.obs import NULL_OBS
@@ -88,9 +88,11 @@ class TestPipeline:
                     cost_ms=per_frame_ms,
                     normalized_cost=1.0,
                 )
-                return SimpleNamespace(
+                return EvaluationBatch(
                     evaluations={keys[0]: evaluation},
-                    billable_ms=per_frame_ms,
+                    detector_ms=per_frame_ms,
+                    ensembling_ms=0.0,
+                    reference_ms=0.0,
                 )
 
         class _Fixed(IterativeSelection):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.baselines import BruteForce, RandomSelection
 from repro.core.environment import DetectionEnvironment
 from repro.core.mes import MES
+from repro.core.selection import IterativeSelection
 from repro.core.skipping import DIFF_DETECTOR_MS, FrameSkipper, frame_similarity
 from repro.detection.boxes import BBox
 from repro.engine.backends import SerialBackend
@@ -202,6 +203,38 @@ class TestFrameSkipperUnderFaults:
             assert record.frame_index == frames[record.iteration - 1].index
             if record.charged_ms > DIFF_DETECTOR_MS:  # processed, not reused
                 assert not outage[0] <= record.frame_index < outage[1]
+
+    def test_selection_dropped_from_its_batch(self):
+        """When the selected ensemble realizes empty, the frame is served
+        by the batch's best healthy evaluation, skipped or not."""
+        setup = standard_setup(
+            "nusc-night", trial=0, scale=0.02, m=3, max_frames=12, seed=0
+        )
+        down, *healthy = setup.detectors
+        first, second = down.name, healthy[0].name
+
+        class FirstOrSecond(IterativeSelection):
+            name = "first-or-second"
+
+            def _choose(self, env, t, frame):
+                return (first,), [(first,), (second,)]
+
+        def run(algorithm):
+            faulty = FaultyDetector(down, FaultSpec(outage=(2, 6)), seed=0)
+            env = DetectionEnvironment(
+                [faulty, *healthy],
+                setup.reference,
+                backend=ResilientBackend(SerialBackend()),
+            )
+            return [
+                (r.iteration, r.selected, r.realized, r.true_score)
+                for r in algorithm.run(env, setup.frames).records
+            ]
+
+        plain = run(FirstOrSecond())
+        assert any(realized == (second,) for _, _, realized, _ in plain)
+        skipper = FrameSkipper(FirstOrSecond(), similarity_threshold=0.999)
+        assert run(skipper) == plain
 
     def test_degraded_frames_keep_realized(self):
         """Processed records keep the subset that ran; a skipped frame
