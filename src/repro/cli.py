@@ -14,10 +14,11 @@ Usage (after ``pip install -e .``)::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import Any
 
-from repro.core.environment import BILLING_POLICIES
 from repro.core.scoring import WeightedLogScore
 from repro.engine.backends import (
     BACKEND_NAMES,
@@ -38,7 +39,7 @@ from repro.query.executor import QueryEngine
 from repro.query.matstore import MaterializationError
 from repro.query.parser import ParseError, format_parse_error
 from repro.query.planner import PlanError, algorithm_registry
-from repro.runner.experiment import dataset_keys, standard_setup
+from repro.runner.experiment import MAX_POOL_SIZE, dataset_keys, standard_setup
 from repro.runner.harness import compare_algorithms
 from repro.runner.io import save_outcomes_csv
 from repro.runner.reporting import format_table
@@ -48,15 +49,37 @@ from repro.simulation.faults import FAULT_PROFILE_NAMES
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type for counts that must be >= 1 (e.g. ``--workers``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _argument_type(
+    convert: type[int] | type[float], accept: Callable[[Any], bool], expected: str
+) -> Callable[[str], Any]:
+    """An argparse type: ``convert`` the text, then require ``accept``.
+
+    Either failure is a usage error (exit 2), so an out-of-range number
+    never reaches the run.
+    """
+    noun = "an integer" if convert is int else "a number"
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _argument_type(int, lambda n: n >= 1, "a positive integer")
+_frame_count = _argument_type(int, lambda n: n >= 0, "a non-negative integer")
+_pool_size = _argument_type(
+    int, lambda n: 1 <= n <= MAX_POOL_SIZE, f"an integer in [1, {MAX_POOL_SIZE}]"
+)
+_positive_number = _argument_type(
+    float, lambda x: 0.0 < x < math.inf, "a positive finite number"
+)
+_weight = _argument_type(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
 
 
 #: Default pool size for the parallel backends when ``--workers`` is absent.
@@ -101,13 +124,13 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=_positive_int,
         default=3,
         help="total attempts per inference job under faults (1 disables)",
     )
     parser.add_argument(
         "--timeout-ms",
-        type=float,
+        type=_positive_number,
         default=None,
         help=(
             "per-job simulated-latency timeout; over-latency outputs are "
@@ -228,7 +251,7 @@ def _open_backend(
         return backend
     return ResilientBackend(
         backend,
-        retry=RetryPolicy(max_attempts=max(args.retries, 1)),
+        retry=RetryPolicy(max_attempts=args.retries),
         breaker=BreakerPolicy(),
         timeout_ms=args.timeout_ms,
         obs=obs,
@@ -262,29 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--dataset", default="nusc-night", choices=dataset_keys()
     )
-    compare.add_argument("--frames", type=int, default=600)
-    compare.add_argument("--trials", type=int, default=2)
-    compare.add_argument("--m", type=int, default=5, help="detector pool size")
+    compare.add_argument("--frames", type=_frame_count, default=600)
+    compare.add_argument("--trials", type=_positive_int, default=2)
+    compare.add_argument("--m", type=_pool_size, default=5, help="detector pool size")
     compare.add_argument(
-        "--w1", type=float, default=0.5, help="accuracy weight of Eq. 30"
+        "--w1", type=_weight, default=0.5, help="accuracy weight of Eq. 30"
     )
     compare.add_argument(
-        "--scale", type=float, default=0.2, help="dataset scene-count scale"
+        "--scale", type=_positive_number, default=0.2, help="dataset scene-count scale"
     )
     compare.add_argument(
-        "--budget", type=float, default=None, help="TCVI budget in ms"
+        "--budget", type=_positive_number, default=None, help="TCVI budget in ms"
     )
     compare.add_argument(
         "--csv", default=None, help="write per-trial results to this CSV file"
-    )
-    compare.add_argument(
-        "--billing",
-        default="sum",
-        choices=BILLING_POLICIES,
-        help=(
-            "detector billing policy: 'sum' charges every member "
-            "(Eq. 12/14), 'max' models members running on parallel devices"
-        ),
     )
     _add_backend_arguments(compare)
 
@@ -293,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--dataset", default="nusc-clear", choices=dataset_keys()
     )
-    query.add_argument("--frames", type=int, default=300)
-    query.add_argument("--m", type=int, default=3)
-    query.add_argument("--scale", type=float, default=0.1)
+    query.add_argument("--frames", type=_frame_count, default=300)
+    query.add_argument("--m", type=_pool_size, default=3)
+    query.add_argument("--scale", type=_positive_number, default=0.1)
     query.add_argument(
         "--video-name",
         default="video",
@@ -371,7 +385,6 @@ def _run_compare(args: argparse.Namespace) -> int:
             scoring=WeightedLogScore(accuracy_weight=args.w1),
             budget_ms=args.budget,
             backend=backend,
-            billing=args.billing,
             obs=obs,
         )
         _print_fault_stats(backend)

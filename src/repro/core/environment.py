@@ -45,10 +45,8 @@ Execution is layered on the :mod:`repro.engine` package:
   :class:`~repro.query.matstore.MaterializedDetectionStore`) extends the
   same reuse across queries and across processes.
 
-How parallel hardware is *billed* is an explicit policy, not a backend
-side effect: with ``billing="sum"`` (the paper's Eq. 12/14) the union
-members' inference times add up; ``billing="max"`` charges only the
-slowest member, modeling a deployment where members run on parallel GPUs.
+Billing follows Eq. 12/14 whatever the backend: the union members'
+inference times add up, even when a parallel backend ran them at once.
 
 Execution is also allowed to *fail*: backends report per-job statuses
 instead of raising, and :meth:`DetectionEnvironment.evaluate` degrades
@@ -95,14 +93,8 @@ __all__ = [
     "CacheStats",
     "FaultStats",
     "FrameEvaluationError",
-    "BILLING_POLICIES",
     "DetectionEnvironment",
 ]
-
-#: Detector billing policies: ``"sum"`` adds the union members' inference
-#: times (Eq. 12/14 — one device runs them back to back); ``"max"`` charges
-#: the slowest member only (members run on parallel devices).
-BILLING_POLICIES: tuple[str, ...] = ("sum", "max")
 
 
 class FrameEvaluationError(RuntimeError):
@@ -190,10 +182,8 @@ class EvaluationBatch:
 
     Attributes:
         evaluations: Per-ensemble evaluations.
-        detector_ms: Billable detector time this batch (union of member
-            models, combined per the environment's billing policy —
-            summed for ``"sum"`` per Eq. 12/14, the slowest member for
-            ``"max"``).
+        detector_ms: Billable detector time this batch: the summed
+            inference time of the union of member models (Eq. 12/14).
         ensembling_ms: Billable fusion time this batch (every evaluated
             ensemble).
         reference_ms: REF inference time incurred by this batch (zero if
@@ -310,16 +300,11 @@ class DetectionEnvironment:
         scoring: The scoring function ``SC``; defaults to Eq. (30) with
             ``w1 = w2 = 0.5``.
         fusion: Box-fusion method; defaults to WBF as in the paper.
-        cost_model: Non-inference cost parameters and the ``c_max``
-            normalization policy.
-        iou_threshold: IoU threshold for AP computation.
         store: Optional shared :class:`EvaluationStore` (a private one by
             default).
-        clock: Optional externally owned clock (a fresh one by default).
         backend: Execution backend for inference jobs; defaults to
             :class:`~repro.engine.backends.SerialBackend`.  Backends
             affect wall-clock time only, never results or charges.
-        billing: Detector billing policy, one of :data:`BILLING_POLICIES`.
         score_estimates: When False, REF-based score estimation is skipped
             entirely: the reference model is never inferred (or billed),
             and every evaluation reports ``est_ap = est_score = 0.0``.
@@ -332,7 +317,13 @@ class DetectionEnvironment:
             this environment; spans (detect / per-model / fuse / score)
             and evaluation counters flow through it.  The default no-op
             facade keeps uninstrumented runs zero-cost.
+
+    Every environment bills a fresh :class:`SimulatedClock` with the
+    default :class:`CostModel`.
     """
+
+    #: IoU threshold of every AP the environment computes (VOC's 0.5).
+    iou_threshold: float = 0.5
 
     def __init__(
         self,
@@ -340,12 +331,8 @@ class DetectionEnvironment:
         reference: object | None,
         scoring: ScoringFunction | None = None,
         fusion: EnsembleMethod | None = None,
-        cost_model: CostModel | None = None,
-        iou_threshold: float = 0.5,
         store: EvaluationStore | None = None,
-        clock: SimulatedClock | None = None,
         backend: ExecutionBackend | None = None,
-        billing: str = "sum",
         score_estimates: bool = True,
         obs: Observability = NULL_OBS,
     ) -> None:
@@ -358,11 +345,6 @@ class DetectionEnvironment:
         names = [d.name for d in detectors]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate detector names: {names}")
-        if billing not in BILLING_POLICIES:
-            raise ValueError(
-                f"unknown billing policy {billing!r}; "
-                f"known: {list(BILLING_POLICIES)}"
-            )
         self._detectors: dict[str, object] = {d.name: d for d in detectors}
         self.reference = reference
         self.scoring: ScoringFunction = (
@@ -371,18 +353,14 @@ class DetectionEnvironment:
         self.fusion: EnsembleMethod = (
             fusion if fusion is not None else WeightedBoxesFusion()
         )
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        if not 0.0 < iou_threshold <= 1.0:
-            raise ValueError("iou_threshold must be in (0, 1]")
-        self.iou_threshold = iou_threshold
+        self.cost_model = CostModel()
         self.store: EvaluationStore = (
             store if store is not None else EvaluationStore()
         )
-        self.clock = clock if clock is not None else SimulatedClock()
+        self.clock = SimulatedClock()
         self.backend: ExecutionBackend = (
             backend if backend is not None else SerialBackend()
         )
-        self.billing = billing
         self.score_estimates = score_estimates
         self.obs = obs
 
@@ -488,28 +466,20 @@ class DetectionEnvironment:
 
     # ---- inference ------------------------------------------------------
 
-    def _missing_jobs(
-        self, frame: Frame, models: Sequence[str]
+    def _jobs(
+        self, frame: Frame, models: Sequence[str], with_reference: bool
     ) -> tuple[list[InferenceJob], list[tuple[str, tuple[str, str]]]]:
-        """The inference jobs a frame still needs, with their store keys.
+        """The inference jobs of ``models`` on ``frame``, then REF's.
 
-        Membership tests go through the store's batched
-        :meth:`~repro.engine.store.EvaluationStore.contains_many` — one
-        lock acquisition per frame instead of one per model.
+        REF's job is added when ``with_reference`` is set and the
+        environment has a reference model.  Each job is paired with the
+        store stage and key its output goes under.
         """
-        jobs: list[InferenceJob] = []
-        stages: list[tuple[str, tuple[str, str]]] = []
-        detector_keys = [(frame.key, model) for model in models]
-        present = self.store.contains_many("detector", detector_keys)
-        for model, key, has in zip(models, detector_keys, present, strict=True):
-            if not has:
-                jobs.append(InferenceJob(self._detectors[model], frame))
-                stages.append(("detector", key))
-        if self._ref_name is not None:
-            ref_key = (frame.key, self._ref_name)
-            if not self.store.contains("reference", ref_key):
-                jobs.append(InferenceJob(self.reference, frame))
-                stages.append(("reference", ref_key))
+        jobs = [InferenceJob(self._detectors[model], frame) for model in models]
+        stages = [("detector", (frame.key, model)) for model in models]
+        if with_reference and self._ref_name is not None:
+            jobs.append(InferenceJob(self.reference, frame))
+            stages.append(("reference", (frame.key, self._ref_name)))
         return jobs, stages
 
     def _run_jobs(
@@ -574,24 +544,22 @@ class DetectionEnvironment:
         (billing, fusion, AP) is identical across backends and store
         states; wall clock is the only difference.
         """
-        keys = [(frame.key, model) for model in models]
-        outputs: dict[str, Any] = {}
-        jobs: list[InferenceJob] = []
-        stages: list[tuple[str, tuple[str, str]]] = []
-        stored = self.store.get_many("detector", keys)
-        for model, key, output in zip(models, keys, stored, strict=True):
-            if output is None:
-                jobs.append(InferenceJob(self._detectors[model], frame))
-                stages.append(("detector", key))
-            else:
-                outputs[model] = output
+        stored = self.store.get_many(
+            "detector", [(frame.key, model) for model in models]
+        )
+        outputs: dict[str, Any] = {
+            model: output
+            for model, output in zip(models, stored, strict=True)
+            if output is not None
+        }
         reference = None
         if self._ref_name is not None:
-            ref_key = (frame.key, self._ref_name)
-            reference = self.store.get("reference", ref_key)
-            if reference is None:
-                jobs.append(InferenceJob(self.reference, frame))
-                stages.append(("reference", ref_key))
+            reference = self.store.get("reference", (frame.key, self._ref_name))
+        jobs, stages = self._jobs(
+            frame,
+            [model for model in models if model not in outputs],
+            reference is None,
+        )
         if jobs:
             results = self._run_jobs(jobs, stages)
             for (stage, key), result in zip(stages, results, strict=True):
@@ -603,16 +571,11 @@ class DetectionEnvironment:
                     outputs[key[1]] = result.output
         return _FrameInputs(frame, outputs, reference)
 
-    def prefetch(
-        self,
-        frames: Iterable[Frame],
-        models: Sequence[str] | None = None,
-        include_reference: bool = True,
-    ) -> int:
+    def prefetch(self, frames: Iterable[Frame]) -> int:
         """Materialize many frames' outputs in one batched submission.
 
-        Coalesces every missing ``(model, frame)`` inference (plus REF,
-        unless ``include_reference`` is false) across ``frames`` into a
+        Coalesces every missing ``(model, frame)`` inference of the pool
+        (plus REF, when the environment has one) across ``frames`` into a
         single :meth:`~repro.engine.backends.ExecutionBackend.run` call,
         so pool backends amortize dispatch overhead via chunked
         submission instead of paying one round-trip per frame.  This is
@@ -627,35 +590,35 @@ class DetectionEnvironment:
         store entry and is simply re-attempted when the frame is
         evaluated, exactly like any other failed job.
 
+        Membership is tested with the store's uncounted, batched
+        :meth:`~repro.engine.store.EvaluationStore.contains_many` (one
+        lock acquisition per frame), so prefetching moves no lookup
+        statistic.
+
         Args:
             frames: Frames to materialize.
-            models: Detector names to run; defaults to the full pool.
-            include_reference: Also materialize REF outputs (when the
-                environment has a reference model).
 
         Returns:
             The number of inference jobs actually executed.
         """
-        names: Sequence[str] = (
-            self.model_names if models is None else list(models)
-        )
-        for name in names:
-            if name not in self._detectors:
-                raise KeyError(
-                    f"unknown detector {name!r}; pool: {list(self.model_names)}"
-                )
         jobs: list[InferenceJob] = []
         stages: list[tuple[str, tuple[str, str]]] = []
         for frame in frames:
-            frame_jobs, frame_stages = self._missing_jobs(frame, names)
-            if not include_reference and frame_stages:
-                trimmed = [
-                    (job, stage)
-                    for job, stage in zip(frame_jobs, frame_stages, strict=True)
-                    if stage[0] == "detector"
-                ]
-                frame_jobs = [job for job, _ in trimmed]
-                frame_stages = [stage for _, stage in trimmed]
+            present = self.store.contains_many(
+                "detector", [(frame.key, model) for model in self.model_names]
+            )
+            frame_jobs, frame_stages = self._jobs(
+                frame,
+                [
+                    model
+                    for model, has in zip(self.model_names, present, strict=True)
+                    if not has
+                ],
+                self._ref_name is not None
+                and not self.store.contains(
+                    "reference", (frame.key, self._ref_name)
+                ),
+            )
             jobs.extend(frame_jobs)
             stages.extend(frame_stages)
         if not jobs:
@@ -893,8 +856,8 @@ class DetectionEnvironment:
             keys: Ensembles to evaluate; member names must be in the pool.
                 Duplicates are collapsed.
             charge: If True, bill the clock for union-of-member detector
-                inference (combined per the billing policy), per-ensemble
-                fusion, and (once per frame) REF inference.  Pass False
+                inference (summed, Eq. 12/14), per-ensemble fusion, and
+                (once per frame) REF inference.  Pass False
                 for uncharged evaluations that still need estimated
                 scores; :meth:`peek` is the cheaper true-score-only view.
 
@@ -922,15 +885,11 @@ class DetectionEnvironment:
         inputs = realization.inputs
         outputs = inputs.outputs
 
-        member_times = [
+        detector_ms = sum(
             outputs[model].inference_time_ms
             for model in realization.union_models
             if model in outputs
-        ]
-        if self.billing == "max":
-            detector_ms = max(member_times)
-        else:
-            detector_ms = sum(member_times)
+        )
 
         reference_ms = 0.0
         if self.score_estimates and charge:

@@ -95,8 +95,10 @@ def profile_ensembles(
         keys: Ensembles to profile; defaults to the whole lattice.
 
     Returns:
-        One point per ensemble.  Profiling peeks (``charge=False``): it
-        models an offline calibration pass, not billed video ingestion.
+        One point per ensemble.  Profiling peeks
+        (:meth:`~repro.core.environment.DetectionEnvironment.peek`): it
+        models an offline calibration pass, not billed video ingestion,
+        and reads no REF-estimated AP.
     """
     if sample_stride < 1:
         raise ValueError("sample_stride must be at least 1")
@@ -106,7 +108,7 @@ def profile_ensembles(
         raise ValueError("no frames to profile")
     totals: dict[EnsembleKey, list[float]] = {k: [0.0, 0.0] for k in key_list}
     for frame in sample:
-        batch = env.evaluate(frame, key_list, charge=False)
+        batch = env.peek(frame, key_list)
         for key, evaluation in batch.evaluations.items():
             totals[key][0] += evaluation.true_ap
             totals[key][1] += evaluation.normalized_cost

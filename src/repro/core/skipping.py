@@ -19,11 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import replace
 
-from repro.core.environment import (
-    DetectionEnvironment,
-    EnsembleEvaluation,
-    EvaluationBatch,
-)
+from repro.core.environment import DetectionEnvironment, EvaluationBatch
 from repro.core.selection import (
     FrameObserver,
     FrameRecord,
@@ -100,6 +96,11 @@ class FrameSkipper(SelectionAlgorithm):
     skipped frame's ground truth, and near-zero charged cost.  A frame
     the inner run abandoned has no record, and neither has any frame
     that would reuse its detections.
+
+    Each caller observer fires once per result record, in order, with the
+    frame, that record and the batch its detections came from: the
+    frame's own batch when it was processed, the batch of the frame it
+    reuses when it was skipped.
     """
 
     def __init__(
@@ -155,21 +156,17 @@ class FrameSkipper(SelectionAlgorithm):
                 consecutive = 0
 
         # Phase 2: run the inner algorithm on the processed subsequence,
-        # keeping each processed frame's evaluation of its selection for
-        # the frames that reuse it.  Observers fire per *processed* frame
-        # (skipped frames never form an evaluation batch to observe).
-        kept: dict[int, EnsembleEvaluation] = {}
+        # keeping each processed frame's batch for the frames that reuse
+        # it and for the caller's observers.
+        batches: dict[int, EvaluationBatch] = {}
 
-        def keep_evaluation(
+        def keep_batch(
             frame: Frame, batch: EvaluationBatch, record: FrameRecord
         ) -> None:
-            kept[record.iteration] = batch.serving(record.selected)
+            batches[record.iteration] = batch
 
         inner_result = self.inner.run(
-            env,
-            processed_frames,
-            budget_ms=budget_ms,
-            observers=[*observers, keep_evaluation],
+            env, processed_frames, budget_ms=budget_ms, observers=[keep_batch]
         )
         inner_records = {
             record.iteration: record for record in inner_result.records
@@ -184,26 +181,18 @@ class FrameSkipper(SelectionAlgorithm):
             source_record = inner_records.get(source)
             if source_record is None:
                 continue
-            if not skipped:
-                records.append(
-                    replace(
-                        source_record,
-                        iteration=t,
-                        charged_ms=source_record.charged_ms + DIFF_DETECTOR_MS,
-                    )
+            batch = batches[source]
+            if skipped:
+                reused = batch.serving(source_record.selected)
+                true_ap = mean_average_precision(
+                    reused.detections,
+                    frame.ground_truth_detections(),
+                    env.iou_threshold,
                 )
-                continue
-            reused = kept[source]
-            true_ap = mean_average_precision(
-                reused.detections,
-                frame.ground_truth_detections(),
-                env.iou_threshold,
-            )
-            # The reused output costs nothing but the difference check;
-            # its score reflects zero inference time.
-            c_hat = env.normalized_cost(DIFF_DETECTOR_MS)
-            records.append(
-                FrameRecord(
+                # The reused output costs nothing but the difference check;
+                # its score reflects zero inference time.
+                c_hat = env.normalized_cost(DIFF_DETECTOR_MS)
+                record = FrameRecord(
                     iteration=t,
                     frame_index=frame.index,
                     selected=source_record.selected,
@@ -216,7 +205,15 @@ class FrameSkipper(SelectionAlgorithm):
                     charged_ms=DIFF_DETECTOR_MS,
                     realized=source_record.realized,
                 )
-            )
+            else:
+                record = replace(
+                    source_record,
+                    iteration=t,
+                    charged_ms=source_record.charged_ms + DIFF_DETECTOR_MS,
+                )
+            records.append(record)
+            for observer in observers:
+                observer(frame, batch, record)
         return SelectionResult(
             algorithm=self.name, records=records, budget_ms=budget_ms
         )

@@ -15,8 +15,9 @@ Backends change *wall-clock* time only.  Every simulated-clock charge,
 score and selection is computed from the returned outputs afterwards on
 the calling thread, so all backends are bitwise-equivalent on results —
 a property ``tests/test_engine_backends.py`` pins for MES, MES-B and
-SW-MES.  How parallel hardware is *billed* is a separate, explicit knob
-(the environment's ``billing`` policy), never an accident of the backend.
+SW-MES.  Billing never depends on the backend either: the environment
+adds up the members' simulated inference times (Eq. 12/14) even when a
+parallel backend ran them at once.
 """
 
 from __future__ import annotations

@@ -365,24 +365,35 @@ class EvaluationStore:
             compute_ms: Wall-clock ms it took to compute, accumulated into
                 the stage's timing counters.
         """
+        self._check_put(value, compute_ms)
+        with self._lock:
+            self._put_locked(stage, key, value, compute_ms)
+
+    @staticmethod
+    def _check_put(value: Any, compute_ms: float) -> None:
         if value is None:
             raise ValueError("EvaluationStore cannot cache None values")
         if compute_ms < 0:
             raise ValueError("compute_ms must be non-negative")
+
+    def _put_locked(
+        self, stage: str, key: Hashable, value: Any, compute_ms: float
+    ) -> None:
+        """One insert of a value :meth:`_check_put` accepted; caller holds
+        the lock."""
+        self._stage(stage).compute_ms += compute_ms
         full_key = (stage, key)
-        with self._lock:
-            self._stage(stage).compute_ms += compute_ms
-            if full_key in self._entries:
-                # A racing thread inserted first; keep the existing entry
-                # (values are deterministic, so they are identical).
-                self._entries.move_to_end(full_key)
-                return
-            self._insert_locked(full_key, value)
-            if self._tier is not None and self._tier.accepts(stage):
-                # Write through so the entry survives this process.  The
-                # tier deduplicates keys itself; values are deterministic,
-                # so duplicate stores are harmless either way.
-                self._tier.store(stage, key, value)
+        if full_key in self._entries:
+            # A racing thread inserted first; keep the existing entry
+            # (values are deterministic, so they are identical).
+            self._entries.move_to_end(full_key)
+            return
+        self._insert_locked(full_key, value)
+        if self._tier is not None and self._tier.accepts(stage):
+            # Write through so the entry survives this process.  The
+            # tier deduplicates keys itself; values are deterministic,
+            # so duplicate stores are harmless either way.
+            self._tier.store(stage, key, value)
 
     def get_or_compute(
         self, stage: str, key: Hashable, compute: Callable[[], Any]
@@ -405,9 +416,13 @@ class EvaluationStore:
         see tier-resident entries as present and skip recomputation.
         """
         with self._lock:
-            if (stage, key) in self._entries:
-                return True
-            return self._tier_load_locked(stage, key) is not None
+            return self._contains_locked(stage, key)
+
+    def _contains_locked(self, stage: str, key: Hashable) -> bool:
+        """One uncounted membership test; caller holds the lock."""
+        return (stage, key) in self._entries or (
+            self._tier_load_locked(stage, key) is not None
+        )
 
     def contains_many(
         self, stage: str, keys: Sequence[Hashable]
@@ -419,11 +434,7 @@ class EvaluationStore:
         frames) without taking the store lock once per model.
         """
         with self._lock:
-            return [
-                (stage, key) in self._entries
-                or self._tier_load_locked(stage, key) is not None
-                for key in keys
-            ]
+            return [self._contains_locked(stage, key) for key in keys]
 
     def put_many(
         self,
@@ -439,21 +450,10 @@ class EvaluationStore:
                 write-through to the persistent tier).
         """
         for _, value, compute_ms in items:
-            if value is None:
-                raise ValueError("EvaluationStore cannot cache None values")
-            if compute_ms < 0:
-                raise ValueError("compute_ms must be non-negative")
+            self._check_put(value, compute_ms)
         with self._lock:
-            stats = self._stage(stage)
             for key, value, compute_ms in items:
-                stats.compute_ms += compute_ms
-                full_key = (stage, key)
-                if full_key in self._entries:
-                    self._entries.move_to_end(full_key)
-                    continue
-                self._insert_locked(full_key, value)
-                if self._tier is not None and self._tier.accepts(stage):
-                    self._tier.store(stage, key, value)
+                self._put_locked(stage, key, value, compute_ms)
 
     def stats(self) -> CacheStats:
         """An immutable snapshot of counters and per-stage timing."""

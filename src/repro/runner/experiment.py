@@ -18,13 +18,11 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.core.environment import DetectionEnvironment, EvaluationStore
-from repro.core.scoring import ScoringFunction, WeightedLogScore
+from repro.core.scoring import ScoringFunction
 from repro.core.selection import SelectionAlgorithm, SelectionResult
 from repro.engine.backends import ExecutionBackend
 from repro.ensembling.base import EnsembleMethod
-from repro.ensembling.wbf import WeightedBoxesFusion
 from repro.obs import NULL_OBS, Observability
-from repro.simulation.clock import CostModel
 from repro.simulation.datasets import BDD_SPEC, NUSCENES_SPEC, DatasetSpec
 from repro.simulation.detectors import SimulatedDetector
 from repro.simulation.faults import apply_fault_profile
@@ -61,6 +59,9 @@ _BDD_SUITE: tuple[tuple[str, str], ...] = (
     ("yolov7-micro", "all"),
     ("faster-rcnn", "all"),
 )
+
+#: The largest pool size ``m`` the suites offer.
+MAX_POOL_SIZE = min(len(_NUSC_SUITE), len(_BDD_SUITE))
 
 
 def _build_suite(
@@ -190,34 +191,29 @@ def make_environment(
     setup: TrialSetup,
     scoring: ScoringFunction | None = None,
     fusion: EnsembleMethod | None = None,
-    cost_model: CostModel | None = None,
     store: EvaluationStore | None = None,
     backend: ExecutionBackend | None = None,
-    billing: str = "sum",
     obs: Observability = NULL_OBS,
 ) -> DetectionEnvironment:
     """A fresh environment over a trial setup (optionally sharing a store).
 
     Args:
         setup: The trial.
-        scoring / fusion / cost_model: Environment configuration.
+        scoring / fusion: Environment configuration; ``None`` keeps the
+            environment's defaults.
         store: Optional shared :class:`EvaluationStore`.
         backend: Optional execution backend (serial by default); affects
             wall clock only.
-        billing: Detector billing policy (``"sum"`` per Eq. 12/14, or
-            ``"max"`` for parallel-device deployments).
         obs: Observability facade threaded into the environment (and
             through it, the selection frame loop).
     """
     return DetectionEnvironment(
         detectors=list(setup.detectors),
         reference=setup.reference,
-        scoring=scoring if scoring is not None else WeightedLogScore(0.5),
-        fusion=fusion if fusion is not None else WeightedBoxesFusion(),
-        cost_model=cost_model,
+        scoring=scoring,
+        fusion=fusion,
         store=store,
         backend=backend,
-        billing=billing,
         obs=obs,
     )
 
@@ -230,7 +226,6 @@ def run_algorithms(
     fusion: EnsembleMethod | None = None,
     store: EvaluationStore | None = None,
     backend: ExecutionBackend | None = None,
-    billing: str = "sum",
     obs: Observability = NULL_OBS,
 ) -> dict[str, SelectionResult]:
     """Run several algorithms on one trial with a shared evaluation store.
@@ -247,7 +242,6 @@ def run_algorithms(
             trial).
         backend: Optional execution backend shared by all runs (the caller
             owns its lifecycle); wall clock only, results unchanged.
-        billing: Detector billing policy for every run.
         obs: Observability facade shared by every run (per-algorithm
             series are separated by the ``algorithm`` metric label).
 
@@ -264,7 +258,6 @@ def run_algorithms(
             fusion=fusion,
             store=store,
             backend=backend,
-            billing=billing,
             obs=obs,
         )
         algorithm = factory()

@@ -103,7 +103,6 @@ def compare_algorithms(
     budget_ms: float | None = None,
     store_by_trial: dict[int, EvaluationStore] | None = None,
     backend: ExecutionBackend | None = None,
-    billing: str = "sum",
     obs: Observability = NULL_OBS,
 ) -> dict[str, TrialOutcome]:
     """Run the multi-trial comparison protocol.
@@ -124,7 +123,6 @@ def compare_algorithms(
             trials; sharing stores avoids re-inferring every frame).
         backend: Optional execution backend shared across all trials (the
             caller owns its lifecycle); wall clock only, results unchanged.
-        billing: Detector billing policy for every run.
         obs: Observability facade shared by the whole comparison; per-trial
             and per-algorithm detail lives in labels/events, while the
             counters accumulate across the protocol.
@@ -150,7 +148,6 @@ def compare_algorithms(
                 budget_ms=budget_ms,
                 store=store,
                 backend=backend,
-                billing=billing,
                 obs=obs,
             )
         obs.count(

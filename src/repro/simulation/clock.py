@@ -99,6 +99,11 @@ class CostModel:
 #: Ledger component names, in reporting order.
 COMPONENTS = ("detector", "reference", "ensembling", "overhead")
 
+#: How many recent once-only charge keys a clock remembers (see
+#: :meth:`SimulatedClock.charge_once`).  Bounded so unbounded frame
+#: streams cannot grow the clock's memory without limit.
+CHARGE_ONCE_WINDOW = 4096
+
 
 @dataclass
 class SimulatedClock:
@@ -114,10 +119,6 @@ class SimulatedClock:
     reference_ms: float = 0.0
     ensembling_ms: float = 0.0
     overhead_ms: float = 0.0
-    #: How many recent once-only charge keys to remember (see
-    #: :meth:`charge_once`).  Bounded so unbounded frame streams cannot
-    #: grow the clock's memory without limit.
-    charge_once_window: int = 4096
     _charged_keys: "OrderedDict[tuple[str, Hashable], None]" = field(
         default_factory=OrderedDict, repr=False, compare=False
     )
@@ -150,7 +151,7 @@ class SimulatedClock:
         Used for per-frame once-only costs — REF inference is billed once
         per processed frame (Section 2.3) no matter how many evaluation
         batches touch the frame.  The charged-key memory is an LRU bounded
-        by :attr:`charge_once_window`, so environments stay reusable over
+        by :data:`CHARGE_ONCE_WINDOW`, so environments stay reusable over
         unbounded streams; under sequential frame processing a key only
         recurs while it is still within the window.  :meth:`reset` clears
         the memory along with the ledgers, making a clock (and the
@@ -166,7 +167,7 @@ class SimulatedClock:
             return False
         self.charge(component, ms)
         self._charged_keys[full_key] = None
-        while len(self._charged_keys) > self.charge_once_window:
+        while len(self._charged_keys) > CHARGE_ONCE_WINDOW:
             self._charged_keys.popitem(last=False)
         return True
 

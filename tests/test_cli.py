@@ -39,6 +39,10 @@ class TestParser:
         assert args.dataset == "bdd"
         assert args.frames == 100
         assert args.w1 == 0.7
+        bounds = ["--frames", "0", "--m", "6", "--w1", "1", "--retries", "1"]
+        args = build_parser().parse_args(["compare", *bounds])
+        assert (args.frames, args.m, args.w1, args.retries) == (0, 6, 1.0, 1)
+        assert build_parser().parse_args(["compare", "--w1", "0"]).w1 == 0.0
 
     def test_unknown_dataset_rejected(self):
         with pytest.raises(SystemExit):
@@ -147,6 +151,42 @@ class TestWorkersValidation:
             )
         err = capsys.readouterr().err
         assert "--workers requires --backend thread or process" in err
+
+
+class TestNumberValidation:
+    """Out-of-range numbers are usage errors (exit 2), not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--trials=0"],
+            ["compare", "--frames=-1"],
+            ["compare", "--m=9"],
+            ["compare", "--w1=1.5"],
+            ["compare", "--scale=0"],
+            ["compare", "--budget=-5"],
+            ["compare", "--timeout-ms=0"],
+            ["compare", "--retries=-4"],
+            ["compare", "--scale=nan"],
+            ["query", "--m=0", "SELECT x"],
+            ["query", "--frames=-1", "SELECT x"],
+            ["query", "--scale=0", "SELECT x"],
+            ["query", "--timeout-ms=-1", "SELECT x"],
+            ["query", "--retries=0", "SELECT x"],
+        ],
+    )
+    def test_out_of_range_rejected_at_parse_time(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        [*_, error] = capsys.readouterr().err.splitlines()
+        assert error.startswith(f"repro {argv[0]}: error: argument ")
+        assert "must be" in error
+
+    def test_non_number_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["compare", "--w1", "high"])
+        assert "expected a number" in capsys.readouterr().err
 
 
 class TestObservabilityFlags:

@@ -33,11 +33,9 @@ ALGORITHMS = {
 }
 
 
-def _run(algorithm, backend, detector_pool, lidar, frames, billing="sum"):
+def _run(algorithm, backend, detector_pool, lidar, frames):
     factory, budget_ms = ALGORITHMS[algorithm]
-    env = DetectionEnvironment(
-        detector_pool, lidar, backend=backend, billing=billing
-    )
+    env = DetectionEnvironment(detector_pool, lidar, backend=backend)
     result = factory().run(env, frames, budget_ms=budget_ms)
     return result, env.clock.snapshot()
 
@@ -207,48 +205,6 @@ class TestFaultedBackendEquivalence:
         second_records, second_stats = run_once()
         assert first_records == second_records
         assert first_stats == second_stats
-
-
-class TestBillingPolicy:
-    def test_max_charges_slowest_member_only(
-        self, detector_pool, lidar, simple_frame
-    ):
-        env_sum = DetectionEnvironment(detector_pool, lidar, billing="sum")
-        env_max = DetectionEnvironment(detector_pool, lidar, billing="max")
-        keys = [env_sum.full_ensemble]
-        batch_sum = env_sum.evaluate(simple_frame, keys, charge=True)
-        batch_max = env_max.evaluate(simple_frame, keys, charge=True)
-        members = [
-            env_sum.store.get("detector", (simple_frame.key, m)).inference_time_ms
-            for m in env_sum.model_names
-        ]
-        assert batch_sum.detector_ms == pytest.approx(sum(members))
-        assert batch_max.detector_ms == pytest.approx(max(members))
-        assert env_max.clock.detector_ms < env_sum.clock.detector_ms
-
-    def test_billing_does_not_change_scores(
-        self, detector_pool, lidar, simple_frame
-    ):
-        """The policy bills the clock; per-ensemble scoring costs (Eq. 1)
-        are the ensemble's own and unaffected."""
-        env_sum = DetectionEnvironment(detector_pool, lidar, billing="sum")
-        env_max = DetectionEnvironment(detector_pool, lidar, billing="max")
-        keys = env_sum.all_ensembles
-        batch_sum = env_sum.evaluate(simple_frame, keys, charge=False)
-        batch_max = env_max.evaluate(simple_frame, keys, charge=False)
-        for key in keys:
-            assert (
-                batch_sum.evaluations[key].est_score
-                == batch_max.evaluations[key].est_score
-            )
-            assert (
-                batch_sum.evaluations[key].cost_ms
-                == batch_max.evaluations[key].cost_ms
-            )
-
-    def test_unknown_policy_rejected(self, detector_pool, lidar):
-        with pytest.raises(ValueError, match="billing"):
-            DetectionEnvironment(detector_pool, lidar, billing="mean")
 
 
 class TestBackendMechanics:

@@ -169,6 +169,8 @@ class TestPrefetch:
             assert env.store.contains("reference", (frame.key, "lidar-ref"))
         # Everything is warm: a second prefetch does nothing.
         assert env.prefetch(frames) == 0
+        # Membership tests are not lookups: prefetching counts none.
+        assert env.store.stats().lookups == 0
 
     def test_prefetch_is_result_neutral(
         self, detector_pool, lidar, small_video
@@ -202,23 +204,6 @@ class TestPrefetch:
         detector = after.stages["detector"]
         # Evaluation looked detector outputs up without recomputing any.
         assert detector.misses == before.stages["detector"].misses
-
-    def test_prefetch_model_subset(self, detector_pool, lidar, small_video):
-        env = DetectionEnvironment(detectors=detector_pool, reference=lidar)
-        frame = small_video.frames[0]
-        only = env.model_names[0]
-        env.prefetch([frame], models=[only], include_reference=False)
-        assert env.store.contains("detector", (frame.key, only))
-        for other in env.model_names[1:]:
-            assert not env.store.contains("detector", (frame.key, other))
-        assert not env.store.contains("reference", (frame.key, "lidar-ref"))
-
-    def test_prefetch_unknown_model_rejected(
-        self, detector_pool, lidar, small_video
-    ):
-        env = DetectionEnvironment(detectors=detector_pool, reference=lidar)
-        with pytest.raises(KeyError, match="unknown detector"):
-            env.prefetch(small_video.frames[:1], models=["resnet-900"])
 
 
 #: A valid non-default value for every fusion-method constructor parameter.

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.environment import DetectionEnvironment
 from repro.core.pareto import (
     EnsemblePoint,
     dominates,
@@ -108,6 +109,29 @@ class TestProfiling:
     def test_profiling_does_not_charge(self, environment, small_video):
         profile_ensembles(environment, small_video.frames, sample_stride=5)
         assert environment.clock.total_ms == 0.0
+
+    def test_profiling_reads_true_scores_only(
+        self, detector_pool, lidar, small_video
+    ):
+        """Profiling estimates no AP against REF, and its points equal
+        those of uncharged evaluations."""
+        env = DetectionEnvironment(detector_pool, lidar)
+        points = profile_ensembles(env, small_video.frames, sample_stride=5)
+        assert "est_ap" not in env.store.stats().stages
+        reference_env = DetectionEnvironment(detector_pool, lidar)
+        sample = small_video.frames[::5]
+        expected = []
+        for key in reference_env.all_ensembles:
+            evaluations = [
+                reference_env.evaluate(frame, [key], charge=False).evaluations[key]
+                for frame in sample
+            ]
+            ap = sum(e.true_ap for e in evaluations)
+            cost = sum(e.normalized_cost for e in evaluations)
+            expected.append(
+                EnsemblePoint(key, ap / len(sample), cost / len(sample))
+            )
+        assert points == expected
 
     def test_pareto_ensembles_subset_of_lattice(self, environment, small_video):
         front = pareto_ensembles(environment, small_video.frames, sample_stride=5)

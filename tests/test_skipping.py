@@ -135,6 +135,35 @@ class TestFrameSkipper:
     def test_name_wraps_inner(self):
         assert FrameSkipper(MES()).name == "skip(MES)"
 
+    def test_observers_see_the_result_records(self):
+        """Each observer call carries a record of the result, in order,
+        with the batch its detections came from."""
+        setup = standard_setup(
+            "nusc-night", trial=0, scale=0.02, m=3, max_frames=30, seed=0
+        )
+        env = DetectionEnvironment(list(setup.detectors), setup.reference)
+        seen = []
+        result = FrameSkipper(MES(gamma=3)).run(
+            env,
+            setup.frames,
+            observers=[lambda *call: seen.append(call)],
+        )
+        assert [record for _, _, record in seen] == result.records
+        processed_batch = None
+        for frame, batch, record in seen:
+            assert frame.index == record.frame_index
+            if record.charged_ms > DIFF_DETECTOR_MS:
+                assert record.charged_ms == batch.billable_ms + DIFF_DETECTOR_MS
+                processed_batch = batch
+            else:  # skipped: the batch of the frame whose detections it reuses
+                assert batch is processed_batch
+            assert batch.serving(record.selected).realized_key == (
+                record.realized or record.selected
+            )
+        assert len(seen) > sum(
+            1 for record in result.records if record.charged_ms > DIFF_DETECTOR_MS
+        )
+
     def test_requires_iterative_algorithm(self, environment, small_video):
         class NotIterative:
             name = "X"
