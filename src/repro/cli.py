@@ -72,7 +72,6 @@ def _argument_type(
 
 
 _positive_int = _argument_type(int, lambda n: n >= 1, "a positive integer")
-_frame_count = _argument_type(int, lambda n: n >= 0, "a non-negative integer")
 _pool_size = _argument_type(
     int, lambda n: 1 <= n <= MAX_POOL_SIZE, f"an integer in [1, {MAX_POOL_SIZE}]"
 )
@@ -285,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--dataset", default="nusc-night", choices=dataset_keys()
     )
-    compare.add_argument("--frames", type=_frame_count, default=600)
+    compare.add_argument("--frames", type=_positive_int, default=600)
     compare.add_argument("--trials", type=_positive_int, default=2)
     compare.add_argument("--m", type=_pool_size, default=5, help="detector pool size")
     compare.add_argument(
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--dataset", default="nusc-clear", choices=dataset_keys()
     )
-    query.add_argument("--frames", type=_frame_count, default=300)
+    query.add_argument("--frames", type=_positive_int, default=300)
     query.add_argument("--m", type=_pool_size, default=3)
     query.add_argument("--scale", type=_positive_number, default=0.1)
     query.add_argument(

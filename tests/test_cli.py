@@ -39,9 +39,9 @@ class TestParser:
         assert args.dataset == "bdd"
         assert args.frames == 100
         assert args.w1 == 0.7
-        bounds = ["--frames", "0", "--m", "6", "--w1", "1", "--retries", "1"]
+        bounds = ["--frames", "1", "--m", "6", "--w1", "1", "--retries", "1"]
         args = build_parser().parse_args(["compare", *bounds])
-        assert (args.frames, args.m, args.w1, args.retries) == (0, 6, 1.0, 1)
+        assert (args.frames, args.m, args.w1, args.retries) == (1, 6, 1.0, 1)
         assert build_parser().parse_args(["compare", "--w1", "0"]).w1 == 0.0
 
     def test_unknown_dataset_rejected(self):
@@ -169,7 +169,7 @@ class TestNumberValidation:
             ["compare", "--retries=-4"],
             ["compare", "--scale=nan"],
             ["query", "--m=0", "SELECT x"],
-            ["query", "--frames=-1", "SELECT x"],
+            ["query", "--frames=0", "SELECT x"],
             ["query", "--scale=0", "SELECT x"],
             ["query", "--timeout-ms=-1", "SELECT x"],
             ["query", "--retries=0", "SELECT x"],
