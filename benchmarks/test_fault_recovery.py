@@ -22,7 +22,7 @@ from benchmarks.common import banner, scaled
 
 from repro.core.mes import MES
 from repro.engine.backends import SerialBackend
-from repro.engine.resilience import BreakerPolicy, ResilientBackend, RetryPolicy
+from repro.engine.resilience import ResilientBackend
 from repro.runner.experiment import make_environment, standard_setup
 
 #: Minimum fraction of the fault-free s_sum MES must keep under outage.
@@ -45,11 +45,7 @@ def _mes_run(fault_profile: str):
     )
     backend = None
     if fault_profile != "none":
-        backend = ResilientBackend(
-            SerialBackend(),
-            retry=RetryPolicy(max_attempts=2, seed=SEED),
-            breaker=BreakerPolicy(failure_threshold=3, cooldown_batches=5),
-        )
+        backend = ResilientBackend(SerialBackend(), max_attempts=2)
     env = make_environment(setup, backend=backend)
     result = MES().run(env, setup.frames)
     return setup, env, result

@@ -3,18 +3,18 @@
 
 Injects the ``flaky-first`` fault profile (the first detector raises
 transient errors and spikes its latency) and a sustained outage, executes
-MES through the resilient backend — retry with exponential backoff, a
-per-detector circuit breaker, simulated-latency timeouts — and shows how
-the run degrades gracefully instead of aborting: frames fall back to the
-healthy subset, the breaker masks the dead arm, and the score stays close
-to the fault-free baseline.
+MES through the resilient backend — immediate retries, a per-detector
+circuit breaker, simulated-latency timeouts — and shows how the run
+degrades gracefully instead of aborting: frames fall back to the healthy
+subset, the breaker masks the dead arm, and the score stays close to the
+fault-free baseline.
 
 Run:  python examples/unreliable_detectors.py
 """
 
 from repro import MES, WeightedLogScore
 from repro.engine.backends import SerialBackend
-from repro.engine.resilience import BreakerPolicy, ResilientBackend, RetryPolicy
+from repro.engine.resilience import ResilientBackend
 from repro.runner import make_environment, standard_setup
 
 
@@ -26,10 +26,7 @@ def run_profile(profile: str):
     backend = None
     if profile != "none":
         backend = ResilientBackend(
-            SerialBackend(),
-            retry=RetryPolicy(max_attempts=3, backoff_base_ms=10.0, seed=7),
-            breaker=BreakerPolicy(failure_threshold=3, cooldown_batches=5),
-            timeout_ms=2_000.0,
+            SerialBackend(), max_attempts=3, timeout_ms=2_000.0
         )
     env = make_environment(
         setup, scoring=WeightedLogScore(accuracy_weight=0.5), backend=backend

@@ -26,7 +26,7 @@ from repro.engine.backends import (
     make_backend,
     wall_timer,
 )
-from repro.engine.resilience import BreakerPolicy, ResilientBackend, RetryPolicy
+from repro.engine.resilience import ResilientBackend
 from repro.obs import (
     NULL_OBS,
     OBS_LEVELS,
@@ -84,6 +84,9 @@ _weight = _argument_type(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
 #: Default pool size for the parallel backends when ``--workers`` is absent.
 _DEFAULT_WORKERS = 4
 
+#: Default attempts per inference job when ``--retries`` is absent.
+_DEFAULT_RETRIES = 3
+
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     """The execution-engine flags shared by ``compare`` and ``query``."""
@@ -119,13 +122,19 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
         "--fault-seed",
         type=int,
         default=None,
-        help="root seed of the fault streams (derived per trial by default)",
+        help=(
+            "root seed of the fault streams (derived per trial by default); "
+            "requires --fault-profile"
+        ),
     )
     parser.add_argument(
         "--retries",
         type=_positive_int,
-        default=3,
-        help="total attempts per inference job under faults (1 disables)",
+        default=None,
+        help=(
+            f"total attempts per inference job (default {_DEFAULT_RETRIES}; "
+            "1 disables retries); requires --fault-profile or --timeout-ms"
+        ),
     )
     parser.add_argument(
         "--timeout-ms",
@@ -173,11 +182,12 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
 def _validate_backend_arguments(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
-    """Reject inconsistent backend/observability flags at parse time.
+    """Reject inconsistent backend/fault/observability flags at parse time.
 
     ``--workers 0`` never reaches pool construction (the argparse type
-    rejects it), and ``--workers`` with the serial backend errors instead
-    of being silently ignored.
+    rejects it), and a flag the run would ignore (``--workers`` with the
+    serial backend, ``--retries`` or ``--fault-seed`` on a run that
+    injects no faults) errors instead of being silently dropped.
     """
     if args.workers is not None and args.backend == "serial":
         parser.error(
@@ -186,6 +196,19 @@ def _validate_backend_arguments(
         )
     if args.workers is None:
         args.workers = _DEFAULT_WORKERS
+    faulty = args.fault_profile != "none"
+    if args.retries is not None and not (faulty or args.timeout_ms is not None):
+        parser.error(
+            "--retries requires --fault-profile or --timeout-ms "
+            "(a run without them retries nothing)"
+        )
+    if args.retries is None:
+        args.retries = _DEFAULT_RETRIES
+    if args.fault_seed is not None and not faulty:
+        parser.error(
+            "--fault-seed requires --fault-profile "
+            "(a run without faults draws no fault stream)"
+        )
     if args.trace_out is not None and args.obs_level != "trace":
         parser.error("--trace-out requires --obs-level trace")
     if args.metrics_out is not None and args.obs_level == "off":
@@ -249,11 +272,7 @@ def _open_backend(
     if not resilient:
         return backend
     return ResilientBackend(
-        backend,
-        retry=RetryPolicy(max_attempts=args.retries),
-        breaker=BreakerPolicy(),
-        timeout_ms=args.timeout_ms,
-        obs=obs,
+        backend, max_attempts=args.retries, timeout_ms=args.timeout_ms, obs=obs
     )
 
 

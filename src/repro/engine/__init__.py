@@ -7,9 +7,9 @@ and the detector models; it imports nothing from :mod:`repro.core`:
   thread pool, process pool), wall-clock only, result-equivalent;
 * :mod:`repro.engine.store` — the bounded, LRU-evicting, thread-safe
   :class:`EvaluationStore` with :class:`CacheStats` instrumentation;
-* :mod:`repro.engine.resilience` — retries with deterministic backoff,
-  simulated-latency timeouts and per-detector circuit breakers
-  (:class:`ResilientBackend`), with :class:`FaultStats` instrumentation.
+* :mod:`repro.engine.resilience` — immediate retries, simulated-latency
+  timeouts and per-detector circuit breakers (:class:`ResilientBackend`),
+  with :class:`FaultStats` instrumentation.
 """
 
 from repro.engine.backends import (
@@ -23,13 +23,7 @@ from repro.engine.backends import (
     ThreadPoolBackend,
     make_backend,
 )
-from repro.engine.resilience import (
-    BreakerPolicy,
-    CircuitBreaker,
-    FaultStats,
-    ResilientBackend,
-    RetryPolicy,
-)
+from repro.engine.resilience import CircuitBreaker, FaultStats, ResilientBackend
 from repro.engine.store import CacheStats, DEFAULT_CAPACITY, EvaluationStore, StageStats
 
 __all__ = [
@@ -38,11 +32,9 @@ __all__ = [
     "ExecutionBackend",
     "InferenceJob",
     "JobResult",
-    "BreakerPolicy",
     "CircuitBreaker",
     "FaultStats",
     "ResilientBackend",
-    "RetryPolicy",
     "SerialBackend",
     "ThreadPoolBackend",
     "ProcessPoolBackend",

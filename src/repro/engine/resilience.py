@@ -1,16 +1,12 @@
 """Resilient execution: retries, timeouts and per-detector circuit breakers.
 
 :class:`ResilientBackend` wraps any :class:`~repro.engine.backends.ExecutionBackend`
-and turns raw job failures into a managed fault-tolerance policy:
+and turns raw job failures into one fixed fault-tolerance rule:
 
-* **Retry with deterministic exponential backoff.**  Failed and timed-out
-  jobs are re-executed up to :attr:`RetryPolicy.max_attempts` times.
-  Backoff delays are ``base * multiplier^(attempt-1)`` plus jitter drawn
-  from :func:`repro.utils.rng.derive_rng` keyed by (model, frame, attempt),
-  so the delay schedule — like everything else in this repo — is a pure
-  function of the seed.  Sleeping goes through an injected ``sleep`` seam
-  (no-op by default: the simulator has no reason to actually wait), so the
-  module never reads the wall clock (lint rule RPR002).
+* **Retry.**  Failed and timed-out jobs are re-executed at once, up to
+  ``max_attempts`` attempts in all.  Nothing waits between attempts: the
+  simulated clock bills inference and fusion only, so a delay would be
+  neither spent nor charged.
 
 * **Per-job timeout.**  Jobs whose *simulated* latency
   (``output.inference_time_ms``) exceeds ``timeout_ms`` are classified
@@ -19,14 +15,13 @@ and turns raw job failures into a managed fault-tolerance policy:
   runs bit-for-bit reproducible across backends — a wall-clock timeout
   would make the fault trace scheduling-dependent.
 
-* **Per-detector circuit breaker.**  After
-  :attr:`BreakerPolicy.failure_threshold` consecutive failures a model's
-  circuit opens: its jobs are skipped (``"skipped-open-circuit"``) without
-  touching the model.  After :attr:`BreakerPolicy.cooldown_batches` calls
-  to :meth:`ResilientBackend.run` the circuit goes half-open and admits a
-  single probe job; success closes it, failure re-opens it.  Cooldown is
-  counted in batches (one batch per processed frame), not wall time, so
-  breaker traces are deterministic.
+* **Per-detector circuit breaker.**  After :data:`FAILURE_THRESHOLD`
+  consecutive failures a model's circuit opens: its jobs are skipped
+  (``"skipped-open-circuit"``) without touching the model.  After
+  :data:`COOLDOWN_BATCHES` calls to :meth:`ResilientBackend.run` the
+  circuit goes half-open and admits a single probe job; success closes
+  it, failure re-opens it.  Cooldown is counted in batches (one batch per
+  processed frame), not wall time, so breaker traces are deterministic.
 
 All breaker and retry bookkeeping runs on the *calling* thread — jobs are
 dispatched to the inner backend, but their outcomes are folded into
@@ -43,144 +38,57 @@ from dataclasses import dataclass, replace
 
 from repro.engine.backends import ExecutionBackend, InferenceJob, JobResult
 from repro.obs import NULL_OBS, Observability
-from repro.utils.rng import derive_rng
 
 __all__ = [
-    "RetryPolicy",
-    "BreakerPolicy",
+    "FAILURE_THRESHOLD",
+    "COOLDOWN_BATCHES",
     "CircuitBreaker",
     "FaultStats",
     "ResilientBackend",
 ]
 
+#: Consecutive failures that open a model's circuit.
+FAILURE_THRESHOLD = 3
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Deterministic retry schedule for failed / timed-out jobs.
-
-    Attributes:
-        max_attempts: Total execution attempts per job (>= 1; 1 disables
-            retries).
-        backoff_base_ms: Delay before the first retry.
-        backoff_multiplier: Growth factor per further retry (>= 1).
-        jitter_ms: Upper bound of the uniform jitter added to each delay,
-            drawn deterministically per (model, frame, attempt).
-        seed: Root seed of the jitter stream.
-    """
-
-    max_attempts: int = 3
-    backoff_base_ms: float = 1.0
-    backoff_multiplier: float = 2.0
-    jitter_ms: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.backoff_base_ms < 0:
-            raise ValueError("backoff_base_ms must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if self.jitter_ms < 0:
-            raise ValueError("jitter_ms must be non-negative")
-
-    def delay_ms(self, model: str, frame_key: object, attempt: int) -> float:
-        """Backoff delay before retry number ``attempt`` (1-based).
-
-        Deterministic for fixed (seed, model, frame, attempt): the base
-        grows exponentially with the attempt number and the jitter is a
-        seeded uniform draw, never global randomness (RPR001).
-        """
-        if attempt < 1:
-            raise ValueError("attempt numbering starts at 1")
-        base = self.backoff_base_ms * self.backoff_multiplier ** (attempt - 1)
-        if self.jitter_ms <= 0:
-            return base
-        rng = derive_rng(self.seed, "backoff", model, str(frame_key), attempt)
-        return base + float(rng.uniform(0.0, self.jitter_ms))
-
-
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Circuit-breaker thresholds.
-
-    Attributes:
-        failure_threshold: Consecutive failures that open the circuit.
-        cooldown_batches: ``run()`` batches an open circuit waits before
-            going half-open and admitting one probe job.
-    """
-
-    failure_threshold: int = 3
-    cooldown_batches: int = 5
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        if self.cooldown_batches < 1:
-            raise ValueError("cooldown_batches must be at least 1")
+#: ``run()`` batches an open circuit waits before going half-open and
+#: admitting one probe job.
+COOLDOWN_BATCHES = 5
 
 
 class CircuitBreaker:
     """Closed / open / half-open failure gate for one model.
 
-    The lifecycle is the classic one: consecutive failures open the
-    circuit, a cooldown (counted in batches via :meth:`tick`) half-opens
-    it, a probe success closes it and a probe failure re-opens it.
+    The lifecycle is the classic one: :data:`FAILURE_THRESHOLD`
+    consecutive failures open the circuit, a cooldown of
+    :data:`COOLDOWN_BATCHES` batches (counted via :meth:`tick`) half-opens
+    it, a probe success closes it and a probe failure re-opens it.  A
+    failure recorded while the circuit is open re-arms the cooldown.
 
     The half-open state guarantees a *single* probe: :meth:`try_admit`
     admits exactly one job until its outcome is recorded, so two jobs for
     the same model in one batch (or two racing batches sharing this
     breaker) can never both probe a recovering model.  The breaker itself
     is not locked — callers serialize access (see
-    :attr:`ResilientBackend._lock`), keeping state transitions and their
-    ``on_transition`` notifications atomic.
-
-    Args:
-        policy: Open/cooldown thresholds.
-        on_transition: Optional ``(old_state, new_state)`` callback fired
-            on every state change (used for circuit-transition events).
+    :attr:`ResilientBackend._lock`).
     """
 
-    def __init__(
-        self,
-        policy: BreakerPolicy,
-        on_transition: Callable[[str, str], None] | None = None,
-    ) -> None:
-        self.policy = policy
-        self.on_transition = on_transition
+    def __init__(self) -> None:
         self._consecutive_failures = 0
         self._state = "closed"
         self._cooldown_remaining = 0
         self._probe_inflight = False
-        self.opens = 0
 
     @property
     def state(self) -> str:
         """``"closed"``, ``"open"`` or ``"half-open"``."""
         return self._state
 
-    def _set_state(self, new_state: str) -> None:
-        old_state = self._state
-        if new_state == old_state:
-            return
-        self._state = new_state
-        if self.on_transition is not None:
-            self.on_transition(old_state, new_state)
-
     def tick(self) -> None:
         """Advance logical time by one batch (one ``run()`` call)."""
         if self._state == "open":
             self._cooldown_remaining -= 1
             if self._cooldown_remaining <= 0:
-                self._set_state("half-open")
-
-    def allows(self) -> bool:
-        """Whether a job for this model *could* execute right now.
-
-        Read-only: does not reserve the half-open probe slot.  Admission
-        decisions must go through :meth:`try_admit`.
-        """
-        return self._state != "open"
+                self._state = "half-open"
 
     def try_admit(self) -> bool:
         """Admit one job, reserving the single half-open probe slot.
@@ -202,21 +110,17 @@ class CircuitBreaker:
     def record_success(self) -> None:
         self._probe_inflight = False
         self._consecutive_failures = 0
-        self._set_state("closed")
+        self._state = "closed"
 
     def record_failure(self) -> None:
         self._probe_inflight = False
         self._consecutive_failures += 1
         if (
             self._state == "half-open"
-            or self._consecutive_failures >= self.policy.failure_threshold
+            or self._consecutive_failures >= FAILURE_THRESHOLD
         ):
-            self._open()
-
-    def _open(self) -> None:
-        self._cooldown_remaining = self.policy.cooldown_batches
-        self.opens += 1
-        self._set_state("open")
+            self._cooldown_remaining = COOLDOWN_BATCHES
+            self._state = "open"
 
     def __repr__(self) -> str:
         return (
@@ -277,10 +181,6 @@ class FaultStats:
         }
 
 
-def _no_sleep(_delay_s: float) -> None:
-    """Default sleep seam: backoff is logical, not wall-clock."""
-
-
 class ResilientBackend:
     """Fault-tolerant decorator over any execution backend.
 
@@ -292,12 +192,9 @@ class ResilientBackend:
 
     Args:
         inner: The wrapped backend (owned: ``close()`` closes it).
-        retry: Retry/backoff policy (default: 3 attempts).
-        breaker: Circuit-breaker thresholds (``None`` disables breaking).
+        max_attempts: Total execution attempts per job (>= 1; 1 disables
+            retries).
         timeout_ms: Optional per-job simulated-latency timeout.
-        sleep: Seam receiving each backoff delay in *seconds*; defaults to
-            a no-op so simulated runs never stall.  Inject ``time.sleep``
-            for a live deployment, or a recorder in tests.
         obs: Observability facade; records retry/timeout/skip counters,
             circuit-transition events and retry spans.  The default no-op
             facade keeps uninstrumented runs zero-cost.
@@ -306,21 +203,17 @@ class ResilientBackend:
     def __init__(
         self,
         inner: ExecutionBackend,
-        retry: RetryPolicy | None = None,
-        breaker: BreakerPolicy | None = None,
+        max_attempts: int = 3,
         timeout_ms: float | None = None,
-        sleep: Callable[[float], None] = _no_sleep,
         obs: Observability = NULL_OBS,
     ) -> None:
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
         if timeout_ms is not None and timeout_ms <= 0:
             raise ValueError("timeout_ms must be positive when given")
         self.inner = inner
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.breaker_policy = (
-            breaker if breaker is not None else BreakerPolicy()
-        )
+        self.max_attempts = max_attempts
         self.timeout_ms = timeout_ms
-        self._sleep = sleep
         self.obs = obs
         # Serializes breaker admission, outcome folding and stats updates:
         # concurrent run() calls (e.g. two harness threads sharing one
@@ -336,24 +229,31 @@ class ResilientBackend:
     def name(self) -> str:
         return f"resilient-{self.inner.name}"
 
-    # ---- breaker registry ----------------------------------------------
+    # ---- breakers -------------------------------------------------------
 
-    def _breaker_for(self, model_name: str) -> CircuitBreaker:
-        breaker = self._breakers.get(model_name)
-        if breaker is None:
-
-            def note(old_state: str, new_state: str, name: str = model_name) -> None:
-                self._note_transition(name, old_state, new_state)
-
-            breaker = self._breakers[model_name] = CircuitBreaker(
-                self.breaker_policy, on_transition=note
-            )
-        return breaker
-
-    def _note_transition(
-        self, model_name: str, old_state: str, new_state: str
+    def _step(
+        self,
+        model_name: str,
+        breaker: CircuitBreaker,
+        step: Callable[[CircuitBreaker], None],
     ) -> None:
-        """Record one circuit state change (event + counter)."""
+        """Apply one breaker step and record the state change it makes.
+
+        A change emits the ``circuit-transition`` event and bumps
+        ``repro_breaker_transitions_total``; a change *to* ``"open"`` also
+        counts one :attr:`FaultStats.breaker_opens`.  A step that leaves
+        the state as it was (a failure folded into an already-open
+        circuit, a cooldown tick short of half-open) records nothing.
+        """
+        old_state = breaker.state
+        step(breaker)
+        new_state = breaker.state
+        if new_state == old_state:
+            return
+        if new_state == "open":
+            self._stats = replace(
+                self._stats, breaker_opens=self._stats.breaker_opens + 1
+            )
         if not self.obs.metrics_on:
             return
         self.obs.event(
@@ -385,12 +285,6 @@ class ResilientBackend:
                 if breaker.state == "open"
             )
 
-    def breaker_state(self, model_name: str) -> str:
-        """The named model's circuit state (``"closed"`` if never seen)."""
-        with self._lock:
-            breaker = self._breakers.get(model_name)
-            return breaker.state if breaker is not None else "closed"
-
     def stats(self) -> FaultStats:
         """Snapshot of the job-level fault counters."""
         with self._lock:
@@ -419,28 +313,26 @@ class ResilientBackend:
             )
         return result
 
-    def _resolve(self, job: InferenceJob, first: JobResult) -> JobResult:
-        """Apply the retry policy to one job's first-attempt result."""
+    def _resolve(
+        self, job: InferenceJob, model_name: str, first: JobResult
+    ) -> JobResult:
+        """Retry one job from its first-attempt result; count each attempt."""
         result = self._classify(first)
-        stats = self._stats
+        stats = replace(self._stats, attempts=self._stats.attempts + 1)
         attempts = 1
-        stats = replace(stats, attempts=stats.attempts + 1)
-        name = self._model_name(job)
-        frame_key = getattr(job.frame, "key", None)
         wall_ms = result.wall_ms
-        had_failure = not result.ok
-        while not result.ok and attempts < self.retry.max_attempts:
+        while not result.ok:
             if result.status == "timeout":
                 stats = replace(stats, timeouts=stats.timeouts + 1)
                 self.obs.count(
                     "repro_timeouts_total",
                     description="Inference attempts over the latency timeout",
-                    model=name,
+                    model=model_name,
                 )
             else:
                 stats = replace(stats, failures=stats.failures + 1)
-            delay_ms = self.retry.delay_ms(name, frame_key, attempts)
-            self._sleep(delay_ms / 1000.0)
+            if attempts == self.max_attempts:
+                break
             attempts += 1
             stats = replace(
                 stats,
@@ -450,7 +342,7 @@ class ResilientBackend:
             self.obs.count(
                 "repro_retries_total",
                 description="Inference job re-executions after a failure",
-                model=name,
+                model=model_name,
             )
             result = self._classify(self.inner.run([job])[0])
             wall_ms += result.wall_ms
@@ -459,27 +351,16 @@ class ResilientBackend:
                     "retry",
                     wall_ms=result.wall_ms,
                     status=result.status,
-                    model=name,
+                    model=model_name,
                     attempt=attempts,
-                    delay_ms=delay_ms,
                 )
-        if not result.ok:
-            if result.status == "timeout":
-                stats = replace(stats, timeouts=stats.timeouts + 1)
-                self.obs.count(
-                    "repro_timeouts_total",
-                    description="Inference attempts over the latency timeout",
-                    model=name,
-                )
-            else:
-                stats = replace(stats, failures=stats.failures + 1)
-        elif had_failure:
+        if result.ok and attempts > 1:
             stats = replace(stats, recoveries=stats.recoveries + 1)
         self._stats = stats
         return replace(result, wall_ms=wall_ms, attempts=attempts)
 
     def run(self, jobs: Sequence[InferenceJob]) -> list[JobResult]:
-        """Execute a batch under the retry / timeout / breaker policy.
+        """Execute a batch under the retry / timeout / breaker rule.
 
         Breaker decisions are taken on the batch snapshot (jobs within one
         batch do not open each other's circuits — a batch is one frame's
@@ -493,16 +374,19 @@ class ResilientBackend:
         internal lock serializes breaker access) are skipped until the
         probe's outcome is known.
         """
-        admitted: list[tuple[int, InferenceJob]] = []
+        admitted: list[tuple[int, InferenceJob, str]] = []
         results: list[JobResult | None] = [None] * len(jobs)
         with self._lock:
             self._batches += 1
-            for breaker in self._breakers.values():
-                breaker.tick()
+            for model_name, breaker in self._breakers.items():
+                self._step(model_name, breaker, CircuitBreaker.tick)
             for index, job in enumerate(jobs):
-                breaker = self._breaker_for(self._model_name(job))
+                model_name = self._model_name(job)
+                breaker = self._breakers.get(model_name)
+                if breaker is None:
+                    breaker = self._breakers[model_name] = CircuitBreaker()
                 if breaker.try_admit():
-                    admitted.append((index, job))
+                    admitted.append((index, job, model_name))
                 else:
                     self._stats = replace(
                         self._stats,
@@ -511,7 +395,7 @@ class ResilientBackend:
                     self.obs.count(
                         "repro_breaker_skips_total",
                         description="Jobs skipped by a non-closed circuit",
-                        model=self._model_name(job),
+                        model=model_name,
                     )
                     results[index] = JobResult(
                         output=None,
@@ -523,23 +407,19 @@ class ResilientBackend:
         if admitted:
             # The first attempt runs as one batch on the inner backend,
             # outside the lock: parallel backends keep their parallelism.
-            first_attempts = self.inner.run([job for _, job in admitted])
+            first_attempts = self.inner.run([job for _, job, _ in admitted])
             with self._lock:
-                for (index, job), first in zip(
+                for (index, job, model_name), first in zip(
                     admitted, first_attempts, strict=True
                 ):
-                    final = self._resolve(job, first)
-                    breaker = self._breaker_for(self._model_name(job))
-                    opens_before = breaker.opens
-                    if final.ok:
-                        breaker.record_success()
-                    else:
-                        breaker.record_failure()
-                    if breaker.opens > opens_before:
-                        self._stats = replace(
-                            self._stats,
-                            breaker_opens=self._stats.breaker_opens + 1,
-                        )
+                    final = self._resolve(job, model_name, first)
+                    self._step(
+                        model_name,
+                        self._breakers[model_name],
+                        CircuitBreaker.record_success
+                        if final.ok
+                        else CircuitBreaker.record_failure,
+                    )
                     results[index] = final
         return [result for result in results if result is not None]
 
@@ -556,6 +436,6 @@ class ResilientBackend:
     def __repr__(self) -> str:
         return (
             f"ResilientBackend(inner={self.inner!r}, "
-            f"max_attempts={self.retry.max_attempts}, "
+            f"max_attempts={self.max_attempts}, "
             f"timeout_ms={self.timeout_ms})"
         )

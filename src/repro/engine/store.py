@@ -191,34 +191,26 @@ class EvaluationStore:
     the same missing key both compute it (deterministically identical
     values) and the first insert wins — correctness is unaffected.
 
+    Compute time on misses is measured with the sanctioned
+    :func:`~repro.engine.backends.wall_timer`.  A persistent second tier
+    is attached with :meth:`attach_tier`.
+
     Args:
         capacity: Maximum number of entries across all stages (>= 1).
-        timer: Monotonic timer used to measure compute time on misses.
-            Defaults to the sanctioned
-            :func:`~repro.engine.backends.wall_timer`; injectable so
-            tests (and the RPR002 wall-clock lint rule) can keep every
-            direct clock read inside ``engine/backends.py``.
         obs: Observability facade; records per-stage lookup/hit counters
             and the hit-streak histogram (length of consecutive-hit runs,
             observed whenever a miss breaks a streak).  The default no-op
             facade keeps uninstrumented stores zero-cost.
-        tier: Optional :class:`PersistentTier` consulted on memory misses
-            and written through on inserts (see :meth:`attach_tier`).
     """
 
     def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        timer: Callable[[], float] = wall_timer,
-        obs: Observability = NULL_OBS,
-        tier: PersistentTier | None = None,
+        self, capacity: int = DEFAULT_CAPACITY, obs: Observability = NULL_OBS
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self._capacity = capacity
-        self._timer = timer
         self._obs = obs
-        self._tier = tier
+        self._tier: PersistentTier | None = None
         self._tier_hits = 0
         self._lock = threading.RLock()
         self._entries: OrderedDict[tuple[str, Hashable], Any] = OrderedDict()
@@ -229,10 +221,6 @@ class EvaluationStore:
     @property
     def capacity(self) -> int:
         return self._capacity
-
-    @property
-    def tier(self) -> PersistentTier | None:
-        return self._tier
 
     def attach_tier(self, tier: PersistentTier | None) -> None:
         """Attach (or detach, with ``None``) the persistent second tier.
@@ -402,9 +390,9 @@ class EvaluationStore:
         value = self.get(stage, key)
         if value is not None:
             return value
-        start = self._timer()
+        start = wall_timer()
         value = compute()
-        elapsed_ms = (self._timer() - start) * 1000.0
+        elapsed_ms = (wall_timer() - start) * 1000.0
         self.put(stage, key, value, compute_ms=elapsed_ms)
         return value
 

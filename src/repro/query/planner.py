@@ -9,6 +9,7 @@ executable plan.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -86,7 +87,8 @@ def build_plan(
 
     Raises:
         PlanError: For unknown videos / detectors / references / algorithms
-            or invalid WITH parameters.
+            or invalid WITH parameters (a budget must be positive and
+            finite).
     """
     process = query.process
     if process.video not in known_videos:
@@ -116,6 +118,10 @@ def build_plan(
     budget_ms = params.pop("budget", None)
     if algo_key == "mes-b" and budget_ms is None:
         raise PlanError("MES-B requires WITH budget=<ms>")
+    if budget_ms is not None and not 0.0 < budget_ms < math.inf:
+        raise PlanError(
+            f"WITH budget must be a positive finite number, got {budget_ms}"
+        )
     for key in params:
         if key not in converters:
             raise PlanError(

@@ -26,7 +26,7 @@ what makes retrying transient faults meaningful) while the sequence of
 draws for any (frame, attempt) pair is independent of global call order.
 Attempt counters live behind a lock, so thread backends that call
 ``detect`` from workers stay correct; the counters are an LRU bounded by
-``attempt_window`` so unbounded streams cannot grow memory (RPR003).
+:data:`ATTEMPT_WINDOW` so unbounded streams cannot grow memory (RPR003).
 
 Fault injection composes with the process backend only for fault-free
 profiles: :class:`FaultyDetector` carries a lock and per-process attempt
@@ -56,12 +56,17 @@ __all__ = [
     "DetectorOutageError",
     "FaultSpec",
     "FaultyDetector",
+    "ATTEMPT_WINDOW",
     "FAULT_PROFILE_NAMES",
     "fault_profile_specs",
     "apply_fault_profile",
 ]
 
 _GARBAGE_LABELS: tuple[str, ...] = tuple(spec.label for spec in DEFAULT_CLASSES)
+
+#: LRU bound on the per-frame attempt counters a :class:`FaultyDetector`
+#: remembers.
+ATTEMPT_WINDOW = 4096
 
 
 class DetectorFaultError(RuntimeError):
@@ -162,23 +167,12 @@ class FaultyDetector:
         spec: The failure model.
         seed: Root seed of the fault stream (independent of the wrapped
             model's own noise stream).
-        attempt_window: LRU bound on remembered per-frame attempt
-            counters.
     """
 
-    def __init__(
-        self,
-        inner: Any,
-        spec: FaultSpec,
-        seed: int = 0,
-        attempt_window: int = 4096,
-    ) -> None:
-        if attempt_window < 1:
-            raise ValueError("attempt_window must be at least 1")
+    def __init__(self, inner: Any, spec: FaultSpec, seed: int = 0) -> None:
         self.inner = inner
         self.spec = spec
         self.seed = seed
-        self.attempt_window = attempt_window
         self._lock = threading.Lock()
         self._attempts: OrderedDict[object, int] = OrderedDict()
 
@@ -196,7 +190,7 @@ class FaultyDetector:
             attempt = self._attempts.get(frame_key, 0) + 1
             self._attempts[frame_key] = attempt
             self._attempts.move_to_end(frame_key)
-            while len(self._attempts) > self.attempt_window:
+            while len(self._attempts) > ATTEMPT_WINDOW:
                 self._attempts.popitem(last=False)
             return attempt
 

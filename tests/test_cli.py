@@ -9,7 +9,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import _write_obs_outputs, build_parser, main
+from repro.cli import (
+    _validate_backend_arguments,
+    _write_obs_outputs,
+    build_parser,
+    main,
+)
 from repro.obs import Observability
 
 
@@ -56,7 +61,7 @@ class TestParser:
         args = build_parser().parse_args(["compare"])
         assert args.fault_profile == "none"
         assert args.fault_seed is None
-        assert args.retries == 3
+        assert args.retries is None  # resolved by _validate_backend_arguments
         assert args.timeout_ms is None
 
     def test_fault_options(self):
@@ -151,6 +156,49 @@ class TestWorkersValidation:
             )
         err = capsys.readouterr().err
         assert "--workers requires --backend thread or process" in err
+
+
+class TestFaultFlagValidation:
+    """A fault flag the run would ignore is a usage error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compare", "--retries", "9"], "--retries requires"),
+            (["compare", "--fault-profile", "none", "--retries", "2"],
+             "--retries requires"),
+            (["query", "--retries", "2", "SELECT x"], "--retries requires"),
+            (["compare", "--fault-seed", "4"], "--fault-seed requires"),
+            (["compare", "--timeout-ms", "500", "--fault-seed", "4"],
+             "--fault-seed requires"),
+            (["query", "--fault-seed", "4", "SELECT x"], "--fault-seed requires"),
+        ],
+        ids=["retries", "retries-profile-none", "query-retries", "fault-seed",
+             "fault-seed-timeout-only", "query-fault-seed"],
+    )
+    def test_flag_without_faults_rejected(self, capsys, argv, message):
+        small = ["--frames", "5", "--m", "2", "--scale", "0.02"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], *small, *argv[1:]])
+        assert excinfo.value.code == 2
+        [*_, error] = capsys.readouterr().err.splitlines()
+        assert error.startswith(f"repro: error: {message} ")
+
+    @pytest.mark.parametrize(
+        "argv, retries",
+        [
+            (["compare"], 3),
+            (["compare", "--fault-profile", "chaos"], 3),
+            (["compare", "--fault-profile", "chaos", "--fault-seed", "4",
+              "--retries", "2"], 2),
+            (["query", "--timeout-ms", "500", "--retries", "1", "SELECT x"], 1),
+        ],
+    )
+    def test_accepted_retries_resolve(self, argv, retries):
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        _validate_backend_arguments(parser, args)
+        assert args.retries == retries
 
 
 class TestNumberValidation:
@@ -550,9 +598,13 @@ class TestQueryCliEndToEnd:
             (QUERY.replace("PROCESS video", "PROCESS elsewhere"),
              False, ["unknown video 'elsewhere'"]),
             (QUERY, True, ["has format_version 1", "reads only format_version 2"]),
+            (QUERY.replace("USING BF(yolov7-tiny-clear, yolov7-tiny-night))",
+                           "USING MES-B(yolov7-tiny-clear, yolov7-tiny-night) "
+                           "WITH budget=0)"),
+             False, ["WITH budget must be a positive finite number, got 0"]),
         ],
         ids=["unknown-with-key", "unknown-detector", "unregistered-video",
-             "v1-store"],
+             "v1-store", "zero-budget"],
     )
     def test_plan_and_store_errors_print_one_line_and_exit_2(
         self, capsys, tmp_path, text, v1_store, fragments

@@ -9,19 +9,18 @@ from repro.core.environment import (
     FaultStats,
     FrameEvaluationError,
 )
+from repro.core.baselines import SingleBest
 from repro.core.mes import MES
-from repro.engine.backends import SerialBackend
-from repro.engine.resilience import BreakerPolicy, ResilientBackend, RetryPolicy
+from repro.engine.backends import SerialBackend, ThreadPoolBackend
+from repro.engine.resilience import ResilientBackend
+from repro.obs import Observability
+from repro.runner.experiment import standard_setup
 from repro.runner.io import load_result_json, save_result_json
 from repro.simulation.faults import FaultSpec, FaultyDetector
 
 
-def _resilient(**kwargs):
-    kwargs.setdefault("retry", RetryPolicy(max_attempts=2, jitter_ms=0.0))
-    kwargs.setdefault(
-        "breaker", BreakerPolicy(failure_threshold=2, cooldown_batches=3)
-    )
-    return ResilientBackend(SerialBackend(), **kwargs)
+def _resilient():
+    return ResilientBackend(SerialBackend(), max_attempts=2)
 
 
 def _env_with_outage(detector_pool, lidar, down=(0,), backend=None):
@@ -198,3 +197,38 @@ class TestRecordSerialization:
         loaded = load_result_json(path)
         assert loaded.records == result.records
         assert loaded.frames_degraded == result.frames_degraded
+
+
+class TestBreakerOpenCount:
+    @pytest.mark.parametrize(
+        "make_inner",
+        [SerialBackend, lambda: ThreadPoolBackend(workers=2)],
+        ids=["serial", "thread"],
+    )
+    def test_opens_counted_once_per_transition(self, make_inner):
+        """SGL's prefetch sends every frame in one batch, so the outage's
+        failures are folded while detector 0's circuit is already open;
+        only the transitions to ``open`` count as opens."""
+        setup = standard_setup(
+            "nusc-night", trial=0, scale=0.05, m=3, max_frames=60, seed=0,
+            fault_profile="outage-first",
+        )
+        obs = Observability(level="metrics")
+        with ResilientBackend(make_inner(), obs=obs) as backend:
+            env = DetectionEnvironment(
+                list(setup.detectors), setup.reference, backend=backend, obs=obs
+            )
+            SingleBest().run(env, setup.frames)
+        opened = [
+            event
+            for event in obs.events.events("circuit-transition")
+            if event["to_state"] == "open"
+        ]
+        counted = sum(
+            value
+            for (name, labels), value in obs.snapshot().counters.items()
+            if name == "repro_breaker_transitions_total"
+            and ("to_state", "open") in labels
+        )
+        assert len(opened) > 1
+        assert env.fault_stats().breaker_opens == len(opened) == counted

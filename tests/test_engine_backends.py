@@ -91,11 +91,7 @@ class TestFaultedBackendEquivalence:
     def test_faulty_serial_matches_faulty_thread(
         self, profile, detector_pool, lidar, small_video
     ):
-        from repro.engine.resilience import (
-            BreakerPolicy,
-            ResilientBackend,
-            RetryPolicy,
-        )
+        from repro.engine.resilience import ResilientBackend
         from repro.simulation.faults import apply_fault_profile
 
         frames = small_video.frames[:12]
@@ -104,11 +100,7 @@ class TestFaultedBackendEquivalence:
             # Fresh wrappers per run: FaultyDetector keeps per-frame
             # attempt counters, so the pools must not be shared.
             pool = apply_fault_profile(detector_pool, profile, seed=5)
-            backend = ResilientBackend(
-                inner,
-                retry=RetryPolicy(max_attempts=2, seed=5),
-                breaker=BreakerPolicy(failure_threshold=2, cooldown_batches=3),
-            )
+            backend = ResilientBackend(inner, max_attempts=2)
             with backend:
                 env = DetectionEnvironment(pool, lidar, backend=backend)
                 result = MES(gamma=3).run(env, frames)
@@ -132,11 +124,7 @@ class TestFaultedBackendEquivalence:
         produce *identical* logical metric snapshots — frames, retries,
         degradations — because the registry records only counts and
         simulated milliseconds, never scheduling-dependent values."""
-        from repro.engine.resilience import (
-            BreakerPolicy,
-            ResilientBackend,
-            RetryPolicy,
-        )
+        from repro.engine.resilience import ResilientBackend
         from repro.obs import Observability
         from repro.simulation.faults import apply_fault_profile
 
@@ -145,12 +133,7 @@ class TestFaultedBackendEquivalence:
         def chaotic_run(make_inner):
             obs = Observability(level="metrics")
             pool = apply_fault_profile(detector_pool, "chaos", seed=5)
-            backend = ResilientBackend(
-                make_inner(obs),
-                retry=RetryPolicy(max_attempts=2, seed=5),
-                breaker=BreakerPolicy(failure_threshold=2, cooldown_batches=3),
-                obs=obs,
-            )
+            backend = ResilientBackend(make_inner(obs), max_attempts=2, obs=obs)
             with backend:
                 env = DetectionEnvironment(pool, lidar, backend=backend, obs=obs)
                 result = MES(gamma=3).run(env, frames)
@@ -187,16 +170,14 @@ class TestFaultedBackendEquivalence:
     def test_faulty_runs_are_reproducible(
         self, detector_pool, lidar, small_video
     ):
-        from repro.engine.resilience import ResilientBackend, RetryPolicy
+        from repro.engine.resilience import ResilientBackend
         from repro.simulation.faults import apply_fault_profile
 
         frames = small_video.frames[:10]
 
         def run_once():
             pool = apply_fault_profile(detector_pool, "chaos", seed=11)
-            backend = ResilientBackend(
-                SerialBackend(), retry=RetryPolicy(max_attempts=2, seed=11)
-            )
+            backend = ResilientBackend(SerialBackend(), max_attempts=2)
             env = DetectionEnvironment(pool, lidar, backend=backend)
             result = MES(gamma=3).run(env, frames)
             return result.records, env.fault_stats()

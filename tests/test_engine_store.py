@@ -252,23 +252,29 @@ class _DictTier:
         self.data[(stage, key)] = value
 
 
+def _tiered_store(tier, capacity=8):
+    store = EvaluationStore(capacity=capacity)
+    store.attach_tier(tier)
+    return store
+
+
 class TestPersistentTier:
     def test_put_writes_through(self):
         tier = _DictTier()
-        store = EvaluationStore(capacity=8, tier=tier)
+        store = _tiered_store(tier)
         store.put("detector", "k", "v")
         assert tier.data == {("detector", "k"): "v"}
 
     def test_unaccepted_stage_not_written(self):
         tier = _DictTier(stages=("detector",))
-        store = EvaluationStore(capacity=8, tier=tier)
+        store = _tiered_store(tier)
         store.put("est_ap", "k", 0.5)
         assert not tier.data
 
     def test_miss_promotes_from_tier_and_counts_hit(self):
         tier = _DictTier()
         tier.data[("detector", "k")] = "persisted"
-        store = EvaluationStore(capacity=8, tier=tier)
+        store = _tiered_store(tier)
         assert store.get("detector", "k") == "persisted"
         stats = store.stats()
         assert stats.hits == 1
@@ -282,7 +288,7 @@ class TestPersistentTier:
     def test_contains_promotes_without_counting_lookup(self):
         tier = _DictTier()
         tier.data[("detector", "k")] = "persisted"
-        store = EvaluationStore(capacity=8, tier=tier)
+        store = _tiered_store(tier)
         assert store.contains("detector", "k")
         stats = store.stats()
         assert stats.lookups == 0
@@ -290,7 +296,7 @@ class TestPersistentTier:
 
     def test_tier_miss_falls_through(self):
         tier = _DictTier()
-        store = EvaluationStore(capacity=8, tier=tier)
+        store = _tiered_store(tier)
         assert store.get("detector", "absent") is None
         stats = store.stats()
         assert stats.misses == 1
@@ -311,7 +317,7 @@ class TestPersistentTier:
     def test_get_or_compute_skips_compute_on_tier_hit(self):
         tier = _DictTier()
         tier.data[("detector", "k")] = "persisted"
-        store = EvaluationStore(capacity=8, tier=tier)
+        store = _tiered_store(tier)
         computed = []
         value = store.get_or_compute(
             "detector", "k", lambda: computed.append(1) or "fresh"
@@ -322,7 +328,7 @@ class TestPersistentTier:
     def test_clear_resets_tier_hits(self):
         tier = _DictTier()
         tier.data[("detector", "k")] = "v"
-        store = EvaluationStore(capacity=8, tier=tier)
+        store = _tiered_store(tier)
         store.get("detector", "k")
         store.clear()
         assert store.stats().tier_hits == 0
@@ -426,7 +432,7 @@ class TestBatchedOperations:
     def test_contains_many_promotes_from_tier(self):
         tier = _DictTier(stages=("detector",))
         tier.store("detector", "k", "v")
-        store = EvaluationStore(capacity=16, tier=tier)
+        store = _tiered_store(tier, capacity=16)
         assert store.contains_many("detector", ["k", "missing"]) == [
             True,
             False,
@@ -456,7 +462,7 @@ class TestBatchedOperations:
 
     def test_put_many_writes_through_to_tier(self):
         tier = _DictTier(stages=("detector",))
-        store = EvaluationStore(capacity=16, tier=tier)
+        store = _tiered_store(tier, capacity=16)
         store.put_many("detector", [("k1", "v1", 0.0), ("k2", "v2", 0.0)])
         store.put_many("reference", [("k3", "v3", 0.0)])  # not accepted
         assert tier.data == {

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from repro.simulation import faults
 from repro.simulation.detectors import SimulatedDetector
 from repro.simulation.faults import (
     FAULT_PROFILE_NAMES,
@@ -138,16 +139,11 @@ class TestFaultyDetector:
         with pytest.raises(TypeError, match="pickl"):
             pickle.dumps(faulty)
 
-    def test_attempt_window_validated(self, detector_pool):
-        with pytest.raises(ValueError, match="attempt_window"):
-            FaultyDetector(detector_pool[0], FaultSpec(), attempt_window=0)
-
-    def test_attempt_counters_stay_bounded(self, detector_pool, small_video):
-        faulty = FaultyDetector(
-            detector_pool[0],
-            FaultSpec(transient_rate=0.01),
-            attempt_window=4,
-        )
+    def test_attempt_counters_stay_bounded(
+        self, detector_pool, small_video, monkeypatch
+    ):
+        monkeypatch.setattr(faults, "ATTEMPT_WINDOW", 4)
+        faulty = FaultyDetector(detector_pool[0], FaultSpec(transient_rate=0.01))
         for frame in small_video.frames[:20]:
             try:
                 faulty.detect(frame)

@@ -347,7 +347,9 @@ class _AckingStore(MaterializedDetectionStore):
 
 def _acking_writer(root: str, conn) -> None:
     with _AckingStore(root, conn) as tier:
-        engine, text = _reuse_engine(store=EvaluationStore(tier=tier))
+        store = EvaluationStore()
+        store.attach_tier(tier)
+        engine, text = _reuse_engine(store=store)
         engine.execute(text)
 
 

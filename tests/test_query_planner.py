@@ -73,6 +73,16 @@ class TestBuildPlan:
         assert isinstance(p.algorithm, BruteForce)
         assert p.budget_ms == 100.0
 
+    @pytest.mark.parametrize(
+        "budget", ["0", "0.0", "1" + "0" * 400], ids=["zero", "zero-point", "inf"]
+    )
+    def test_budget_must_be_positive_and_finite(self, budget):
+        with pytest.raises(PlanError, match="budget must be a positive finite"):
+            plan(
+                "SELECT frameID FROM (PROCESS v PRODUCE frameID USING MES-B(m1) "
+                f"WITH budget={budget})"
+            )
+
     def test_algorithm_names_case_insensitive(self):
         p = plan("SELECT frameID FROM (PROCESS v PRODUCE frameID USING opt(m1))")
         assert isinstance(p.algorithm, Oracle)

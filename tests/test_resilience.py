@@ -8,12 +8,13 @@ import pytest
 
 from repro.engine.backends import InferenceJob, SerialBackend
 from repro.engine.resilience import (
-    BreakerPolicy,
+    COOLDOWN_BATCHES,
+    FAILURE_THRESHOLD,
     CircuitBreaker,
     FaultStats,
     ResilientBackend,
-    RetryPolicy,
 )
+from repro.obs import Observability
 
 
 class _Model:
@@ -41,44 +42,25 @@ def _job(model, index=0):
 
 
 def _backend(**kwargs):
-    kwargs.setdefault("retry", RetryPolicy(max_attempts=3, jitter_ms=0.0))
     return ResilientBackend(SerialBackend(), **kwargs)
 
 
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_ms=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy().delay_ms("m", "f", 0)
+def _open_circuit(backend, model):
+    """Fail ``model`` in FAILURE_THRESHOLD one-job batches: its circuit opens."""
+    for index in range(FAILURE_THRESHOLD):
+        backend.run([_job(model, index)])
+    assert model.name in backend.open_detectors()
 
-    def test_exponential_backoff_without_jitter(self):
-        policy = RetryPolicy(
-            backoff_base_ms=2.0, backoff_multiplier=3.0, jitter_ms=0.0
-        )
-        assert policy.delay_ms("m", "f", 1) == 2.0
-        assert policy.delay_ms("m", "f", 2) == 6.0
-        assert policy.delay_ms("m", "f", 3) == 18.0
 
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base_ms=1.0, jitter_ms=0.5, seed=11)
-        first = policy.delay_ms("m", "frame-0", 1)
-        assert first == policy.delay_ms("m", "frame-0", 1)
-        assert 1.0 <= first <= 1.5
-        # Distinct (model, frame, attempt) keys draw distinct jitter.
-        others = {
-            policy.delay_ms("m", "frame-0", 2) - 2.0,
-            policy.delay_ms("m", "frame-1", 1) - 1.0,
-            policy.delay_ms("n", "frame-0", 1) - 1.0,
-        }
-        assert len(others | {first - 1.0}) == 4
+def _breaker_state(backend, name="m"):
+    return backend._breakers[name].state
 
 
 class TestRetryExecution:
+    def test_max_attempts_validated(self):
+        with pytest.raises(ValueError, match="max_attempts"):
+            _backend(max_attempts=0)
+
     def test_transient_failure_recovers(self):
         model = _Model(fail_times=2)
         backend = _backend()
@@ -99,28 +81,25 @@ class TestRetryExecution:
         assert result.status == "failed"
         assert result.attempts == 3
         assert "scripted failure" in result.error
-        assert backend.stats().recoveries == 0
+        stats = backend.stats()
+        assert (stats.attempts, stats.failures, stats.retries) == (3, 3, 2)
+        assert stats.recoveries == 0
 
     def test_single_attempt_disables_retry(self):
         model = _Model(fail_times=1)
-        backend = _backend(retry=RetryPolicy(max_attempts=1))
+        backend = _backend(max_attempts=1)
         [result] = backend.run([_job(model)])
         assert result.status == "failed"
         assert model.calls == 1
+        assert backend.stats().failures == 1
 
-    def test_backoff_goes_through_sleep_seam(self):
-        delays = []
-        policy = RetryPolicy(
-            max_attempts=3,
-            backoff_base_ms=4.0,
-            backoff_multiplier=2.0,
-            jitter_ms=0.0,
-        )
-        backend = ResilientBackend(
-            SerialBackend(), retry=policy, sleep=delays.append
-        )
-        backend.run([_job(_Model(fail_times=2))])
-        assert delays == [0.004, 0.008]  # seconds
+    def test_retry_spans_name_model_attempt_and_status(self):
+        obs = Observability(level="trace")
+        backend = _backend(obs=obs)
+        backend.run([_job(_Model(fail_times=1))])
+        [span] = [s for s in obs.tracer.finished() if s.name == "retry"]
+        assert span.attributes == {"model": "m", "attempt": 2}
+        assert span.status == "ok"
 
     def test_ok_results_pass_through_unchanged(self):
         model = _Model()
@@ -134,12 +113,16 @@ class TestRetryExecution:
 
 class TestTimeout:
     def test_simulated_latency_timeout(self):
-        backend = _backend(timeout_ms=10.0)
+        obs = Observability(level="metrics")
+        backend = _backend(timeout_ms=10.0, obs=obs)
         [result] = backend.run([_job(_Model(latency_ms=50.0))])
         assert result.status == "timeout"
         assert result.output is None
         assert result.attempts == 3  # each over-latency attempt retried
         assert backend.stats().timeouts == 3
+        assert backend.stats().failures == 0
+        # One count per timed-out attempt, the last one included.
+        assert obs.snapshot().counter_total("repro_timeouts_total") == 3
 
     def test_latency_under_timeout_is_ok(self):
         backend = _backend(timeout_ms=10.0)
@@ -151,107 +134,94 @@ class TestTimeout:
             _backend(timeout_ms=0.0)
 
 
+def _half_open_breaker():
+    breaker = CircuitBreaker()
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure()
+    for _ in range(COOLDOWN_BATCHES):
+        breaker.tick()
+    assert breaker.state == "half-open"
+    return breaker
+
+
 class TestCircuitBreaker:
     def test_lifecycle(self):
-        breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=2, cooldown_batches=2)
-        )
+        breaker = CircuitBreaker()
         assert breaker.state == "closed"
-        breaker.record_failure()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         assert breaker.state == "closed"
         breaker.record_failure()
         assert breaker.state == "open"
-        assert not breaker.allows()
-        breaker.tick()
+        assert not breaker.try_admit()
+        for _ in range(COOLDOWN_BATCHES - 1):
+            breaker.tick()
         assert breaker.state == "open"
         breaker.tick()
         assert breaker.state == "half-open"
-        assert breaker.allows()
+        assert breaker.try_admit()
         breaker.record_failure()  # failed probe re-opens immediately
         assert breaker.state == "open"
-        breaker.tick()
-        breaker.tick()
+        for _ in range(COOLDOWN_BATCHES):
+            breaker.tick()
         breaker.record_success()
         assert breaker.state == "closed"
-        assert breaker.opens == 2
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            BreakerPolicy(failure_threshold=0)
-        with pytest.raises(ValueError):
-            BreakerPolicy(cooldown_batches=0)
 
     def test_success_resets_consecutive_count(self):
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=2))
-        breaker.record_failure()
+        breaker = CircuitBreaker()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         breaker.record_success()
-        breaker.record_failure()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         assert breaker.state == "closed"
 
-    def test_half_open_admits_exactly_one_probe(self):
-        breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=1, cooldown_batches=1)
-        )
-        breaker.record_failure()
+    def test_failure_while_open_rearms_cooldown(self):
+        breaker = CircuitBreaker()
+        for _ in range(FAILURE_THRESHOLD):
+            breaker.record_failure()
+        for _ in range(COOLDOWN_BATCHES - 1):
+            breaker.tick()
+        breaker.record_failure()  # folded while open: the cooldown restarts
+        assert breaker.state == "open"
+        for _ in range(COOLDOWN_BATCHES - 1):
+            breaker.tick()
+        assert breaker.state == "open"
         breaker.tick()
         assert breaker.state == "half-open"
-        # allows() is read-only; it never reserves the probe slot.
-        assert breaker.allows() and breaker.allows()
+
+    def test_half_open_admits_exactly_one_probe(self):
+        breaker = _half_open_breaker()
         assert breaker.try_admit()
         assert not breaker.try_admit()  # the slot is taken
-        assert breaker.allows()  # still reported as admissible state
+        assert breaker.state == "half-open"
         breaker.record_success()
         assert breaker.state == "closed"
         assert breaker.try_admit()  # closed admits freely again
 
     def test_failed_probe_frees_slot_after_reopen(self):
-        breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=1, cooldown_batches=1)
-        )
-        breaker.record_failure()
-        breaker.tick()
+        breaker = _half_open_breaker()
         assert breaker.try_admit()
         breaker.record_failure()  # probe failed: open again
         assert breaker.state == "open"
         assert not breaker.try_admit()
-        breaker.tick()
+        for _ in range(COOLDOWN_BATCHES):
+            breaker.tick()
         assert breaker.state == "half-open"
         assert breaker.try_admit()  # next cooldown offers a fresh probe
 
-    def test_transition_callback_fires_on_change_only(self):
-        transitions = []
-        breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=1, cooldown_batches=2),
-            on_transition=lambda old, new: transitions.append((old, new)),
-        )
-        breaker.record_failure()
-        breaker.tick()  # cooldown tick 1: still open, no transition
-        breaker.tick()  # tick 2: half-open
-        breaker.record_success()
-        assert transitions == [
-            ("closed", "open"),
-            ("open", "half-open"),
-            ("half-open", "closed"),
-        ]
-
 
 class TestBreakerExecution:
-    def _failing_backend(self):
-        return ResilientBackend(
-            SerialBackend(),
-            retry=RetryPolicy(max_attempts=1),
-            breaker=BreakerPolicy(failure_threshold=2, cooldown_batches=2),
-        )
+    def _failing_backend(self, **kwargs):
+        return _backend(max_attempts=1, **kwargs)
 
     def test_open_circuit_skips_jobs(self):
         model = _Model(fail_times=10**6)
         backend = self._failing_backend()
-        backend.run([_job(model, 0)])
-        backend.run([_job(model, 1)])  # second consecutive failure: opens
-        assert backend.breaker_state("m") == "open"
+        _open_circuit(backend, model)
         assert backend.open_detectors() == frozenset({"m"})
         calls_before = model.calls
-        [skipped] = backend.run([_job(model, 2)])
+        [skipped] = backend.run([_job(model, FAILURE_THRESHOLD)])
         assert skipped.status == "skipped-open-circuit"
         assert skipped.attempts == 0
         assert model.calls == calls_before  # the model was never touched
@@ -259,50 +229,75 @@ class TestBreakerExecution:
         assert backend.stats().breaker_opens == 1
 
     def test_half_open_probe_heals(self):
-        model = _Model(fail_times=2)
+        model = _Model(fail_times=FAILURE_THRESHOLD)
         backend = self._failing_backend()
-        backend.run([_job(model, 0)])
-        backend.run([_job(model, 1)])
-        assert backend.breaker_state("m") == "open"
-        [skipped] = backend.run([_job(model, 2)])  # tick 1: still open
-        assert skipped.status == "skipped-open-circuit"
-        assert backend.breaker_state("m") == "open"
-        [probe] = backend.run([_job(model, 3)])  # tick 2: probe admitted
+        _open_circuit(backend, model)
+        for _ in range(COOLDOWN_BATCHES - 1):  # cooldown: still open
+            [skipped] = backend.run([_job(model)])
+            assert skipped.status == "skipped-open-circuit"
+        assert _breaker_state(backend) == "open"
+        [probe] = backend.run([_job(model)])  # last tick: probe admitted
         assert probe.ok
-        assert backend.breaker_state("m") == "closed"
+        assert _breaker_state(backend) == "closed"
         assert backend.open_detectors() == frozenset()
 
     def test_half_open_not_reported_as_open(self):
         model = _Model(fail_times=10**6)
         backend = self._failing_backend()
-        backend.run([_job(model, 0)])
-        backend.run([_job(model, 1)])
-        backend.run([_job(model, 2)])  # cooldown tick 1
-        backend.run([_job(model, 3)])  # tick 2 → half-open probe (fails)
-        # After the failed probe the circuit is open again.
-        assert backend.breaker_state("m") == "open"
+        _open_circuit(backend, model)
+        for _ in range(COOLDOWN_BATCHES):
+            backend.run([])  # empty batches still tick the cooldown
+        assert _breaker_state(backend) == "half-open"
+        assert backend.open_detectors() == frozenset()
+        backend.run([_job(model)])  # the probe fails: open again
+        assert backend.open_detectors() == frozenset({"m"})
         assert backend.stats().breaker_opens == 2
 
     def test_batch_snapshot_isolates_jobs_within_one_batch(self):
         """Failures inside a batch must not skip later jobs of the same
-        batch — breaker decisions are taken on the batch snapshot."""
+        batch — breaker decisions are taken on the batch snapshot — and
+        the failures folded after the circuit opened do not open it
+        again."""
         model = _Model(fail_times=10**6)
-        backend = ResilientBackend(
-            SerialBackend(),
-            retry=RetryPolicy(max_attempts=1),
-            breaker=BreakerPolicy(failure_threshold=1, cooldown_batches=5),
-        )
-        results = backend.run([_job(model, 0), _job(model, 1)])
-        assert [r.status for r in results] == ["failed", "failed"]
+        backend = self._failing_backend()
+        jobs = [_job(model, index) for index in range(FAILURE_THRESHOLD + 2)]
+        results = backend.run(jobs)
+        assert [r.status for r in results] == ["failed"] * len(jobs)
         assert backend.stats().breaker_skips == 0
+        assert backend.stats().breaker_opens == 1
+
+    def test_each_state_change_emits_one_event(self):
+        obs = Observability(level="metrics")
+        model = _Model(fail_times=FAILURE_THRESHOLD + 1)
+        backend = self._failing_backend(obs=obs)
+        # One batch opens the circuit and folds one more failure into it.
+        jobs = [_job(model, index) for index in range(FAILURE_THRESHOLD + 1)]
+        backend.run(jobs)
+        for _ in range(COOLDOWN_BATCHES - 1):
+            backend.run([_job(model)])  # skipped: no transition
+        backend.run([_job(model)])  # half-open, and the probe heals it
+        transitions = [
+            (e["from_state"], e["to_state"], e["batch"])
+            for e in obs.events.events("circuit-transition")
+        ]
+        assert transitions == [
+            ("closed", "open", 1),
+            ("open", "half-open", COOLDOWN_BATCHES + 1),
+            ("half-open", "closed", COOLDOWN_BATCHES + 1),
+        ]
+        snapshot = obs.snapshot()
+        for to_state in ("open", "half-open", "closed"):
+            assert snapshot.counter_value(
+                "repro_breaker_transitions_total", model="m", to_state=to_state
+            ) == 1
+        assert backend.stats().breaker_opens == 1
 
     def test_results_keep_job_order_with_skips(self):
         bad = _Model(name="bad", fail_times=10**6)
         good = _Model(name="good")
         backend = self._failing_backend()
-        backend.run([_job(bad, 0)])
-        backend.run([_job(bad, 1)])
-        results = backend.run([_job(good, 2), _job(bad, 2), _job(good, 2)])
+        _open_circuit(backend, bad)
+        results = backend.run([_job(good, 9), _job(bad, 9), _job(good, 9)])
         assert [r.status for r in results] == [
             "ok",
             "skipped-open-circuit",
@@ -313,42 +308,35 @@ class TestBreakerExecution:
         """Two workers hitting a half-open circuit in the same batch must
         admit exactly one probe; the other job is skipped, not raced in.
 
-        Regression test: admission used to consult the read-only
-        ``allows()`` per job, so a two-job batch against a half-open
-        circuit dispatched both jobs as probes."""
+        Regression test: admission used to consult a read-only state
+        check per job, so a two-job batch against a half-open circuit
+        dispatched both jobs as probes."""
         from repro.engine.backends import ThreadPoolBackend
 
-        model = _Model(fail_times=2)
+        model = _Model(fail_times=FAILURE_THRESHOLD)
         with ThreadPoolBackend(workers=2) as inner:
-            backend = ResilientBackend(
-                inner,
-                retry=RetryPolicy(max_attempts=1),
-                breaker=BreakerPolicy(failure_threshold=2, cooldown_batches=1),
-            )
-            backend.run([_job(model, 0)])
-            backend.run([_job(model, 1)])  # opens the circuit
-            assert backend.breaker_state("m") == "open"
+            backend = ResilientBackend(inner, max_attempts=1)
+            _open_circuit(backend, model)
+            for _ in range(COOLDOWN_BATCHES - 1):
+                backend.run([])  # cooldown ticks
             calls_before = model.calls
             # One batch, two jobs of the half-open model, two live workers.
-            results = backend.run([_job(model, 2), _job(model, 3)])
+            results = backend.run([_job(model, 10), _job(model, 11)])
             statuses = sorted(r.status for r in results)
             assert statuses == ["ok", "skipped-open-circuit"]
             assert model.calls == calls_before + 1  # exactly one probe ran
-            assert backend.breaker_state("m") == "closed"  # probe healed it
+            assert _breaker_state(backend) == "closed"  # probe healed it
 
     def test_half_open_single_probe_same_frame_jobs(self):
         """The guarantee holds even when both jobs are identical
         (same model, same frame) — the second is refused, not deduped."""
-        model = _Model(fail_times=2)
-        backend = ResilientBackend(
-            SerialBackend(),
-            retry=RetryPolicy(max_attempts=1),
-            breaker=BreakerPolicy(failure_threshold=2, cooldown_batches=1),
-        )
-        backend.run([_job(model, 0)])
-        backend.run([_job(model, 1)])
+        model = _Model(fail_times=FAILURE_THRESHOLD)
+        backend = self._failing_backend()
+        _open_circuit(backend, model)
+        for _ in range(COOLDOWN_BATCHES - 1):
+            backend.run([])
         calls_before = model.calls
-        results = backend.run([_job(model, 2), _job(model, 2)])
+        results = backend.run([_job(model, 10), _job(model, 10)])
         assert sorted(r.status for r in results) == [
             "ok",
             "skipped-open-circuit",
