@@ -1,10 +1,11 @@
 """Cross-query reuse: warm-store speedup of the materialized query stack.
 
 The persistent :class:`~repro.query.matstore.MaterializedDetectionStore`
-turns detector/REF inference, fusion and AP evaluation into a one-time
-charge: a second engine (a fresh process, as far as state is concerned)
-running an overlapping query answers every evaluation from disk.  This
-benchmark times a cold and a warm run of the same MES query, asserts
+turns detector/REF inference and AP evaluation into a one-time charge: a
+second engine (a fresh process, as far as state is concerned) running an
+overlapping query answers every evaluation from disk and fuses only the
+ensemble each frame serves.  This benchmark times a cold and a warm run
+of the same MES query, asserts
 
 * the warm run is at least 2x faster end-to-end,
 * it performs **zero** detector and reference invocations (observability

@@ -187,7 +187,11 @@ def _validate_backend_arguments(
     ``--workers 0`` never reaches pool construction (the argparse type
     rejects it), and a flag the run would ignore (``--workers`` with the
     serial backend, ``--retries`` or ``--fault-seed`` on a run that
-    injects no faults) errors instead of being silently dropped.
+    injects no faults) errors instead of being silently dropped.  Fault
+    injection refuses the process backend: faulty detectors keep their
+    per-frame attempt state in this process and are deliberately
+    unpicklable.  A ``--timeout-ms`` run without faults ships only plain
+    detectors, so any backend takes it.
     """
     if args.workers is not None and args.backend == "serial":
         parser.error(
@@ -197,6 +201,11 @@ def _validate_backend_arguments(
     if args.workers is None:
         args.workers = _DEFAULT_WORKERS
     faulty = args.fault_profile != "none"
+    if faulty and args.backend == "process":
+        parser.error(
+            "--fault-profile requires --backend serial or thread "
+            "(faulty detectors are not picklable)"
+        )
     if args.retries is not None and not (faulty or args.timeout_ms is not None):
         parser.error(
             "--retries requires --fault-profile or --timeout-ms "
@@ -258,16 +267,9 @@ def _open_backend(
     """Build the (possibly resilient) backend the run will own.
 
     Fault injection implies the resilient wrapper; so does an explicit
-    timeout.  Faulty detectors keep per-frame attempt state and are
-    deliberately unpicklable, so the process backend is rejected for
-    fault-injected runs up front rather than failing deep in a pool.
+    timeout.
     """
     resilient = args.fault_profile != "none" or args.timeout_ms is not None
-    if resilient and args.backend == "process":
-        raise SystemExit(
-            "--fault-profile/--timeout-ms require --backend serial or "
-            "thread (faulty detectors are not picklable)"
-        )
     backend = make_backend(args.backend, workers=args.workers, obs=obs)
     if not resilient:
         return backend
@@ -348,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "directory of the persistent materialized detection store; "
             "overlapping queries (across runs and processes) reuse "
-            "already-paid detector/REF inference, fusion and AP values "
-            "from it with bit-identical results"
+            "already-paid detector/REF inference and AP values from it "
+            "with bit-identical results"
         ),
     )
     _add_backend_arguments(query)

@@ -22,7 +22,10 @@ argmax, found without fusing ensembles whose score cannot win.
 
 Each evaluation reads its frame's inputs once: every member's output and
 REF's output come from one batched store read plus the frame's own
-inference jobs, and the ground truth is built at most once.
+inference jobs, and the ground truth is built at most once.  An
+ensemble's fused boxes are produced only when something reads them: an
+AP the store does not hold, or a caller of
+:attr:`EnsembleEvaluation.detections`.  Fusion is billed either way.
 
 Execution is layered on the :mod:`repro.engine` package:
 
@@ -62,8 +65,8 @@ equals its requested one and all charges are identical.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any
 
@@ -127,13 +130,40 @@ def method_tag(method: object) -> str:
     return f"{name}({params})"
 
 
+class _FusedBoxes:
+    """An ensemble's fused detections, produced at their first read.
+
+    ``fuse`` (a read of the store's ``fused`` stage) runs at the first
+    :meth:`get` and never again.  Two holders compare and hash by their
+    detections.
+    """
+
+    __slots__ = ("_fuse", "_detections")
+
+    def __init__(self, fuse: Callable[[], FrameDetections]) -> None:
+        self._fuse = fuse
+        self._detections: FrameDetections | None = None
+
+    def get(self) -> FrameDetections:
+        if self._detections is None:
+            self._detections = self._fuse()
+        return self._detections
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _FusedBoxes):
+            return NotImplemented
+        return self.get() == other.get()
+
+    def __hash__(self) -> int:
+        return hash(self.get())
+
+
 @dataclass(frozen=True)
 class EnsembleEvaluation:
     """Everything known about applying one ensemble to one frame.
 
     Attributes:
         key: The ensemble.
-        detections: Fused detection output ``D_{S|v}``.
         inference_ms: Sum of member inference times (as if ``S`` ran alone).
         ensembling_ms: Fusion cost ``c^e_{S|v}``.
         cost_ms: ``c_{S|v}`` per Eq. (1).
@@ -151,10 +181,14 @@ class EnsembleEvaluation:
             default) means the full requested ensemble ran; when members
             failed, every detection/cost/score field describes this
             subset instead of ``key``.
+
+    :attr:`detections` are fused when first read (by an AP the store
+    misses, or by a caller), at most once per evaluation.  Equality
+    compares them too.
     """
 
     key: EnsembleKey
-    detections: FrameDetections
+    _boxes: _FusedBoxes = field(repr=False)
     inference_ms: float
     ensembling_ms: float
     cost_ms: float
@@ -164,6 +198,11 @@ class EnsembleEvaluation:
     true_ap: float
     true_score: float
     realized: EnsembleKey = ()
+
+    @property
+    def detections(self) -> FrameDetections:
+        """Fused detection output ``D_{S|v}``."""
+        return self._boxes.get()
 
     @property
     def realized_key(self) -> EnsembleKey:
@@ -636,24 +675,24 @@ class DetectionEnvironment:
         )
 
     def _estimated_ap(
-        self, inputs: _FrameInputs, key: EnsembleKey, fused: FrameDetections
+        self, inputs: _FrameInputs, key: EnsembleKey, boxes: _FusedBoxes
     ) -> float:
         return self.store.get_or_compute(
             "est_ap",
             (inputs.frame.key, key, self._est_tag),
             lambda: mean_average_precision(
-                fused, inputs.reference.detections, self.iou_threshold
+                boxes.get(), inputs.reference.detections, self.iou_threshold
             ),
         )
 
     def _true_ap(
-        self, inputs: _FrameInputs, key: EnsembleKey, fused: FrameDetections
+        self, inputs: _FrameInputs, key: EnsembleKey, boxes: _FusedBoxes
     ) -> float:
         return self.store.get_or_compute(
             "true_ap",
             (inputs.frame.key, key, self._true_tag),
             lambda: mean_average_precision(
-                fused, inputs.ground_truth, self.iou_threshold
+                boxes.get(), inputs.ground_truth, self.iou_threshold
             ),
         )
 
@@ -737,24 +776,28 @@ class DetectionEnvironment:
         inputs: _FrameInputs,
         key: EnsembleKey,
         realized: EnsembleKey,
-        fused: FrameDetections,
         inference_ms: float,
         fusion_ms: float,
         estimate: bool,
     ) -> EnsembleEvaluation:
-        """Score one realized ensemble's fused output (true AP memoized)."""
+        """Score one realized ensemble (both APs memoized).
+
+        Its fused detections are produced only if an AP misses the store
+        or a caller reads them.
+        """
+        boxes = _FusedBoxes(lambda: self._fused(inputs, realized))
         cost_ms = inference_ms + fusion_ms
         c_hat = self.normalized_cost(cost_ms)
         if estimate:
-            est_ap = self._estimated_ap(inputs, realized, fused)
+            est_ap = self._estimated_ap(inputs, realized, boxes)
             est_score = self.scoring(est_ap, c_hat)
         else:
             est_ap = 0.0
             est_score = 0.0
-        true_ap = self._true_ap(inputs, realized, fused)
+        true_ap = self._true_ap(inputs, realized, boxes)
         return EnsembleEvaluation(
             key=key,
-            detections=fused,
+            _boxes=boxes,
             inference_ms=inference_ms,
             ensembling_ms=fusion_ms,
             cost_ms=cost_ms,
@@ -821,13 +864,7 @@ class DetectionEnvironment:
             if best is not None and (bound, key) < (best.true_score, best.key):
                 break
             evaluation = self._evaluation(
-                inputs,
-                key,
-                realized,
-                self._fused(inputs, realized),
-                inference_ms,
-                fusion_ms,
-                estimate=False,
+                inputs, key, realized, inference_ms, fusion_ms, estimate=False
             )
             if best is None or (evaluation.true_score, key) > (
                 best.true_score,
@@ -848,8 +885,9 @@ class DetectionEnvironment:
         Each union member's output and REF's output are read once per
         call: from the store, or from this frame's inference jobs.  A
         member is healthy when this frame has an output for it, so store
-        eviction never changes a result.  Fused detections and both APs
-        are memoized in the store.
+        eviction never changes a result.  Both APs are memoized in the
+        store, and so are the fused detections, which are produced only
+        when an AP misses or a caller reads them.
 
         Args:
             frame: The frame to process.
@@ -897,32 +935,28 @@ class DetectionEnvironment:
             if self.clock.charge_once("reference", frame.key, ref_ms):
                 reference_ms = ref_ms
 
-        # Pass 1 ("fuse"): materialize every realized ensemble's fused
-        # detections and its cost components.  Pass 2 ("score"): APs and
-        # scores.  The split exists so the two phases are separately
-        # spanned.
+        # Pass 1 ("fuse"): every realized ensemble's cost components and
+        # the batch's billed fusion cost.  Pass 2 ("score"): APs and
+        # scores, fusing only the ensembles whose APs miss the store.  The
+        # split exists so the two phases are separately spanned.
         evaluations: dict[EnsembleKey, EnsembleEvaluation] = {}
         ensembling_ms = 0.0
         fusions_billed: set[EnsembleKey] = set()
-        prepared: list[
-            tuple[EnsembleKey, EnsembleKey, FrameDetections, float, float]
-        ] = []
+        prepared: list[tuple[EnsembleKey, EnsembleKey, float, float]] = []
         with self.obs.span("fuse") as fuse_span:
             for key, realized in realization.realized_of.items():
-                fused = self._fused(inputs, realized)
                 inference_ms, fusion_ms = self._cost_ms(inputs, realized)
                 if realized not in fusions_billed:
                     # Distinct requested ensembles can collapse onto one
-                    # realized subset; its fusion runs (and bills) once.
+                    # realized subset; its fusion bills once.
                     fusions_billed.add(realized)
                     ensembling_ms += fusion_ms
-                prepared.append((key, realized, fused, inference_ms, fusion_ms))
+                prepared.append((key, realized, inference_ms, fusion_ms))
             fuse_span.set_sim_ms(ensembling_ms)
         with self.obs.span("score"):
-            for key, realized, fused, inference_ms, fusion_ms in prepared:
+            for key, realized, inference_ms, fusion_ms in prepared:
                 evaluations[key] = self._evaluation(
-                    inputs, key, realized, fused, inference_ms, fusion_ms,
-                    estimate,
+                    inputs, key, realized, inference_ms, fusion_ms, estimate
                 )
 
         if charge:

@@ -138,7 +138,9 @@ class Query:
         if not self.select:
             raise ValueError("SELECT list must be non-empty")
         if self.min_duration < 1:
-            raise ValueError("min_duration must be at least 1")
+            raise ValueError(
+                f"FOR AT LEAST needs at least 1 frame, got {self.min_duration}"
+            )
         produced = {name.lower() for name in self.process.produce}
         for column in self.select:
             if column.lower() not in produced:

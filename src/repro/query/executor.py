@@ -14,7 +14,7 @@ even with different algorithms or references — reuse each other's
 detector inferences, fusions and AP computations with bit-identical
 results.  Passing ``materialize_dir`` additionally attaches a
 :class:`~repro.query.matstore.MaterializedDetectionStore`, extending
-that reuse across processes.
+the reuse of inference outputs and AP values across processes.
 """
 
 from __future__ import annotations
@@ -60,9 +60,11 @@ class QueryEngine:
             environment (spans, metrics and events for the selection
             run).
         materialize_dir: Directory for the persistent materialized
-            detection store; when given, every deterministic stage value
-            is written through to disk and later queries (in any
-            process) reuse it instead of re-running inference.
+            detection store; when given, detector and reference outputs
+            and both APs are written through to disk, and later queries
+            (in any process) reuse them instead of re-running inference.
+            Fused boxes stay in memory: a warm query fuses only the
+            frames it serves.
     """
 
     def __init__(

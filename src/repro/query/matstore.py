@@ -1,12 +1,14 @@
 """The persistent materialized detection store (cross-query reuse tier).
 
 :class:`MaterializedDetectionStore` implements the engine's
-:class:`~repro.engine.store.PersistentTier` protocol on disk: every
-deterministic evaluation stage — detector outputs keyed by
-``(video, frame, detector)``, reference outputs, fused boxes, estimated
-and true AP — is appended to versioned JSONL segments under a directory,
-so overlapping queries (in this process or a later one) skip already-paid
-inference entirely.
+:class:`~repro.engine.store.PersistentTier` protocol on disk: detector
+outputs keyed by ``(video, frame, detector)``, reference outputs,
+estimated and true AP are appended to versioned JSONL segments under a
+directory, so overlapping queries (in this process or a later one) skip
+already-paid inference entirely.  Fused boxes are not persisted: a query
+reads them only for the frames it serves, and fusing those from the
+persisted detector outputs costs less than decoding every evaluated
+ensemble's boxes.
 
 Reuse is bit-for-bit reproducible: values are serialized through JSON,
 whose float round-trip is exact in Python (``repr`` emits the shortest
@@ -15,26 +17,26 @@ in-memory store's *context tag* (fusion method + parameters, reference
 model, IoU threshold), so entries produced under different configurations
 never collide.
 
-On-disk layout (format version 2)::
+On-disk layout (format version 3)::
 
-    <root>/MANIFEST.json       {"format_version": 2}
+    <root>/MANIFEST.json       {"format_version": 3}
     <root>/segment-00000.jsonl one record per line: <sha> TAB <payload>
 
 ``payload`` is the compact JSON array ``[stage, key, value]`` and
 ``sha`` the first 16 hex digits of the SHA-256 of the payload bytes
 exactly as written, so a read verifies a line before decoding it and
-never re-encodes.  Detections are stored as rows: a ``FrameDetections``
-is ``[frame_index, source, rows]`` with one ``[x1, y1, x2, y2,
-confidence, label, source, object_id]`` row per detection, a
-``DetectorOutput`` is ``[inference_time_ms, frame_detections]`` and AP
-values are bare floats.
+never re-encodes.  A ``DetectorOutput`` is ``[inference_time_ms,
+frame_detections]``, its detections stored as rows: ``[frame_index,
+source, rows]`` with one ``[x1, y1, x2, y2, confidence, label, source,
+object_id]`` row per detection.  AP values are bare floats.
 
 Decoding is a trust boundary: boxes and detections are rebuilt through
 their validating constructors, and lines failing the checksum or decoding
 are skipped and counted, never trusted.  A manifest with any other
-``format_version`` (version 1 included) refuses to load; there is no
-migration.  Each session creates its own segment exclusively at its first
-write, so no other session, in this process or another, appends to it.
+``format_version`` (versions 1 and 2 included) refuses to load; there is
+no migration.  Each session creates its own segment exclusively at its
+first write, so no other session, in this process or another, appends
+to it.
 """
 
 from __future__ import annotations
@@ -61,16 +63,17 @@ __all__ = [
 ]
 
 #: On-disk format version; bumped on any incompatible record change.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-#: Stages this tier persists — every deterministic evaluation stage.
-#: Persisting all five (not just detector outputs) is what makes warm
-#: re-runs fast: profiling shows detector inference is only ~35% of query
-#: wall time, with fusion and AP computation making up most of the rest.
+#: Stages this tier persists.  The inference outputs and both APs are
+#: what a warm query would otherwise recompute for every evaluated
+#: ensemble.  The ``fused`` stage is left out: a query reads fused boxes
+#: only for the frames it serves, so a warm run fuses those from the
+#: persisted detector outputs.  Persisted, they were 6.2 of the 10.6 MB
+#: a cold 600-frame query wrote and over half of a warm open's CPU time.
 MATERIALIZED_STAGES: tuple[str, ...] = (
     "detector",
     "reference",
-    "fused",
     "est_ap",
     "true_ap",
 )
@@ -158,8 +161,6 @@ def _decode_detections(payload: Any) -> FrameDetections:
 def _encode_value(stage: str, value: Any) -> Any:
     if stage in ("detector", "reference"):
         return [value.inference_time_ms, _encode_detections(value.detections)]
-    if stage == "fused":
-        return _encode_detections(value)
     # est_ap / true_ap are bare floats.
     return float(value)
 
@@ -171,8 +172,6 @@ def _decode_value(stage: str, payload: Any) -> Any:
             detections=_decode_detections(detections),
             inference_time_ms=float(inference_time_ms),
         )
-    if stage == "fused":
-        return _decode_detections(payload)
     return float(payload)
 
 
@@ -207,10 +206,10 @@ class MaterializedDetectionStore:
     """Disk-backed cross-query detection store (a persistent store tier).
 
     Attach one to an :class:`~repro.engine.store.EvaluationStore` (or pass
-    a directory to ``QueryEngine(materialize_dir=...)``) and every
-    deterministic stage value computed by any query is written through to
-    disk; later queries — in this process or another — promote those
-    records instead of re-running inference.
+    a directory to ``QueryEngine(materialize_dir=...)``) and every value
+    of a :data:`MATERIALIZED_STAGES` stage computed by any query is
+    written through to disk; later queries — in this process or another —
+    promote those records instead of re-running inference.
 
     Thread-safe (one internal lock guards the index and the segment
     file).  The instance is a context manager; :meth:`close` flushes and

@@ -4,7 +4,7 @@ Grammar (keywords case-insensitive; identifiers may contain ``-``)::
 
     query      := [EXPLAIN] SELECT ident (',' ident)*
                   FROM '(' process ')'
-                  [WHERE expr]
+                  [WHERE expr [FOR AT LEAST integer FRAMES]]
     process    := PROCESS ident PRODUCE ident (',' ident)*
                   USING ident '(' ident (',' ident)* [';' ident] ')'
                   [WITH ident '=' number (',' ident '=' number)*]
@@ -45,7 +45,8 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Raised on any lexical or syntactic error, with position context.
+    """Raised on any lexical or syntactic error, with position context,
+    and on well-formed text that is not a valid query, without.
 
     Attributes:
         message: The bare diagnostic (no position suffix).
@@ -206,6 +207,12 @@ class _Parser:
             return float(self._advance().value)
         raise self._error("expected a number")
 
+    def _expect_integer(self) -> int:
+        token = self._current
+        if token.kind == "NUMBER" and token.value.isdigit():
+            return int(self._advance().value)
+        raise self._error("expected a whole number")
+
     def _match_keyword(self, word: str) -> bool:
         token = self._current
         if token.kind == "KEYWORD" and token.value.lower() == word:
@@ -244,17 +251,22 @@ class _Parser:
             if self._match_keyword("for"):
                 self._expect_keyword("at")
                 self._expect_keyword("least")
-                min_duration = int(self._expect_number())
+                min_duration = self._expect_integer()
                 self._expect_keyword("frames")
         if self._current.kind != "EOF":
             raise self._error("unexpected trailing input")
-        return Query(
-            select=select,
-            process=process,
-            where=where,
-            min_duration=min_duration,
-            explain=explain,
-        )
+        try:
+            return Query(
+                select=select,
+                process=process,
+                where=where,
+                min_duration=min_duration,
+                explain=explain,
+            )
+        except ValueError as exc:
+            # A selected column the PROCESS clause does not produce, or a
+            # zero FOR AT LEAST count: well-formed text, no single token.
+            raise ParseError(str(exc)) from exc
 
     def _process(self) -> ProcessClause:
         self._expect_keyword("process")
@@ -365,6 +377,8 @@ def parse_query(text: str) -> Query:
     """Parse a query string into a :class:`~repro.query.ast.Query`.
 
     Raises:
-        ParseError: On lexical or syntactic errors, with position info.
+        ParseError: On lexical or syntactic errors, with position info,
+            and on a query the AST rejects (a selected column that is not
+            produced, ``FOR AT LEAST 0 FRAMES``), without.
     """
     return _Parser(tokenize(text)).parse()

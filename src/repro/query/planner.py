@@ -86,20 +86,25 @@ def build_plan(
     """Validate a query against the engine's catalog and bind the algorithm.
 
     Raises:
-        PlanError: For unknown videos / detectors / references / algorithms
-            or invalid WITH parameters (a budget must be positive and
-            finite).
+        PlanError: For unknown videos / detectors / references / algorithms,
+            a detector listed twice, or invalid WITH parameters (a budget
+            must be positive and finite).
     """
     process = query.process
     if process.video not in known_videos:
         raise PlanError(
             f"unknown video {process.video!r}; registered: {sorted(known_videos)}"
         )
-    for model in process.models:
+    for index, model in enumerate(process.models):
         if model not in known_detectors:
             raise PlanError(
                 f"unknown detector {model!r}; "
                 f"registered: {sorted(known_detectors)}"
+            )
+        if model in process.models[:index]:
+            raise PlanError(
+                f"detector {model!r} is listed more than once in "
+                f"USING {process.algorithm}(...)"
             )
     if process.reference is not None and process.reference not in known_references:
         raise PlanError(

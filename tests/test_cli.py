@@ -184,6 +184,30 @@ class TestFaultFlagValidation:
         [*_, error] = capsys.readouterr().err.splitlines()
         assert error.startswith(f"repro: error: {message} ")
 
+    @pytest.mark.parametrize("command", ["compare", "query"])
+    def test_faults_on_process_backend_rejected(self, capsys, command):
+        argv = [command, "--backend", "process", "--workers", "2",
+                "--fault-profile", "chaos", "--frames", "5", "--m", "2",
+                "--scale", "0.02"]
+        if command == "query":
+            argv.append("SELECT x")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        [*_, error] = capsys.readouterr().err.splitlines()
+        assert error.startswith(
+            "repro: error: --fault-profile requires --backend serial or thread "
+        )
+
+    def test_timeout_without_faults_runs_on_process_backend(self, capsys):
+        """Nothing unpicklable reaches the pool: same stdout as serial."""
+        argv = ["compare", "--timeout-ms", "500", "--frames", "5",
+                "--trials", "1", "--m", "2", "--scale", "0.02"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main([*argv, "--backend", "process", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
     @pytest.mark.parametrize(
         "argv, retries",
         [
@@ -597,14 +621,24 @@ class TestQueryCliEndToEnd:
              False, ["unknown detector 'no-such-model'"]),
             (QUERY.replace("PROCESS video", "PROCESS elsewhere"),
              False, ["unknown video 'elsewhere'"]),
-            (QUERY, True, ["has format_version 1", "reads only format_version 2"]),
+            (QUERY, True, ["has format_version 1", "reads only format_version 3"]),
             (QUERY.replace("USING BF(yolov7-tiny-clear, yolov7-tiny-night))",
                            "USING MES-B(yolov7-tiny-clear, yolov7-tiny-night) "
                            "WITH budget=0)"),
              False, ["WITH budget must be a positive finite number, got 0"]),
+            (QUERY.replace("SELECT frameID", "SELECT score"),
+             False, ["SELECT column 'score' is not produced"]),
+            (QUERY.replace("WHERE frameID < 8",
+                           "WHERE COUNT('car') >= 1 FOR AT LEAST 0 FRAMES"),
+             False, ["FOR AT LEAST needs at least 1 frame, got 0"]),
+            (QUERY.replace("USING BF(yolov7-tiny-clear, yolov7-tiny-night))",
+                           "USING MES(yolov7-tiny-clear, yolov7-tiny-clear; "
+                           "lidar-ref))"),
+             False, ["detector 'yolov7-tiny-clear' is listed more than once"]),
         ],
         ids=["unknown-with-key", "unknown-detector", "unregistered-video",
-             "v1-store", "zero-budget"],
+             "v1-store", "zero-budget", "select-not-produced",
+             "zero-duration", "repeated-model"],
     )
     def test_plan_and_store_errors_print_one_line_and_exit_2(
         self, capsys, tmp_path, text, v1_store, fragments

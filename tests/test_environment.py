@@ -1,6 +1,7 @@
 """Unit tests for the detection environment (costs, caching, scoring)."""
 
 import inspect
+from dataclasses import replace
 
 import pytest
 
@@ -104,6 +105,65 @@ class TestEvaluate:
         for key in a.evaluations:
             assert a.evaluations[key].est_score == b.evaluations[key].est_score
             assert a.evaluations[key].true_ap == b.evaluations[key].true_ap
+
+
+class TestFusedBoxes:
+    """An evaluation's boxes are fused on demand, once, and compared."""
+
+    def test_boxes_equal_an_eager_fusion_of_the_members(
+        self, environment, simple_frame
+    ):
+        batch = environment.evaluate(simple_frame, environment.all_ensembles)
+        for evaluation in batch.evaluations.values():
+            members = [
+                environment.detector(model).detect(simple_frame).detections
+                for model in evaluation.realized_key
+            ]
+            assert evaluation.detections == environment.fusion.fuse(members)
+
+    def test_each_ensemble_fused_at_most_once(
+        self, environment, simple_frame, monkeypatch
+    ):
+        calls = []
+        fuse = environment.fusion.fuse
+        monkeypatch.setattr(
+            environment.fusion, "fuse", lambda outputs: calls.append(1) or fuse(outputs)
+        )
+        batch = environment.evaluate(simple_frame, environment.all_ensembles)
+        # Both APs missed, so each ensemble was fused, once.
+        assert len(calls) == len(batch.evaluations)
+        for evaluation in batch.evaluations.values():
+            assert evaluation.detections is evaluation.detections
+        assert len(calls) == len(batch.evaluations)
+
+    def test_boxes_read_only_when_an_ap_misses_or_a_caller_asks(
+        self, detector_pool, lidar, simple_frame
+    ):
+        store = EvaluationStore()
+        warm = DetectionEnvironment(detector_pool, lidar, store=store)
+        warm.evaluate(simple_frame, warm.all_ensembles)
+        env = DetectionEnvironment(detector_pool, lidar, store=store)
+
+        def fused_lookups():
+            return store.stats().stages["fused"].lookups
+
+        before = fused_lookups()
+        batch = env.evaluate(simple_frame, env.all_ensembles)
+        best = env.peek_best(simple_frame, env.all_ensembles)
+        assert fused_lookups() == before  # every AP hit the store
+        for evaluation in [*batch.evaluations.values(), best]:
+            first = evaluation.detections
+            assert evaluation.detections is first
+        assert fused_lookups() == before + len(batch.evaluations) + 1
+
+    def test_equality_compares_the_boxes(self, environment, simple_frame):
+        batch = environment.evaluate(simple_frame, environment.all_ensembles)
+        first, *others = batch.evaluations.values()
+        other = next(e for e in others if e.detections != first.detections)
+        assert replace(first, _boxes=other._boxes) != first
+        same = replace(first, _boxes=first._boxes)
+        assert same == first
+        assert hash(same) == hash(first)
 
 
 class TestSharedCache:

@@ -83,7 +83,7 @@ class TestRoundTrip:
         )
         records = [
             ("detector", ("v#7", "det"), DetectorOutput(frame, inference_ms)),
-            ("fused", ("v#7", ("a", "b"), "wbf()"), frame),
+            ("reference", ("v#7", "ref"), DetectorOutput(frame, inference_ms)),
             ("est_ap", ("v#7", ("a",), "t"), inference_ms),
         ]
         with tempfile.TemporaryDirectory() as root:
@@ -110,14 +110,12 @@ class TestRoundTrip:
         keys = {
             "detector": ("vid#0", "det-a"),
             "reference": ("vid#0", "lidar-ref"),
-            "fused": ("vid#0", ("det-a", "det-b"), "wbf()"),
             "est_ap": ("vid#0", ("det-a",), "wbf()|iou=0.5|ref=lidar-ref"),
             "true_ap": ("vid#0", ("det-a",), "wbf()|iou=0.5"),
         }
         values = {
             "detector": output,
             "reference": output,
-            "fused": output.detections,
             "est_ap": 0.6251278459354782,
             "true_ap": 0.1,
         }
@@ -150,6 +148,15 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             store.store("bogus", "k", 1.0)
 
+    def test_fused_stage_rejected(self, tmp_path):
+        """Fused boxes are recomputed from detector outputs, never stored."""
+        store = MaterializedDetectionStore(tmp_path)
+        assert "fused" not in MATERIALIZED_STAGES
+        assert not store.accepts("fused")
+        with pytest.raises(ValueError, match="not materializable"):
+            store.store("fused", ("v#0", ("a",), "t"), _sample_output().detections)
+        assert not list(tmp_path.glob("segment-*.jsonl"))
+
 
 def _checksummed(stage, key, value) -> str:
     """A segment line whose checksum matches its payload."""
@@ -179,7 +186,7 @@ def _unknown_stage(line: str) -> str:
 def _inverted_box(line: str) -> str:
     _, key, _ = json.loads(line.split("\t")[1])
     rows = [[10.0, 0.0, 5.0, 1.0, 0.5, "car", None, None]]  # x2 < x1
-    return _checksummed("fused", key, [0, None, rows])
+    return _checksummed("detector", key, [1.0, [0, None, rows]])
 
 
 _TAMPERS = {
@@ -259,6 +266,20 @@ class TestVersioning:
         with pytest.raises(MaterializationError, match="format_version"):
             MaterializedDetectionStore(tmp_path)
 
+    def test_version_2_directory_refused(self, tmp_path):
+        """A v2 store holds fused records; it is refused, not half-read."""
+        (tmp_path / "MANIFEST.json").write_text('{"format_version": 2}\n')
+        segment = tmp_path / "segment-00000.jsonl"
+        segment.write_text(
+            _checksummed("fused", ["v#0", ["a"], "t"], [0, None, []]) + "\n"
+        )
+        with pytest.raises(MaterializationError) as refused:
+            MaterializedDetectionStore(tmp_path)
+        message = str(refused.value)
+        assert "has format_version 2" in message
+        assert f"reads only format_version {FORMAT_VERSION}" in message
+        assert FORMAT_VERSION == 3
+
     def test_garbage_manifest_refused(self, tmp_path):
         (tmp_path / "MANIFEST.json").write_text("not json at all")
         with pytest.raises(MaterializationError):
@@ -297,7 +318,7 @@ class TestStats:
 
 
 def _large_frame(tag: str) -> FrameDetections:
-    """A fused value whose record is well over the 8 KiB I/O buffer."""
+    """Detections whose record is well over the 8 KiB I/O buffer."""
     return FrameDetections(
         frame_index=0,
         detections=tuple(
@@ -308,13 +329,17 @@ def _large_frame(tag: str) -> FrameDetections:
     )
 
 
+def _large_output(tag: str) -> DetectorOutput:
+    return DetectorOutput(detections=_large_frame(tag), inference_time_ms=8.5)
+
+
 def _concurrent_writer(root: str, writer: int, barrier) -> None:
     store = MaterializedDetectionStore(root)
     barrier.wait(timeout=_CHILD_TIMEOUT_S)  # every writer opens first
     with store:
         for i in range(4):
             tag = f"w{writer}-{i}"
-            store.store("fused", (tag, ("a",), "t"), _large_frame(tag))
+            store.store("detector", (tag, "a"), _large_output(tag))
 
 
 def _reuse_engine(**kwargs) -> tuple[QueryEngine, str]:
@@ -397,7 +422,7 @@ class TestConcurrentWriters:
         for w in range(3):
             for i in range(4):
                 tag = f"w{w}-{i}"
-                assert reopened.load("fused", (tag, ("a",), "t")) == _large_frame(tag)
+                assert reopened.load("detector", (tag, "a")) == _large_output(tag)
 
     def test_killed_writer_keeps_every_acknowledged_record(self, tmp_path):
         ctx = multiprocessing.get_context("spawn")

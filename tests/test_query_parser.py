@@ -130,10 +130,11 @@ class TestParseQuery:
         assert query.process.params == {"window": 50.0, "gamma": 3.0}
 
     def test_select_must_be_produced(self):
-        with pytest.raises(ValueError, match="not produced"):
+        with pytest.raises(ParseError, match="not produced") as excinfo:
             parse_query(
                 "SELECT score FROM (PROCESS v PRODUCE frameID USING BF(m1))"
             )
+        assert excinfo.value.position is None  # no single offending token
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError, match="trailing"):

@@ -102,6 +102,10 @@ class TestBuildPlan:
         with pytest.raises(PlanError, match="unknown detector"):
             plan("SELECT frameID FROM (PROCESS v PRODUCE frameID USING BF(ghost))")
 
+    def test_repeated_detector_rejected(self):
+        with pytest.raises(PlanError, match="'m1' is listed more than once"):
+            plan("SELECT frameID FROM (PROCESS v PRODUCE frameID USING MES(m1, m2, m1))")
+
     def test_unknown_reference(self):
         with pytest.raises(PlanError, match="unknown reference"):
             plan("SELECT frameID FROM (PROCESS v PRODUCE frameID USING BF(m1; radar))")

@@ -8,6 +8,8 @@ only — never a result byte.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.environment import DetectionEnvironment
@@ -171,6 +173,32 @@ class TestCrossQueryReuse:
             assert _reference_invocations(obs_warm) == 0
             assert engine.store.stats().tier_hits > 0
         assert second.rows == first.rows  # warm store changes no result bytes
+
+    def test_warm_query_fuses_only_the_frames_it_serves(
+        self, make_engine, tmp_path
+    ):
+        with make_engine(materialize_dir=tmp_path) as engine:
+            cold = engine.execute(self.QUERY)
+            cold_records = engine.matstore.stats().stores
+        obs = Observability(level="metrics", timer=wall_timer)
+        with make_engine(obs=obs, materialize_dir=tmp_path) as engine:
+            warm = engine.execute(self.QUERY)
+            matstore = engine.matstore.stats()
+            fused = engine.store.stats().stages["fused"]
+        assert warm.rows == cold.rows
+        stages = {
+            json.loads(line.split("\t", 1)[1])[0]
+            for segment in tmp_path.glob("segment-*.jsonl")
+            for line in segment.read_text().splitlines()
+        }
+        assert stages == {"detector", "reference", "est_ap", "true_ap"}
+        # Every AP came from the store; only each served frame's boxes
+        # were fused, from the stored detector outputs.
+        assert fused.misses == fused.lookups == warm.selection.frames_processed
+        assert _detector_invocations(obs) == _reference_invocations(obs) == 0
+        assert matstore.hit_rate == 1.0
+        assert matstore.stores == 0
+        assert matstore.records == cold_records
 
     def test_overlapping_query_with_different_algorithm_reuses(
         self, make_engine, tmp_path

@@ -40,11 +40,22 @@ class TestParsing:
             )
 
     def test_zero_duration_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="at least 1 frame, got 0") as excinfo:
             parse_query(
                 "SELECT frameID FROM (PROCESS v PRODUCE frameID USING BF(m1)) "
                 "WHERE COUNT('car') >= 1 FOR AT LEAST 0 FRAMES"
             )
+        assert excinfo.value.position is None
+
+    @pytest.mark.parametrize("count", ["2.5", "2.0"])
+    def test_fractional_duration_rejected_at_the_number(self, count):
+        text = (
+            "SELECT frameID FROM (PROCESS v PRODUCE frameID USING BF(m1)) "
+            f"WHERE COUNT('car') >= 1 FOR AT LEAST {count} FRAMES"
+        )
+        with pytest.raises(ParseError, match="expected a whole number") as excinfo:
+            parse_query(text)
+        assert excinfo.value.position == text.index(count)
 
 
 class TestApplyMinDuration:
