@@ -89,7 +89,13 @@ _DEFAULT_RETRIES = 3
 
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    """The execution-engine flags shared by ``compare`` and ``query``."""
+    """The execution-engine flags shared by ``compare`` and ``query``.
+
+    The subcommand's parser rides along in the namespace, so a flag
+    combination :func:`_validate_backend_arguments` rejects is reported
+    with the subcommand's usage line.
+    """
+    parser.set_defaults(command_parser=parser)
     parser.add_argument(
         "--backend",
         default="serial",
@@ -516,7 +522,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in ("compare", "query"):
-        _validate_backend_arguments(parser, args)
+        _validate_backend_arguments(args.command_parser, args)
     handlers = {
         "compare": _run_compare,
         "query": _run_query,

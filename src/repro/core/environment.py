@@ -85,7 +85,12 @@ from repro.engine.store import CacheStats, EvaluationStore
 from repro.ensembling.base import EnsembleMethod
 from repro.ensembling.wbf import WeightedBoxesFusion
 from repro.obs import NULL_OBS, Observability
-from repro.simulation.clock import CostModel, SimulatedClock
+from repro.simulation.clock import (
+    OVERHEAD_PER_ENSEMBLE_MS,
+    SimulatedClock,
+    c_max_ms,
+    ensembling_cost_ms,
+)
 from repro.simulation.video import Frame
 
 __all__ = [
@@ -171,8 +176,8 @@ class EnsembleEvaluation:
             ``[0, 1]``.
         est_ap: AP against the reference model (Eq. 3); 0.0 when not
             estimated (from :meth:`DetectionEnvironment.peek` or
-            :meth:`DetectionEnvironment.peek_best`, or with
-            ``score_estimates=False``).
+            :meth:`DetectionEnvironment.peek_best`, or in an environment
+            without a reference model).
         est_score: Score from estimated AP — what the bandit observes;
             0.0 whenever ``est_ap`` is not estimated.
         true_ap: AP against ground truth (Eq. 2).
@@ -334,8 +339,15 @@ class DetectionEnvironment:
             and ``.expected_time_ms`` (both :class:`SimulatedDetector` and
             :class:`SimulatedLidar` qualify, as does any user detector with
             the same surface).
-        reference: The REF model used for AP estimation.  May be ``None``
-            only with ``score_estimates=False`` (see below).
+        reference: The REF model used for AP estimation, or ``None`` to
+            skip REF-based score estimation entirely: no reference model
+            is inferred (or billed), every evaluation reports
+            ``est_ap = est_score = 0.0``, and :attr:`score_estimates` is
+            False.  Only valid for selection algorithms that never
+            consult estimated scores (``needs_reference`` is False — BF,
+            RAND, OPT, SGL); the query planner's projection-pruning
+            rewrite uses this for queries that never read ``score``.
+            True-AP reporting is unaffected.
         scoring: The scoring function ``SC``; defaults to Eq. (30) with
             ``w1 = w2 = 0.5``.
         fusion: Box-fusion method; defaults to WBF as in the paper.
@@ -344,21 +356,13 @@ class DetectionEnvironment:
         backend: Execution backend for inference jobs; defaults to
             :class:`~repro.engine.backends.SerialBackend`.  Backends
             affect wall-clock time only, never results or charges.
-        score_estimates: When False, REF-based score estimation is skipped
-            entirely: the reference model is never inferred (or billed),
-            and every evaluation reports ``est_ap = est_score = 0.0``.
-            Only valid for selection algorithms that never consult
-            estimated scores (``needs_reference`` is False — BF, RAND,
-            OPT, SGL); the query planner's projection-pruning rewrite uses
-            this to skip reference scoring for queries that never read
-            ``score``.  True-AP reporting is unaffected.
         obs: Observability facade shared by the selection loop and
             this environment; spans (detect / per-model / fuse / score)
             and evaluation counters flow through it.  The default no-op
             facade keeps uninstrumented runs zero-cost.
 
-    Every environment bills a fresh :class:`SimulatedClock` with the
-    default :class:`CostModel`.
+    Every environment bills a fresh :class:`SimulatedClock` with the cost
+    model of :mod:`repro.simulation.clock`.
     """
 
     #: IoU threshold of every AP the environment computes (VOC's 0.5).
@@ -372,15 +376,10 @@ class DetectionEnvironment:
         fusion: EnsembleMethod | None = None,
         store: EvaluationStore | None = None,
         backend: ExecutionBackend | None = None,
-        score_estimates: bool = True,
         obs: Observability = NULL_OBS,
     ) -> None:
         if not detectors:
             raise ValueError("the detector pool must be non-empty")
-        if reference is None and score_estimates:
-            raise ValueError(
-                "a reference model is required unless score_estimates=False"
-            )
         names = [d.name for d in detectors]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate detector names: {names}")
@@ -392,7 +391,6 @@ class DetectionEnvironment:
         self.fusion: EnsembleMethod = (
             fusion if fusion is not None else WeightedBoxesFusion()
         )
-        self.cost_model = CostModel()
         self.store: EvaluationStore = (
             store if store is not None else EvaluationStore()
         )
@@ -400,7 +398,8 @@ class DetectionEnvironment:
         self.backend: ExecutionBackend = (
             backend if backend is not None else SerialBackend()
         )
-        self.score_estimates = score_estimates
+        #: Whether evaluations estimate AP against the reference model.
+        self.score_estimates = reference is not None
         self.obs = obs
 
         # Context tags appended to store keys: everything a cached value
@@ -426,7 +425,7 @@ class DetectionEnvironment:
         self.all_ensembles: list[EnsembleKey] = enumerate_ensembles(names)
 
         expected_full = sum(d.expected_time_ms for d in detectors)
-        self.c_max_ms = self.cost_model.c_max_ms(expected_full)
+        self.c_max_ms = c_max_ms(expected_full)
 
     @property
     def num_models(self) -> int:
@@ -769,7 +768,7 @@ class DetectionEnvironment:
         members = [inputs.outputs[m] for m in realized]
         inference_ms = sum(o.inference_time_ms for o in members)
         pooled_boxes = sum(len(o.detections) for o in members)
-        return inference_ms, self.cost_model.ensembling_cost_ms(pooled_boxes)
+        return inference_ms, ensembling_cost_ms(pooled_boxes)
 
     def _evaluation(
         self,
@@ -990,5 +989,5 @@ class DetectionEnvironment:
             raise ValueError("num_candidates must be non-negative")
         self.clock.charge(
             "overhead",
-            self.cost_model.overhead_per_ensemble_ms * num_candidates,
+            OVERHEAD_PER_ENSEMBLE_MS * num_candidates,
         )

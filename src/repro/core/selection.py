@@ -36,6 +36,7 @@ record — and continues with the next one instead of aborting the run.
 from __future__ import annotations
 
 import abc
+import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -110,8 +111,11 @@ FrameObserver = Callable[[Frame, EvaluationBatch, FrameRecord], None]
 
 
 def _check_budget(budget_ms: float | None) -> None:
-    if budget_ms is not None and budget_ms <= 0:
-        raise ValueError("budget_ms must be positive when given")
+    # The comparison also rejects NaN, which no budget guard could stop.
+    if budget_ms is not None and not 0.0 < budget_ms < math.inf:
+        raise ValueError(
+            f"budget_ms must be positive and finite when given, got {budget_ms!r}"
+        )
 
 
 @dataclass
@@ -193,8 +197,8 @@ class SelectionAlgorithm(abc.ABC):
     #: Whether the algorithm consults REF-estimated scores.  Algorithms
     #: that never read ``est_score`` / ``est_ap`` (BF, RAND, OPT, SGL)
     #: override this to False, which lets the query planner's
-    #: projection-pruning rewrite run them in an environment with
-    #: ``score_estimates=False`` — no reference model inferred or billed.
+    #: projection-pruning rewrite run them in an environment without a
+    #: reference model — none inferred or billed.
     needs_reference: bool = True
 
     @abc.abstractmethod

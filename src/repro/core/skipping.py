@@ -16,6 +16,7 @@ real difference detector would call similar.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ from repro.core.selection import (
     SelectionAlgorithm,
     SelectionResult,
 )
-from repro.detection.boxes import iou_matrix
+from repro.detection.matching import greedy_iou_assignment
 from repro.detection.metrics import mean_average_precision
 from repro.simulation.video import Frame
 
@@ -51,31 +52,15 @@ def frame_similarity(a: Frame, b: Frame) -> float:
         return 1.0
     if not boxes_a or not boxes_b:
         return 0.0
-    ious = iou_matrix(boxes_a, boxes_b)
-    # Greedy one-to-one matching by descending IoU.
-    pairs: list[float] = []
-    used_a: set = set()
-    used_b: set = set()
-    flat = sorted(
-        (
-            (float(ious[i, j]), i, j)
-            for i in range(len(boxes_a))
-            for j in range(len(boxes_b))
-        ),
-        reverse=True,
+    # Any overlap pairs two objects: IoU > 0, i.e. at least the smallest
+    # positive float.
+    pairs = greedy_iou_assignment(
+        boxes_a, boxes_b, min_iou=math.nextafter(0.0, 1.0)
     )
-    for value, i, j in flat:
-        if value <= 0.0:
-            break
-        if i in used_a or j in used_b:
-            continue
-        used_a.add(i)
-        used_b.add(j)
-        pairs.append(value)
     if not pairs:
         return 0.0
     coverage = 2.0 * len(pairs) / (len(boxes_a) + len(boxes_b))
-    return (sum(pairs) / len(pairs)) * coverage
+    return (sum(iou for _, _, iou in pairs) / len(pairs)) * coverage
 
 
 class FrameSkipper(SelectionAlgorithm):

@@ -1,24 +1,31 @@
-"""The VOC greedy match, the one matching protocol in this repo.
+"""Greedy box matching: the VOC match and the IoU assignment.
 
-Predictions are visited in decreasing confidence order (a stable sort, so
-equal confidences keep their input order).  Each takes the untaken
-reference of highest IoU at or above the threshold; when two references
-tie on IoU, the later one wins.  The match is class-agnostic: AP scoring
-calls it once per class pool, and calibration calls it on a whole frame.
-The same protocol serves two roles:
+:func:`greedy_match` is the VOC greedy match of AP scoring.  Predictions
+are visited in decreasing confidence order (a stable sort, so equal
+confidences keep their input order).  Each takes the untaken reference of
+highest IoU at or above the threshold; when two references tie on IoU,
+the later one wins.  The match is class-agnostic: AP scoring calls it
+once per class pool, and calibration calls it on a whole frame.  The same
+protocol serves two roles:
 
 * scoring detections against ground truth (true AP, Eq. 2 of the paper), and
 * scoring detections against the reference model's boxes (estimated AP,
   Eq. 3), where the "ground truth" is simply ``BBox_{REF|v}``.
+
+:func:`greedy_iou_assignment` pairs two box lists by overlap alone, with
+no confidence order: the highest-IoU pair first.  It serves frame
+skipping's scene similarity, the IoU tracker's association and the
+tracking metrics.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
+from repro.detection.boxes import BBox, iou_matrix
 from repro.detection.types import Detection
 
-__all__ = ["check_iou_threshold", "greedy_match"]
+__all__ = ["check_iou_threshold", "greedy_iou_assignment", "greedy_match"]
 
 
 def check_iou_threshold(iou_threshold: float) -> None:
@@ -79,3 +86,43 @@ def greedy_match(
         else:
             matches.append((pi, -1, 0.0))
     return matches
+
+
+def greedy_iou_assignment(
+    rows: Sequence[BBox],
+    cols: Sequence[BBox],
+    min_iou: float,
+    allowed: Callable[[int, int], bool] | None = None,
+) -> list[tuple[int, int, float]]:
+    """Pair ``rows`` with ``cols`` one to one, greedily by descending IoU.
+
+    The candidate pairs, every ``(row, col)`` that ``allowed`` admits (all
+    of them by default), are visited in descending ``(iou, row, col)``
+    order.  A pair is taken when its IoU is at least ``min_iou`` and
+    neither its row nor its column is taken yet.
+
+    Returns:
+        The taken ``(row_index, col_index, iou)`` triples, in visit order.
+    """
+    ious = iou_matrix(rows, cols).tolist()
+    candidates = sorted(
+        (
+            (ious[i][j], i, j)
+            for i in range(len(rows))
+            for j in range(len(cols))
+            if allowed is None or allowed(i, j)
+        ),
+        reverse=True,
+    )
+    taken_rows: set[int] = set()
+    taken_cols: set[int] = set()
+    pairs: list[tuple[int, int, float]] = []
+    for iou, i, j in candidates:
+        if iou < min_iou:
+            break
+        if i in taken_rows or j in taken_cols:
+            continue
+        taken_rows.add(i)
+        taken_cols.add(j)
+        pairs.append((i, j, iou))
+    return pairs

@@ -177,7 +177,6 @@ class QueryEngine:
             fusion=self.fusion,
             store=self.store,
             backend=self.backend,
-            score_estimates=logical.reference is not None,
             obs=self.obs,
         )
         return PhysicalPlan(

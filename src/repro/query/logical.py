@@ -26,9 +26,9 @@ Two rewrite rules run during lowering, each recorded on the plan for
 * **Projection pruning** — when no produced column or predicate ever
   reads ``score``, the algorithm never consults estimated scores
   (``needs_reference`` is False), and the query names no explicit REF,
-  the Score operator is elided: the environment runs with
-  ``score_estimates=False`` and the reference model is never inferred
-  (or even required to be registered).
+  the Score operator is elided: the environment runs without a
+  reference model, which is never inferred (or even required to be
+  registered).
 """
 
 from __future__ import annotations

@@ -117,7 +117,7 @@ class PhysicalPlan:
 
     Physically, Detect subsumes the logical Fuse and Score operators:
     the environment fuses and scores each evaluated ensemble inline
-    (with ``score_estimates=False`` when Score was pruned).  Project is
+    (without a reference model when Score was pruned).  Project is
     the identity: rows keep every field, and the selected columns are
     the contract of which ones :meth:`QueryResult.column` will be asked
     for.

@@ -16,7 +16,7 @@ subpackage provides a faithful synthetic stand-in (see DESIGN.md §2):
 * :mod:`repro.simulation.detectors` — stochastic black-box camera detectors;
 * :mod:`repro.simulation.lidar` — a 3-D LiDAR reference model with pinhole
   projection to the image plane;
-* :mod:`repro.simulation.clock` — the simulated cost model;
+* :mod:`repro.simulation.clock` — the simulated cost model and clock;
 * :mod:`repro.simulation.datasets` — nuScenes-like and BDD-like dataset
   builders matching Tables 1–2;
 * :mod:`repro.simulation.drift` — concept-drift composition by segment
@@ -30,7 +30,7 @@ from repro.simulation.calibration import (
     estimate_profile,
     rank_by_recall,
 )
-from repro.simulation.clock import CostModel, SimulatedClock
+from repro.simulation.clock import SimulatedClock
 from repro.simulation.datasets import Dataset, build_bdd_like, build_nuscenes_like
 from repro.simulation.detectors import SimulatedDetector
 from repro.simulation.drift import (
@@ -48,7 +48,7 @@ from repro.simulation.faults import (
     apply_fault_profile,
     fault_profile_specs,
 )
-from repro.simulation.lidar import PinholeCamera, SimulatedLidar
+from repro.simulation.lidar import SimulatedLidar
 from repro.simulation.profiles import (
     ARCHITECTURES,
     DetectorProfile,
@@ -57,11 +57,10 @@ from repro.simulation.profiles import (
 )
 from repro.simulation.scenes import SCENE_CATEGORIES, SceneCategory
 from repro.simulation.video import Frame, GroundTruthObject, Video
-from repro.simulation.world import WorldConfig, generate_video
+from repro.simulation.world import generate_video
 
 __all__ = [
     "ARCHITECTURES",
-    "CostModel",
     "Dataset",
     "DetectorFaultError",
     "DetectorOutageError",
@@ -73,7 +72,6 @@ __all__ = [
     "Frame",
     "GroundTruthObject",
     "ModelArchitecture",
-    "PinholeCamera",
     "SCENE_CATEGORIES",
     "SceneCategory",
     "SimulatedClock",
@@ -81,7 +79,6 @@ __all__ = [
     "SimulatedLidar",
     "TransientDetectorError",
     "Video",
-    "WorldConfig",
     "apply_fault_profile",
     "build_bdd_like",
     "build_nuscenes_like",

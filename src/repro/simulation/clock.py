@@ -18,82 +18,63 @@ from dataclasses import dataclass, field
 
 from repro.utils.validation import check_non_negative
 
-__all__ = ["CostModel", "SimulatedClock"]
+__all__ = ["SimulatedClock", "c_max_ms", "ensembling_cost_ms"]
+
+#: Fixed cost of one fusion call, in ms.
+ENSEMBLING_BASE_MS = 0.05
+
+#: Marginal fusion cost per pooled input box, in ms.
+ENSEMBLING_PER_BOX_MS = 0.002
+
+#: Bookkeeping cost (UCB computation and placeholder updates) per
+#: candidate ensemble per iteration, in ms.
+OVERHEAD_PER_ENSEMBLE_MS = 0.001
+
+#: Multiplier on the pool's expected full inference time when computing
+#: ``c_max``.  The simulated detectors draw a multiplicative time jitter
+#: in ``[0.95, 1.05]`` per frame; ``1.05`` is that jitter's upper bound,
+#: so the full ensemble's inference never exceeds the headroomed
+#: expectation.  Below 1, ``c_hat = c / c_max`` (the paper's normalized
+#: cost, clipped to [0, 1]) would saturate on ordinary frames and break
+#: the monotonicity the scoring function (Eq. 30) relies on.
+INFERENCE_JITTER_HEADROOM = 1.05
+
+#: Worst-case pooled box count assumed when adding fusion headroom to
+#: ``c_max`` — an upper bound on the boxes the full ensemble contributes
+#: to one WBF call on a cluttered frame.
+C_MAX_POOL_BOXES = 256
+
+#: Additive safety margin of ``c_max`` absorbing the per-box NMS term of
+#: detector inference time (0.05 ms/box in the simulator), which the
+#: expected times do not include.
+C_MAX_MARGIN_MS = 16.0
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Costs of the non-inference work, plus the ``c_max`` normalization.
+def ensembling_cost_ms(num_boxes: int) -> float:
+    """Cost ``c^e`` of fusing a pool of ``num_boxes`` boxes."""
+    if num_boxes < 0:
+        raise ValueError("num_boxes must be non-negative")
+    return ENSEMBLING_BASE_MS + ENSEMBLING_PER_BOX_MS * num_boxes
 
-    Attributes:
-        ensembling_base_ms: Fixed cost of one fusion call.
-        ensembling_per_box_ms: Marginal cost per pooled input box.
-        overhead_per_ensemble_ms: Bookkeeping cost (UCB computation and
-            placeholder updates) per candidate ensemble per iteration.
-        inference_jitter_headroom: Multiplier on the pool's expected full
-            inference time when computing ``c_max``.  The simulated
-            detectors draw a multiplicative time jitter in ``[0.95, 1.05]``
-            per frame; ``1.05`` is that jitter's upper bound, so the full
-            ensemble's inference never exceeds the headroomed expectation.
-            Must be >= 1 or ``c_hat = c / c_max`` (the paper's normalized
-            cost, clipped to [0, 1]) would saturate on ordinary frames and
-            break the monotonicity the scoring function (Eq. 30) relies on.
-        c_max_pool_boxes: Worst-case pooled box count assumed when adding
-            fusion headroom to ``c_max`` — an upper bound on the boxes the
-            full ensemble contributes to one WBF call on a cluttered frame.
-        c_max_margin_ms: Additive safety margin absorbing the per-box NMS
-            term of detector inference time (0.05 ms/box in the simulator),
-            which the expected times do not include.
+
+def c_max_ms(expected_full_inference_ms: float) -> float:
+    """The normalization constant ``c_max`` for a detector pool.
+
+    The paper normalizes per-frame cost by the maximum over ensembles;
+    a fixed upper bound on the full ensemble's cost preserves the
+    required monotonicity while keeping scores comparable across
+    frames (normalized costs are clipped to [0, 1] regardless).
+
+    Args:
+        expected_full_inference_ms: Sum of the pool's expected
+            per-frame inference times (the full ensemble ``M``).
     """
-
-    ensembling_base_ms: float = 0.05
-    ensembling_per_box_ms: float = 0.002
-    overhead_per_ensemble_ms: float = 0.001
-    inference_jitter_headroom: float = 1.05
-    c_max_pool_boxes: int = 256
-    c_max_margin_ms: float = 16.0
-
-    def __post_init__(self) -> None:
-        check_non_negative(self.ensembling_base_ms, "ensembling_base_ms")
-        check_non_negative(self.ensembling_per_box_ms, "ensembling_per_box_ms")
-        check_non_negative(
-            self.overhead_per_ensemble_ms, "overhead_per_ensemble_ms"
-        )
-        if self.inference_jitter_headroom < 1.0:
-            raise ValueError(
-                "inference_jitter_headroom must be >= 1.0: c_max must upper-"
-                "bound the full ensemble's jittered inference time"
-            )
-        if self.c_max_pool_boxes < 0:
-            raise ValueError("c_max_pool_boxes must be non-negative")
-        check_non_negative(self.c_max_margin_ms, "c_max_margin_ms")
-
-    def ensembling_cost_ms(self, num_boxes: int) -> float:
-        """Cost ``c^e`` of fusing a pool of ``num_boxes`` boxes."""
-        if num_boxes < 0:
-            raise ValueError("num_boxes must be non-negative")
-        return self.ensembling_base_ms + self.ensembling_per_box_ms * num_boxes
-
-    def c_max_ms(self, expected_full_inference_ms: float) -> float:
-        """The normalization constant ``c_max`` for a detector pool.
-
-        The paper normalizes per-frame cost by the maximum over ensembles;
-        a fixed upper bound on the full ensemble's cost preserves the
-        required monotonicity while keeping scores comparable across
-        frames (normalized costs are clipped to [0, 1] regardless).
-
-        Args:
-            expected_full_inference_ms: Sum of the pool's expected
-                per-frame inference times (the full ensemble ``M``).
-        """
-        check_non_negative(
-            expected_full_inference_ms, "expected_full_inference_ms"
-        )
-        return (
-            expected_full_inference_ms * self.inference_jitter_headroom
-            + self.ensembling_cost_ms(self.c_max_pool_boxes)
-            + self.c_max_margin_ms
-        )
+    check_non_negative(expected_full_inference_ms, "expected_full_inference_ms")
+    return (
+        expected_full_inference_ms * INFERENCE_JITTER_HEADROOM
+        + ensembling_cost_ms(C_MAX_POOL_BOXES)
+        + C_MAX_MARGIN_MS
+    )
 
 
 #: Ledger component names, in reporting order.

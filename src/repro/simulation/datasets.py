@@ -16,12 +16,12 @@ seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.simulation.video import Frame, Video
-from repro.simulation.world import WorldConfig, generate_video
+from repro.simulation.world import generate_video
 from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.validation import check_positive
 
@@ -84,20 +84,18 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Full dataset recipe: groups plus world parameters.
+    """Full dataset recipe: its groups and keyframe rate.
 
     Attributes:
         name: Dataset name.
         groups: The group rows.
         frame_rate_hz: Keyframe rate used to convert samples to duration
             (nuScenes annotates at 2 Hz).
-        world: Ground-truth world parameters.
     """
 
     name: str
     groups: tuple[GroupSpec, ...]
     frame_rate_hz: float = 2.0
-    world: WorldConfig = field(default_factory=WorldConfig)
 
     def __post_init__(self) -> None:
         if not self.groups:
@@ -112,7 +110,6 @@ class DatasetSpec:
             name=self.name,
             groups=tuple(g.scaled(scale) for g in self.groups),
             frame_rate_hz=self.frame_rate_hz,
-            world=self.world,
         )
 
     def _generate_group(
@@ -141,7 +138,6 @@ class DatasetSpec:
                     num_frames=group.samples_per_scene,
                     category=category,
                     seed=derive_seed(seed, "scene", video_name),
-                    config=self.world,
                 )
             )
         return tuple(videos)
@@ -295,38 +291,19 @@ BDD_SPEC = DatasetSpec(
 )
 
 
-def build_nuscenes_like(
-    seed: int = 0, scale: float = 1.0, world: WorldConfig | None = None
-) -> Dataset:
+def build_nuscenes_like(seed: int = 0, scale: float = 1.0) -> Dataset:
     """Build the nuScenes-like dataset (Table 1 geometry).
 
     Args:
         seed: Generation seed.
         scale: Fraction of the paper's scene counts to generate (each group
             keeps at least one scene).
-        world: Optional world-config override.
     """
-    spec = NUSCENES_SPEC if world is None else DatasetSpec(
-        name=NUSCENES_SPEC.name,
-        groups=NUSCENES_SPEC.groups,
-        frame_rate_hz=NUSCENES_SPEC.frame_rate_hz,
-        world=world,
-    )
-    if scale != 1.0:
-        spec = spec.scaled(scale)
+    spec = NUSCENES_SPEC if scale == 1.0 else NUSCENES_SPEC.scaled(scale)
     return spec.build(seed)
 
 
-def build_bdd_like(
-    seed: int = 0, scale: float = 1.0, world: WorldConfig | None = None
-) -> Dataset:
+def build_bdd_like(seed: int = 0, scale: float = 1.0) -> Dataset:
     """Build the BDD-like dataset (Table 2 geometry)."""
-    spec = BDD_SPEC if world is None else DatasetSpec(
-        name=BDD_SPEC.name,
-        groups=BDD_SPEC.groups,
-        frame_rate_hz=BDD_SPEC.frame_rate_hz,
-        world=world,
-    )
-    if scale != 1.0:
-        spec = spec.scaled(scale)
+    spec = BDD_SPEC if scale == 1.0 else BDD_SPEC.scaled(scale)
     return spec.build(seed)

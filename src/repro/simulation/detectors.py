@@ -30,12 +30,12 @@ from repro.detection.boxes import BBox
 from repro.detection.types import Detection, FrameDetections
 from repro.simulation.profiles import DetectorProfile
 from repro.simulation.video import Frame
-from repro.simulation.world import DEFAULT_CLASSES
+from repro.simulation.world import OBJECT_CLASSES
 from repro.utils.rng import derive_rng
 
 __all__ = ["DetectorOutput", "SimulatedDetector"]
 
-_FP_LABELS: tuple[str, ...] = tuple(spec.label for spec in DEFAULT_CLASSES)
+_FP_LABELS: tuple[str, ...] = tuple(spec.label for spec in OBJECT_CLASSES)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,13 @@ reproducible as a healthy one:
   while the frame index lies in ``outage`` (a half-open range), modeling a
   crashed worker or an unreachable model server;
 * **latency spikes and hangs** — the reported simulated latency is
-  multiplied by ``latency_multiplier`` (spike) or replaced by ``hang_ms``
-  (hang), which trips the resilience layer's simulated-latency timeout;
+  multiplied by ``latency_multiplier`` (spike) or replaced by
+  :data:`HANG_MS` (hang), which trips the resilience layer's
+  simulated-latency timeout;
 * **degraded outputs** — detections are replaced by garbage boxes
-  (position, size, label and confidence all random), modeling silent
-  corruption such as a stale checkpoint or a broken preprocessing stage.
+  (position, size, label and confidence all random; a Poisson count of
+  mean :data:`DEGRADED_BOX_MEAN`), modeling silent corruption such as a
+  stale checkpoint or a broken preprocessing stage.
 
 Determinism: the noise stream is keyed by
 ``(seed, detector, frame, attempt)``.  The attempt counter advances per
@@ -47,7 +49,7 @@ import numpy as np
 from repro.detection.boxes import BBox
 from repro.detection.types import Detection, FrameDetections
 from repro.simulation.video import Frame
-from repro.simulation.world import DEFAULT_CLASSES
+from repro.simulation.world import OBJECT_CLASSES
 from repro.utils.rng import derive_rng, derive_seed
 
 __all__ = [
@@ -57,16 +59,25 @@ __all__ = [
     "FaultSpec",
     "FaultyDetector",
     "ATTEMPT_WINDOW",
+    "DEGRADED_BOX_MEAN",
+    "HANG_MS",
     "FAULT_PROFILE_NAMES",
     "fault_profile_specs",
     "apply_fault_profile",
 ]
 
-_GARBAGE_LABELS: tuple[str, ...] = tuple(spec.label for spec in DEFAULT_CLASSES)
+_GARBAGE_LABELS: tuple[str, ...] = tuple(spec.label for spec in OBJECT_CLASSES)
 
 #: LRU bound on the per-frame attempt counters a :class:`FaultyDetector`
 #: remembers.
 ATTEMPT_WINDOW = 4096
+
+#: The simulated latency of a hang: effectively a call that never
+#: returns.
+HANG_MS = 1_000_000.0
+
+#: Mean (Poisson) number of garbage boxes emitted by a degraded output.
+DEGRADED_BOX_MEAN = 6.0
 
 
 class DetectorFaultError(RuntimeError):
@@ -94,14 +105,11 @@ class FaultSpec:
         latency_spike_rate: Probability per attempt of multiplying the
             reported simulated latency by ``latency_multiplier``.
         latency_multiplier: Latency factor of a spike (> 1).
-        hang_rate: Probability per attempt of reporting ``hang_ms`` as the
-            latency — effectively a call that never returns; pair with a
-            resilience-layer timeout.
-        hang_ms: The simulated latency of a hang.
+        hang_rate: Probability per attempt of reporting :data:`HANG_MS`
+            as the latency — effectively a call that never returns; pair
+            with a resilience-layer timeout.
         degraded_rate: Probability per attempt of replacing the output's
             detections with garbage boxes.
-        degraded_box_mean: Mean (Poisson) number of garbage boxes emitted
-            by a degraded output.
     """
 
     transient_rate: float = 0.0
@@ -109,9 +117,7 @@ class FaultSpec:
     latency_spike_rate: float = 0.0
     latency_multiplier: float = 20.0
     hang_rate: float = 0.0
-    hang_ms: float = 1_000_000.0
     degraded_rate: float = 0.0
-    degraded_box_mean: float = 6.0
 
     def __post_init__(self) -> None:
         for rate_name in (
@@ -125,10 +131,6 @@ class FaultSpec:
                 raise ValueError(f"{rate_name} must be in [0, 1], got {rate}")
         if self.latency_multiplier <= 1.0:
             raise ValueError("latency_multiplier must be > 1")
-        if self.hang_ms <= 0:
-            raise ValueError("hang_ms must be positive")
-        if self.degraded_box_mean < 0:
-            raise ValueError("degraded_box_mean must be non-negative")
         if self.outage is not None:
             start, stop = self.outage
             if start < 0 or stop < start:
@@ -223,7 +225,7 @@ class FaultyDetector:
             output = self._degrade(output, frame, rng)
         latency = float(output.inference_time_ms)
         if hang_draw < spec.hang_rate:
-            latency = spec.hang_ms
+            latency = HANG_MS
         elif spike_draw < spec.latency_spike_rate:
             latency = latency * spec.latency_multiplier
         if latency != float(output.inference_time_ms):
@@ -234,7 +236,7 @@ class FaultyDetector:
         self, output: Any, frame: Frame, rng: np.random.Generator
     ) -> Any:
         """Replace the output's detections with garbage boxes."""
-        count = int(rng.poisson(self.spec.degraded_box_mean))
+        count = int(rng.poisson(DEGRADED_BOX_MEAN))
         garbage: list[Detection] = []
         for _ in range(count):
             width = float(rng.uniform(10.0, 0.4 * frame.width))

@@ -27,45 +27,59 @@ from dataclasses import dataclass
 from repro.detection.boxes import BBox
 from repro.detection.types import Detection, FrameDetections
 from repro.simulation.detectors import DetectorOutput, _sample_confidence
-from repro.simulation.video import Frame, GroundTruthObject
+from repro.simulation.video import (
+    FRAME_HEIGHT,
+    FRAME_WIDTH,
+    Frame,
+    GroundTruthObject,
+)
+from repro.simulation.world import MAX_DISTANCE, MIN_DISTANCE
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive, check_probability
 
-__all__ = ["PinholeCamera", "LidarBox3D", "SimulatedLidar"]
+__all__ = ["LidarBox3D", "SimulatedLidar", "back_project", "project_point"]
+
+#: Focal length of the ideal pinhole camera in pixels (nuScenes cameras
+#: ~1266 px); its principal point is the frame center.
+FOCAL_LENGTH_PX = 1266.0
+
+#: Probability of detecting a fully LiDAR-visible object.  LiDAR misses
+#: mostly come from sparsity at range, not from lighting.
+DETECTION_SKILL = 0.97
+
+#: Std-dev of the metric center noise, in meters.
+POSITION_NOISE_M = 0.12
+
+#: Relative std-dev of the metric extent noise.
+EXTENT_NOISE = 0.04
+
+#: Expected spurious clusters per sweep.
+FALSE_POSITIVE_RATE = 0.10
+
+#: Mean inference time; an order of magnitude below the camera detectors
+#: (c_LiDAR << c_M).
+BASE_TIME_MS = 4.0
+
+#: Probability a detection is correctly classified (3-D shape alone is a
+#: weaker class cue than appearance).
+LABEL_ACCURACY = 0.96
 
 
-@dataclass(frozen=True)
-class PinholeCamera:
-    """An ideal pinhole camera for 3-D <-> 2-D box conversion.
+def project_point(x: float, y: float, z: float) -> tuple[float, float]:
+    """Project a camera-frame 3-D point (z forward) to pixels."""
+    if z <= 0:
+        raise ValueError("cannot project a point at or behind the camera")
+    u = FRAME_WIDTH / 2 + FOCAL_LENGTH_PX * x / z
+    v = FRAME_HEIGHT / 2 + FOCAL_LENGTH_PX * y / z
+    return u, v
 
-    Attributes:
-        focal_length: Focal length in pixels (nuScenes cameras ~1266 px).
-        cx / cy: Principal point in pixels.
-    """
 
-    focal_length: float = 1266.0
-    cx: float = 800.0
-    cy: float = 450.0
-
-    def __post_init__(self) -> None:
-        check_positive(self.focal_length, "focal_length")
-
-    def project_point(self, x: float, y: float, z: float) -> tuple[float, float]:
-        """Project a camera-frame 3-D point (z forward) to pixels."""
-        if z <= 0:
-            raise ValueError("cannot project a point at or behind the camera")
-        u = self.cx + self.focal_length * x / z
-        v = self.cy + self.focal_length * y / z
-        return u, v
-
-    def back_project(
-        self, u: float, v: float, depth: float
-    ) -> tuple[float, float, float]:
-        """Lift a pixel at a known depth to a camera-frame 3-D point."""
-        check_positive(depth, "depth")
-        x = (u - self.cx) * depth / self.focal_length
-        y = (v - self.cy) * depth / self.focal_length
-        return x, y, depth
+def back_project(u: float, v: float, depth: float) -> tuple[float, float, float]:
+    """Lift a pixel at a known depth to a camera-frame 3-D point."""
+    check_positive(depth, "depth")
+    x = (u - FRAME_WIDTH / 2) * depth / FOCAL_LENGTH_PX
+    y = (v - FRAME_HEIGHT / 2) * depth / FOCAL_LENGTH_PX
+    return x, y, depth
 
 
 @dataclass(frozen=True)
@@ -98,7 +112,7 @@ class LidarBox3D:
         check_positive(self.depth_extent, "depth_extent")
         check_probability(self.score, "score")
 
-    def project(self, camera: PinholeCamera, frame: Frame) -> BBox | None:
+    def project(self, frame: Frame) -> BBox | None:
         """Project the 3-D box onto the image plane as a 2-D box.
 
         The eight corners are projected and their axis-aligned hull taken;
@@ -111,8 +125,8 @@ class LidarBox3D:
         near_z = max(self.z - self.depth_extent / 2.0, 0.1)
         half_w = self.width / 2.0
         half_h = self.height / 2.0
-        u1, v1 = camera.project_point(self.x - half_w, self.y - half_h, near_z)
-        u2, v2 = camera.project_point(self.x + half_w, self.y + half_h, near_z)
+        u1, v1 = project_point(self.x - half_w, self.y - half_h, near_z)
+        u2, v2 = project_point(self.x + half_w, self.y + half_h, near_z)
         box = BBox(min(u1, u2), min(v1, v2), max(u1, u2), max(v1, v2)).clip(
             frame.width, frame.height
         )
@@ -121,18 +135,16 @@ class LidarBox3D:
         return box
 
 
-def lift_object(
-    obj: GroundTruthObject, camera: PinholeCamera
-) -> LidarBox3D:
+def lift_object(obj: GroundTruthObject) -> LidarBox3D:
     """Lift a ground-truth 2-D object to its implied 3-D box.
 
     The object's simulated distance provides the depth; the 2-D box corners
     are back-projected at that depth to recover metric extents.
     """
     cx, cy = obj.box.center
-    x, y, z = camera.back_project(cx, cy, obj.distance)
-    width = obj.box.width * obj.distance / camera.focal_length
-    height = obj.box.height * obj.distance / camera.focal_length
+    x, y, z = back_project(cx, cy, obj.distance)
+    width = obj.box.width * obj.distance / FOCAL_LENGTH_PX
+    height = obj.box.height * obj.distance / FOCAL_LENGTH_PX
     return LidarBox3D(
         x=x,
         y=y,
@@ -151,55 +163,16 @@ class SimulatedLidar:
 
     Args:
         seed: Root seed for the LiDAR noise stream.
-        name: Reference-model name used in detection provenance.
-        detection_skill: Probability of detecting a fully LiDAR-visible
-            object.  LiDAR misses mostly come from sparsity at range, not
-            from lighting.
-        position_noise_m: Std-dev of metric center noise.
-        extent_noise: Relative std-dev of metric extent noise.
-        false_positive_rate: Expected spurious clusters per sweep.
-        base_time_ms: Mean inference time; an order of magnitude below the
-            camera detectors (c_LiDAR << c_M).
-        label_accuracy: Probability a detection is correctly classified
-            (3-D shape alone is a weaker class cue than appearance).
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        name: str = "lidar-ref",
-        detection_skill: float = 0.97,
-        position_noise_m: float = 0.12,
-        extent_noise: float = 0.04,
-        false_positive_rate: float = 0.10,
-        base_time_ms: float = 4.0,
-        label_accuracy: float = 0.96,
-        camera: PinholeCamera | None = None,
-    ) -> None:
-        check_probability(detection_skill, "detection_skill")
-        check_positive(position_noise_m, "position_noise_m")
-        check_positive(extent_noise, "extent_noise")
-        if false_positive_rate < 0:
-            raise ValueError("false_positive_rate must be non-negative")
-        check_positive(base_time_ms, "base_time_ms")
-        check_probability(label_accuracy, "label_accuracy")
+    #: Reference-model name used in detection provenance.
+    name: str = "lidar-ref"
+
+    #: Mean per-frame inference time.
+    expected_time_ms: float = BASE_TIME_MS
+
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self._name = name
-        self.detection_skill = detection_skill
-        self.position_noise_m = position_noise_m
-        self.extent_noise = extent_noise
-        self.false_positive_rate = false_positive_rate
-        self.base_time_ms = base_time_ms
-        self.label_accuracy = label_accuracy
-        self.camera = camera if camera is not None else PinholeCamera()
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def expected_time_ms(self) -> float:
-        return self.base_time_ms
 
     def detect3d(self, frame: Frame) -> list[LidarBox3D]:
         """Produce noisy 3-D detections for one frame's LiDAR sweep."""
@@ -210,28 +183,28 @@ class SimulatedLidar:
             # Range-dependent sparsity: detection probability decays with
             # distance but not with darkness.
             range_factor = max(1.0 - obj.distance / 120.0, 0.3)
-            p = self.detection_skill * lidar_vis * range_factor
+            p = DETECTION_SKILL * lidar_vis * range_factor
             if rng.random() >= p:
                 continue
-            true_box = lift_object(obj, self.camera)
+            true_box = lift_object(obj)
             score = _sample_confidence(rng, 0.85 * range_factor + 0.1, 12.0)
             label = obj.label
-            if rng.random() >= self.label_accuracy:
+            if rng.random() >= LABEL_ACCURACY:
                 label = "car" if obj.label != "car" else "truck"
             boxes.append(
                 LidarBox3D(
-                    x=true_box.x + rng.normal(0.0, self.position_noise_m),
-                    y=true_box.y + rng.normal(0.0, self.position_noise_m),
+                    x=true_box.x + rng.normal(0.0, POSITION_NOISE_M),
+                    y=true_box.y + rng.normal(0.0, POSITION_NOISE_M),
                     z=max(
-                        true_box.z + rng.normal(0.0, self.position_noise_m * 2),
+                        true_box.z + rng.normal(0.0, POSITION_NOISE_M * 2),
                         0.5,
                     ),
                     width=max(
-                        true_box.width * (1 + rng.normal(0.0, self.extent_noise)),
+                        true_box.width * (1 + rng.normal(0.0, EXTENT_NOISE)),
                         0.1,
                     ),
                     height=max(
-                        true_box.height * (1 + rng.normal(0.0, self.extent_noise)),
+                        true_box.height * (1 + rng.normal(0.0, EXTENT_NOISE)),
                         0.1,
                     ),
                     depth_extent=true_box.depth_extent,
@@ -241,9 +214,9 @@ class SimulatedLidar:
                 )
             )
 
-        num_fp = int(rng.poisson(self.false_positive_rate))
+        num_fp = int(rng.poisson(FALSE_POSITIVE_RATE))
         for _ in range(num_fp):
-            z = float(rng.uniform(5.0, 60.0))
+            z = float(rng.uniform(MIN_DISTANCE, MAX_DISTANCE))
             x = float(rng.uniform(-0.4, 0.4)) * z
             y = float(rng.uniform(-0.1, 0.25)) * z
             boxes.append(
@@ -266,7 +239,7 @@ class SimulatedLidar:
         boxes3d = self.detect3d(frame)
         detections: list[Detection] = []
         for box3d in boxes3d:
-            box2d = box3d.project(self.camera, frame)
+            box2d = box3d.project(frame)
             if box2d is None:
                 continue
             detections.append(
@@ -278,7 +251,7 @@ class SimulatedLidar:
                     object_id=box3d.object_id,
                 )
             )
-        time_ms = self.base_time_ms * float(rng.uniform(0.95, 1.05))
+        time_ms = BASE_TIME_MS * float(rng.uniform(0.95, 1.05))
         return DetectorOutput(
             detections=FrameDetections(
                 frame.index, tuple(detections), source=self.name
@@ -287,4 +260,4 @@ class SimulatedLidar:
         )
 
     def __repr__(self) -> str:
-        return f"SimulatedLidar(name={self.name!r}, skill={self.detection_skill})"
+        return f"SimulatedLidar(name={self.name!r}, skill={DETECTION_SKILL})"

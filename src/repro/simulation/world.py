@@ -29,7 +29,7 @@ from repro.simulation.video import (
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive
 
-__all__ = ["WorldConfig", "ObjectClassSpec", "generate_video", "DEFAULT_CLASSES"]
+__all__ = ["ObjectClassSpec", "generate_video", "OBJECT_CLASSES"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class ObjectClassSpec:
 
 
 #: Driving-scene class mix loosely modeled on nuScenes/BDD label statistics.
-DEFAULT_CLASSES: tuple[ObjectClassSpec, ...] = (
+OBJECT_CLASSES: tuple[ObjectClassSpec, ...] = (
     ObjectClassSpec("car", 420.0, 260.0, 10.0, 16.0),
     ObjectClassSpec("truck", 520.0, 340.0, 2.5, 12.0),
     ObjectClassSpec("bus", 560.0, 380.0, 1.0, 10.0),
@@ -68,40 +68,20 @@ DEFAULT_CLASSES: tuple[ObjectClassSpec, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class WorldConfig:
-    """Parameters of the ground-truth generator.
+#: Mean number of simultaneously visible objects in a clear scene (scaled
+#: by the category's density multiplier).
+MEAN_OBJECTS = 6.0
 
-    Attributes:
-        mean_objects: Mean number of simultaneously visible objects in a
-            clear scene (scaled by the category's density multiplier).
-        mean_track_length: Mean number of frames an object stays visible.
-        classes: Class mix.
-        min_distance / max_distance: Depth range in meters.
-        occlusion_rate: Probability that an object is partially occluded,
-            reducing its visibility.
-        frame_width / frame_height: Frame geometry.
-    """
+#: Mean number of frames an object stays visible.
+MEAN_TRACK_LENGTH = 40.0
 
-    mean_objects: float = 6.0
-    mean_track_length: float = 40.0
-    classes: tuple[ObjectClassSpec, ...] = DEFAULT_CLASSES
-    min_distance: float = 5.0
-    max_distance: float = 60.0
-    occlusion_rate: float = 0.25
-    frame_width: float = FRAME_WIDTH
-    frame_height: float = FRAME_HEIGHT
+#: Depth range of the objects, in meters.
+MIN_DISTANCE = 5.0
+MAX_DISTANCE = 60.0
 
-    def __post_init__(self) -> None:
-        check_positive(self.mean_objects, "mean_objects")
-        check_positive(self.mean_track_length, "mean_track_length")
-        if not self.classes:
-            raise ValueError("classes must be non-empty")
-        check_positive(self.min_distance, "min_distance")
-        if self.max_distance <= self.min_distance:
-            raise ValueError("max_distance must exceed min_distance")
-        if not 0.0 <= self.occlusion_rate <= 1.0:
-            raise ValueError("occlusion_rate must be in [0, 1]")
+#: Probability that an object is partially occluded, reducing its
+#: visibility.
+OCCLUSION_RATE = 0.25
 
 
 @dataclass
@@ -130,21 +110,16 @@ class _Track:
 
 
 def _spawn_track(
-    rng: np.random.Generator,
-    config: WorldConfig,
-    object_id: int,
-    class_probs: np.ndarray,
+    rng: np.random.Generator, object_id: int, class_probs: np.ndarray
 ) -> _Track:
-    spec = config.classes[int(rng.choice(len(config.classes), p=class_probs))]
-    distance = float(
-        rng.uniform(config.min_distance, config.max_distance)
-    )
-    cx = float(rng.uniform(0.1, 0.9) * config.frame_width)
-    cy = float(rng.uniform(0.25, 0.85) * config.frame_height)
+    spec = OBJECT_CLASSES[int(rng.choice(len(OBJECT_CLASSES), p=class_probs))]
+    distance = float(rng.uniform(MIN_DISTANCE, MAX_DISTANCE))
+    cx = float(rng.uniform(0.1, 0.9) * FRAME_WIDTH)
+    cy = float(rng.uniform(0.25, 0.85) * FRAME_HEIGHT)
     speed = spec.speed * 10.0 / distance
     heading = float(rng.uniform(0.0, 2.0 * math.pi))
-    remaining = max(2, int(rng.exponential(config.mean_track_length)))
-    occluded = rng.random() < config.occlusion_rate
+    remaining = max(2, int(rng.exponential(MEAN_TRACK_LENGTH)))
+    occluded = rng.random() < OCCLUSION_RATE
     occlusion = float(rng.uniform(0.2, 0.6)) if occluded else 0.0
     return _Track(
         object_id=object_id,
@@ -160,11 +135,11 @@ def _spawn_track(
 
 
 def _track_to_object(
-    track: _Track, category: SceneCategory, config: WorldConfig
+    track: _Track, category: SceneCategory
 ) -> GroundTruthObject | None:
     width, height = track.apparent_size()
     box = BBox.from_center(track.cx, track.cy, width, height).clip(
-        config.frame_width, config.frame_height
+        FRAME_WIDTH, FRAME_HEIGHT
     )
     if box.area < 16.0:  # effectively out of frame / sub-pixel
         return None
@@ -175,8 +150,7 @@ def _track_to_object(
     # training does), and the remaining per-domain contrast is carried by
     # the transfer matrix in repro.simulation.profiles.
     distance_factor = 1.0 - 0.5 * (
-        (track.distance - config.min_distance)
-        / (config.max_distance - config.min_distance)
+        (track.distance - MIN_DISTANCE) / (MAX_DISTANCE - MIN_DISTANCE)
     )
     visibility = (
         math.sqrt(category.visibility)
@@ -198,12 +172,11 @@ def generate_video(
     num_frames: int,
     category: str | SceneCategory,
     seed: int,
-    config: WorldConfig | None = None,
     category_schedule: Sequence[SceneCategory] | None = None,
 ) -> Video:
     """Generate one synthetic video of a given scene category.
 
-    The generation is fully determined by ``(name, seed, config)``: the RNG
+    The generation is fully determined by ``(name, seed)``: the RNG
     stream is derived from the seed and the video name, so rebuilding a
     dataset yields bit-identical ground truth.
 
@@ -213,7 +186,6 @@ def generate_video(
         category: Scene-category name or instance.  Controls object density
             and the default per-frame conditions.
         seed: Root seed for this video's ground-truth randomness.
-        config: World parameters; defaults to :class:`WorldConfig`.
         category_schedule: Optional per-frame category override of length
             ``num_frames`` — the gradual-drift extension: conditions (and
             hence object visibility) evolve frame by frame while the object
@@ -230,32 +202,31 @@ def generate_video(
             f"category_schedule has {len(category_schedule)} entries for "
             f"{num_frames} frames"
         )
-    cfg = config if config is not None else WorldConfig()
     rng = derive_rng(seed, "world", name)
 
     freqs = np.asarray(
-        [spec.relative_frequency for spec in cfg.classes], dtype=np.float64
+        [spec.relative_frequency for spec in OBJECT_CLASSES], dtype=np.float64
     )
     class_probs = freqs / freqs.sum()
 
-    target_density = cfg.mean_objects * cat.density_multiplier
+    target_density = MEAN_OBJECTS * cat.density_multiplier
     # Birth rate that keeps the expected population at the target density
     # given geometrically distributed track lifetimes.
-    birth_rate = target_density / cfg.mean_track_length
+    birth_rate = target_density / MEAN_TRACK_LENGTH
 
     tracks: list[_Track] = []
     next_id = 0
     # Warm-up: start from the stationary population rather than empty.
     initial = rng.poisson(target_density)
     for _ in range(int(initial)):
-        tracks.append(_spawn_track(rng, cfg, next_id, class_probs))
+        tracks.append(_spawn_track(rng, next_id, class_probs))
         next_id += 1
 
     frames: list[Frame] = []
     for t in range(num_frames):
         births = rng.poisson(birth_rate)
         for _ in range(int(births)):
-            tracks.append(_spawn_track(rng, cfg, next_id, class_probs))
+            tracks.append(_spawn_track(rng, next_id, class_probs))
             next_id += 1
 
         frame_cat = (
@@ -263,7 +234,7 @@ def generate_video(
         )
         objects: list[GroundTruthObject] = []
         for track in tracks:
-            obj = _track_to_object(track, frame_cat, cfg)
+            obj = _track_to_object(track, frame_cat)
             if obj is not None:
                 objects.append(obj)
         frames.append(
@@ -272,8 +243,6 @@ def generate_video(
                 category=frame_cat,
                 objects=tuple(objects),
                 video_name=name,
-                width=cfg.frame_width,
-                height=cfg.frame_height,
             )
         )
 
@@ -283,8 +252,8 @@ def generate_video(
             tr
             for tr in tracks
             if tr.remaining > 0
-            and -0.2 * cfg.frame_width < tr.cx < 1.2 * cfg.frame_width
-            and -0.2 * cfg.frame_height < tr.cy < 1.2 * cfg.frame_height
+            and -0.2 * FRAME_WIDTH < tr.cx < 1.2 * FRAME_WIDTH
+            and -0.2 * FRAME_HEIGHT < tr.cy < 1.2 * FRAME_HEIGHT
         ]
 
     return Video(name=name, frames=tuple(frames))

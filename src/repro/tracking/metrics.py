@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.detection.boxes import iou_matrix
+from repro.detection.matching import greedy_iou_assignment
 from repro.simulation.video import Frame
 from repro.tracking.tracker import TrackedObject
 
@@ -86,26 +86,12 @@ def evaluate_tracking(
         all_object_ids.update(o.object_id for o in frame.objects)
         if not frame.objects or not tracks:
             continue
-        ious = iou_matrix(
-            [t.box for t in tracks], [o.box for o in frame.objects]
+        pairs = greedy_iou_assignment(
+            [t.box for t in tracks],
+            [o.box for o in frame.objects],
+            iou_threshold,
         )
-        candidates = sorted(
-            (
-                (float(ious[ti, oi]), ti, oi)
-                for ti in range(len(tracks))
-                for oi in range(len(frame.objects))
-            ),
-            reverse=True,
-        )
-        used_tracks: set[int] = set()
-        used_objects: set[int] = set()
-        for value, ti, oi in candidates:
-            if value < iou_threshold:
-                break
-            if ti in used_tracks or oi in used_objects:
-                continue
-            used_tracks.add(ti)
-            used_objects.add(oi)
+        for ti, oi, _ in pairs:
             matched_gt_frames += 1
             matched_track_frames += 1
             object_id = frame.objects[oi].object_id

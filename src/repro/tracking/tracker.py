@@ -15,7 +15,8 @@ import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.detection.boxes import BBox, iou_matrix
+from repro.detection.boxes import BBox
+from repro.detection.matching import greedy_iou_assignment
 from repro.detection.types import Detection, FrameDetections
 
 __all__ = ["TrackState", "TrackedObject", "IoUTracker"]
@@ -154,33 +155,21 @@ class IoUTracker:
         for track in self._tracks:
             track.age += 1
 
-        # Associate predictions to detections greedily by IoU, class-aware.
+        # Associate predictions to detections greedily by IoU, class-aware:
+        # a track takes a detection of its label or of one it has seen.
         matched: dict[int, Detection] = {}
         if dets and self._tracks:
-            predictions = [t.predict() for t in self._tracks]
-            ious = iou_matrix(predictions, [d.box for d in dets])
-            candidates = sorted(
-                (
-                    (float(ious[ti, di]), ti, di)
-                    for ti in range(len(self._tracks))
-                    for di in range(len(dets))
-                    if self._tracks[ti].label == dets[di].label
-                    or self._tracks[ti].label_votes.get(dets[di].label)
+            tracks = self._tracks
+            pairs = greedy_iou_assignment(
+                [t.predict() for t in tracks],
+                [d.box for d in dets],
+                self.iou_threshold,
+                allowed=lambda ti, di: bool(
+                    tracks[ti].label == dets[di].label
+                    or tracks[ti].label_votes.get(dets[di].label)
                 ),
-                reverse=True,
             )
-            used_tracks: set = set()
-            used_dets: set = set()
-            for value, ti, di in candidates:
-                if value < self.iou_threshold:
-                    break
-                if ti in used_tracks or di in used_dets:
-                    continue
-                used_tracks.add(ti)
-                used_dets.add(di)
-                matched[ti] = dets[di]
-        else:
-            used_dets = set()
+            matched = {ti: dets[di] for ti, di, _ in pairs}
 
         # Update matched tracks; age unmatched ones.
         for ti, track in enumerate(self._tracks):

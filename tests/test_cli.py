@@ -182,7 +182,7 @@ class TestFaultFlagValidation:
             main([argv[0], *small, *argv[1:]])
         assert excinfo.value.code == 2
         [*_, error] = capsys.readouterr().err.splitlines()
-        assert error.startswith(f"repro: error: {message} ")
+        assert error.startswith(f"repro {argv[0]}: error: {message} ")
 
     @pytest.mark.parametrize("command", ["compare", "query"])
     def test_faults_on_process_backend_rejected(self, capsys, command):
@@ -194,9 +194,12 @@ class TestFaultFlagValidation:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        [*_, error] = capsys.readouterr().err.splitlines()
+        [usage, *_, error] = capsys.readouterr().err.splitlines()
+        # The subcommand's usage, which lists the options the user can fix.
+        assert usage.startswith(f"usage: repro {command} ")
         assert error.startswith(
-            "repro: error: --fault-profile requires --backend serial or thread "
+            f"repro {command}: error: --fault-profile requires --backend "
+            "serial or thread "
         )
 
     def test_timeout_without_faults_runs_on_process_backend(self, capsys):

@@ -2,27 +2,24 @@
 
 import pytest
 
-from repro.simulation.clock import CostModel, SimulatedClock
+from repro.simulation.clock import SimulatedClock, ensembling_cost_ms
 
 
 class TestCostModel:
     def test_ensembling_cost_linear_in_boxes(self):
-        model = CostModel(ensembling_base_ms=0.1, ensembling_per_box_ms=0.01)
-        assert model.ensembling_cost_ms(0) == pytest.approx(0.1)
-        assert model.ensembling_cost_ms(10) == pytest.approx(0.2)
+        assert ensembling_cost_ms(0) == pytest.approx(0.05)
+        assert ensembling_cost_ms(10) == pytest.approx(0.07)
+        assert ensembling_cost_ms(20) - ensembling_cost_ms(10) == pytest.approx(
+            ensembling_cost_ms(10) - ensembling_cost_ms(0)
+        )
 
     def test_negative_boxes_rejected(self):
         with pytest.raises(ValueError):
-            CostModel().ensembling_cost_ms(-1)
-
-    def test_negative_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            CostModel(ensembling_base_ms=-0.1)
+            ensembling_cost_ms(-1)
 
     def test_ensembling_far_cheaper_than_inference(self):
         # The Eq. (1) premise: c^e << c_M even for large pools.
-        model = CostModel()
-        assert model.ensembling_cost_ms(200) < 1.0 < 7.7
+        assert ensembling_cost_ms(200) < 1.0 < 7.7
 
 
 class TestSimulatedClock:

@@ -5,45 +5,43 @@ import pytest
 from repro.detection.boxes import BBox
 from repro.simulation.lidar import (
     LidarBox3D,
-    PinholeCamera,
     SimulatedLidar,
+    back_project,
     lift_object,
+    project_point,
 )
-from repro.simulation.video import Frame, GroundTruthObject
+from repro.simulation.video import FRAME_HEIGHT, FRAME_WIDTH, Frame, GroundTruthObject
 from repro.simulation.world import generate_video
 
 
 class TestPinholeCamera:
     def test_project_center(self):
-        camera = PinholeCamera(focal_length=1000.0, cx=800.0, cy=450.0)
-        u, v = camera.project_point(0.0, 0.0, 10.0)
-        assert (u, v) == (800.0, 450.0)
+        # The principal point is the frame center.
+        u, v = project_point(0.0, 0.0, 10.0)
+        assert (u, v) == (FRAME_WIDTH / 2, FRAME_HEIGHT / 2) == (800.0, 450.0)
 
     def test_project_behind_camera_rejected(self):
         with pytest.raises(ValueError):
-            PinholeCamera().project_point(0, 0, -1.0)
+            project_point(0, 0, -1.0)
 
     def test_back_project_roundtrip(self):
-        camera = PinholeCamera()
-        x, y, z = camera.back_project(900.0, 500.0, 25.0)
-        u, v = camera.project_point(x, y, z)
+        x, y, z = back_project(900.0, 500.0, 25.0)
+        u, v = project_point(x, y, z)
         assert u == pytest.approx(900.0)
         assert v == pytest.approx(500.0)
 
     def test_farther_points_project_closer_to_center(self):
-        camera = PinholeCamera()
-        u_near, _ = camera.project_point(2.0, 0.0, 10.0)
-        u_far, _ = camera.project_point(2.0, 0.0, 40.0)
-        assert abs(u_far - camera.cx) < abs(u_near - camera.cx)
+        u_near, _ = project_point(2.0, 0.0, 10.0)
+        u_far, _ = project_point(2.0, 0.0, 40.0)
+        assert abs(u_far - FRAME_WIDTH / 2) < abs(u_near - FRAME_WIDTH / 2)
 
 
 class TestLift:
     def test_lift_then_project_recovers_box(self, clear_category):
-        camera = PinholeCamera()
         obj = GroundTruthObject(0, BBox(600, 300, 900, 500), "car", 20.0, 0.9)
         frame = Frame(0, clear_category)
-        box3d = lift_object(obj, camera)
-        projected = box3d.project(camera, frame)
+        box3d = lift_object(obj)
+        projected = box3d.project(frame)
         assert projected is not None
         # Projection uses the near face so the box is at least as large as
         # the original; centers should nearly coincide.
@@ -61,11 +59,10 @@ class TestLidarBox3D:
             LidarBox3D(0, 0, 5.0, 1, 1, 1, "car", 1.5)
 
     def test_out_of_frame_projection_none(self, clear_category):
-        camera = PinholeCamera()
         frame = Frame(0, clear_category)
         box = LidarBox3D(x=500.0, y=0.0, z=10.0, width=1, height=1,
                          depth_extent=1, label="car", score=0.9)
-        assert box.project(camera, frame) is None
+        assert box.project(frame) is None
 
 
 class TestSimulatedLidar:
@@ -109,11 +106,3 @@ class TestSimulatedLidar:
             for det in lidar.detect(frame).detections:
                 assert 0 <= det.box.x1 <= det.box.x2 <= frame.width
                 assert 0 <= det.box.y1 <= det.box.y2 <= frame.height
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SimulatedLidar(detection_skill=1.5)
-        with pytest.raises(ValueError):
-            SimulatedLidar(base_time_ms=0.0)
-        with pytest.raises(ValueError):
-            SimulatedLidar(false_positive_rate=-1.0)

@@ -1,8 +1,9 @@
 """Unit tests for greedy IoU matching.
 
-``TestGreedyMatch`` covers the product kernel; ``TestMatchDetections``
-checks the numpy matcher in ``tests/voc_oracle.py`` that the agreement
-tests compare the kernel against.
+``TestGreedyMatch`` covers the VOC kernel, ``TestGreedyIoUAssignment`` the
+overlap-only assignment of tracking and frame skipping, and
+``TestMatchDetections`` checks the numpy matcher in ``tests/voc_oracle.py``
+that the agreement tests compare the VOC kernel against.
 """
 
 import math
@@ -11,7 +12,7 @@ import pytest
 from tests.voc_oracle import match_detections
 
 from repro.detection.boxes import BBox
-from repro.detection.matching import greedy_match
+from repro.detection.matching import greedy_iou_assignment, greedy_match
 from repro.detection.metrics import (
     average_precision,
     coco_map,
@@ -105,6 +106,40 @@ def test_iou_threshold_outside_unit_interval_rejected(
     }
     with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\]"):
         calls[entry]()
+
+
+class TestGreedyIoUAssignment:
+    def test_highest_iou_first_and_one_to_one(self):
+        # Both rows overlap column 1 best; row 0's IoU 1.0 takes it, so
+        # row 1 falls back to column 0 (IoU 8/9 against its 0.9).
+        rows = [BBox(0, 0, 10, 10), BBox(0, 0, 10, 9)]
+        cols = [BBox(0, 0, 10, 8), BBox(0, 0, 10, 10)]
+        pairs = greedy_iou_assignment(rows, cols, 0.1)
+        assert [(i, j) for i, j, _ in pairs] == [(0, 1), (1, 0)]
+        assert [iou for _, _, iou in pairs] == pytest.approx([1.0, 8 / 9])
+
+    def test_iou_ties_visit_later_rows_first(self):
+        rows = [BBox(0, 0, 10, 10), BBox(0, 0, 10, 10)]
+        assert greedy_iou_assignment(rows, [BBox(0, 0, 10, 10)], 0.1) == [
+            (1, 0, 1.0)
+        ]
+
+    def test_threshold_is_inclusive(self):
+        rows, cols = [BBox(0, 0, 10, 10)], [BBox(0, 0, 10, 20)]
+        assert greedy_iou_assignment(rows, cols, 0.5) == [(0, 0, 0.5)]
+        assert greedy_iou_assignment(rows, cols, 0.6) == []
+
+    def test_allowed_filters_candidate_pairs(self):
+        rows = [BBox(0, 0, 10, 10)]
+        cols = [BBox(0, 0, 10, 10), BBox(0, 0, 10, 20)]
+        assert greedy_iou_assignment(
+            rows, cols, 0.1, allowed=lambda i, j: j != 0
+        ) == [(0, 1, 0.5)]
+        assert greedy_iou_assignment(rows, cols, 0.1, allowed=lambda i, j: False) == []
+
+    def test_empty_sides(self):
+        assert greedy_iou_assignment([], [BBox(0, 0, 1, 1)], 0.1) == []
+        assert greedy_iou_assignment([BBox(0, 0, 1, 1)], [], 0.1) == []
 
 
 class TestMatchDetections:

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.detection.boxes import BBox
@@ -51,15 +51,36 @@ def test_map_in_unit_interval(preds, refs):
     assert 0.0 <= value <= 1.0 + 1e-9
 
 
+def _rescaled(preds):
+    """The same detections, their confidences on another scale.
+
+    Each confidence maps through its rank among the distinct confidences,
+    so the map preserves every pair's order exactly: equal confidences
+    stay equal and distinct ones stay apart.  (A smooth map such as
+    ``0.05 + 0.9 * c**2`` rounds 0.01 and 0.010000000000000002 to one
+    float, a tie that reorders the greedy match.)
+    """
+    distinct = sorted({d.confidence for d in preds})
+    rank = {c: i + 1 for i, c in enumerate(distinct)}
+    return [
+        d.with_confidence(0.05 + 0.9 * (rank[d.confidence] / len(distinct)) ** 2)
+        for d in preds
+    ]
+
+
 @given(det_lists, det_lists)
 @settings(max_examples=40)
+@example(
+    preds=[
+        Detection(BBox(100, 100, 110, 110), 0.01, "car"),
+        Detection(BBox(0, 0, 10, 10), 0.010000000000000002, "car"),
+    ],
+    refs=[Detection(BBox(0, 0, 10, 10), 0.5, "car")],
+)
 def test_ap_confidence_rescaling_invariance(preds, refs):
     """AP depends only on the confidence *ordering*, not magnitudes."""
     base = average_precision(preds, refs)
-    # Monotone transform of confidences preserves ordering.
-    rescaled = [
-        d.with_confidence(0.05 + 0.9 * d.confidence**2) for d in preds
-    ]
+    rescaled = _rescaled(preds)
     assert math.isclose(
         average_precision(rescaled, refs), base, abs_tol=1e-9
     )

@@ -18,8 +18,15 @@ from repro.obs import Observability
 from repro.query.executor import QueryEngine
 from repro.query.physical import Row
 from repro.query.predicates import evaluate_expr
+from repro.simulation.lidar import SimulatedLidar
 
 MODELS = "yolov7-tiny-clear, yolov7-tiny-night, yolov7-tiny-rainy"
+
+
+class OtherReference(SimulatedLidar):
+    """A second reference model: another LiDAR noise stream, another name."""
+
+    name = "other-ref"
 
 
 def _v1_execute(engine: QueryEngine, text: str) -> list[Row]:
@@ -230,8 +237,6 @@ class TestCrossQueryReuse:
     ):
         """Context-tagged keys: changing REF must change estimates, not
         resurrect the other configuration's cached ones."""
-        from repro.simulation.lidar import SimulatedLidar
-
         query_tpl = (
             "SELECT frameID FROM (PROCESS inputVideo PRODUCE frameID, "
             "Detections, score USING MES(%s; %%s) WITH gamma=2) "
@@ -244,7 +249,7 @@ class TestCrossQueryReuse:
         engine.register_video("inputVideo", small_video)
         for det in detector_pool:
             engine.register_detector(det)
-        other = SimulatedLidar(seed=99, name="other-ref")
+        other = OtherReference(seed=99)
         engine.register_reference(other)
         with engine:
             scores_b = engine.execute(query_tpl % "other-ref").column("score")

@@ -5,6 +5,7 @@ import pytest
 from repro.core.baselines import BruteForce
 from repro.core.ensembles import make_key
 from repro.core.mes import MES
+from repro.core.mes_b import MESB
 from repro.core.selection import FrameRecord, SelectionResult
 
 
@@ -67,6 +68,23 @@ class TestRunLoop:
     def test_negative_budget_rejected(self, environment, small_video):
         with pytest.raises(ValueError):
             BruteForce().run(environment, small_video.frames, budget_ms=-5.0)
+
+    @pytest.mark.parametrize(
+        "budget", [float("nan"), float("inf"), 0.0, -1.0],
+        ids=["nan", "inf", "zero", "negative"],
+    )
+    @pytest.mark.parametrize("factory", [MES, MESB], ids=["MES", "MES-B"])
+    def test_budget_must_be_positive_and_finite(
+        self, environment, small_video, factory, budget
+    ):
+        """A NaN or infinite budget would never stop the frame loop."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            factory(gamma=2).run(environment, small_video.frames, budget_ms=budget)
+        with pytest.raises(ValueError, match="positive and finite"):
+            factory(gamma=2).run_stream(
+                environment, small_video.frames, budget_ms=budget
+            )
+        assert environment.clock.total_ms == 0.0
 
     def test_empty_frames_empty_result(self, environment):
         result = BruteForce().run(environment, [])

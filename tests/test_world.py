@@ -3,21 +3,7 @@
 import pytest
 
 from repro.simulation.scenes import SCENE_CATEGORIES
-from repro.simulation.world import DEFAULT_CLASSES, WorldConfig, generate_video
-
-
-class TestWorldConfig:
-    def test_defaults_valid(self):
-        config = WorldConfig()
-        assert config.mean_objects > 0
-
-    def test_invalid_distances(self):
-        with pytest.raises(ValueError):
-            WorldConfig(min_distance=10.0, max_distance=5.0)
-
-    def test_empty_classes_rejected(self):
-        with pytest.raises(ValueError):
-            WorldConfig(classes=())
+from repro.simulation.world import OBJECT_CLASSES, generate_video
 
 
 class TestGenerateVideo:
@@ -46,7 +32,7 @@ class TestGenerateVideo:
 
     def test_labels_from_class_mix(self):
         video = generate_video("v", 40, "clear", seed=1)
-        known = {spec.label for spec in DEFAULT_CLASSES}
+        known = {spec.label for spec in OBJECT_CLASSES}
         for frame in video:
             for obj in frame.objects:
                 assert obj.label in known
