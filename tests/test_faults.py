@@ -39,6 +39,8 @@ class TestFaultSpec:
             {"hang_rate": -1.0},
             {"latency_spike_rate": 1.01},
             {"latency_multiplier": 1.0},
+            {"latency_spike_rate": -0.01},
+            {"hang_rate": 1.01},
             {"outage": (-1, 5)},
             {"outage": (10, 3)},
         ],
