@@ -22,10 +22,14 @@ argmax, found without fusing ensembles whose score cannot win.
 
 Each evaluation reads its frame's inputs once: every member's output and
 REF's output come from one batched store read plus the frame's own
-inference jobs, and the ground truth is built at most once.  An
-ensemble's fused boxes are produced only when something reads them: an
-AP the store does not hold, or a caller of
-:attr:`EnsembleEvaluation.detections`.  Fusion is billed either way.
+inference jobs, and the ground truth is built at most once.  The
+algorithms observe the estimated AP, so :meth:`DetectionEnvironment.evaluate`
+reads it for every ensemble; an ensemble's true AP and true score are
+computed only when something reads them (a selection run reads them
+for the evaluation that serves the frame).  Its fused boxes are
+produced only when something reads them too: an AP the store does not
+hold, or a caller of :attr:`EnsembleEvaluation.detections`.  Fusion is
+billed either way.
 
 Execution is layered on the :mod:`repro.engine` package:
 
@@ -68,7 +72,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any
+from typing import Any, Generic, TypeVar
 
 from repro.core.ensembles import EnsembleKey, enumerate_ensembles, make_key
 from repro.core.scoring import ScoringFunction, WeightedLogScore
@@ -135,27 +139,31 @@ def method_tag(method: object) -> str:
     return f"{name}({params})"
 
 
-class _FusedBoxes:
-    """An ensemble's fused detections, produced at their first read.
+_T = TypeVar("_T")
 
-    ``fuse`` (a read of the store's ``fused`` stage) runs at the first
-    :meth:`get` and never again.  Two holders compare and hash by their
-    detections.
+
+class _Lazy(Generic[_T]):
+    """A part of an evaluation, produced at its first read.
+
+    ``compute`` (a read of one store stage: ``fused`` for the boxes,
+    ``true_ap`` for the true AP and score) runs at the first :meth:`get`
+    and never again; it never returns ``None``.  Two holders compare and
+    hash by their values.
     """
 
-    __slots__ = ("_fuse", "_detections")
+    __slots__ = ("_compute", "_value")
 
-    def __init__(self, fuse: Callable[[], FrameDetections]) -> None:
-        self._fuse = fuse
-        self._detections: FrameDetections | None = None
+    def __init__(self, compute: Callable[[], _T]) -> None:
+        self._compute = compute
+        self._value: _T | None = None
 
-    def get(self) -> FrameDetections:
-        if self._detections is None:
-            self._detections = self._fuse()
-        return self._detections
+    def get(self) -> _T:
+        if self._value is None:
+            self._value = self._compute()
+        return self._value
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _FusedBoxes):
+        if not isinstance(other, _Lazy):
             return NotImplemented
         return self.get() == other.get()
 
@@ -180,34 +188,42 @@ class EnsembleEvaluation:
             without a reference model).
         est_score: Score from estimated AP — what the bandit observes;
             0.0 whenever ``est_ap`` is not estimated.
-        true_ap: AP against ground truth (Eq. 2).
-        true_score: Score from true AP — what experiments report.
         realized: The healthy subset that actually ran.  Empty (the
             default) means the full requested ensemble ran; when members
             failed, every detection/cost/score field describes this
             subset instead of ``key``.
 
     :attr:`detections` are fused when first read (by an AP the store
-    misses, or by a caller), at most once per evaluation.  Equality
-    compares them too.
+    misses, or by a caller), and :attr:`true_ap` and :attr:`true_score`
+    are computed when either is first read; each at most once per
+    evaluation.  Equality and hashing compare them too.
     """
 
     key: EnsembleKey
-    _boxes: _FusedBoxes = field(repr=False)
+    _boxes: _Lazy[FrameDetections] = field(repr=False)
     inference_ms: float
     ensembling_ms: float
     cost_ms: float
     normalized_cost: float
     est_ap: float
     est_score: float
-    true_ap: float
-    true_score: float
+    _true: _Lazy[tuple[float, float]] = field(repr=False)
     realized: EnsembleKey = ()
 
     @property
     def detections(self) -> FrameDetections:
         """Fused detection output ``D_{S|v}``."""
         return self._boxes.get()
+
+    @property
+    def true_ap(self) -> float:
+        """AP against ground truth (Eq. 2)."""
+        return self._true.get()[0]
+
+    @property
+    def true_score(self) -> float:
+        """Score from true AP — what experiments report."""
+        return self._true.get()[1]
 
     @property
     def realized_key(self) -> EnsembleKey:
@@ -674,7 +690,10 @@ class DetectionEnvironment:
         )
 
     def _estimated_ap(
-        self, inputs: _FrameInputs, key: EnsembleKey, boxes: _FusedBoxes
+        self,
+        inputs: _FrameInputs,
+        key: EnsembleKey,
+        boxes: _Lazy[FrameDetections],
     ) -> float:
         return self.store.get_or_compute(
             "est_ap",
@@ -684,16 +703,22 @@ class DetectionEnvironment:
             ),
         )
 
-    def _true_ap(
-        self, inputs: _FrameInputs, key: EnsembleKey, boxes: _FusedBoxes
-    ) -> float:
-        return self.store.get_or_compute(
+    def _true_scores(
+        self,
+        inputs: _FrameInputs,
+        key: EnsembleKey,
+        boxes: _Lazy[FrameDetections],
+        c_hat: float,
+    ) -> tuple[float, float]:
+        """``(true_ap, true_score)``, the AP memoized in the store."""
+        true_ap = self.store.get_or_compute(
             "true_ap",
             (inputs.frame.key, key, self._true_tag),
             lambda: mean_average_precision(
                 boxes.get(), inputs.ground_truth, self.iou_threshold
             ),
         )
+        return true_ap, self.scoring(true_ap, c_hat)
 
     # ---- evaluation -----------------------------------------------------
 
@@ -781,10 +806,13 @@ class DetectionEnvironment:
     ) -> EnsembleEvaluation:
         """Score one realized ensemble (both APs memoized).
 
-        Its fused detections are produced only if an AP misses the store
-        or a caller reads them.
+        The estimated AP is read now, when ``estimate`` is set.  The true
+        AP is read from the store (or computed) only when the evaluation's
+        :attr:`~EnsembleEvaluation.true_ap` or ``true_score`` is first
+        read.  The fused detections are produced only if an AP misses the
+        store or a caller reads them.
         """
-        boxes = _FusedBoxes(lambda: self._fused(inputs, realized))
+        boxes = _Lazy(lambda: self._fused(inputs, realized))
         cost_ms = inference_ms + fusion_ms
         c_hat = self.normalized_cost(cost_ms)
         if estimate:
@@ -793,7 +821,6 @@ class DetectionEnvironment:
         else:
             est_ap = 0.0
             est_score = 0.0
-        true_ap = self._true_ap(inputs, realized, boxes)
         return EnsembleEvaluation(
             key=key,
             _boxes=boxes,
@@ -803,8 +830,9 @@ class DetectionEnvironment:
             normalized_cost=c_hat,
             est_ap=est_ap,
             est_score=est_score,
-            true_ap=true_ap,
-            true_score=self.scoring(true_ap, c_hat),
+            _true=_Lazy(
+                lambda: self._true_scores(inputs, realized, boxes, c_hat)
+            ),
             realized=realized,
         )
 
@@ -819,9 +847,10 @@ class DetectionEnvironment:
         true scores of every requested ensemble (SGL's calibration); a
         caller that wants only the best one uses :meth:`peek_best`, and a
         caller that needs estimates uses ``evaluate(..., charge=False)``.
-        REF is still inferred (if missing) and checked exactly as in
-        :meth:`evaluate`, so a frame whose REF inference fails raises
-        :class:`FrameEvaluationError` either way.
+        As with :meth:`evaluate`, each true AP is computed when the
+        caller first reads it.  REF is still inferred (if missing) and
+        checked exactly as in :meth:`evaluate`, so a frame whose REF
+        inference fails raises :class:`FrameEvaluationError` either way.
         """
         return self._evaluate(frame, keys, charge=False, estimate=False)
 
@@ -885,8 +914,10 @@ class DetectionEnvironment:
         call: from the store, or from this frame's inference jobs.  A
         member is healthy when this frame has an output for it, so store
         eviction never changes a result.  Both APs are memoized in the
-        store, and so are the fused detections, which are produced only
-        when an AP misses or a caller reads them.
+        store, and so are the fused detections.  The estimated AP is read
+        here; the true AP only when an evaluation's ``true_ap`` or
+        ``true_score`` is first read; the fused detections only when an
+        AP misses or a caller reads them.
 
         Args:
             frame: The frame to process.
@@ -935,9 +966,10 @@ class DetectionEnvironment:
                 reference_ms = ref_ms
 
         # Pass 1 ("fuse"): every realized ensemble's cost components and
-        # the batch's billed fusion cost.  Pass 2 ("score"): APs and
-        # scores, fusing only the ensembles whose APs miss the store.  The
-        # split exists so the two phases are separately spanned.
+        # the batch's billed fusion cost.  Pass 2 ("score"): estimated
+        # APs and scores, fusing only the ensembles whose estimates miss
+        # the store (true APs wait for their first read).  The split
+        # exists so the two phases are separately spanned.
         evaluations: dict[EnsembleKey, EnsembleEvaluation] = {}
         ensembling_ms = 0.0
         fusions_billed: set[EnsembleKey] = set()

@@ -60,8 +60,10 @@ class QueryEngine:
             environment (spans, metrics and events for the selection
             run).
         materialize_dir: Directory for the persistent materialized
-            detection store; when given, detector and reference outputs
-            and both APs are written through to disk, and later queries
+            detection store; when given, detector and reference outputs,
+            the estimated AP of every evaluated ensemble and the true AP
+            of each evaluation whose true AP was read (the one serving
+            each frame) are written through to disk, and later queries
             (in any process) reuse them instead of re-running inference.
             Fused boxes stay in memory: a warm query fuses only the
             frames it serves.

@@ -65,9 +65,10 @@ __all__ = [
 #: On-disk format version; bumped on any incompatible record change.
 FORMAT_VERSION = 3
 
-#: Stages this tier persists.  The inference outputs and both APs are
-#: what a warm query would otherwise recompute for every evaluated
-#: ensemble.  The ``fused`` stage is left out: a query reads fused boxes
+#: Stages this tier persists.  The inference outputs and the APs a run
+#: computed (every evaluated ensemble's estimate, and the true AP of
+#: each evaluation whose true AP was read) are what a warm query would
+#: otherwise recompute.  The ``fused`` stage is left out: a query reads fused boxes
 #: only for the frames it serves, so a warm run fuses those from the
 #: persisted detector outputs.  Persisted, they were 6.2 of the 10.6 MB
 #: a cold 600-frame query wrote and over half of a warm open's CPU time.

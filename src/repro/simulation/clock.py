@@ -109,10 +109,9 @@ class SimulatedClock:
 
         Raises:
             KeyError: For unknown component names.
-            ValueError: For negative charges.
+            ValueError: For negative, NaN or infinite charges.
         """
-        if ms < 0:
-            raise ValueError("cannot charge negative time")
+        check_non_negative(ms, "charged ms")
         if component == "detector":
             self.detector_ms += ms
         elif component == "reference":

@@ -38,6 +38,7 @@ equivalence tests pin exactly those two).
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -104,7 +105,7 @@ class FaultSpec:
             during which every call raises :class:`DetectorOutageError`.
         latency_spike_rate: Probability per attempt of multiplying the
             reported simulated latency by ``latency_multiplier``.
-        latency_multiplier: Latency factor of a spike (> 1).
+        latency_multiplier: Latency factor of a spike (finite, > 1).
         hang_rate: Probability per attempt of reporting :data:`HANG_MS`
             as the latency — effectively a call that never returns; pair
             with a resilience-layer timeout.
@@ -129,8 +130,11 @@ class FaultSpec:
             rate = getattr(self, rate_name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{rate_name} must be in [0, 1], got {rate}")
-        if self.latency_multiplier <= 1.0:
-            raise ValueError("latency_multiplier must be > 1")
+        if not 1.0 < self.latency_multiplier < math.inf:
+            raise ValueError(
+                f"latency_multiplier must be finite and > 1, "
+                f"got {self.latency_multiplier!r}"
+            )
         if self.outage is not None:
             start, stop = self.outage
             if start < 0 or stop < start:

@@ -49,6 +49,14 @@ class TestSimulatedClock:
         with pytest.raises(ValueError):
             SimulatedClock().charge("detector", -1.0)
 
+    @pytest.mark.parametrize("ms", [float("nan"), float("inf")])
+    def test_non_finite_charge_rejected(self, ms):
+        clock = SimulatedClock()
+        clock.charge("detector", 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            clock.charge("detector", ms)
+        assert clock.detector_ms == 2.0
+
     def test_breakdown_sums_to_one(self):
         clock = SimulatedClock()
         clock.charge("detector", 90.0)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.environment import DetectionEnvironment, EvaluationStore, method_tag
 from repro.core.scoring import WeightedLogScore
+from repro.detection.metrics import mean_average_precision
 from repro.ensembling.registry import available_methods, create_method
 from repro.simulation.detectors import SimulatedDetector
 from repro.simulation.profiles import make_profile
@@ -130,10 +131,12 @@ class TestFusedBoxes:
             environment.fusion, "fuse", lambda outputs: calls.append(1) or fuse(outputs)
         )
         batch = environment.evaluate(simple_frame, environment.all_ensembles)
-        # Both APs missed, so each ensemble was fused, once.
+        # Every estimated AP missed, so each ensemble was fused, once.
         assert len(calls) == len(batch.evaluations)
         for evaluation in batch.evaluations.values():
             assert evaluation.detections is evaluation.detections
+            # The true AP misses too, and scores the boxes already fused.
+            assert 0.0 <= evaluation.true_ap <= 1.0
         assert len(calls) == len(batch.evaluations)
 
     def test_boxes_read_only_when_an_ap_misses_or_a_caller_asks(
@@ -141,7 +144,9 @@ class TestFusedBoxes:
     ):
         store = EvaluationStore()
         warm = DetectionEnvironment(detector_pool, lidar, store=store)
-        warm.evaluate(simple_frame, warm.all_ensembles)
+        warmed = warm.evaluate(simple_frame, warm.all_ensembles)
+        # A true AP is computed (and stored) only when read: read them all.
+        assert all(e.true_ap >= 0.0 for e in warmed.evaluations.values())
         env = DetectionEnvironment(detector_pool, lidar, store=store)
 
         def fused_lookups():
@@ -150,6 +155,7 @@ class TestFusedBoxes:
         before = fused_lookups()
         batch = env.evaluate(simple_frame, env.all_ensembles)
         best = env.peek_best(simple_frame, env.all_ensembles)
+        assert all(e.true_ap >= 0.0 for e in batch.evaluations.values())
         assert fused_lookups() == before  # every AP hit the store
         for evaluation in [*batch.evaluations.values(), best]:
             first = evaluation.detections
@@ -164,6 +170,70 @@ class TestFusedBoxes:
         same = replace(first, _boxes=first._boxes)
         assert same == first
         assert hash(same) == hash(first)
+
+
+class TestTrueApOnDemand:
+    """An evaluation's true AP is computed at its first read, once."""
+
+    def test_not_looked_up_until_read(self, environment, simple_frame):
+        batch = environment.evaluate(simple_frame, environment.all_ensembles)
+        assert "true_ap" not in environment.store.stats().stages
+        evaluation = batch.evaluations[environment.full_ensemble]
+        assert 0.0 <= evaluation.true_score <= 1.0
+        assert environment.store.stats().stages["true_ap"].lookups == 1
+
+    def test_second_read_makes_no_store_call(
+        self, environment, simple_frame, monkeypatch
+    ):
+        batch = environment.evaluate(simple_frame, environment.all_ensembles)
+        evaluation = batch.evaluations[environment.full_ensemble]
+        calls = []
+        get_or_compute = environment.store.get_or_compute
+        monkeypatch.setattr(
+            environment.store,
+            "get_or_compute",
+            lambda *args: calls.append(args[0]) or get_or_compute(*args),
+        )
+        first = (evaluation.true_ap, evaluation.true_score)
+        assert calls == ["true_ap"]
+        assert (evaluation.true_ap, evaluation.true_score) == first
+        assert calls == ["true_ap"]
+
+    def test_equals_the_ap_of_the_boxes_against_ground_truth(
+        self, environment, simple_frame
+    ):
+        batch = environment.evaluate(simple_frame, environment.all_ensembles)
+        truth = simple_frame.ground_truth_detections()
+        for evaluation in batch.evaluations.values():
+            true_ap = mean_average_precision(evaluation.detections, truth, 0.5)
+            assert evaluation.true_ap == true_ap
+            assert evaluation.true_score == environment.scoring(
+                true_ap, evaluation.normalized_cost
+            )
+
+    def test_equality_compares_the_true_ap(self, environment, simple_frame):
+        batch = environment.evaluate(simple_frame, environment.all_ensembles)
+        first, *others = batch.evaluations.values()
+        other = next(e for e in others if e.true_ap != first.true_ap)
+        assert replace(first, _true=other._true) != first
+        same = replace(first, _true=first._true)
+        assert same == first
+        assert hash(same) == hash(first)
+
+    def test_selection_run_computes_one_true_ap_per_frame(
+        self, detector_pool, lidar, small_video
+    ):
+        from repro.core.mes import MES
+
+        frames = small_video.frames[:12]
+        env = DetectionEnvironment(detector_pool, lidar, store=EvaluationStore())
+        result = MES(gamma=2).run(env, frames)
+        stages = env.store.stats().stages
+        assert result.frames_processed == len(frames)
+        # MES evaluates several ensembles per frame; only the served one's
+        # true AP is read, by its record.
+        assert stages["est_ap"].misses > len(frames)
+        assert stages["true_ap"].misses == stages["true_ap"].lookups == len(frames)
 
 
 class TestSharedCache:

@@ -43,6 +43,8 @@ class TestFaultSpec:
             {"hang_rate": 1.01},
             {"outage": (-1, 5)},
             {"outage": (10, 3)},
+            {"latency_spike_rate": 1.0, "latency_multiplier": float("nan")},
+            {"latency_spike_rate": 1.0, "latency_multiplier": float("inf")},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -55,7 +55,9 @@ class TestPeek:
     def test_skips_estimated_ap_but_still_reads_reference(
         self, environment, simple_frame
     ):
-        environment.peek(simple_frame, environment.all_ensembles)
+        batch = environment.peek(simple_frame, environment.all_ensembles)
+        # True APs are computed when read, so read each before counting.
+        assert all(e.true_ap >= 0.0 for e in batch.evaluations.values())
         stages = environment.store.stats().stages
         assert "est_ap" not in stages
         assert stages["true_ap"].misses == len(environment.all_ensembles)

@@ -9,6 +9,8 @@ only — never a result byte.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +149,15 @@ def _reference_invocations(obs: Observability) -> float:
     )
 
 
+def _records_by_stage(directory: Path) -> Counter[str]:
+    """How many records each stage has in a materialized store's segments."""
+    return Counter(
+        json.loads(line.split("\t", 1)[1])[0]
+        for segment in directory.glob("segment-*.jsonl")
+        for line in segment.read_text().splitlines()
+    )
+
+
 class TestCrossQueryReuse:
     QUERY = (
         f"SELECT frameID FROM (PROCESS inputVideo PRODUCE frameID, "
@@ -206,6 +217,37 @@ class TestCrossQueryReuse:
         assert matstore.hit_rate == 1.0
         assert matstore.stores == 0
         assert matstore.records == cold_records
+
+    def test_warm_query_reads_a_store_holding_unread_true_aps(
+        self, make_engine, tmp_path, monkeypatch
+    ):
+        """A directory written while every evaluation's true AP was
+        computed, read or not, still serves a warm query with no new
+        record; a cold query stores one true AP per served frame."""
+        evaluation = DetectionEnvironment._evaluation
+
+        def eager(env, *args, **kwargs):
+            result = evaluation(env, *args, **kwargs)
+            assert result.true_ap >= 0.0
+            return result
+
+        eager_dir, lazy_dir = tmp_path / "eager", tmp_path / "lazy"
+        with monkeypatch.context() as patch:
+            patch.setattr(DetectionEnvironment, "_evaluation", eager)
+            with make_engine(materialize_dir=eager_dir) as engine:
+                cold = engine.execute(self.QUERY)
+        with make_engine(materialize_dir=lazy_dir) as engine:
+            assert engine.execute(self.QUERY).rows == cold.rows
+        served = cold.selection.frames_processed
+        assert _records_by_stage(lazy_dir)["true_ap"] == served
+        assert _records_by_stage(eager_dir)["true_ap"] > served
+
+        with make_engine(materialize_dir=eager_dir) as engine:
+            warm = engine.execute(self.QUERY)
+            matstore = engine.matstore.stats()
+        assert warm.rows == cold.rows
+        assert matstore.stores == 0
+        assert matstore.hit_rate == 1.0
 
     def test_overlapping_query_with_different_algorithm_reuses(
         self, make_engine, tmp_path
