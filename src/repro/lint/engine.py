@@ -13,6 +13,13 @@ each worker returns plain :class:`~repro.lint.base.Violation` values, so
 ``jobs=N`` changes wall-clock time only — the final, sorted violation
 list is byte-identical to a ``jobs=1`` run.  The project phase always
 runs in the parent (it needs every file's AST at once).
+
+Each process parses a file at most once per run.  A serial run hands
+the per-file phase's :class:`~repro.lint.base.FileContext` objects to
+the whole-program phase, keeping them only when that phase will read
+them (a project rule is selected and the cache holds no project entry).
+With ``jobs=N`` each worker parses its own copy, and the parent parses
+each file once for the whole-program phase.
 """
 
 from __future__ import annotations
@@ -150,18 +157,31 @@ def _unsuppressed(ctx: FileContext, found: list[Violation]) -> list[Violation]:
     return [v for v in found if not _is_suppressed(v, suppressions, comment_only)]
 
 
+def _parse(source: str, path: str) -> FileContext | Violation:
+    """``source`` parsed, or the ``RPR000`` finding saying why it is not."""
+    try:
+        return FileContext.from_source(source, path)
+    except LintError as exc:
+        return Violation(
+            path=path, line=0, col=0, rule_id=PARSE_ERROR_ID, message=str(exc)
+        )
+
+
 def _file_violations(
-    ctx: FileContext, rules: Sequence[Rule], wanted: set[str] | None
+    parsed: FileContext | Violation, rules: Sequence[Rule], wanted: set[str] | None
 ) -> list[Violation]:
-    """Run the per-file rules on one parsed context, suppressions applied."""
+    """The per-file rules' sorted findings on one parse, suppressions
+    applied; a file that does not parse yields its ``RPR000`` alone."""
+    if isinstance(parsed, Violation):
+        return [parsed]
     found: list[Violation] = []
     for rule in rules:
         if wanted is not None and rule.rule_id not in wanted:
             continue
-        if not rule.applies_to(ctx):
+        if not rule.applies_to(parsed):
             continue
-        found.extend(rule.check(ctx))
-    return _unsuppressed(ctx, found)
+        found.extend(rule.check(parsed))
+    return sorted(_unsuppressed(parsed, found))
 
 
 def lint_source(
@@ -180,15 +200,7 @@ def lint_source(
         select: Optional rule-ID filter (e.g. ``{"RPR001"}``).
     """
     wanted = {rule_id.upper() for rule_id in select} if select is not None else None
-    try:
-        ctx = FileContext.from_source(source, path)
-    except LintError as exc:
-        return [
-            Violation(
-                path=path, line=0, col=0, rule_id=PARSE_ERROR_ID, message=str(exc)
-            )
-        ]
-    return sorted(_file_violations(ctx, rules, wanted))
+    return _file_violations(_parse(source, path), rules, wanted)
 
 
 def _project_violations(
@@ -229,18 +241,10 @@ def lint_project(
     violations: list[Violation] = []
     contexts: dict[str, FileContext] = {}
     for path in sorted(sources):
-        try:
-            ctx = FileContext.from_source(sources[path], path)
-        except LintError as exc:
-            violations.append(
-                Violation(
-                    path=path, line=0, col=0, rule_id=PARSE_ERROR_ID,
-                    message=str(exc),
-                )
-            )
-            continue
-        contexts[ctx.path] = ctx
-        violations.extend(_file_violations(ctx, rules, wanted))
+        parsed = _parse(sources[path], path)
+        violations.extend(_file_violations(parsed, rules, wanted))
+        if isinstance(parsed, FileContext):
+            contexts[parsed.path] = parsed
     active = [
         rule
         for rule in project_rules
@@ -266,12 +270,14 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
         if path.is_file():
             candidates = [path] if path.suffix == ".py" else []
         else:
+            # Only the directories below the named one are filtered: the
+            # user named it, whatever sits above it (``..``, a dot-dir).
             candidates = [
                 candidate
                 for candidate in sorted(path.rglob("*.py"))
-                if not (
-                    set(candidate.parts) & _SKIP_DIRS
-                    or any(part.startswith(".") for part in candidate.parts[:-1])
+                if not any(
+                    part in _SKIP_DIRS or part.startswith(".")
+                    for part in candidate.relative_to(path).parts[:-1]
                 )
             ]
         for candidate in candidates:
@@ -322,15 +328,19 @@ def lint_paths(
         select: Optional rule-ID filter spanning both rule kinds; the
             per-file phase runs the shipped rules it selects.
         jobs: Worker processes for the per-file phase; ``1`` runs
-            in-process.  Findings are identical for any value.
+            in-process, where both phases share one parse of each file.
+            At most one worker per file to lint is started.  Findings
+            are identical for any value.
         project_rules: Whole-program rules to run after the per-file
             phase (skipped entirely when ``select`` excludes them all).
         config: Layer DAG and persistence list; ``DEFAULT_LAYERS`` and
             ``DEFAULT_PERSISTENCE`` in ``repro/lint/project.py`` when
             omitted.
         cache: Incremental cache (see :mod:`repro.lint.cache`).  Hits
-            skip parsing and analysis entirely; findings are
-            byte-identical with or without it, for any ``jobs``.
+            skip analysis; a file is parsed only when a phase the cache
+            does not serve reads it, so a fully warm run parses nothing.
+            Findings are byte-identical with or without it, for any
+            ``jobs``.
     """
     wanted = {rule_id.upper() for rule_id in select} if select is not None else None
     files = list(iter_python_files(paths))
@@ -369,6 +379,18 @@ def lint_paths(
             for path, source in sources.items()
         }
 
+    # The project entry is looked up first: the per-file phase keeps its
+    # parses for the whole-program phase only when that phase will read
+    # them, that is when a project rule is active and the cache missed.
+    run_project = bool(active_project_rules and sources)
+    project_key = ""
+    project_hit: tuple[Violation, ...] | None = None
+    if run_project and cache is not None:
+        project_key = cache.project_key(environment, digests)
+        project_hit = cache.load_project(project_key)
+    keep_parses = run_project and project_hit is None
+    parses: dict[Path, FileContext | Violation] = {}
+
     # ---- per-file phase (cache hits served, misses computed) ------------
     pending: list[Path] = []
     for path in files:
@@ -384,25 +406,20 @@ def lint_paths(
         pending.append(path)
 
     def run_project_phase() -> list[Violation]:
-        if not active_project_rules or not sources:
-            return []
-        project_key = ""
-        if cache is not None:
-            project_key = cache.project_key(environment, digests)
-            cached = cache.load_project(project_key)
-            if cached is not None:
-                return list(cached)
+        if not keep_parses:
+            # No project rule is active, or the cache serves the phase.
+            return list(project_hit or ())
         contexts: dict[str, FileContext] = {}
         for path in files:
-            source = sources.get(path)
-            if source is None:
+            if path not in sources:
                 continue
-            try:
-                ctx = FileContext.from_source(source, path.as_posix())
-            except LintError:
-                # Reported as RPR000 by the per-file phase.
-                continue
-            contexts[ctx.path] = ctx
+            parsed = parses.get(path)
+            if parsed is None:
+                parsed = _parse(sources[path], path.as_posix())
+            # A file that does not parse is reported as RPR000 by the
+            # per-file phase.
+            if isinstance(parsed, FileContext):
+                contexts[parsed.path] = parsed
         found: list[Violation] = []
         if contexts:
             found = _project_violations(contexts, active_project_rules, effective)
@@ -410,10 +427,10 @@ def lint_paths(
             cache.store_project(project_key, found)
         return found
 
-    select_arg = tuple(sorted(wanted)) if wanted is not None else None
     if jobs > 1 and len(pending) > 1:
+        select_arg = tuple(sorted(wanted)) if wanted is not None else None
         chunksize = max(1, len(pending) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as executor:
             mapped = executor.map(
                 _lint_file_job,
                 [(str(path), sources[path], select_arg) for path in pending],
@@ -430,9 +447,10 @@ def lint_paths(
                 violations.extend(file_violations)
     else:
         for path in pending:
-            file_violations = lint_source(
-                sources[path], path.as_posix(), select=select_arg
-            )
+            parsed = _parse(sources[path], path.as_posix())
+            if keep_parses:
+                parses[path] = parsed
+            file_violations = _file_violations(parsed, ALL_RULES, wanted)
             if cache is not None:
                 cache.store_file(file_keys[path], file_violations)
             violations.extend(file_violations)

@@ -4,8 +4,7 @@
 directive marker.  These tests pin that the gate drops nothing a full
 ``tokenize`` scan finds, on a fixture of the tricky cases and on every
 real file the repo and the benchmark's pinned corpus hold, and that a
-lint run tokenizes only files that name a directive, plus a file whose
-project-rule finding has to be checked against its suppressions.
+lint run tokenizes only files that name a directive.
 """
 
 from __future__ import annotations
@@ -187,14 +186,15 @@ def test_lint_paths_tokenizes_only_files_naming_a_directive(
     assert (result.files_checked, result.violations) == (4, ())
     assert len(passes) == 1
 
-    # A project-rule finding is checked against its file's suppressions:
-    # one more pass, in the whole-program phase.
+    # A project-rule finding is checked against its file's suppressions.
+    # The whole-program phase reads the context the per-file phase
+    # parsed, whose directives RPR005 already collected: no second pass.
     leak = {"marked.py": SUPPRESSED_LEAK}
     src = write_package(tmp_path / "leak", {**plain_files(), **leak})
     passes.clear()
     result = lint_paths([src], jobs=1, config=LintConfig())
     assert (result.files_checked, result.violations) == (4, ())
-    assert len(passes) == 2
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
