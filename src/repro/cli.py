@@ -17,15 +17,11 @@ import argparse
 import math
 import sys
 from collections.abc import Callable, Sequence
+from pathlib import Path
 from typing import Any
 
 from repro.core.scoring import WeightedLogScore
-from repro.engine.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    make_backend,
-    wall_timer,
-)
+from repro.engine.backends import ExecutionBackend, SerialBackend, wall_timer
 from repro.engine.resilience import ResilientBackend
 from repro.obs import (
     NULL_OBS,
@@ -81,8 +77,19 @@ _positive_number = _argument_type(
 _weight = _argument_type(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
 
 
-#: Default pool size for the parallel backends when ``--workers`` is absent.
-_DEFAULT_WORKERS = 4
+def _output_file(text: str) -> str:
+    """An argparse type: a file path in a directory that exists.
+
+    A missing directory, or a path naming a directory, is a usage error
+    (exit 2) before the run starts, not a traceback after it finished.
+    """
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"no such directory: {str(path.parent)!r}")
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"is a directory: {text!r}")
+    return text
+
 
 #: Default attempts per inference job when ``--retries`` is absent.
 _DEFAULT_RETRIES = 3
@@ -96,24 +103,6 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     with the subcommand's usage line.
     """
     parser.set_defaults(command_parser=parser)
-    parser.add_argument(
-        "--backend",
-        default="serial",
-        choices=BACKEND_NAMES,
-        help=(
-            "execution backend for detector inference; parallel backends "
-            "change wall-clock time only, never results or simulated costs"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help=(
-            "worker count for the thread / process backends "
-            f"(default {_DEFAULT_WORKERS}); rejected with --backend serial"
-        ),
-    )
     parser.add_argument(
         "--fault-profile",
         default="none",
@@ -163,6 +152,7 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--metrics-out",
+        type=_output_file,
         default=None,
         help=(
             "write the final metrics snapshot here (.prom/.txt for "
@@ -172,11 +162,13 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace-out",
+        type=_output_file,
         default=None,
         help="write finished spans as JSON; requires --obs-level trace",
     )
     parser.add_argument(
         "--events-out",
+        type=_output_file,
         default=None,
         help=(
             "write structured run events as JSONL; requires --obs-level "
@@ -188,30 +180,13 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
 def _validate_backend_arguments(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
-    """Reject inconsistent backend/fault/observability flags at parse time.
+    """Reject inconsistent fault/observability flags at parse time.
 
-    ``--workers 0`` never reaches pool construction (the argparse type
-    rejects it), and a flag the run would ignore (``--workers`` with the
-    serial backend, ``--retries`` or ``--fault-seed`` on a run that
-    injects no faults) errors instead of being silently dropped.  Fault
-    injection refuses the process backend: faulty detectors keep their
-    per-frame attempt state in this process and are deliberately
-    unpicklable.  A ``--timeout-ms`` run without faults ships only plain
-    detectors, so any backend takes it.
+    A flag the run would ignore (``--retries`` or ``--fault-seed`` on a
+    run that injects no faults, an output file of a level that records
+    nothing) errors instead of being silently dropped.
     """
-    if args.workers is not None and args.backend == "serial":
-        parser.error(
-            "--workers requires --backend thread or process "
-            "(the serial backend runs in-process)"
-        )
-    if args.workers is None:
-        args.workers = _DEFAULT_WORKERS
     faulty = args.fault_profile != "none"
-    if faulty and args.backend == "process":
-        parser.error(
-            "--fault-profile requires --backend serial or thread "
-            "(faulty detectors are not picklable)"
-        )
     if args.retries is not None and not (faulty or args.timeout_ms is not None):
         parser.error(
             "--retries requires --fault-profile or --timeout-ms "
@@ -276,7 +251,7 @@ def _open_backend(
     timeout.
     """
     resilient = args.fault_profile != "none" or args.timeout_ms is not None
-    backend = make_backend(args.backend, workers=args.workers, obs=obs)
+    backend = SerialBackend(obs=obs)
     if not resilient:
         return backend
     return ResilientBackend(
@@ -324,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=_positive_number, default=None, help="TCVI budget in ms"
     )
     compare.add_argument(
-        "--csv", default=None, help="write per-trial results to this CSV file"
+        "--csv",
+        type=_output_file,
+        default=None,
+        help="write per-trial results to this CSV file",
     )
     _add_backend_arguments(compare)
 
@@ -394,7 +372,6 @@ def _run_compare(args: argparse.Namespace) -> int:
         "MES": MES,
     }
     obs = _make_obs(args)
-    # The with-statement guarantees pool shutdown on every error path.
     with _open_backend(args, obs) as backend:
         outcomes = compare_algorithms(
             lambda trial: standard_setup(
@@ -520,7 +497,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         return lint_main(argv[1:])
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unrecognized = parser.parse_known_args(argv)
+    if unrecognized:
+        # Reported by the subcommand's parser, so its usage line lists
+        # the options that do exist.
+        getattr(args, "command_parser", parser).error(
+            f"unrecognized arguments: {' '.join(unrecognized)}"
+        )
     if args.command in ("compare", "query"):
         _validate_backend_arguments(args.command_parser, args)
     handlers = {

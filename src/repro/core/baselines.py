@@ -103,9 +103,10 @@ class SingleBest(IterativeSelection):
         singles = [make_key([name]) for name in env.model_names]
         totals = {key: 0.0 for key in singles}
         # Batched pre-scan: submit every missing (model, frame) inference
-        # of the calibration sample as one chunked backend batch, so the
-        # per-frame peeks below run against a warm store.  Outputs (and
-        # therefore the calibration result) are bit-identical either way.
+        # of the calibration sample as one backend batch, so the
+        # per-frame peeks below run against a warm store.  Fault-free,
+        # the outputs (and so the calibration result) are bit-identical
+        # either way; under faults the batch meets one breaker snapshot.
         env.prefetch(sample)
         for frame in sample:
             try:

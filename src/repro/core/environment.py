@@ -33,11 +33,11 @@ billed either way.
 
 Execution is layered on the :mod:`repro.engine` package:
 
-* the union-of-member inferences (and REF) of one frame run through an
-  :class:`~repro.engine.backends.ExecutionBackend` — serially by default,
-  concurrently with the thread/process backends.  Backends change wall
-  clock only; every simulated charge, score and selection is identical
-  across backends.
+* the union-of-member inferences (and REF) of one frame run as one batch
+  through an :class:`~repro.engine.backends.ExecutionBackend`: the
+  :class:`~repro.engine.backends.SerialBackend`, or a
+  :class:`~repro.engine.resilience.ResilientBackend` around it that
+  retries, times out and circuit-breaks failing detectors.
 * results are memoized in a bounded, LRU-evicting, thread-safe
   :class:`~repro.engine.store.EvaluationStore`.  Store keys carry a
   *context tag* naming everything the cached value depends on beyond the
@@ -52,8 +52,8 @@ Execution is layered on the :mod:`repro.engine` package:
   :class:`~repro.query.matstore.MaterializedDetectionStore`) extends the
   same reuse across queries and across processes.
 
-Billing follows Eq. 12/14 whatever the backend: the union members'
-inference times add up, even when a parallel backend ran them at once.
+Billing follows Eq. 12/14: the union members' simulated inference
+times add up.
 
 Execution is also allowed to *fail*: backends report per-job statuses
 instead of raising, and :meth:`DetectionEnvironment.evaluate` degrades
@@ -370,8 +370,7 @@ class DetectionEnvironment:
         store: Optional shared :class:`EvaluationStore` (a private one by
             default).
         backend: Execution backend for inference jobs; defaults to
-            :class:`~repro.engine.backends.SerialBackend`.  Backends
-            affect wall-clock time only, never results or charges.
+            :class:`~repro.engine.backends.SerialBackend`.
         obs: Observability facade shared by the selection loop and
             this environment; spans (detect / per-model / fuse / score)
             and evaluation counters flow through it.  The default no-op
@@ -592,11 +591,11 @@ class DetectionEnvironment:
 
         Stored outputs come from one batched
         :meth:`~repro.engine.store.EvaluationStore.get_many`.  The missing
-        ones run as one backend batch (which may run them concurrently),
-        and their results are used directly as well as stored.  Outputs
-        are deterministic per ``(model, frame)``, so everything downstream
-        (billing, fusion, AP) is identical across backends and store
-        states; wall clock is the only difference.
+        ones run as one backend batch, and their results are used
+        directly as well as stored.  Outputs are deterministic per
+        ``(model, frame)``, so everything downstream (billing, fusion,
+        AP) is identical whatever the store held; wall clock is the only
+        difference.
         """
         stored = self.store.get_many(
             "detector", [(frame.key, model) for model in models]
@@ -630,11 +629,12 @@ class DetectionEnvironment:
 
         Coalesces every missing ``(model, frame)`` inference of the pool
         (plus REF, when the environment has one) across ``frames`` into a
-        single :meth:`~repro.engine.backends.ExecutionBackend.run` call,
-        so pool backends amortize dispatch overhead via chunked
-        submission instead of paying one round-trip per frame.  This is
-        the batched pre-scan path: SGL's calibration pass uses it before
-        peeking frames one at a time.
+        single :meth:`~repro.engine.backends.ExecutionBackend.run` call.
+        This is the batched pre-scan path: SGL's calibration pass uses it
+        before peeking frames one at a time.  A
+        :class:`~repro.engine.resilience.ResilientBackend` admits the
+        whole batch on one breaker snapshot, so under faults its breaker
+        transitions differ from a frame-by-frame pass.
 
         Results are bit-for-bit unaffected: outputs are deterministic per
         ``(model, frame)`` and land in the store exactly as on-demand

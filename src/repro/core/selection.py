@@ -430,7 +430,7 @@ class IterativeSelection(SelectionAlgorithm):
         """Fold one completed frame into metrics and the event log.
 
         Everything recorded here is *logical* (simulated costs, counts) —
-        identical for serial and parallel backends on the same seed.
+        identical across runs of the same seed.
         """
         obs = env.obs
         obs.count(

@@ -12,8 +12,8 @@ and turns raw job failures into one fixed fault-tolerance rule:
   (``output.inference_time_ms``) exceeds ``timeout_ms`` are classified
   ``"timeout"`` and their output discarded, exactly as a serving system
   would cancel a straggler.  Basing the timeout on simulated latency keeps
-  runs bit-for-bit reproducible across backends — a wall-clock timeout
-  would make the fault trace scheduling-dependent.
+  runs bit-for-bit reproducible — a wall-clock timeout would make the
+  fault trace depend on the host's speed.
 
 * **Per-detector circuit breaker.**  After :data:`FAILURE_THRESHOLD`
   consecutive failures a model's circuit opens: its jobs are skipped
@@ -25,9 +25,8 @@ and turns raw job failures into one fixed fault-tolerance rule:
 
 All breaker and retry bookkeeping runs on the *calling* thread — jobs are
 dispatched to the inner backend, but their outcomes are folded into
-breaker state in job order after the batch returns.  Serial and thread
-backends therefore produce identical fault traces (the property
-``tests/test_engine_backends.py`` pins for faulty runs).
+breaker state in job order after the batch returns, so a seeded faulty
+run has one fault trace.
 """
 
 from __future__ import annotations
@@ -187,8 +186,8 @@ class ResilientBackend:
     Implements the :class:`~repro.engine.backends.ExecutionBackend`
     protocol, so it drops into every place a backend goes — the
     environment, the CLI, the harness.  The first attempt of a batch is
-    dispatched to the inner backend as one batch (parallelism preserved);
-    retries are re-dispatched job by job from the calling thread.
+    dispatched to the inner backend as one batch; retries are
+    re-dispatched job by job.
 
     Args:
         inner: The wrapped backend (owned: ``close()`` closes it).
@@ -218,8 +217,8 @@ class ResilientBackend:
         # Serializes breaker admission, outcome folding and stats updates:
         # concurrent run() calls (e.g. two harness threads sharing one
         # resilient backend) must see atomic breaker state, or a half-open
-        # circuit could admit two probes.  First-attempt batches still
-        # execute outside the lock, preserving inner-backend parallelism.
+        # circuit could admit two probes.  First-attempt batches execute
+        # outside the lock.
         self._lock = threading.RLock()
         self._breakers: dict[str, CircuitBreaker] = {}
         self._stats = FaultStats()
@@ -406,7 +405,7 @@ class ResilientBackend:
                     )
         if admitted:
             # The first attempt runs as one batch on the inner backend,
-            # outside the lock: parallel backends keep their parallelism.
+            # outside the lock.
             first_attempts = self.inner.run([job for _, job, _ in admitted])
             with self._lock:
                 for (index, job, model_name), first in zip(

@@ -259,6 +259,9 @@ def lint_project(
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
     """Yield ``.py`` files under the given files/directories, sorted.
 
+    A file reached twice (``src`` and ``src/../src``) is yielded once,
+    under its first spelling.
+
     Raises:
         LintError: If a named path does not exist.
     """
@@ -281,8 +284,9 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
                 )
             ]
         for candidate in candidates:
-            if candidate not in seen:
-                seen.add(candidate)
+            resolved = candidate.resolve()
+            if resolved not in seen:
+                seen.add(resolved)
                 yield candidate
 
 

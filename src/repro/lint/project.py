@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import ast
 import json
+import posixpath
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
@@ -236,9 +237,11 @@ def module_name_for_path(path: str) -> str:
     ``src`` segment); ``tests/test_mes.py`` → ``tests.test_mes``
     (anchored at a known top-level package name); package ``__init__.py``
     files name the package itself.  Paths that match no anchor fall back
-    to their stem, which keeps single-file fixture projects working.
+    to their stem, which keeps single-file fixture projects working.  The
+    path is normalised lexically first, so ``src/repro/../repro/x.py``
+    names ``repro.x``.
     """
-    parts = list(PurePosixPath(path).parts)
+    parts = list(PurePosixPath(posixpath.normpath(path)).parts)
     if parts and parts[-1].endswith(".py"):
         parts[-1] = parts[-1][: -len(".py")]
     if parts and parts[-1] == "__init__":

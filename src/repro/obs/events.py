@@ -6,10 +6,8 @@ parsable across versions — downstream tooling can rely on the schemas in
 ``EVENT_SCHEMAS`` (documented in docs/OBSERVABILITY.md).
 
 Events record *logical* facts only (frame indices, ensemble keys,
-simulated milliseconds) — never wall-clock readings — so the event
-stream of a seeded run is identical across execution backends, up to
-the interleaving-neutral ``seq`` ordering assigned on the emitting
-side.
+simulated milliseconds) — never wall-clock readings — so two runs of
+one seed emit identical event streams, ``seq`` numbers included.
 """
 
 from __future__ import annotations

@@ -1,16 +1,10 @@
-"""Metrics: counters, gauges, fixed-bucket histograms and merge-able snapshots.
+"""Metrics: counters, gauges, fixed-bucket histograms and their snapshots.
 
 The registry records *logical* quantities only — frame counts, retry
 counts, simulated-millisecond latencies.  Wall-clock durations belong in
-spans (:mod:`repro.obs.tracer`), never in the registry, so a serial and a
-thread-pool run of the same seeded experiment produce **identical**
-snapshots — the property the backend-equivalence tests pin.
-
-Snapshots are immutable and merge-able: counters and histogram buckets
-add, gauges take the right-hand value.  Merging the per-worker snapshots
-of a sharded run therefore yields the same totals as a single-process
-run, which is what makes the registry safe to use across thread and
-process backends.
+spans (:mod:`repro.obs.tracer`), never in the registry, so two runs of
+the same seeded experiment produce **identical** snapshots.  Snapshots
+are immutable views of the registry at the moment they were taken.
 """
 
 from __future__ import annotations
@@ -115,22 +109,6 @@ class HistogramSnapshot:
     total: float
     count: int
 
-    def merged(self, other: HistogramSnapshot) -> HistogramSnapshot:
-        """Element-wise sum; both sides must share the same buckets."""
-        if self.buckets != other.buckets:
-            raise ValueError(
-                f"cannot merge histograms with different buckets: "
-                f"{self.buckets} vs {other.buckets}"
-            )
-        return HistogramSnapshot(
-            buckets=self.buckets,
-            counts=tuple(
-                a + b for a, b in zip(self.counts, other.counts, strict=True)
-            ),
-            total=self.total + other.total,
-            count=self.count + other.count,
-        )
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "buckets": list(self.buckets),
@@ -180,11 +158,10 @@ def _labels_dict(labels: LabelSet) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """Immutable, merge-able view of a :class:`MetricsRegistry`.
+    """Immutable view of a :class:`MetricsRegistry`.
 
     Equality is structural: two runs that performed the same logical work
-    produce equal snapshots regardless of scheduling (the serial-vs-thread
-    property asserted in ``tests/test_engine_backends.py``).
+    produce equal snapshots, whatever their wall-clock timing.
     """
 
     counters: Mapping[MetricKey, float] = field(
@@ -199,27 +176,6 @@ class MetricsSnapshot:
     descriptions: Mapping[str, str] = field(
         default_factory=lambda: MappingProxyType({})
     )
-
-    def merge(self, other: MetricsSnapshot) -> MetricsSnapshot:
-        """Combine two snapshots: counters/histograms add, gauges take
-        the right-hand side, descriptions union."""
-        counters = dict(self.counters)
-        for key, value in other.counters.items():
-            counters[key] = counters.get(key, 0.0) + value
-        histograms = dict(self.histograms)
-        for key, hist in other.histograms.items():
-            mine = histograms.get(key)
-            histograms[key] = hist if mine is None else mine.merged(hist)
-        gauges = dict(self.gauges)
-        gauges.update(other.gauges)
-        descriptions = dict(self.descriptions)
-        descriptions.update(other.descriptions)
-        return MetricsSnapshot(
-            counters=MappingProxyType(counters),
-            gauges=MappingProxyType(gauges),
-            histograms=MappingProxyType(histograms),
-            descriptions=MappingProxyType(descriptions),
-        )
 
     # -- convenience accessors (tests, CLI summaries) ---------------------
 

@@ -5,7 +5,7 @@ pass).  Spans carry **two** durations because the repo keeps two notions
 of time apart:
 
 * ``sim_ms`` — simulated milliseconds, the deterministic cost model that
-  the experiments bill against.  Identical across backends for the same
+  the experiments bill against.  Identical across runs of the same
   seed.
 * ``wall_ms`` — real elapsed time from an injected timer.  Scheduling-
   dependent, never used for logical assertions; useful for profiling.
@@ -16,8 +16,8 @@ inject a ``timer`` — the CLI wires :func:`repro.engine.backends.wall_timer`
 unit tests deterministic.
 
 Nesting is tracked per thread with :class:`threading.local`, so spans
-opened by pool workers parent correctly within their own thread without
-cross-thread interleaving.  Finished spans live in a bounded deque; when
+opened on different threads parent correctly within their own thread
+without cross-thread interleaving.  Finished spans live in a bounded deque; when
 the bound is hit the oldest spans are dropped and counted, never grown
 without limit (lint rule RPR003).
 """

@@ -50,9 +50,11 @@ class QueryEngine:
     Args:
         scoring: Scoring function used by selection algorithms.
         fusion: Fusion method (WBF by default).
-        backend: Execution backend shared by all queries (serial by
-            default); parallel backends change wall clock only, never
-            results.
+        backend: Execution backend shared by all queries (a
+            :class:`~repro.engine.backends.SerialBackend` by default; the
+            CLI passes a
+            :class:`~repro.engine.resilience.ResilientBackend` when it
+            injects faults or sets a timeout).
         store: Optional externally owned :class:`EvaluationStore`; by
             default the engine creates one and shares it across every
             query it executes (context-tagged keys make that safe).

@@ -222,15 +222,21 @@ class MaterializedDetectionStore:
         obs: Observability facade; hit/miss counters flow through it.
 
     Raises:
-        MaterializationError: If the directory's manifest declares an
-            unknown format version (refusing, not guessing).
+        MaterializationError: If the directory cannot be created (say,
+            the path names a file) or its manifest declares an unknown
+            format version (refusing, not guessing).
     """
 
     def __init__(
         self, root: str | Path, obs: Observability = NULL_OBS
     ) -> None:
         self._root = Path(root)
-        self._root.mkdir(parents=True, exist_ok=True)
+        try:
+            self._root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise MaterializationError(
+                f"cannot create materialized store {self._root}: {exc.strerror}"
+            ) from exc
         self._obs = obs
         self._lock = threading.RLock()
         self._index: dict[tuple[str, Hashable], Any] = {}

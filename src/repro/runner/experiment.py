@@ -202,8 +202,7 @@ def make_environment(
         scoring / fusion: Environment configuration; ``None`` keeps the
             environment's defaults.
         store: Optional shared :class:`EvaluationStore`.
-        backend: Optional execution backend (serial by default); affects
-            wall clock only.
+        backend: Optional execution backend (serial by default).
         obs: Observability facade threaded into the environment (and
             through it, the selection frame loop).
     """
@@ -241,7 +240,7 @@ def run_algorithms(
             shared across the budget points of a sweep over the same
             trial).
         backend: Optional execution backend shared by all runs (the caller
-            owns its lifecycle); wall clock only, results unchanged.
+            owns its lifecycle).
         obs: Observability facade shared by every run (per-algorithm
             series are separated by the ``algorithm`` metric label).
 

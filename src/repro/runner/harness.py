@@ -122,7 +122,7 @@ def compare_algorithms(
             calls (e.g. the budget points of a sweep re-run identical
             trials; sharing stores avoids re-inferring every frame).
         backend: Optional execution backend shared across all trials (the
-            caller owns its lifecycle); wall clock only, results unchanged.
+            caller owns its lifecycle).
         obs: Observability facade shared by the whole comparison; per-trial
             and per-algorithm detail lives in labels/events, while the
             counters accumulate across the protocol.

@@ -26,14 +26,10 @@ Determinism: the noise stream is keyed by
 ``detect`` call on the same frame, so retries see *fresh* draws (that is
 what makes retrying transient faults meaningful) while the sequence of
 draws for any (frame, attempt) pair is independent of global call order.
-Attempt counters live behind a lock, so thread backends that call
-``detect`` from workers stay correct; the counters are an LRU bounded by
-:data:`ATTEMPT_WINDOW` so unbounded streams cannot grow memory (RPR003).
-
-Fault injection composes with the process backend only for fault-free
-profiles: :class:`FaultyDetector` carries a lock and per-process attempt
-state, so faulty runs must use the serial or thread backend (the
-equivalence tests pin exactly those two).
+Attempt counters live behind a lock, so a caller that shares one
+detector between threads stays correct; the counters are an LRU bounded
+by :data:`ATTEMPT_WINDOW` so unbounded streams cannot grow memory
+(RPR003).
 """
 
 from __future__ import annotations
@@ -264,12 +260,6 @@ class FaultyDetector:
             frame.index, tuple(garbage), source=self.name
         )
         return replace(output, detections=detections)
-
-    def __getstate__(self) -> dict[str, object]:
-        raise TypeError(
-            "FaultyDetector carries per-process attempt state and cannot be "
-            "pickled; use the serial or thread backend for faulty runs"
-        )
 
     def __repr__(self) -> str:
         return f"FaultyDetector(inner={self.inner!r}, spec={self.spec!r})"

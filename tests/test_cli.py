@@ -90,72 +90,26 @@ class TestParser:
             )
 
 
-class TestWorkersValidation:
-    """``--workers`` is validated at parse time (never deep in a pool)."""
+class TestRemovedFlags:
+    """Inference runs on one backend, so its old selectors are unknown."""
 
-    def test_workers_with_serial_backend_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--backend", "thread"],
+            ["query", "--workers", "2", "SELECT x"],
+        ],
+        ids=["compare-backend", "query-workers"],
+    )
+    def test_backend_and_workers_are_unrecognized(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
-            main(["compare", "--backend", "serial", "--workers", "8"])
+            main(argv)
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--workers requires --backend thread or process" in err
-
-    def test_workers_default_serial_accepted(self):
-        # No explicit --workers: serial is fine (the default backend).
-        args = build_parser().parse_args(["compare"])
-        assert args.backend == "serial"
-        assert args.workers is None
-
-    def test_workers_zero_rejected_at_parse_time(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(
-                ["compare", "--backend", "thread", "--workers", "0"]
-            )
-        assert excinfo.value.code == 2
-        assert "positive integer" in capsys.readouterr().err
-
-    def test_workers_negative_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["compare", "--backend", "thread", "--workers=-2"]
-            )
-        assert "positive integer" in capsys.readouterr().err
-
-    def test_workers_non_integer_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["compare", "--backend", "thread", "--workers", "many"]
-            )
-        assert "expected an integer" in capsys.readouterr().err
-
-    def test_workers_defaulted_for_thread_backend(self, capsys):
-        code = main(
-            [
-                "compare",
-                "--dataset",
-                "nusc-clear",
-                "--frames",
-                "10",
-                "--trials",
-                "1",
-                "--m",
-                "2",
-                "--scale",
-                "0.02",
-                "--backend",
-                "thread",
-            ]
+        [usage, *_, error] = capsys.readouterr().err.splitlines()
+        assert usage.startswith(f"usage: repro {argv[0]} ")
+        assert error.startswith(
+            f"repro {argv[0]}: error: unrecognized arguments: {argv[1]} "
         )
-        assert code == 0
-        assert "MES" in capsys.readouterr().out
-
-    def test_workers_applies_to_query_too(self, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                ["query", "--backend", "serial", "--workers", "2", "SELECT x"]
-            )
-        err = capsys.readouterr().err
-        assert "--workers requires --backend thread or process" in err
 
 
 class TestFaultFlagValidation:
@@ -184,32 +138,16 @@ class TestFaultFlagValidation:
         [*_, error] = capsys.readouterr().err.splitlines()
         assert error.startswith(f"repro {argv[0]}: error: {message} ")
 
-    @pytest.mark.parametrize("command", ["compare", "query"])
-    def test_faults_on_process_backend_rejected(self, capsys, command):
-        argv = [command, "--backend", "process", "--workers", "2",
-                "--fault-profile", "chaos", "--frames", "5", "--m", "2",
+    def test_timeout_without_faults_prints_fault_free_stdout(self, capsys):
+        """A timeout no job reaches adds only the fault-stats line."""
+        argv = ["compare", "--frames", "5", "--trials", "1", "--m", "2",
                 "--scale", "0.02"]
-        if command == "query":
-            argv.append("SELECT x")
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        [usage, *_, error] = capsys.readouterr().err.splitlines()
-        # The subcommand's usage, which lists the options the user can fix.
-        assert usage.startswith(f"usage: repro {command} ")
-        assert error.startswith(
-            f"repro {command}: error: --fault-profile requires --backend "
-            "serial or thread "
-        )
-
-    def test_timeout_without_faults_runs_on_process_backend(self, capsys):
-        """Nothing unpicklable reaches the pool: same stdout as serial."""
-        argv = ["compare", "--timeout-ms", "500", "--frames", "5",
-                "--trials", "1", "--m", "2", "--scale", "0.02"]
         assert main(argv) == 0
-        serial = capsys.readouterr().out
-        assert main([*argv, "--backend", "process", "--workers", "2"]) == 0
-        assert capsys.readouterr().out == serial
+        fault_free = capsys.readouterr().out
+        assert main([*argv, "--timeout-ms", "500"]) == 0
+        [stats, *rest] = capsys.readouterr().out.splitlines(keepends=True)
+        assert stats.startswith("fault stats: attempts=")
+        assert "".join(rest) == fault_free
 
     @pytest.mark.parametrize(
         "argv, retries",
@@ -293,6 +231,45 @@ class TestObservabilityFlags:
     def test_unknown_obs_level_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--obs-level", "debug"])
+
+    @pytest.mark.parametrize(
+        "command, flag, level",
+        [
+            ("compare", "--csv", []),
+            ("compare", "--metrics-out", ["--obs-level", "metrics"]),
+            ("query", "--trace-out", ["--obs-level", "trace"]),
+            ("query", "--events-out", ["--obs-level", "metrics"]),
+        ],
+        ids=["csv", "metrics-out", "trace-out", "events-out"],
+    )
+    def test_unwritable_output_rejected_before_run(
+        self, capsys, tmp_path, command, flag, level
+    ):
+        missing = tmp_path / "nodir"
+        argv = [command, *level, flag, str(missing / "out.txt")]
+        if command == "query":
+            argv.append("SELECT x")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        [usage, *_, error] = captured.err.splitlines()
+        assert usage.startswith(f"usage: repro {command} ")
+        assert error == (
+            f"repro {command}: error: argument {flag}: "
+            f"no such directory: {str(missing)!r}"
+        )
+        # A path naming a directory cannot be written either.
+        argv[argv.index(flag) + 1] = str(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        [*_, error] = capsys.readouterr().err.splitlines()
+        assert error == (
+            f"repro {command}: error: argument {flag}: "
+            f"is a directory: {str(tmp_path)!r}"
+        )
 
     def test_compare_writes_obs_outputs(self, capsys, tmp_path):
         import json
@@ -402,49 +379,6 @@ class TestObservabilityFlags:
         assert "repro_trials_total 1" in text
 
 
-    def test_compare_metrics_and_events_do_not_depend_on_backend(
-        self, capsys, tmp_path
-    ):
-        backends = {
-            "serial": [],
-            "thread": ["--backend", "thread", "--workers", "2"],
-            "process": ["--backend", "process", "--workers", "2"],
-        }
-        written = {}
-        for name, flags in backends.items():
-            metrics_path = tmp_path / f"{name}-metrics.json"
-            events_path = tmp_path / f"{name}-events.jsonl"
-            code = main(
-                [
-                    "compare",
-                    "--dataset",
-                    "nusc-clear",
-                    "--frames",
-                    "30",
-                    "--trials",
-                    "1",
-                    "--m",
-                    "3",
-                    "--scale",
-                    "0.05",
-                    "--obs-level",
-                    "metrics",
-                    "--metrics-out",
-                    str(metrics_path),
-                    "--events-out",
-                    str(events_path),
-                    *flags,
-                ]
-            )
-            assert code == 0
-            written[name] = (metrics_path.read_bytes(), events_path.read_bytes())
-        capsys.readouterr()
-        assert b"repro_frames_total" in written["serial"][0]
-        assert written["serial"][1]
-        assert written["thread"] == written["serial"]
-        assert written["process"] == written["serial"]
-
-
 class TestCommands:
     def test_algorithms_lists_registry(self, capsys):
         assert main(["algorithms"]) == 0
@@ -457,8 +391,9 @@ class TestCommands:
         probe = (
             "import sys, repro.cli\n"
             "imported = 'repro.lint' in sys.modules\n"
+            "pools = 'concurrent.futures' in sys.modules\n"
             "repro.cli.main(['algorithms'])\n"
-            "print(imported, 'repro.lint' in sys.modules)\n"
+            "print(imported, 'repro.lint' in sys.modules, pools)\n"
         )
         src = Path(repro.__file__).resolve().parent.parent
         result = subprocess.run(
@@ -469,7 +404,7 @@ class TestCommands:
             timeout=120,
             check=True,
         )
-        assert result.stdout.splitlines()[-1] == "False False"
+        assert result.stdout.splitlines()[-1] == "False False False"
 
     def test_compare_runs_small(self, capsys, tmp_path):
         csv_path = tmp_path / "out.csv"
@@ -519,24 +454,6 @@ class TestCommands:
         assert "MES" in out
         assert "fault stats:" in out
 
-    def test_process_backend_rejected_with_faults(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "compare",
-                    "--dataset",
-                    "nusc-clear",
-                    "--frames",
-                    "10",
-                    "--m",
-                    "2",
-                    "--backend",
-                    "process",
-                    "--fault-profile",
-                    "chaos",
-                ]
-            )
-
     def test_query_runs_small(self, capsys):
         code = main(
             [
@@ -571,22 +488,13 @@ class TestQueryCliEndToEnd:
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    def test_serial_and_thread_backends_agree(self, capsys):
-        code_serial, out_serial, _ = self._run(capsys, "--backend", "serial")
-        code_thread, out_thread, _ = self._run(
-            capsys, "--backend", "thread", "--workers", "2"
+    def test_frame_ids_match_the_predicate(self, capsys):
+        code, out, _ = self._run(capsys)
+        assert code == 0
+        ids = next(
+            line for line in out.splitlines() if line.startswith("frame ids:")
         )
-        assert code_serial == code_thread == 0
-        serial_ids = next(
-            line for line in out_serial.splitlines()
-            if line.startswith("frame ids:")
-        )
-        thread_ids = next(
-            line for line in out_thread.splitlines()
-            if line.startswith("frame ids:")
-        )
-        assert serial_ids == thread_ids
-        assert serial_ids == f"frame ids: {list(range(8))}"
+        assert ids == f"frame ids: {list(range(8))}"
 
     def test_explain_flag_prints_plans_without_running(self, capsys):
         code, out, _ = self._run(capsys, "--explain")
@@ -615,40 +523,45 @@ class TestQueryCliEndToEnd:
         assert lines[2].index("^") - 2 == text.index("FORM")
 
     @pytest.mark.parametrize(
-        "text, v1_store, fragments",
+        "text, store, fragments",
         [
             (QUERY.replace("USING BF(yolov7-tiny-clear, yolov7-tiny-night))",
                            "USING MES(yolov7-tiny-clear) WITH gama=3)"),
-             False, ["does not take WITH gama"]),
+             None, ["does not take WITH gama"]),
             (QUERY.replace("yolov7-tiny-night", "no-such-model"),
-             False, ["unknown detector 'no-such-model'"]),
+             None, ["unknown detector 'no-such-model'"]),
             (QUERY.replace("PROCESS video", "PROCESS elsewhere"),
-             False, ["unknown video 'elsewhere'"]),
-            (QUERY, True, ["has format_version 1", "reads only format_version 3"]),
+             None, ["unknown video 'elsewhere'"]),
+            (QUERY, "v1", ["has format_version 1", "reads only format_version 3"]),
+            (QUERY, "file", ["cannot create materialized store", "File exists"]),
             (QUERY.replace("USING BF(yolov7-tiny-clear, yolov7-tiny-night))",
                            "USING MES-B(yolov7-tiny-clear, yolov7-tiny-night) "
                            "WITH budget=0)"),
-             False, ["WITH budget must be a positive finite number, got 0"]),
+             None, ["WITH budget must be a positive finite number, got 0"]),
             (QUERY.replace("SELECT frameID", "SELECT score"),
-             False, ["SELECT column 'score' is not produced"]),
+             None, ["SELECT column 'score' is not produced"]),
             (QUERY.replace("WHERE frameID < 8",
                            "WHERE COUNT('car') >= 1 FOR AT LEAST 0 FRAMES"),
-             False, ["FOR AT LEAST needs at least 1 frame, got 0"]),
+             None, ["FOR AT LEAST needs at least 1 frame, got 0"]),
             (QUERY.replace("USING BF(yolov7-tiny-clear, yolov7-tiny-night))",
                            "USING MES(yolov7-tiny-clear, yolov7-tiny-clear; "
                            "lidar-ref))"),
-             False, ["detector 'yolov7-tiny-clear' is listed more than once"]),
+             None, ["detector 'yolov7-tiny-clear' is listed more than once"]),
         ],
         ids=["unknown-with-key", "unknown-detector", "unregistered-video",
-             "v1-store", "zero-budget", "select-not-produced",
+             "v1-store", "file-store", "zero-budget", "select-not-produced",
              "zero-duration", "repeated-model"],
     )
     def test_plan_and_store_errors_print_one_line_and_exit_2(
-        self, capsys, tmp_path, text, v1_store, fragments
+        self, capsys, tmp_path, text, store, fragments
     ):
         extra = []
-        if v1_store:
+        if store == "v1":
             (tmp_path / "MANIFEST.json").write_text('{"format_version": 1}\n')
+        elif store == "file":
+            tmp_path = tmp_path / "store.txt"
+            tmp_path.write_text("")
+        if store is not None:
             extra = ["--materialize-dir", str(tmp_path)]
             fragments = [str(tmp_path), *fragments]
         code = main(["query", *self.SMALL, *extra, text])

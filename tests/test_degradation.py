@@ -11,7 +11,7 @@ from repro.core.environment import (
 )
 from repro.core.baselines import SingleBest
 from repro.core.mes import MES
-from repro.engine.backends import SerialBackend, ThreadPoolBackend
+from repro.engine.backends import SerialBackend
 from repro.engine.resilience import ResilientBackend
 from repro.obs import Observability
 from repro.runner.experiment import standard_setup
@@ -200,12 +200,7 @@ class TestRecordSerialization:
 
 
 class TestBreakerOpenCount:
-    @pytest.mark.parametrize(
-        "make_inner",
-        [SerialBackend, lambda: ThreadPoolBackend(workers=2)],
-        ids=["serial", "thread"],
-    )
-    def test_opens_counted_once_per_transition(self, make_inner):
+    def test_opens_counted_once_per_transition(self):
         """SGL's prefetch sends every frame in one batch, so the outage's
         failures are folded while detector 0's circuit is already open;
         only the transitions to ``open`` count as opens."""
@@ -214,7 +209,7 @@ class TestBreakerOpenCount:
             fault_profile="outage-first",
         )
         obs = Observability(level="metrics")
-        with ResilientBackend(make_inner(), obs=obs) as backend:
+        with ResilientBackend(SerialBackend(), obs=obs) as backend:
             env = DetectionEnvironment(
                 list(setup.detectors), setup.reference, backend=backend, obs=obs
             )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.simulation import faults
@@ -133,11 +131,6 @@ class TestFaultyDetector:
         assert spiked.detections == clean.detections
         hung = _wrap(detector_pool, FaultSpec(hang_rate=1.0)).detect(simple_frame)
         assert hung.inference_time_ms == faults.HANG_MS
-
-    def test_not_picklable_by_design(self, detector_pool):
-        faulty = _wrap(detector_pool, FaultSpec(transient_rate=0.1))
-        with pytest.raises(TypeError, match="pickl"):
-            pickle.dumps(faulty)
 
     def test_attempt_counters_stay_bounded(
         self, detector_pool, small_video, monkeypatch

@@ -230,3 +230,22 @@ def test_files_are_found_through_a_parent_path(
     assert lint_paths(["../src"], config=CONFIG).files_checked == 1
     monkeypatch.chdir(root)
     assert lint_paths(["src"], config=CONFIG).files_checked == 1
+
+
+def test_two_spellings_of_one_directory_lint_each_file_once(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    files = write_package(tmp_path, mixed_files())
+    monkeypatch.chdir(tmp_path)
+    found = list(lint_engine.iter_python_files(["src", "src/../src"]))
+    # Each file once, under the first spelling that reached it.
+    assert [path.as_posix() for path in found] == sorted(
+        path.relative_to(tmp_path).as_posix() for path in files.values()
+    )
+    result = lint_paths(["src", "src/../src"], config=CONFIG)
+    assert result.files_checked == len(files)
+    assert rule_ids(result.violations) == [("leaky.py", "RPR008")]
+    # A ``..`` inside the path names the same modules, so the layering
+    # rule sees ``repro.engine`` and the leak is still the one finding.
+    dotted = lint_paths(["src/repro/../repro/engine"], config=CONFIG)
+    assert rule_ids(dotted.violations) == [("leaky.py", "RPR008")]

@@ -46,6 +46,7 @@ def build_graph(sources: dict[str, str]) -> tuple[Project, CallGraph]:
         ("src/repro/core/mes.py", "repro.core.mes"),
         ("/abs/repo/src/repro/utils/rng.py", "repro.utils.rng"),
         ("src/repro/engine/__init__.py", "repro.engine"),
+        ("src/repro/../repro/engine/store.py", "repro.engine.store"),
         ("src/repro/__init__.py", "repro"),
         ("tests/test_mes.py", "tests.test_mes"),
         ("benchmarks/common.py", "benchmarks.common"),

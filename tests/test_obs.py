@@ -14,7 +14,6 @@ from repro.obs import (
     NULL_OBS,
     NULL_SPAN,
     Histogram,
-    HistogramSnapshot,
     MetricsRegistry,
     MetricsSnapshot,
     Observability,
@@ -141,31 +140,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             Histogram(buckets=(5.0, 1.0))
 
-    def test_histogram_merge_requires_same_buckets(self):
-        a = Histogram(buckets=(1.0, 2.0))
-        b = Histogram(buckets=(1.0, 3.0))
-        with pytest.raises(ValueError, match="different buckets"):
-            a.snapshot().merged(b.snapshot())
-
-    def test_snapshot_merge(self):
-        left = MetricsRegistry()
-        right = MetricsRegistry()
-        left.counter("frames").inc(3)
-        right.counter("frames").inc(4)
-        right.counter("retries").inc(1)
-        left.gauge("budget").set(10.0)
-        right.gauge("budget").set(20.0)
-        left.histogram("lat", buckets=(1.0, 2.0)).observe(0.5)
-        right.histogram("lat", buckets=(1.0, 2.0)).observe(1.5)
-        merged = left.snapshot().merge(right.snapshot())
-        assert merged.counter_value("frames") == 7.0
-        assert merged.counter_value("retries") == 1.0
-        assert merged.gauge_value("budget") == 20.0  # right wins
-        hist = merged.histogram_snapshot("lat")
-        assert hist is not None
-        assert hist.counts == (1, 1, 0)
-        assert hist.count == 2
-
     def test_snapshot_is_immutable_view(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
@@ -174,22 +148,6 @@ class TestMetrics:
         assert snap.counter_value("c") == 1.0
         with pytest.raises(TypeError):
             snap.counters[("c", ())] = 99.0  # type: ignore[index]
-
-    def test_split_registries_merge_to_single_run_totals(self):
-        """The property that makes per-worker registries sound: merging
-        shards equals recording everything in one registry."""
-        single = MetricsRegistry()
-        shards = [MetricsRegistry() for _ in range(3)]
-        for i in range(9):
-            single.counter("frames", algorithm="mes").inc()
-            single.histogram("ms", buckets=(5.0, 50.0)).observe(float(i))
-            shard = shards[i % 3]
-            shard.counter("frames", algorithm="mes").inc()
-            shard.histogram("ms", buckets=(5.0, 50.0)).observe(float(i))
-        merged = MetricsSnapshot()
-        for shard in shards:
-            merged = merged.merge(shard.snapshot())
-        assert merged.as_dict() == single.snapshot().as_dict()
 
     def test_first_description_wins(self):
         registry = MetricsRegistry()

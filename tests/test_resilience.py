@@ -304,28 +304,25 @@ class TestBreakerExecution:
             "ok",
         ]
 
-    def test_half_open_single_probe_under_thread_backend(self):
-        """Two workers hitting a half-open circuit in the same batch must
-        admit exactly one probe; the other job is skipped, not raced in.
+    def test_half_open_single_probe_per_batch(self):
+        """Two jobs of a half-open model in the same batch must admit
+        exactly one probe; the other job is skipped.
 
         Regression test: admission used to consult a read-only state
         check per job, so a two-job batch against a half-open circuit
         dispatched both jobs as probes."""
-        from repro.engine.backends import ThreadPoolBackend
-
         model = _Model(fail_times=FAILURE_THRESHOLD)
-        with ThreadPoolBackend(workers=2) as inner:
-            backend = ResilientBackend(inner, max_attempts=1)
-            _open_circuit(backend, model)
-            for _ in range(COOLDOWN_BATCHES - 1):
-                backend.run([])  # cooldown ticks
-            calls_before = model.calls
-            # One batch, two jobs of the half-open model, two live workers.
-            results = backend.run([_job(model, 10), _job(model, 11)])
-            statuses = sorted(r.status for r in results)
-            assert statuses == ["ok", "skipped-open-circuit"]
-            assert model.calls == calls_before + 1  # exactly one probe ran
-            assert _breaker_state(backend) == "closed"  # probe healed it
+        backend = self._failing_backend()
+        _open_circuit(backend, model)
+        for _ in range(COOLDOWN_BATCHES - 1):
+            backend.run([])  # cooldown ticks
+        calls_before = model.calls
+        # One batch, two jobs of the half-open model on two frames.
+        results = backend.run([_job(model, 10), _job(model, 11)])
+        statuses = sorted(r.status for r in results)
+        assert statuses == ["ok", "skipped-open-circuit"]
+        assert model.calls == calls_before + 1  # exactly one probe ran
+        assert _breaker_state(backend) == "closed"  # probe healed it
 
     def test_half_open_single_probe_same_frame_jobs(self):
         """The guarantee holds even when both jobs are identical
