@@ -29,7 +29,10 @@ computed only when something reads them (a selection run reads them
 for the evaluation that serves the frame).  Its fused boxes are
 produced only when something reads them too: an AP the store does not
 hold, or a caller of :attr:`EnsembleEvaluation.detections`.  Fusion is
-billed either way.
+billed either way.  The ensembles fused for one evaluation share one
+:class:`~repro.ensembling.base.FusionScope`, which goes with the frame's
+inputs: WBF orders the frame's pooled boxes, tests each overlap and
+averages each cluster once for all of them.
 
 Execution is layered on the :mod:`repro.engine` package:
 
@@ -86,7 +89,7 @@ from repro.engine.backends import (
 )
 from repro.engine.resilience import FaultStats
 from repro.engine.store import CacheStats, EvaluationStore
-from repro.ensembling.base import EnsembleMethod
+from repro.ensembling.base import EnsembleMethod, FusionScope
 from repro.ensembling.wbf import WeightedBoxesFusion
 from repro.obs import NULL_OBS, Observability
 from repro.simulation.clock import (
@@ -324,6 +327,19 @@ class _FrameInputs:
     def ground_truth(self) -> list[Detection]:
         """The frame's ground truth as detections, built on first use."""
         return self.frame.ground_truth_detections()
+
+    @cached_property
+    def fusion_scope(self) -> FusionScope:
+        """The scope every fusion of this frame evaluation shares.
+
+        Its parts are the members' outputs in sorted name order, the order
+        of every ensemble key, so each ensemble's outputs are a
+        subsequence of them.  Built at the first fusion; it goes with
+        these inputs.
+        """
+        return FusionScope(
+            [self.outputs[model].detections for model in sorted(self.outputs)]
+        )
 
 
 @dataclass
@@ -686,7 +702,9 @@ class DetectionEnvironment:
         return self.store.get_or_compute(
             "fused",
             (inputs.frame.key, key, self._fusion_tag),
-            lambda: self.fusion.fuse([inputs.outputs[m].detections for m in key]),
+            lambda: self.fusion.fuse(
+                [inputs.outputs[m].detections for m in key], inputs.fusion_scope
+            ),
         )
 
     def _estimated_ap(

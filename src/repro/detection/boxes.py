@@ -163,7 +163,8 @@ def average_boxes(boxes: Iterable[BBox], weights: Sequence[float] | None = None)
 
     Args:
         boxes: Boxes to average; must be non-empty.
-        weights: Optional per-box non-negative weights; defaults to uniform.
+        weights: Optional per-box finite, non-negative weights; defaults
+            to uniform.
 
     Returns:
         The weighted-mean box.
@@ -179,7 +180,11 @@ def average_boxes(boxes: Iterable[BBox], weights: Sequence[float] | None = None)
         weight_list = [float(w) for w in weights]
         if len(weight_list) != len(box_list):
             raise ValueError("weights length must match number of boxes")
-        if any(w < 0 for w in weight_list):
+        # One pass in the common case: NaN, infinities and negatives all
+        # fail ``0 <= w < inf``.
+        if not all(0.0 <= w < math.inf for w in weight_list):
+            if not all(math.isfinite(w) for w in weight_list):
+                raise ValueError(f"weights must be finite, got {weight_list!r}")
             raise ValueError("weights must be non-negative")
     total = sum(weight_list)
     if total <= 0:

@@ -7,7 +7,7 @@ accurate outputs.  This subpackage implements all of them behind a common
 itself is reproducible (see ``benchmarks/test_fusion_methods.py``).
 """
 
-from repro.ensembling.base import EnsembleMethod
+from repro.ensembling.base import EnsembleMethod, FusionScope
 from repro.ensembling.fusion import ConsensusFusion
 from repro.ensembling.nms import NonMaximumSuppression
 from repro.ensembling.nmw import NonMaximumWeighted
@@ -19,6 +19,7 @@ from repro.ensembling.wbf import WeightedBoxesFusion
 __all__ = [
     "ConsensusFusion",
     "EnsembleMethod",
+    "FusionScope",
     "NonMaximumSuppression",
     "NonMaximumWeighted",
     "SoftNMS",

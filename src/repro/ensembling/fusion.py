@@ -29,7 +29,8 @@ class ConsensusFusion(EnsembleMethod):
     Args:
         iou_threshold: Cluster membership threshold.
         min_votes: Minimum number of distinct models that must contribute a
-            box for the cluster to survive.  ``1`` (default) keeps
+            box for the cluster to survive, an ``int`` of at least 1
+            (``bool`` is refused).  ``1`` (default) keeps
             single-model discoveries; ``2`` turns the method into a strict
             consensus filter.
     """
@@ -39,6 +40,8 @@ class ConsensusFusion(EnsembleMethod):
     def __init__(self, iou_threshold: float = 0.5, min_votes: int = 1) -> None:
         if not 0.0 <= iou_threshold <= 1.0:
             raise ValueError("iou_threshold must be in [0, 1]")
+        if isinstance(min_votes, bool) or not isinstance(min_votes, int):
+            raise ValueError(f"min_votes must be an int, got {min_votes!r}")
         if min_votes < 1:
             raise ValueError("min_votes must be at least 1")
         self.iou_threshold = iou_threshold

@@ -27,7 +27,7 @@ class SoftNMS(EnsembleMethod):
         method: ``"linear"`` or ``"gaussian"``.
         iou_threshold: Overlap above which linear decay applies (unused by
             the gaussian schedule).
-        sigma: Gaussian decay bandwidth.
+        sigma: Gaussian decay bandwidth; finite and positive.
         score_threshold: Boxes whose decayed confidence drops below this
             floor are discarded.
     """
@@ -45,8 +45,8 @@ class SoftNMS(EnsembleMethod):
             raise ValueError(f"unknown decay method {method!r}")
         if not 0.0 <= iou_threshold <= 1.0:
             raise ValueError("iou_threshold must be in [0, 1]")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
         if not 0.0 <= score_threshold <= 1.0:
             raise ValueError("score_threshold must be in [0, 1]")
         self.method = method

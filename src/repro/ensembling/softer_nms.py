@@ -28,7 +28,7 @@ class SofterNMS(EnsembleMethod):
         vote_iou_threshold: Boxes overlapping a survivor above this take
             part in its coordinate vote.
         sigma: Bandwidth of the gaussian vote weight
-            ``exp(-(1 - iou)^2 / sigma)``.
+            ``exp(-(1 - iou)^2 / sigma)``; finite and positive.
     """
 
     name = "softer_nms"
@@ -43,8 +43,8 @@ class SofterNMS(EnsembleMethod):
             raise ValueError("iou_threshold must be in [0, 1]")
         if not 0.0 <= vote_iou_threshold <= 1.0:
             raise ValueError("vote_iou_threshold must be in [0, 1]")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
         self.iou_threshold = iou_threshold
         self.vote_iou_threshold = vote_iou_threshold
         self.sigma = sigma

@@ -1,5 +1,7 @@
 """Unit tests for the bounding-box algebra."""
 
+import math
+
 import pytest
 
 from repro.detection.boxes import BBox, average_boxes, iou_matrix
@@ -144,6 +146,11 @@ class TestAverageBoxes:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             average_boxes([BBox(0, 0, 1, 1), BBox(0, 0, 2, 2)], weights=[1, -1])
+
+    def test_non_finite_weights_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                average_boxes([BBox(0, 0, 1, 1), BBox(0, 0, 2, 2)], weights=[1.0, bad])
 
     def test_mismatched_weights_rejected(self):
         with pytest.raises(ValueError):

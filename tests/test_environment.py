@@ -128,7 +128,9 @@ class TestFusedBoxes:
         calls = []
         fuse = environment.fusion.fuse
         monkeypatch.setattr(
-            environment.fusion, "fuse", lambda outputs: calls.append(1) or fuse(outputs)
+            environment.fusion,
+            "fuse",
+            lambda outputs, scope=None: calls.append(1) or fuse(outputs, scope),
         )
         batch = environment.evaluate(simple_frame, environment.all_ensembles)
         # Every estimated AP missed, so each ensemble was fused, once.

@@ -1,5 +1,7 @@
 """Unit tests for NMW, Softer-NMS and ConsensusFusion."""
 
+import math
+
 import pytest
 
 from repro.detection.boxes import BBox
@@ -81,8 +83,10 @@ class TestSofterNMS:
         assert len(result) == 1
 
     def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            SofterNMS(sigma=-1.0)
+        # A NaN sigma made fuse() fail on a NaN box when it was accepted.
+        for sigma in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                SofterNMS(sigma=sigma)
 
 
 class TestConsensusFusion:
@@ -132,5 +136,7 @@ class TestConsensusFusion:
         assert merged.confidence == pytest.approx(0.6)
 
     def test_invalid_min_votes(self):
-        with pytest.raises(ValueError):
-            ConsensusFusion(min_votes=0)
+        # A NaN min_votes turned the vote gate off when it was accepted.
+        for min_votes in (0, -1, math.nan, 1.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="min_votes"):
+                ConsensusFusion(min_votes=min_votes)

@@ -63,8 +63,11 @@ class TestSoftNMS:
             SoftNMS(method="cubic")
 
     def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            SoftNMS(sigma=0.0)
+        # A NaN sigma kept only the first of two overlapping boxes, and an
+        # infinite one kept both undecayed, when they were accepted.
+        for sigma in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                SoftNMS(sigma=sigma)
 
     def test_classes_independent(self):
         soft = SoftNMS()
