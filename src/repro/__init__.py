@@ -21,35 +21,39 @@ Quickstart::
 See README.md for the full tour and DESIGN.md for the experiment index.
 """
 
-from repro.core import (
-    BruteForce,
-    DMES,
-    DetectionEnvironment,
-    ExploreFirst,
-    LRBP,
-    LinearScore,
-    MES,
-    MESA,
-    MESB,
-    Oracle,
-    RandomSelection,
-    SWMES,
-    ScoringFunction,
-    SelectionAlgorithm,
-    SelectionResult,
-    SingleBest,
-    WeightedLogScore,
-)
-from repro.detection import BBox, Detection, FrameDetections, average_precision
-from repro.ensembling import WeightedBoxesFusion, available_methods, create_method
-from repro.simulation import (
-    SimulatedDetector,
-    SimulatedLidar,
-    Video,
-    build_bdd_like,
-    build_nuscenes_like,
-    compose_drifting_video,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.core import (
+        BruteForce,
+        DMES,
+        DetectionEnvironment,
+        ExploreFirst,
+        LRBP,
+        LinearScore,
+        MES,
+        MESA,
+        MESB,
+        Oracle,
+        RandomSelection,
+        SWMES,
+        ScoringFunction,
+        SelectionAlgorithm,
+        SelectionResult,
+        SingleBest,
+        WeightedLogScore,
+    )
+    from repro.detection import BBox, Detection, FrameDetections, average_precision
+    from repro.ensembling import WeightedBoxesFusion, available_methods, create_method
+    from repro.simulation import (
+        SimulatedDetector,
+        SimulatedLidar,
+        Video,
+        build_bdd_like,
+        build_nuscenes_like,
+        compose_drifting_video,
+    )
 
 __version__ = "1.0.0"
 
@@ -86,3 +90,50 @@ __all__ = [
     "create_method",
     "__version__",
 ]
+
+#: The package that defines each re-exported name.  A name is imported
+#: at its first access (PEP 562), so ``import repro.lint`` and
+#: ``python -m repro.lint`` load neither numpy nor the detection stack.
+_HOMES = {
+    "BBox": "repro.detection",
+    "BruteForce": "repro.core",
+    "DMES": "repro.core",
+    "Detection": "repro.detection",
+    "DetectionEnvironment": "repro.core",
+    "ExploreFirst": "repro.core",
+    "FrameDetections": "repro.detection",
+    "LRBP": "repro.core",
+    "LinearScore": "repro.core",
+    "MES": "repro.core",
+    "MESA": "repro.core",
+    "MESB": "repro.core",
+    "Oracle": "repro.core",
+    "RandomSelection": "repro.core",
+    "SWMES": "repro.core",
+    "ScoringFunction": "repro.core",
+    "SelectionAlgorithm": "repro.core",
+    "SelectionResult": "repro.core",
+    "SimulatedDetector": "repro.simulation",
+    "SimulatedLidar": "repro.simulation",
+    "SingleBest": "repro.core",
+    "Video": "repro.simulation",
+    "WeightedBoxesFusion": "repro.ensembling",
+    "WeightedLogScore": "repro.core",
+    "available_methods": "repro.ensembling",
+    "average_precision": "repro.detection",
+    "build_bdd_like": "repro.simulation",
+    "build_nuscenes_like": "repro.simulation",
+    "compose_drifting_video": "repro.simulation",
+    "create_method": "repro.ensembling",
+}
+
+
+def __getattr__(name: str) -> object:
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(home), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

@@ -335,67 +335,99 @@ class InterprocLocksetRule(ProjectRule):
         reported: set[tuple[str, int, str, str, int]],
     ) -> Iterator[Violation]:
         visited: set[tuple[str, bool]] = {(submitted.qname, False)}
+        yield from self._walk(
+            project,
+            graph,
+            submission_module,
+            submission,
+            submitted,
+            reported,
+            visited,
+            submitted,
+            (),
+            False,
+        )
 
-        def walk(
-            fn: FunctionInfo, chain: tuple[CallSite, ...], under_lock: bool
-        ) -> Iterator[Violation]:
-            scopes = _own_and_lambda_scopes(project, fn)
-            locked = locked_lines(
-                node for scope, _ in scopes for node in scope.nodes
+    def _walk(
+        self,
+        project: Project,
+        graph: CallGraph,
+        submission_module: ModuleInfo,
+        submission: ast.Call,
+        submitted: FunctionInfo,
+        reported: set[tuple[str, int, str, str, int]],
+        visited: set[tuple[str, bool]],
+        fn: FunctionInfo,
+        chain: tuple[CallSite, ...],
+        under_lock: bool,
+    ) -> Iterator[Violation]:
+        """One step of ``_trace``: ``fn``'s unlocked shared writes, then
+        each callee in a ``(function, lock state)`` not yet ``visited``,
+        depth first, ``chain`` holding the call sites from ``submitted``."""
+        scopes = _own_and_lambda_scopes(project, fn)
+        locked = locked_lines(node for scope, _ in scopes for node in scope.nodes)
+        fn_path = self._path_of(project, fn.qname)
+        for write, label in shared_writes(scopes):
+            line = getattr(write, "lineno", 0)
+            if under_lock or line in locked:
+                continue
+            key = (
+                fn_path,
+                line,
+                label,
+                submission_module.path,
+                submission.lineno,
             )
-            fn_path = self._path_of(project, fn.qname)
-            for write, label in shared_writes(scopes):
-                line = getattr(write, "lineno", 0)
-                if under_lock or line in locked:
-                    continue
-                key = (
-                    fn_path,
-                    line,
-                    label,
-                    submission_module.path,
-                    submission.lineno,
-                )
-                if key in reported:
-                    continue
-                reported.add(key)
-                hops = " -> ".join(
-                    [
-                        f"submitted {submitted.qname} "
-                        f"({submission_module.path}:{submission.lineno})"
-                    ]
-                    + [
-                        f"{site.callee} (called at "
-                        f"{self._path_of(project, site.caller)}:{site.line})"
-                        for site in chain
-                    ]
-                )
-                yield Violation(
-                    path=fn_path,
-                    line=int(line),
-                    col=int(getattr(write, "col_offset", 0)),
-                    rule_id=self.rule_id,
-                    message=(
-                        f"write to shared {label!r} in {fn.qname} is "
-                        "reachable from a backend submission without any "
-                        f"lock held; chain: {hops}. Hold the owning lock "
-                        "across the mutation or return results and fold "
-                        "them on the caller"
-                    ),
-                )
-            if len(chain) >= _MAX_CHAIN_DEPTH:
-                return
-            for site in graph.callees(fn.qname):
-                callee = project.functions.get(site.callee)
-                if callee is None:
-                    continue
-                next_lock = under_lock or site.line in locked
-                state = (site.callee, next_lock)
-                if state in visited:
-                    continue
-                visited.add(state)
-                yield from walk(callee, (*chain, site), next_lock)
-
-        yield from walk(submitted, (), False)
+            if key in reported:
+                continue
+            reported.add(key)
+            hops = " -> ".join(
+                [
+                    f"submitted {submitted.qname} "
+                    f"({submission_module.path}:{submission.lineno})"
+                ]
+                + [
+                    f"{site.callee} (called at "
+                    f"{self._path_of(project, site.caller)}:{site.line})"
+                    for site in chain
+                ]
+            )
+            yield Violation(
+                path=fn_path,
+                line=int(line),
+                col=int(getattr(write, "col_offset", 0)),
+                rule_id=self.rule_id,
+                message=(
+                    f"write to shared {label!r} in {fn.qname} is "
+                    "reachable from a backend submission without any "
+                    f"lock held; chain: {hops}. Hold the owning lock "
+                    "across the mutation or return results and fold "
+                    "them on the caller"
+                ),
+            )
+        if len(chain) >= _MAX_CHAIN_DEPTH:
+            return
+        for site in graph.callees(fn.qname):
+            callee = project.functions.get(site.callee)
+            if callee is None:
+                continue
+            next_lock = under_lock or site.line in locked
+            state = (site.callee, next_lock)
+            if state in visited:
+                continue
+            visited.add(state)
+            yield from self._walk(
+                project,
+                graph,
+                submission_module,
+                submission,
+                submitted,
+                reported,
+                visited,
+                callee,
+                (*chain, site),
+                next_lock,
+            )
 
     @staticmethod
     def _path_of(project: Project, qname: str) -> str:
@@ -693,24 +725,32 @@ def _transitive_closure(
     layers: Mapping[str, tuple[str, ...]]
 ) -> dict[str, frozenset[str]]:
     closure: dict[str, frozenset[str]] = {}
-
-    def visit(layer: str, trail: frozenset[str]) -> frozenset[str]:
-        cached = closure.get(layer)
-        if cached is not None:
-            return cached
-        if layer in trail or layer not in layers:
-            return frozenset()
-        reachable: set[str] = set()
-        for dep in layers[layer]:
-            reachable.add(dep)
-            reachable |= visit(dep, trail | {layer})
-        result = frozenset(reachable)
-        closure[layer] = result
-        return result
-
     for layer in layers:
-        visit(layer, frozenset())
+        _reachable_layers(layers, closure, layer, frozenset())
     return closure
+
+
+def _reachable_layers(
+    layers: Mapping[str, tuple[str, ...]],
+    closure: dict[str, frozenset[str]],
+    layer: str,
+    trail: frozenset[str],
+) -> frozenset[str]:
+    """The layers ``layer`` may import, directly or not, memoized in
+    ``closure``; a layer on ``trail`` (a cycle) or undeclared reaches
+    none."""
+    cached = closure.get(layer)
+    if cached is not None:
+        return cached
+    if layer in trail or layer not in layers:
+        return frozenset()
+    reachable: set[str] = set()
+    for dep in layers[layer]:
+        reachable.add(dep)
+        reachable |= _reachable_layers(layers, closure, dep, trail | {layer})
+    result = frozenset(reachable)
+    closure[layer] = result
+    return result
 
 
 def _escapes_via(expr: ast.expr, name: str) -> bool:

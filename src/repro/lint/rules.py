@@ -214,25 +214,33 @@ class UnboundedCacheRule(Rule):
 
     def _collect_bindings(self, ctx: FileContext) -> list[_MutableBinding]:
         bindings: list[_MutableBinding] = []
-
-        def scan_body(body: list[ast.stmt], class_name: str | None) -> None:
-            for stmt in body:
-                targets: list[ast.expr] = []
-                value: ast.expr | None = None
-                if isinstance(stmt, ast.Assign):
-                    targets, value = stmt.targets, stmt.value
-                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                    targets, value = [stmt.target], stmt.value
-                elif isinstance(stmt, ast.ClassDef) and class_name is None:
-                    scan_body(stmt.body, stmt.name)
-                    continue
-                if value is None or not self._is_mutable_literal(ctx, value):
-                    continue
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        bindings.append(_MutableBinding(target.id, class_name, stmt))
-        scan_body(ctx.tree.body, None)
+        self._scan_bindings(ctx, ctx.tree.body, None, bindings)
         return bindings
+
+    def _scan_bindings(
+        self,
+        ctx: FileContext,
+        body: list[ast.stmt],
+        class_name: str | None,
+        bindings: list[_MutableBinding],
+    ) -> None:
+        """Append the mutable bindings of ``body`` (module level, or the
+        body of top-level class ``class_name``) to ``bindings``."""
+        for stmt in body:
+            targets: list[ast.expr] = []
+            value: ast.expr | None = None
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets, value = [stmt.target], stmt.value
+            elif isinstance(stmt, ast.ClassDef) and class_name is None:
+                self._scan_bindings(ctx, stmt.body, stmt.name, bindings)
+                continue
+            if value is None or not self._is_mutable_literal(ctx, value):
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    bindings.append(_MutableBinding(target.id, class_name, stmt))
 
     def _shadowed_attrs(self, class_node: ast.ClassDef) -> set[str]:
         """Attributes rebound on ``self`` anywhere in the class."""
@@ -250,64 +258,60 @@ class UnboundedCacheRule(Rule):
         return shadowed
 
     def _mutations_in_functions(
-        self, ctx: FileContext
+        self, body: list[ast.stmt], class_name: str | None
     ) -> Iterator[tuple[ast.AST, str, str | None]]:
         """Yield ``(node, rooted_name, owning_class)`` for each mutation
-        that happens inside a function/method body."""
+        that happens inside a function/method body in ``body``."""
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from self._walk_function(stmt, class_name)
+            elif isinstance(stmt, ast.ClassDef):
+                yield from self._mutations_in_functions(stmt.body, stmt.name)
 
-        def walk_function(
-            func: ast.FunctionDef | ast.AsyncFunctionDef, class_name: str | None
-        ) -> Iterator[tuple[ast.AST, str, str | None]]:
-            for node in ast.walk(func):
-                target: ast.expr | None = None
-                if isinstance(node, ast.Assign):
-                    for tgt in node.targets:
-                        if isinstance(tgt, ast.Subscript):
-                            yield from classify(node, tgt, class_name)
-                    continue
-                if isinstance(node, ast.AugAssign):
-                    target = node.target
-                    if isinstance(target, (ast.Subscript, ast.Attribute, ast.Name)):
-                        yield from classify(node, target, class_name)
-                    continue
-                if isinstance(node, ast.Call):
-                    func_expr = node.func
-                    if (
-                        isinstance(func_expr, ast.Attribute)
-                        and func_expr.attr in MUTATING_METHODS
-                    ):
-                        yield from classify(node, func_expr.value, class_name)
+    def _walk_function(
+        self, func: ast.FunctionDef | ast.AsyncFunctionDef, class_name: str | None
+    ) -> Iterator[tuple[ast.AST, str, str | None]]:
+        for node in ast.walk(func):
+            target: ast.expr | None = None
+            if isinstance(node, ast.Assign):
+                for tgt in node.targets:
+                    if isinstance(tgt, ast.Subscript):
+                        yield from self._classify_mutation(node, tgt, class_name)
+                continue
+            if isinstance(node, ast.AugAssign):
+                target = node.target
+                if isinstance(target, (ast.Subscript, ast.Attribute, ast.Name)):
+                    yield from self._classify_mutation(node, target, class_name)
+                continue
+            if isinstance(node, ast.Call):
+                func_expr = node.func
+                if (
+                    isinstance(func_expr, ast.Attribute)
+                    and func_expr.attr in MUTATING_METHODS
+                ):
+                    yield from self._classify_mutation(
+                        node, func_expr.value, class_name
+                    )
 
-        def classify(
-            node: ast.AST, expr: ast.expr, class_name: str | None
-        ) -> Iterator[tuple[ast.AST, str, str | None]]:
-            field_name = self_write_attr(expr)
-            if field_name is not None:
-                yield node, field_name, class_name
-                return
-            base = expr
-            while isinstance(base, ast.Subscript):
-                base = base.value
-            if isinstance(base, ast.Attribute):
-                chain = dotted_name(base)
-                if chain and "." in chain:
-                    owner, _, attr = chain.partition(".")
-                    yield node, attr.split(".")[0], owner
-                return
-            root = assign_root(expr)
-            if isinstance(root, ast.Name):
-                yield node, root.id, None
-
-        def scan(body: list[ast.stmt], class_name: str | None) -> Iterator[
-            tuple[ast.AST, str, str | None]
-        ]:
-            for stmt in body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield from walk_function(stmt, class_name)
-                elif isinstance(stmt, ast.ClassDef):
-                    yield from scan(stmt.body, stmt.name)
-
-        yield from scan(ctx.tree.body, None)
+    def _classify_mutation(
+        self, node: ast.AST, expr: ast.expr, class_name: str | None
+    ) -> Iterator[tuple[ast.AST, str, str | None]]:
+        field_name = self_write_attr(expr)
+        if field_name is not None:
+            yield node, field_name, class_name
+            return
+        base = expr
+        while isinstance(base, ast.Subscript):
+            base = base.value
+        if isinstance(base, ast.Attribute):
+            chain = dotted_name(base)
+            if chain and "." in chain:
+                owner, _, attr = chain.partition(".")
+                yield node, attr.split(".")[0], owner
+            return
+        root = assign_root(expr)
+        if isinstance(root, ast.Name):
+            yield node, root.id, None
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         bindings = self._collect_bindings(ctx)
@@ -323,7 +327,7 @@ class UnboundedCacheRule(Rule):
             if isinstance(stmt, ast.ClassDef) and stmt.name in class_level:
                 shadowed[stmt.name] = self._shadowed_attrs(stmt)
         seen: set[tuple[int, int, str]] = set()
-        for node, name, owner in self._mutations_in_functions(ctx):
+        for node, name, owner in self._mutations_in_functions(ctx.tree.body, None):
             hit = False
             if owner is None and name in module_level:
                 hit = True

@@ -291,7 +291,7 @@ class MaterializedDetectionStore:
                     if stage not in MATERIALIZED_STAGES:
                         raise ValueError(f"unknown stage {stage!r}")
                     full_key = (stage, _decode_key(key))
-                    self._index[full_key] = _decode_value(stage, value)  # repro-lint: disable=RPR015 -- persistent disk-mirroring index: sized by the on-disk segment set, not by service uptime; compaction bounds the segments
+                    self._index[full_key] = _decode_value(stage, value)  # repro-lint: disable=RPR015 -- persistent disk-mirroring index: one entry per distinct record in the directory's segments, each segment loaded once at open
                 except (ValueError, TypeError, KeyError) as exc:
                     # A torn write or bit rot: skip the line (the engine
                     # recomputes the value deterministically), never trust it.

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import argparse
+import importlib
 import os
 import subprocess
 import sys
@@ -405,6 +406,40 @@ class TestCommands:
             check=True,
         )
         assert result.stdout.splitlines()[-1] == "False False False"
+
+    def test_linter_starts_without_the_detection_stack(self):
+        # ``python -m repro.lint`` imports the package root first; the
+        # root resolves its re-exports only when they are read.
+        probe = (
+            "import sys, repro.lint.cli\n"
+            "print('numpy' in sys.modules, 'repro.core' in sys.modules)\n"
+        )
+        src = Path(repro.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert result.stdout.splitlines()[-1] == "False False"
+
+    def test_root_names_resolve_to_the_objects_their_modules_define(self):
+        star: dict[str, object] = {}
+        exec("from repro import *", star)
+        assert set(repro.__all__) <= set(star) & set(dir(repro))
+        assert repro.__version__ == "1.0.0"
+        for name in repro.__all__:
+            value = getattr(repro, name)
+            assert star[name] is value
+            if name == "__version__":
+                continue
+            assert value.__name__ == name
+            home = importlib.import_module(value.__module__)
+            assert getattr(home, name) is value
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name  # noqa: B018 -- the lookup is the test
 
     def test_compare_runs_small(self, capsys, tmp_path):
         csv_path = tmp_path / "out.csv"

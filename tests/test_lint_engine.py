@@ -1,27 +1,33 @@
 """What ``lint_paths`` does besides running rules: how often it parses a
-file, which files it finds, and how many workers it starts.
+file, which files it finds, how many workers it starts, and what it
+leaves to the cyclic garbage collector.
 
 A serial run parses each file once and hands the same context to both
 phases; a cache entry spares the parse of every phase it serves.  File
 discovery filters only the directories below the one it is given.  A
 ``jobs`` run starts no more workers than there are files to lint; the
 pool here is a stand-in that maps in-process, so no test starts one.
+The collector is paused for the call and left as the caller had it, and
+a run builds no reference cycles.
 """
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 import pytest
 
-from repro.lint import FileContext, lint_paths
+from repro.lint import CallGraph, FileContext, Project, lint_paths
 from repro.lint import engine as lint_engine
 from repro.lint.base import Violation
 from repro.lint.cache import LintCache
-from repro.lint.project import LintConfig
+from repro.lint.project import LintConfig, ProjectRule
 
 CONFIG = LintConfig()
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: A file-handle leak in ``repro.engine``: one RPR008 project finding.
 LEAK = "def load(path):\n    handle = open(path)\n    return handle.read()\n"
@@ -249,3 +255,86 @@ def test_two_spellings_of_one_directory_lint_each_file_once(
     # rule sees ``repro.engine`` and the leak is still the one finding.
     dotted = lint_paths(["src/repro/../repro/engine"], config=CONFIG)
     assert rule_ids(dotted.violations) == [("leaky.py", "RPR008")]
+
+
+class CollectorProbe(ProjectRule):
+    """A project rule that records whether the collector is enabled
+    when it runs and after it lints ``nested`` from inside."""
+
+    rule_id = "RPR099"
+
+    def __init__(self, nested: Path) -> None:
+        self.nested = nested
+        self.enabled: list[bool] = []
+
+    def check_project(
+        self, project: Project, graph: CallGraph
+    ) -> Iterator[Violation]:
+        self.enabled.append(gc.isenabled())
+        lint_paths([self.nested], config=CONFIG)
+        self.enabled.append(gc.isenabled())
+        return iter(())
+
+
+class FailingRule(ProjectRule):
+    rule_id = "RPR099"
+
+    def check_project(
+        self, project: Project, graph: CallGraph
+    ) -> Iterator[Violation]:
+        raise RuntimeError("rule failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_lint_paths_leaves_the_collector_as_it_found_it(
+    tmp_path: Path, enabled: bool
+) -> None:
+    write_package(tmp_path, mixed_files())
+    if not enabled:
+        gc.disable()
+    try:
+        lint_paths([tmp_path / "src"], config=CONFIG)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_collector_is_restored_when_a_project_rule_raises(tmp_path: Path) -> None:
+    write_package(tmp_path, mixed_files())
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="rule failed"):
+        lint_paths([tmp_path / "src"], project_rules=[FailingRule()], config=CONFIG)
+    assert gc.isenabled()
+
+
+def test_collector_is_paused_while_rules_run_and_a_nested_run_keeps_it_paused(
+    tmp_path: Path,
+) -> None:
+    files = write_package(tmp_path, mixed_files())
+    probe = CollectorProbe(files["leaky.py"])
+    lint_paths([tmp_path / "src"], project_rules=[probe], config=CONFIG)
+    # Paused when the rule runs, and still paused after the nested call
+    # returns; the outer call resumes the collector.
+    assert probe.enabled == [False, False]
+    assert gc.isenabled()
+
+
+def test_a_lint_run_builds_no_reference_cycles() -> None:
+    """Linting the package leaves no cyclic garbage: everything the run
+    allocated is freed by reference counting when it returns.  The
+    package's files reach RPR003's helpers, RPR007's trace and RPR009's
+    layer closure; a recursive local closure among them would hold what
+    it read (a file's context, or the project and every tree) in a
+    cycle."""
+    flags = gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        result = lint_paths([REPO_ROOT / "src" / "repro"], config=CONFIG)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert gc.collect() == 0
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.enable()
+    assert result.files_checked > 0
